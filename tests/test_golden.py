@@ -1,0 +1,76 @@
+"""Byte-for-byte golden outputs of the command line.
+
+Each file in tests/golden/ is the exact `--format json` standard output of
+one command: every README example, and `lattice --cross-check` plus
+`decompose` on three larger cases.  A refactor of the engine must leave all
+of them unchanged.  Regenerate them only for an intended output change, and
+record that change in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from geosig.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _sig(genus, *branches):
+    entries = []
+    for branch in branches:
+        order, rep = branch if isinstance(branch, tuple) else (branch, None)
+        entries.append({"order": order} if rep is None else
+                       {"order": order, "class_rep": rep})
+    return json.dumps({"genus": genus, "branches": entries})
+
+
+D4 = _sig(0, (4, "x"), (2, "y"), (2, "xy"))
+WC3 = _sig(0, (6, "xa^2"), (4, "xyab"), (2, "xyzb"))
+LARGER = {
+    "s6": ("symmetric(6)", _sig(0, (2, "b"), (6, "a"), (5, "(1,2,3,4,5)"))),
+    "a6": ("alternating(6)", _sig(0, 4, 4, 5)),
+    "s4": ("symmetric(4)", _sig(1, (2, "b"), (2, "b"))),
+}
+
+CASES = {
+    "readme_exists_dihedral4": ["exists", "--group", "dihedral(4)", "--signature", D4],
+    "readme_lattice_wc3": ["lattice", "--group", "wc3", "--signature", WC3,
+                           "--subgroups", "y,z,xyzab", "y,z,ab", "--cross-check"],
+    "readme_decompose_wc3": ["decompose", "--group", "wc3", "--signature", WC3],
+    "readme_chartab_quaternion8": ["chartab", "--group", "quaternion8"],
+}
+for _tag, (_group, _signature) in LARGER.items():
+    CASES[f"lattice_{_tag}"] = ["lattice", "--group", _group, "--signature",
+                                _signature, "--cross-check"]
+    CASES[f"decompose_{_tag}"] = ["decompose", "--group", _group,
+                                  "--signature", _signature]
+
+
+def _run(argv) -> tuple[int, bytes]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main([*argv, "--format", "json"])
+    return code, buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name):
+    code, out = _run(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, out = _run(argv)
+        if code != 0:
+            raise SystemExit(f"{name}: exit status {code}")
+        (GOLDEN / f"{name}.json").write_bytes(out)
+        print(f"wrote {name}.json ({len(out)} bytes)")
