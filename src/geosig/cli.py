@@ -2,8 +2,10 @@
 
 Verdicts travel through exit codes, never prose: 0 = success / exists,
 1 = proven not to exist (or unrealizable signature), 2 = search budget
-exhausted, 64 = malformed input.  JSON output is byte-stable for equal
-inputs; every report embeds the group hash and the signature it was
+exhausted, 64 = malformed input, 70 = internal defect (a cross-check
+failed or the program raised unexpectedly; stderr names the group hash,
+the signature and the failing check).  JSON output is byte-stable for
+equal inputs; every report embeds the group hash and the signature it was
 computed from.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -38,6 +41,7 @@ EX_OK = 0
 EX_NOT_EXISTS = 1
 EX_BUDGET = 2
 EX_USAGE = 64
+EX_SOFTWARE = 70
 
 _CATALOG_NAMES = ("cyclic(", "dihedral(", "symmetric(", "alternating(")
 
@@ -153,10 +157,9 @@ def _resolve_geometric(G: FiniteGroup, sig: GeometricSignature,
 # -- commands -----------------------------------------------------------------
 
 
-def cmd_exists(args) -> int:
+def cmd_exists(args, G: FiniteGroup) -> int:
     if args.budget <= 0:
         raise GroupInputError("--budget must be positive")
-    G = load_group(args.group)
     sig = load_signature(G, args.signature)
     payload = {
         "group": _group_header(G),
@@ -211,8 +214,7 @@ def _prepare_realizable(args, G: FiniteGroup) -> tuple[GeometricSignature,
     return sig, vec
 
 
-def cmd_lattice(args) -> int:
-    G = load_group(args.group)
+def cmd_lattice(args, G: FiniteGroup) -> int:
     sig, vec = _prepare_realizable(args, G)
     subgroups = _parse_subgroups(G, args.subgroups)
     reports = covers.lattice_report(G, sig, subgroups)
@@ -248,8 +250,7 @@ def cmd_lattice(args) -> int:
     return EX_OK
 
 
-def cmd_decompose(args) -> int:
-    G = load_group(args.group)
+def cmd_decompose(args, G: FiniteGroup) -> int:
     sig, _ = _prepare_realizable(args, G)
     table = compute_table(G, _parse_overrides(args.schur_override))
     report = jacobian.factor_dimensions(G, table, sig)
@@ -271,8 +272,7 @@ def cmd_decompose(args) -> int:
     return EX_OK
 
 
-def cmd_chartab(args) -> int:
-    G = load_group(args.group)
+def cmd_chartab(args, G: FiniteGroup) -> int:
     table = compute_table(G, _parse_overrides(args.schur_override))
     payload = table.to_json()
     payload["schur_bound_verified_group"] = schur_bound_is_verified(G)
@@ -341,8 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    G = None
     try:
-        return args.func(args)
+        G = load_group(args.group)
+        return args.func(args, G)
     except SearchBudgetExceeded as exc:
         print(f"budget-exhausted: {exc}", file=sys.stderr)
         return EX_BUDGET
@@ -352,6 +354,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GroupInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except Exception as exc:  # a defect must never read as a verdict
+        traceback.print_exc()
+        print(f"internal defect: {type(exc).__name__}: {exc}\n"
+              f"  group hash: {G.digest if G is not None else 'not built'}\n"
+              f"  signature: {getattr(args, 'signature', None)}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 def entry() -> None:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GroupInputError, InternalCheckError
-from .groups import FiniteGroup, Subgroup, conj, double_coset_count
+from .groups import FiniteGroup, Subgroup, _meet, double_coset_count
 from .signature import GeometricSignature
 
 
@@ -47,10 +47,6 @@ class CycleStructure:
 
     branch_index: int
     entries: tuple[int, ...]  # ramification indices, one per point, sorted
-
-    @property
-    def total_points(self) -> int:
-        return len(self.entries)
 
 
 @dataclass
@@ -128,7 +124,7 @@ def quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> int:
         Gj = entry.cls.representative
         n = Gj.normalizer()
         for ell in n.left_transversal():
-            meet = sum(1 for k in Gj.members if conj(ell, k) in H.members)
+            meet = _meet(ell, Gj, H)
             by_ramification += (
                 Fraction(n.order, H.order) * (1 - Fraction(meet, entry.order)) / 2
             )
@@ -158,7 +154,7 @@ def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
     order: list[int] = []
     groups: dict[int, list] = {}
     for ell in omega:
-        meet = sum(1 for k in Gj.members if conj(ell, k) in H.members)
+        meet = _meet(ell, Gj, H)
         if meet not in groups:
             groups[meet] = []
             order.append(meet)
@@ -197,7 +193,11 @@ def marked_points(G: FiniteGroup, sig: GeometricSignature,
 def cycle_structure(G: FiniteGroup, sig: GeometricSignature,
                     H: Subgroup) -> tuple[CycleStructure, ...]:
     """Cycle structure of S/H -> S/G over each branch value."""
-    marks = marked_points(G, sig, H)
+    return _cycles_from_marks(sig, H, marked_points(G, sig, H))
+
+
+def _cycles_from_marks(sig: GeometricSignature, H: Subgroup,
+                       marks: tuple[MarkedPointSet, ...]) -> tuple[CycleStructure, ...]:
     idx = H.index
     out = []
     for j, entry in enumerate(sig.entries):
@@ -215,6 +215,7 @@ def cycle_structure(G: FiniteGroup, sig: GeometricSignature,
 
 
 def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverReport:
+    marks = marked_points(G, sig, H)
     return CoverReport(
         subgroup=H,
         degree=H.index,
@@ -222,8 +223,8 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
         branch_types=tuple(
             e.label or e.cls.representative.label or "?" for e in sig.entries
         ),
-        marked_points=marked_points(G, sig, H),
-        cycle_structures=cycle_structure(G, sig, H),
+        marked_points=marks,
+        cycle_structures=_cycles_from_marks(sig, H, marks),
     )
 
 

@@ -309,10 +309,3 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = a + [Fraction(0)] * (n - len(a))
     b = b + [Fraction(0)] * (n - len(b))
     return [x - y for x, y in zip(a, b)]
-
-
-def cyclo_sum(values: Iterable[Cyclo], conductor: int = 1) -> Cyclo:
-    acc = Cyclo.zero(conductor)
-    for v in values:
-        acc = acc + v
-    return acc

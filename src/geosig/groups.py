@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from fractions import Fraction
 from functools import cached_property, total_ordering
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -24,7 +23,11 @@ MAX_GROUP_ORDER = 2000
 
 @total_ordering
 class Perm:
-    """A permutation of {0..degree-1}; immutable and hashable."""
+    """A permutation of {0..degree-1}; immutable and hashable.
+
+    Construction from outside input (`Perm(...)`, `from_cycles`, `parse`)
+    validates; products, inverses and powers are trusted, not re-validated.
+    """
 
     __slots__ = ("image",)
 
@@ -39,6 +42,13 @@ class Perm:
                 raise GroupInputError(f"not a permutation of 0..{n - 1}: {image!r}")
             seen[v] = True
         object.__setattr__(self, "image", image)
+
+    @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Perm":
+        """Wrap an image tuple that is already known to be a permutation."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "image", image)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -83,21 +93,21 @@ class Perm:
         return len(self.image)
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
-            raise GroupInputError("cannot compose permutations of different degree")
         o = other.image
-        return Perm(o[v] for v in self.image)
+        if len(self.image) != len(o):
+            raise GroupInputError("cannot compose permutations of different degree")
+        return Perm._trusted(tuple(map(o.__getitem__, self.image)))
 
     def inverse(self) -> "Perm":
         img = [0] * len(self.image)
         for p, q in enumerate(self.image):
             img[q] = p
-        return Perm(img)
+        return Perm._trusted(tuple(img))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
             return self.inverse() ** (-k)
-        acc = Perm.identity(self.degree)
+        acc = Perm._trusted(tuple(range(len(self.image))))
         base = self
         while k:
             if k & 1:
@@ -155,6 +165,12 @@ class Perm:
 def conj(t: Perm, g: Perm) -> Perm:
     """g conjugated by t, i.e. t * g * t^-1."""
     return t * g * t.inverse()
+
+
+def _meet(ell: Perm, K: "Subgroup", H: "Subgroup") -> int:
+    """|ell K ell^-1 ∩ H|, inverting ell once."""
+    inv = ell.inverse()
+    return sum(1 for k in K.members if ell * k * inv in H.members)
 
 
 def _closure(degree: int, generators: Sequence[Perm], cap: int) -> list[Perm]:
@@ -221,12 +237,6 @@ class FiniteGroup:
     def _index(self) -> dict[Perm, int]:
         return {g: i for i, g in enumerate(self.elements)}
 
-    def index_of(self, g: Perm) -> int:
-        try:
-            return self._index[g]
-        except KeyError:
-            raise GroupInputError(f"element {g} is not in the group") from None
-
     @cached_property
     def exponent(self) -> int:
         exp = math.lcm(*(g.order() for g in self.elements))
@@ -290,17 +300,20 @@ class FiniteGroup:
                 out[g] = i
         return out
 
+    def _cyclic_members(self, g: Perm) -> frozenset[Perm]:
+        members = [self.identity]
+        h = g
+        while not h.is_identity():
+            members.append(h)
+            h = h * g
+        return frozenset(members)
+
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
         """All cyclic subgroups up to conjugacy, trivial subgroup included."""
         sets: dict[frozenset[Perm], Perm] = {}
         for g in self.elements:
-            members = [self.identity]
-            h = g
-            while not h.is_identity():
-                members.append(h)
-                h = h * g
-            sets.setdefault(frozenset(members), g)
+            sets.setdefault(self._cyclic_members(g), g)
         assigned: dict[frozenset[Perm], int] = {}
         classes = []
         for base in sorted(sets, key=lambda s: sorted(p.image for p in s)):
@@ -349,12 +362,7 @@ class FiniteGroup:
         classes = self.cyclic_subgroup_classes
         buckets: list[list[Perm]] = [[] for _ in classes]
         for g in self.elements:
-            members = [self.identity]
-            h = g
-            while not h.is_identity():
-                members.append(h)
-                h = h * g
-            buckets[self._cyclic_class_of_set[frozenset(members)]].append(g)
+            buckets[self._cyclic_class_of_set[self._cyclic_members(g)]].append(g)
         return tuple(
             MergedElementClass(min(b), tuple(sorted(b))) for b in buckets
         )
@@ -499,11 +507,6 @@ class Subgroup:
         tag = self.label or "subgroup"
         return f"Subgroup(<{tag}>, order={self.order})"
 
-    def conjugated_by(self, t: Perm) -> "Subgroup":
-        return Subgroup._trusted(
-            self.parent, frozenset(conj(t, h) for h in self.members), None, None
-        )
-
     def normalizer(self) -> "Subgroup":
         cached = getattr(self, "_normalizer", None)
         if cached is not None:
@@ -585,12 +588,6 @@ class ConjugacyClassOfSubgroups:
     def order(self) -> int:
         return self.representative.order
 
-    @cached_property
-    def member_subgroups(self) -> tuple[Subgroup, ...]:
-        parent = self.representative.parent
-        sets = sorted(self.member_sets, key=lambda s: sorted(p.image for p in s))
-        return tuple(Subgroup._trusted(parent, s, None, None) for s in sets)
-
     def contains_subgroup(self, sub: Subgroup) -> bool:
         return sub.members in self.member_sets
 
@@ -616,7 +613,8 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
     if H.parent is not G or K.parent is not G:
         raise GroupInputError("H and K must be subgroups of G")
 
-    # (1) orbits of H on the left cosets gK under left multiplication
+    # (1) orbits of H on the left cosets gK under left multiplication; the
+    # orbits of a finite group are those of any generating set
     coset_of: dict[Perm, int] = {}
     reps: list[Perm] = []
     for g in G.elements:
@@ -626,6 +624,7 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
         reps.append(g)
         for k in K.members:
             coset_of[g * k] = cid
+    movers = H.generators if H.generators is not None else H.members
     seen: set[int] = set()
     direct = 0
     for cid, rep in enumerate(reps):
@@ -636,7 +635,7 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
         seen.add(cid)
         while stack:
             r = stack.pop()
-            for h in H.members:
+            for h in movers:
                 c2 = coset_of[h * r]
                 if c2 not in seen:
                     seen.add(c2)
@@ -645,28 +644,25 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
     # (2) transversal formula over the normalizer of K
     nk = K.normalizer()
     ratio = nk.order // K.order
-    total = Fraction(0)
-    for ell in nk.left_transversal():
-        inter = sum(1 for k in K.members if conj(ell, k) in H.members)
-        total += Fraction(ratio * inter, H.order)
-    if total.denominator != 1:
+    total = sum(ratio * _meet(ell, K, H) for ell in nk.left_transversal())
+    by_transversal, rest = divmod(total, H.order)
+    if rest:
         raise InternalCheckError("transversal double-coset formula is not integral")
-    by_transversal = int(total)
 
-    # (3) class formula: average over H of |G|·|K ∩ class(a)| / (|K|·|class(a)|)
+    # (3) class formula: average over a in H of |C_G(a)|·|K ∩ class(a)| / |K|,
+    # with the centralizer order |C_G(a)| = |G| / |class(a)|
     classes = G.conjugacy_classes
     cls_of = G.class_index
     in_k = [0] * len(classes)
     for k in K.members:
         in_k[cls_of[k]] += 1
-    total = Fraction(0)
+    total = 0
     for a in H.members:
         i = cls_of[a]
-        total += Fraction(G.order * in_k[i], K.order * classes[i].size)
-    total /= H.order
-    if total.denominator != 1:
+        total += G.order // classes[i].size * in_k[i]
+    by_classes, rest = divmod(total, K.order * H.order)
+    if rest:
         raise InternalCheckError("class-sum double-coset formula is not integral")
-    by_classes = int(total)
 
     if not direct == by_transversal == by_classes:
         raise InternalCheckError(

@@ -83,10 +83,12 @@ def oracle_genus(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
                  quotient_genus: int) -> int:
     """Genus of S/H recovered from the coset action by Riemann-Hurwitz."""
     action = coset_action(G, H, vec)
-    n = action.degree
-    ramification = 0
-    for img in action.c_images:
-        ramification += sum(length - 1 for length in _cycle_type(img))
+    types = [_cycle_type(img) for img in action.c_images]
+    return _riemann_hurwitz(action.degree, types, quotient_genus)
+
+
+def _riemann_hurwitz(n: int, cycle_types: list[tuple[int, ...]], quotient_genus: int) -> int:
+    ramification = sum(length - 1 for ct in cycle_types for length in ct)
     euler = n * (2 - 2 * quotient_genus) - ramification
     if euler % 2:
         raise InternalCheckError(
@@ -101,9 +103,9 @@ def oracle_genus(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
 def oracle_summary(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
                    quotient_genus: int) -> dict:
     """Genus and cycle data in one bundle for report embedding."""
+    action = coset_action(G, H, vec)
+    types = [_cycle_type(img) for img in action.c_images]
     return {
-        "genus": oracle_genus(G, H, vec, quotient_genus),
-        "cycle_structures": [
-            list(ct) for ct in oracle_cycle_structure(G, H, vec)
-        ],
+        "genus": _riemann_hurwitz(action.degree, types, quotient_genus),
+        "cycle_structures": [list(ct) for ct in types],
     }

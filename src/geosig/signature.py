@@ -19,7 +19,7 @@ from .errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from .groups import ConjugacyClassOfSubgroups, FiniteGroup, Perm, Subgroup, conj
+from .groups import ConjugacyClassOfSubgroups, FiniteGroup, Perm, Subgroup
 
 DEFAULT_SEARCH_BUDGET = 10 ** 8
 

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from geosig import covers
 from geosig.cli import main
+from geosig.errors import InternalCheckError
+from geosig.groups import catalog
 
 D4_FIRST = json.dumps({
     "genus": 0,
@@ -236,3 +239,22 @@ def test_json_parse_print_roundtrip(capsys):
         assert code == 0
         payload = json.loads(out)
         assert json.dumps(payload, indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("defect", [
+    InternalCheckError("genus formulas disagree: 1 vs 2"),
+    ZeroDivisionError("genus formulas disagree: division by zero"),
+])
+def test_internal_defect_exits_70(capsys, monkeypatch, defect):
+    # a failed cross-check or a stray exception is a defect (70), never a
+    # verdict: status 1 would claim the action does not exist
+    def broken(*_args):
+        raise defect
+    monkeypatch.setattr(covers, "quotient_genus", broken)
+    code, out, err = run(capsys, "lattice", "--group", "wc3",
+                         "--signature", WC3_FIRST, "--format", "json")
+    assert code == 70
+    assert out == ""
+    assert catalog("wc3").digest in err
+    assert WC3_FIRST in err
+    assert "genus formulas disagree" in err
