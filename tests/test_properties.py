@@ -50,7 +50,6 @@ def test_trusted_products_match_validated(images, k):
 
     prod = a * b
     assert prod == Perm(_compose(a_img, b_img))
-    assert Perm(prod.image).image == prod.image
 
     inv = a.inverse()
     assert inv == Perm(inv.image)
@@ -61,7 +60,6 @@ def test_trusted_products_match_validated(images, k):
     for _ in range(abs(k)):
         want = _compose(want, a_img if k > 0 else inv.image)
     assert power == Perm(want)
-    assert hash(power) == hash(Perm(want))
 
 
 @lru_cache(maxsize=None)
