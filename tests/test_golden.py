@@ -1,8 +1,9 @@
 """Byte-for-byte golden outputs of the command line.
 
 Each file in tests/golden/ is the exact `--format json` standard output of
-one command: every README example, and `lattice --cross-check` plus
-`decompose` on three larger cases.  A refactor of the engine must leave all
+one command: every README example, `lattice --cross-check` plus
+`decompose` on three larger cases, and `chartab` on a spread of catalog
+groups (symmetric, alternating, wreath, cyclic and dihedral).  A refactor of the engine must leave all
 of them unchanged.  Regenerate them only for an intended output change, and
 record that change in CHANGES.md:
 
@@ -11,6 +12,7 @@ record that change in CHANGES.md:
 
 import io
 import json
+import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -50,6 +52,10 @@ for _tag, (_group, _signature) in LARGER.items():
                                 _signature, "--cross-check"]
     CASES[f"decompose_{_tag}"] = ["decompose", "--group", _group,
                                   "--signature", _signature]
+for _group in ("symmetric(5)", "symmetric(6)", "alternating(5)", "alternating(6)",
+               "wc3", "cyclic(6)", "dihedral(6)"):
+    _tag = re.sub(r"\W", "", _group)
+    CASES[f"chartab_{_tag}"] = ["chartab", "--group", _group]
 
 
 def _run(argv) -> tuple[int, bytes]:
