@@ -7,6 +7,16 @@ lifted to exact cyclotomic numbers by inverting the discrete Fourier
 transform over power maps.  The prime is the smallest qualifying one, the
 subspace splitting is performed in a fixed order, and the finished rows are
 sorted by (degree, value sequence), so the table is deterministic.
+
+Character values are algebraic integers, so every hot path works on one
+integer row per character: for each class, the phi(e) coefficients of the
+value in the power basis of Z[zeta_e], e the group exponent.  The lift,
+the self-orthogonality norms, the Galois images, the fixed-space
+dimensions and the Frobenius-Schur indicators are integer sums, and
+rationals appear only at the final exact division.  `Character.values`
+holds the same values as `Cyclo` numbers for the public API and the
+outputs.  Powers of class representatives come from the group's one class
+power map, `FiniteGroup.class_powers`.
 """
 
 from __future__ import annotations
@@ -15,10 +25,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .cyclotomic import Cyclo
-from .errors import GroupInputError, InternalCheckError
+from .cyclotomic import Cyclo, euler_phi, reduce_integral
+from .errors import GroupInputError, InternalCheckError, NotRationalError
 from .groups import FiniteGroup, Perm, Subgroup
 
 SCHUR_COMPUTED = "computed-upper-bound"
@@ -62,7 +73,8 @@ class CharacterTable:
         self.classes = group.conjugacy_classes
         self.characters = tuple(characters)
         self.merged_classes = group.merged_element_classes
-        self._value_index = {chi.value_key(): chi.index for chi in self.characters}
+        self.rows = tuple(_integer_row(chi, group.exponent) for chi in self.characters)
+        self._row_index = {row: chi.index for chi, row in zip(self.characters, self.rows)}
         self.galois_classes = self._build_galois_classes(schur_overrides or {})
         r = len(group.cyclic_subgroup_classes)
         if not len(self.galois_classes) == len(self.merged_classes) == r:
@@ -78,45 +90,68 @@ class CharacterTable:
     def class_of(self, g: Perm) -> int:
         return self.group.class_index[g]
 
+    def _rational(self, value: int) -> tuple[int, ...]:
+        """The integer row entry of a rational integer."""
+        return (value,) + (0,) * (euler_phi(self.group.exponent) - 1)
+
     @cached_property
     def trivial_character_index(self) -> int:
-        for chi in self.characters:
-            if all(v == 1 for v in chi.values):
+        one = self._rational(1)
+        for chi, row in zip(self.characters, self.rows):
+            if all(v == one for v in row):
                 return chi.index
         raise InternalCheckError("no trivial character found")
 
+    def _weighted_sum(self, chi: Character, weights: Sequence[tuple[int, int]]) -> int:
+        """Sum of n * chi(class j) over the (j, n) in weights, which must be rational."""
+        row = self.rows[chi.index]
+        total = [0] * len(row[0])
+        for j, n in weights:
+            total = [t + n * c for t, c in zip(total, row[j])]
+        if any(total[1:]):
+            raise NotRationalError(
+                f"value is not rational: {Cyclo(self.group.exponent, total)}"
+            )
+        return total[0]
+
     def fixed_dim(self, chi: Character, H: Subgroup) -> int:
         """dim of the H-fixed subspace: the average of chi over H."""
-        counts = [0] * len(self.classes)
-        for h in H.members:
-            counts[self.group.class_index[h]] += 1
-        total = Cyclo.zero(1)
-        for idx, n in enumerate(counts):
-            if n:
-                total = total + chi.values[idx] * n
-        dim = (total / H.order).rational_value()
-        if dim.denominator != 1 or dim < 0:
+        total = self._weighted_sum(chi, H.class_counts)
+        dim, rest = divmod(total, H.order)
+        if rest or dim < 0:
             raise InternalCheckError(
-                f"fixed-space dimension is not a nonnegative integer: {dim}"
+                "fixed-space dimension is not a nonnegative integer: "
+                f"{Fraction(total, H.order)}"
             )
-        return int(dim)
+        return dim
+
+    @cached_property
+    def _square_weights(self) -> tuple[tuple[int, int], ...]:
+        """(class of g^2, number of such g) over the group, from the power map."""
+        weights: dict[int, int] = {}
+        for cls, powers in zip(self.classes, self.group.class_powers):
+            sq = powers[2 % len(powers)]
+            weights[sq] = weights.get(sq, 0) + cls.size
+        return tuple(weights.items())
 
     def frobenius_schur_indicator(self, chi: Character) -> int:
         """Average of chi(g^2); -1, 0 or +1 for an irreducible character."""
-        total = Cyclo.zero(1)
-        for cls in self.classes:
-            sq = self.group.class_index[cls.representative ** 2]
-            total = total + chi.values[sq] * cls.size
-        ind = (total / self.group.order).rational_value()
-        if ind.denominator != 1 or ind not in (-1, 0, 1):
-            raise InternalCheckError(f"Frobenius-Schur indicator is not in -1..1: {ind}")
-        return int(ind)
+        total = self._weighted_sum(chi, self._square_weights)
+        ind, rest = divmod(total, self.group.order)
+        if rest or ind not in (-1, 0, 1):
+            raise InternalCheckError(
+                "Frobenius-Schur indicator is not in -1..1: "
+                f"{Fraction(total, self.group.order)}"
+            )
+        return ind
 
     def kernel(self, chi: Character) -> Subgroup:
         """Elements where the character reaches its degree; a normal subgroup."""
+        top = self._rational(chi.degree)
+        at_degree = {j for j, v in enumerate(self.rows[chi.index]) if v == top}
         members = [
             g for g in self.group.elements
-            if chi.values[self.group.class_index[g]] == chi.degree
+            if self.group.class_index[g] in at_degree
         ]
         return Subgroup._trusted(self.group, frozenset(members), None, f"ker(chi{chi.index})")
 
@@ -128,12 +163,10 @@ class CharacterTable:
 
     # -- construction ------------------------------------------------------
 
-    def _power_map_image(self, chi: Character, k: int) -> tuple:
-        vals = tuple(
-            chi.values[self.group.class_index[cls.representative ** k]]
-            for cls in self.classes
-        )
-        return tuple(v.coeffs for v in vals)
+    def _galois_image(self, chi: Character, k: int) -> tuple[tuple[int, ...], ...]:
+        """The row of the Galois conjugate zeta -> zeta^k of chi: g -> chi(g^k)."""
+        row = self.rows[chi.index]
+        return tuple(row[powers[k % len(powers)]] for powers in self.group.class_powers)
 
     def _build_galois_classes(self, overrides: Mapping[int, int]) -> tuple[GaloisClass, ...]:
         e = self.group.exponent
@@ -146,12 +179,11 @@ class CharacterTable:
             members = {}
             fixing = []
             for k in units:
-                key = self._power_map_image(chi, k)
-                if key not in self._value_index:
+                img = self._row_index.get(self._galois_image(chi, k))
+                if img is None:
                     raise InternalCheckError(
                         "power map left the character table; lifting is inconsistent"
                     )
-                img = self._value_index[key]
                 members[img] = None
                 if img == chi.index:
                     fixing.append(k)
@@ -259,6 +291,19 @@ class CharacterTable:
                 f"schur index {gc.schur_index} ({gc.schur_index_source})"
             )
         return "\n".join(lines)
+
+
+def _integer_row(chi: Character, e: int) -> tuple[tuple[int, ...], ...]:
+    """chi's values as integer coefficient tuples in the power basis of Z[zeta_e]."""
+    row = []
+    for v in chi.values:
+        coeffs = v.promoted(e).coeffs
+        if any(c.denominator != 1 for c in coeffs):
+            raise InternalCheckError(
+                f"character {chi.index} has a value with a non-integral coefficient: {v}"
+            )
+        row.append(tuple(c.numerator for c in coeffs))
+    return tuple(row)
 
 
 def schur_bound_is_verified(group: FiniteGroup) -> bool:
@@ -511,23 +556,21 @@ def compute_table(G: FiniteGroup,
                   schur_overrides: Optional[Mapping[int, int]] = None) -> CharacterTable:
     """Compute the exact character table of a group of order at most 2000."""
     classes = G.conjugacy_classes
+    class_powers = G.class_powers
     s = len(classes)
     e = G.exponent
+    phi = euler_phi(e)
     p = _choose_prime(G.order, e)
     inv_sizes = [pow(cls.size, p - 2, p) for cls in classes]
-    inverse_class = [
-        G.class_index[cls.representative.inverse()] for cls in classes
-    ]
+    inverse_class = [powers[-1] for powers in class_powers]
     omegas = _split_spaces(G, p)
 
     root = pow(_primitive_root(p), (p - 1) // e, p)  # fixed image of zeta_e in F_p
-    power_cache: dict[tuple[int, int], int] = {}
-
-    def class_power(j: int, u: int) -> int:
-        key = (j, u)
-        if key not in power_cache:
-            power_cache[key] = G.class_index[classes[j].representative ** u]
-        return power_cache[key]
+    # per element order m: the images of zeta_m^-t, t < m, and of 1/m in F_p
+    dft = {}
+    for m in {len(powers) for powers in class_powers}:
+        zeta_m = pow(root, e // m, p)
+        dft[m] = ([pow(zeta_m, -t % m, p) for t in range(m)], pow(m, p - 2, p))
 
     characters = []
     degrees_sq = 0
@@ -544,39 +587,47 @@ def compute_table(G: FiniteGroup,
             raise InternalCheckError("lifted degree out of range")
         degrees_sq += degree * degree
         tvals = [degree * w[j] * inv_sizes[j] % p for j in range(s)]
-        values = []
-        for j in range(s):
-            m = classes[j].element_order
-            wm = pow(root, e // m, p)
-            inv_m = pow(m, p - 2, p)
-            coeffs = []
+        row = []
+        for powers in class_powers:
+            # chi(g) = sum over k of a_k zeta_m^k, where a_k, the multiplicity
+            # of the eigenvalue zeta_m^k of g, is an inverse DFT over g^u
+            m = len(powers)
+            zeta_inv, inv_m = dft[m]
+            samples = [tvals[c] for c in powers]
+            poly = [0] * e
+            total_mult = 0
             for k in range(m):
-                total = 0
-                for u in range(m):
-                    total += tvals[class_power(j, u)] * pow(wm, (-k * u) % m, p)
-                coeffs.append(total * inv_m % p)
-            if sum(coeffs) != degree:
+                a = sum(
+                    t * zeta_inv[k * u % m] for u, t in enumerate(samples)
+                ) * inv_m % p
+                total_mult += a
+                poly[k * (e // m)] = a
+            if total_mult != degree:
                 raise InternalCheckError("eigenvalue multiplicities do not sum to degree")
-            val = Cyclo.zero(m)
-            for k, a in enumerate(coeffs):
-                if a:
-                    val = val + Cyclo.zeta(m, k) * a
-            values.append(val.promoted(e) if m != e else val)
-        characters.append((degree, values))
+            row.append(reduce_integral(poly, e))
+        characters.append((degree, tuple(row)))
     if degrees_sq != G.order:
         raise InternalCheckError("sum of squared degrees does not match the group order")
 
-    characters.sort(key=lambda dv: (dv[0], tuple(v.coeffs for v in dv[1])))
-    chars = tuple(
-        Character(index=i, values=tuple(vals), degree=deg)
-        for i, (deg, vals) in enumerate(characters)
-    )
-    if len({c.value_key() for c in chars}) != s:
+    characters.sort()
+    if len({row for _, row in characters}) != s:
         raise InternalCheckError("duplicate character rows")
-    for chi in chars:
-        norm = Cyclo.zero(1)
+    target = (G.order,) + (0,) * (phi - 1)
+    for i, (_, row) in enumerate(characters):
+        # sum over classes of |C| chi(g) chi(g^-1), where chi(g^-1) is the
+        # complex conjugate of chi(g), as an unreduced product in Z[zeta_e]
+        norm = [0] * (2 * phi - 1)
         for j, cls in enumerate(classes):
-            norm = norm + chi.values[j] * chi.values[j].conjugate() * cls.size
-        if norm != G.order:
-            raise InternalCheckError(f"character {chi.index} fails self-orthogonality")
+            conj_row = row[inverse_class[j]]
+            for a_pos, a in enumerate(row[j]):
+                if a:
+                    weight = a * cls.size
+                    for b_pos, b in enumerate(conj_row):
+                        norm[a_pos + b_pos] += weight * b
+        if reduce_integral(norm, e) != target:
+            raise InternalCheckError(f"character {i} fails self-orthogonality")
+    chars = tuple(
+        Character(index=i, values=tuple(Cyclo(e, v) for v in row), degree=deg)
+        for i, (deg, row) in enumerate(characters)
+    )
     return CharacterTable(G, chars, schur_overrides)

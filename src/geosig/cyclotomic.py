@@ -5,6 +5,12 @@ zeta^(phi(e)-1), with arbitrary-precision rational coefficients, always
 reduced modulo the e-th cyclotomic polynomial.  The reduced form is unique,
 so equality is a coefficient comparison.  No floating point is involved
 anywhere.
+
+`Cyclo` is the general, Fraction-backed value type.  Character values are
+algebraic integers, and the power basis is an integral basis of Z[zeta_e],
+so the character-table hot paths keep plain integer coefficient tuples
+instead (`reduce_integral` reduces them modulo the monic Phi_e without
+leaving Z); rationals appear there only at the final division.
 """
 
 from __future__ import annotations
@@ -265,8 +271,17 @@ def _coerce(value) -> Cyclo:
     raise TypeError(f"cannot treat {value!r} as a cyclotomic number")
 
 
-def _reduce(coeffs: list[Fraction], conductor: int) -> list[Fraction]:
-    phi = [Fraction(c) for c in cyclotomic_polynomial(conductor)]
+def reduce_integral(coeffs: Sequence[int], conductor: int) -> tuple[int, ...]:
+    """The phi(e) power-basis coefficients of the integer polynomial
+    sum coeffs[i] * zeta_e^i; Phi_e is monic, so they stay integers."""
+    phi = euler_phi(conductor)
+    work = _reduce(list(coeffs), conductor) if len(coeffs) > phi else list(coeffs)
+    return tuple(work) + (0,) * (phi - len(work))
+
+
+def _reduce(coeffs: list, conductor: int) -> list:
+    """Reduce modulo Phi_e; integer input stays integer, Fraction input Fraction."""
+    phi = cyclotomic_polynomial(conductor)
     deg = len(phi) - 1
     work = list(coeffs)
     for i in range(len(work) - 1, deg - 1, -1):

@@ -271,6 +271,11 @@ class FiniteGroup:
     # -- conjugacy structure -----------------------------------------------
 
     @cached_property
+    def _conjugators(self) -> tuple[tuple[Perm, Perm], ...]:
+        """Each generator with its inverse, for the orbit walks under conjugation."""
+        return tuple((t, t.inverse()) for t in self.generators)
+
+    @cached_property
     def conjugacy_classes(self) -> tuple["ElementClass", ...]:
         """Element classes ordered by (element order, class size, representative)."""
         seen: set[Perm] = set()
@@ -282,8 +287,8 @@ class FiniteGroup:
             stack = [g]
             while stack:
                 h = stack.pop()
-                for t in self.generators:
-                    c = conj(t, h)
+                for t, t_inv in self._conjugators:
+                    c = t * h * t_inv
                     if c not in orbit:
                         orbit.add(c)
                         stack.append(c)
@@ -299,6 +304,25 @@ class FiniteGroup:
             for g in cls.members:
                 out[g] = i
         return out
+
+    @cached_property
+    def class_powers(self) -> tuple[tuple[int, ...], ...]:
+        """For each class, the class indices of rep^0, rep^1, ..., rep^(m-1).
+
+        m is the element order of the class.  This is the one power map of
+        the package: the class of g^k, for g in class j, is
+        class_powers[j][k % m].
+        """
+        out = []
+        for cls in self.conjugacy_classes:
+            rep = cls.representative
+            powers = [0]
+            h = rep
+            while not h.is_identity():
+                powers.append(self.class_index[h])
+                h = h * rep
+            out.append(tuple(powers))
+        return tuple(out)
 
     def _cyclic_members(self, g: Perm) -> frozenset[Perm]:
         members = [self.identity]
@@ -323,8 +347,8 @@ class FiniteGroup:
             stack = [base]
             while stack:
                 cur = stack.pop()
-                for t in self.generators:
-                    img = frozenset(conj(t, h) for h in cur)
+                for t, t_inv in self._conjugators:
+                    img = frozenset(t * h * t_inv for h in cur)
                     if img not in orbit:
                         orbit.add(img)
                         stack.append(img)
@@ -375,8 +399,8 @@ class FiniteGroup:
         stack = [sub.members]
         while stack:
             cur = stack.pop()
-            for t in self.generators:
-                img = frozenset(conj(t, h) for h in cur)
+            for t, t_inv in self._conjugators:
+                img = frozenset(t * h * t_inv for h in cur)
                 if img not in orbit:
                     orbit.add(img)
                     stack.append(img)
@@ -511,13 +535,39 @@ class Subgroup:
         cached = getattr(self, "_normalizer", None)
         if cached is not None:
             return cached
-        mem = frozenset(
-            t for t in self.parent.elements
-            if all(conj(t, h) in self.members for h in self.members)
-        )
+        mem = []
+        for t in self.parent.elements:
+            t_inv = t.inverse()
+            if all(t * h * t_inv in self.members for h in self.members):
+                mem.append(t)
+        mem = frozenset(mem)
         tag = f"N({self.label})" if self.label else None
         self._normalizer = Subgroup._trusted(self.parent, mem, None, tag)
         return self._normalizer
+
+    @cached_property
+    def class_counts(self) -> tuple[tuple[int, int], ...]:
+        """(class index, number of members in that class) for every class H meets."""
+        counts: dict[int, int] = {}
+        for h in self.members:
+            j = self.parent.class_index[h]
+            counts[j] = counts.get(j, 0) + 1
+        return tuple(sorted(counts.items()))
+
+    @cached_property
+    def left_cosets(self) -> tuple[dict[Perm, int], tuple[Perm, ...]]:
+        """The left cosets gH: a map from each element to its coset's number,
+        and the least element of each coset, numbered in element order."""
+        coset_of: dict[Perm, int] = {}
+        reps: list[Perm] = []
+        for g in self.parent.elements:
+            if g in coset_of:
+                continue
+            cid = len(reps)
+            reps.append(g)
+            for h in self.members:
+                coset_of[g * h] = cid
+        return coset_of, tuple(reps)
 
     def left_transversal(self) -> tuple[Perm, ...]:
         """One representative per left coset gH, each the least element of its coset."""
@@ -614,16 +664,9 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
         raise GroupInputError("H and K must be subgroups of G")
 
     # (1) orbits of H on the left cosets gK under left multiplication; the
-    # orbits of a finite group are those of any generating set
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for g in G.elements:
-        if g in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        for k in K.members:
-            coset_of[g * k] = cid
+    # orbits of a finite group are those of any generating set.  K's coset
+    # map is built once and cached on K; routes 2 and 3 do not use it
+    coset_of, reps = K.left_cosets
     movers = H.generators if H.generators is not None else H.members
     seen: set[int] = set()
     direct = 0

@@ -109,6 +109,16 @@ def test_conjugacy_classes_partition_brute_force():
             assert set(cls.members) == expected
 
 
+def test_class_powers_match_perm_powers():
+    for name in ("dihedral(6)", "quaternion8", "wc3", "symmetric(5)"):
+        G = catalog(name)
+        for cls, powers in zip(G.conjugacy_classes, G.class_powers):
+            m = cls.element_order
+            assert len(powers) == m
+            for k in range(-m, 2 * m):
+                assert powers[k % m] == G.class_index[cls.representative ** k]
+
+
 def test_cyclic_subgroup_classes_d4():
     G = catalog("dihedral(4)")
     classes = G.cyclic_subgroup_classes

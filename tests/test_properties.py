@@ -1,12 +1,16 @@
-"""Property tests for the trusted element paths and the single-pass reports.
+"""Property tests for the trusted element paths, the single-pass reports and
+the integer character rows.
 
-Products, inverses and powers are built without re-validation, and
-`oracle_summary` and `cover_report` compute their data once; each must
-agree with the fully validated or separately computed result.  hypothesis
-is a test-only dependency: the module is skipped when it is missing, and
-runs derandomized so that every run draws the same examples.
+Products, inverses and powers are built without re-validation,
+`oracle_summary` and `cover_report` compute their data once, and the table
+averages `fixed_dim` and `frobenius_schur_indicator` are integer sums over
+class counts and the class power map; each must agree with the fully
+validated, separately computed or element-by-element `Cyclo` result.
+hypothesis is a test-only dependency: the module is skipped when it is
+missing, and runs derandomized so that every run draws the same examples.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -15,13 +19,16 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from corpus import CORPUS, materialize  # noqa: E402
+from geosig.chartable import Character, CharacterTable, compute_table  # noqa: E402
 from geosig.covers import (  # noqa: E402
     cover_report,
     cycle_structure,
     marked_points,
     quotient_genus,
 )
-from geosig.groups import Perm, Subgroup  # noqa: E402
+from geosig.cyclotomic import Cyclo  # noqa: E402
+from geosig.errors import InternalCheckError, NotRationalError  # noqa: E402
+from geosig.groups import Perm, Subgroup, catalog  # noqa: E402
 from geosig.monodromy import (  # noqa: E402
     oracle_cycle_structure,
     oracle_genus,
@@ -97,3 +104,65 @@ def test_cover_report_matches_separate_calls(case):
     assert report.genus == quotient_genus(G, sig, H)
     assert report.marked_points == marked_points(G, sig, H)
     assert report.cycle_structures == cycle_structure(G, sig, H)
+
+
+TABLE_GROUPS = ("cyclic(6)", "dihedral(6)", "quaternion8", "wc3", "symmetric(4)",
+                "alternating(5)", "symmetric(5)", "alternating(6)", "symmetric(6)")
+
+
+@lru_cache(maxsize=None)
+def _table(name):
+    return compute_table(catalog(name))
+
+
+@st.composite
+def table_characters(draw):
+    """A catalog group up to symmetric(6), its table and one of its characters."""
+    T = _table(draw(st.sampled_from(TABLE_GROUPS)))
+    return T, draw(st.sampled_from(T.characters))
+
+
+def _cyclo_average(chi, G, elements, divisor):
+    """Reference: sum chi over the elements one by one in Cyclo, then divide."""
+    total = Cyclo.zero(G.exponent)
+    for g in elements:
+        total = total + chi.values[G.class_index[g]]
+    return (total / divisor).integer_value()
+
+
+@settings(DERANDOMIZED, max_examples=40)
+@given(table_characters(), st.lists(st.integers(0, 719), min_size=1, max_size=2))
+def test_fixed_dim_matches_cyclo_average(case, picks):
+    T, chi = case
+    G = T.group
+    H = Subgroup.generated(G, [G.elements[j % G.order] for j in picks])
+    assert T.fixed_dim(chi, H) == _cyclo_average(chi, G, H.members, H.order)
+
+
+@settings(DERANDOMIZED, max_examples=30)
+@given(table_characters())
+def test_frobenius_schur_matches_cyclo_average(case):
+    T, chi = case
+    G = T.group
+    squares = (g * g for g in G.elements)
+    assert T.frobenius_schur_indicator(chi) == _cyclo_average(chi, G, squares, G.order)
+
+
+def test_non_integral_coefficient_is_a_defect():
+    T = _table("symmetric(4)")
+    chi = T.characters[-1]
+    half = Cyclo(T.group.exponent, [Fraction(1, 2)])
+    bad = Character(chi.index, (half,) + chi.values[1:], chi.degree)
+    with pytest.raises(InternalCheckError, match="non-integral"):
+        CharacterTable(T.group, T.characters[:-1] + (bad,))
+
+
+def test_non_rational_weighted_sum_is_a_defect():
+    T = _table("cyclic(6)")
+    G = T.group
+    x = G.element("x")
+    chi = next(c for c in T.characters if not c.values[G.class_index[x]].is_rational())
+    # {x} is not a subgroup, so the class sum of chi over it is not rational
+    not_a_subgroup = Subgroup._trusted(G, frozenset([x]), None, None)
+    with pytest.raises(NotRationalError):
+        T.fixed_dim(chi, not_a_subgroup)
