@@ -199,14 +199,26 @@ class CharacterTable:
             )
             out.append(gc)
         out.sort(key=lambda gc: gc.representative)
+        for i, value in overrides.items():
+            if not 0 <= i < len(self.characters):
+                raise GroupInputError(
+                    f"Schur override for character {i}: the characters are "
+                    f"0..{len(self.characters) - 1}"
+                )
+            if value < 1 or self.characters[i].degree % value:
+                raise GroupInputError(
+                    f"Schur override {i}={value}: the index must be a positive "
+                    f"divisor of the degree {self.characters[i].degree}"
+                )
         for gc in out:
-            override = next(
-                (overrides[i] for i in gc.members if i in overrides), None
-            )
-            if override is not None:
-                if override < 1:
-                    raise GroupInputError("Schur override must be a positive integer")
-                gc.schur_index = override
+            given = {overrides[i] for i in gc.members if i in overrides}
+            if len(given) > 1:
+                raise GroupInputError(
+                    f"Schur overrides {sorted(given)} disagree within the Galois "
+                    f"class {list(gc.members)}"
+                )
+            if given:
+                gc.schur_index = given.pop()
                 gc.schur_index_source = SCHUR_OVERRIDE
             else:
                 gc.schur_index = self._schur_upper_bound(self.characters[gc.representative])

@@ -96,12 +96,15 @@ def _parse_overrides(items: Sequence[str]) -> dict[int, int]:
     out = {}
     for item in items:
         try:
-            idx, val = item.split("=", 1)
-            out[int(idx)] = int(val)
+            idx, val = (int(part) for part in item.split("=", 1))
         except ValueError:
             raise GroupInputError(
                 f"bad --schur-override {item!r}; expected INDEX=VALUE"
             ) from None
+        if out.setdefault(idx, val) != val:
+            raise GroupInputError(
+                f"--schur-override gives character {idx} both {out[idx]} and {val}"
+            )
     return out
 
 
@@ -283,8 +286,17 @@ def cmd_chartab(args, G: FiniteGroup) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors exit 64, not argparse's 2,
+    which here means "search budget exhausted"; subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geosig",
         description=(
             "Exact computations for finite group actions on Riemann surfaces: "

@@ -1,17 +1,17 @@
 """Closed-form geometric structure of the intermediate covers S/H.
 
 For a geometric signature and any subgroup H, this module computes the
-genus of S/H twice (by the ramification-divisor formula and by the
-double-coset formula, which must agree), the marked points of S/H over
-each branch value, and the cycle structure of the non-Galois covering
-from S/H down to S/G.  Counts that theory proves integral are asserted
-integral; a failure is raised, never rounded.
+marked points of S/H over each branch value, the cycle structure of the
+non-Galois covering from S/H down to S/G, and the genus of S/H twice,
+by two formulas that must agree: Riemann–Hurwitz for S/H -> S/G over the
+marked points, and the double-coset count of the points of S/H over each
+branch value.  Counts that theory proves integral are asserted integral;
+a failure is raised, never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GroupInputError, InternalCheckError
@@ -113,34 +113,33 @@ def _check_subgroup(G: FiniteGroup, H: Subgroup):
 
 
 def quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> int:
-    """Genus of S/H, by two independent formulas that must agree."""
-    _require_geometric(sig)
-    _check_subgroup(G, H)
+    """Genus of S/H, by two independent formulas that must agree.
+
+    Ramification: Riemann–Hurwitz for S/H -> S/G over the marked points; a
+    point marked k over a branch value of order m has index m/k, so
+    2g = 2·[G:H]·(γ−1) + 2 + Σ count·(m/k − 1).  Double cosets: S/H has
+    |H\\G/G_j| points over branch value j.
+    """
+    return _quotient_genus(G, sig, H, marked_points(G, sig, H))
+
+
+def _quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
+                    marks: tuple[MarkedPointSet, ...]) -> int:
     idx = H.index
-    base = Fraction(idx * (sig.quotient_genus - 1) + 1)
-
-    by_ramification = base
-    for entry in sig.entries:
-        Gj = entry.cls.representative
-        n = Gj.normalizer()
-        for ell in n.left_transversal():
-            meet = _meet(ell, Gj, H)
-            by_ramification += (
-                Fraction(n.order, H.order) * (1 - Fraction(meet, entry.order)) / 2
-            )
-
-    by_double_cosets = base
-    for entry in sig.entries:
-        Gj = entry.cls.representative
-        by_double_cosets += Fraction(idx - double_coset_count(G, H, Gj), 2)
-
+    base = 2 * idx * (sig.quotient_genus - 1) + 2
+    by_ramification = base + sum(
+        m.count * (sig.entries[m.branch_index].order // m.mark - 1) for m in marks
+    )
+    by_double_cosets = base + sum(
+        idx - double_coset_count(G, H, entry.cls.representative) for entry in sig.entries
+    )
     if by_ramification != by_double_cosets:
         raise InternalCheckError(
-            f"genus formulas disagree: {by_ramification} vs {by_double_cosets}"
+            f"genus formulas disagree: 2g = {by_ramification} vs {by_double_cosets}"
         )
-    if by_ramification.denominator != 1 or by_ramification < 0:
-        raise InternalCheckError(f"quotient genus is not admissible: {by_ramification}")
-    return int(by_ramification)
+    if by_ramification % 2 or by_ramification < 0:
+        raise InternalCheckError(f"quotient genus is not admissible: 2g = {by_ramification}")
+    return by_ramification // 2
 
 
 def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
@@ -179,14 +178,14 @@ def marked_points(G: FiniteGroup, sig: GeometricSignature,
         ratio = Gj.normalizer().order // Gj.order
         part = transversal_partition(G, sig, H, j)
         for block, mark in zip(part.sets, part.intersection_sizes):
-            count = Fraction(len(block) * ratio * mark, H.order)
-            if count.denominator != 1 or count <= 0:
+            count, rest = divmod(len(block) * ratio * mark, H.order)
+            if rest or count <= 0:
                 raise InternalCheckError(
-                    f"marked-point count is not a positive integer: {count}"
+                    f"marked-point count is not a positive integer: {count} + {rest}/{H.order}"
                 )
             if entry.order % mark:
                 raise InternalCheckError("stabilizer order does not divide branch order")
-            out.append(MarkedPointSet(branch_index=j, mark=mark, count=int(count)))
+            out.append(MarkedPointSet(branch_index=j, mark=mark, count=count))
     return tuple(out)
 
 
@@ -219,7 +218,7 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
     return CoverReport(
         subgroup=H,
         degree=H.index,
-        genus=quotient_genus(G, sig, H),
+        genus=_quotient_genus(G, sig, H, marks),
         branch_types=tuple(
             e.label or e.cls.representative.label or "?" for e in sig.entries
         ),

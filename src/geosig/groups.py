@@ -173,6 +173,15 @@ def _meet(ell: Perm, K: "Subgroup", H: "Subgroup") -> int:
     return sum(1 for k in K.members if ell * k * inv in H.members)
 
 
+def _set_key(members) -> list[tuple[int, ...]]:
+    """Canonical order on member sets: their sorted image tuples."""
+    return sorted(p.image for p in members)
+
+
+def _conj_set(t: Perm, members: frozenset[Perm], t_inv: Perm) -> frozenset[Perm]:
+    return frozenset(t * h * t_inv for h in members)
+
+
 def _closure(degree: int, generators: Sequence[Perm], cap: int) -> list[Perm]:
     ident = Perm.identity(degree)
     elems = {ident}
@@ -275,6 +284,20 @@ class FiniteGroup:
         """Each generator with its inverse, for the orbit walks under conjugation."""
         return tuple((t, t.inverse()) for t in self.generators)
 
+    def _orbit(self, start, conjugate) -> set:
+        """The orbit of start under conjugation, where conjugate(t, x, t^-1)
+        is x conjugated by t; the orbits of G are those of its generators."""
+        orbit = {start}
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for t, t_inv in self._conjugators:
+                img = conjugate(t, cur, t_inv)
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        return orbit
+
     @cached_property
     def conjugacy_classes(self) -> tuple["ElementClass", ...]:
         """Element classes ordered by (element order, class size, representative)."""
@@ -283,15 +306,7 @@ class FiniteGroup:
         for g in self.elements:
             if g in seen:
                 continue
-            orbit = {g}
-            stack = [g]
-            while stack:
-                h = stack.pop()
-                for t, t_inv in self._conjugators:
-                    c = t * h * t_inv
-                    if c not in orbit:
-                        orbit.add(c)
-                        stack.append(c)
+            orbit = self._orbit(g, lambda t, h, t_inv: t * h * t_inv)
             seen |= orbit
             raw.append(tuple(sorted(orbit)))
         raw.sort(key=lambda mem: (mem[0].order(), len(mem), mem[0].image))
@@ -335,37 +350,25 @@ class FiniteGroup:
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
         """All cyclic subgroups up to conjugacy, trivial subgroup included."""
-        sets: dict[frozenset[Perm], Perm] = {}
+        # element -> the cyclic subgroup it generates, one frozenset per subgroup
+        shared: dict[frozenset[Perm], frozenset[Perm]] = {}
+        self._cyclic_of = {}
         for g in self.elements:
-            sets.setdefault(self._cyclic_members(g), g)
-        assigned: dict[frozenset[Perm], int] = {}
+            s = self._cyclic_members(g)
+            self._cyclic_of[g] = shared.setdefault(s, s)
+        assigned: set[frozenset[Perm]] = set()
         classes = []
-        for base in sorted(sets, key=lambda s: sorted(p.image for p in s)):
+        for base in sorted(shared, key=_set_key):
             if base in assigned:
                 continue
-            orbit = {base}
-            stack = [base]
-            while stack:
-                cur = stack.pop()
-                for t, t_inv in self._conjugators:
-                    img = frozenset(t * h * t_inv for h in cur)
-                    if img not in orbit:
-                        orbit.add(img)
-                        stack.append(img)
-            rep_set = min(orbit, key=lambda s: sorted(p.image for p in s))
+            orbit = self._orbit(base, _conj_set)
+            rep_set = min(orbit, key=_set_key)
             gen = min(h for h in rep_set if h.order() == len(rep_set))
             rep = Subgroup._trusted(self, rep_set, (gen,), str(gen))
-            cls = ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit))
-            idx = len(classes)
-            classes.append(cls)
-            for member in orbit:
-                assigned[member] = idx
+            classes.append(ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit)))
+            assigned |= orbit
         classes.sort(
-            key=lambda c: (
-                c.order,
-                c.class_size,
-                sorted(p.image for p in c.representative.members),
-            )
+            key=lambda c: (c.order, c.class_size, _set_key(c.representative.members))
         )
         self._cyclic_class_of_set = {
             s: i for i, c in enumerate(classes) for s in c.member_sets
@@ -386,7 +389,7 @@ class FiniteGroup:
         classes = self.cyclic_subgroup_classes
         buckets: list[list[Perm]] = [[] for _ in classes]
         for g in self.elements:
-            buckets[self._cyclic_class_of_set[self._cyclic_members(g)]].append(g)
+            buckets[self._cyclic_class_of_set[self._cyclic_of[g]]].append(g)
         return tuple(
             MergedElementClass(min(b), tuple(sorted(b))) for b in buckets
         )
@@ -395,16 +398,8 @@ class FiniteGroup:
         """Conjugacy class of an arbitrary subgroup (computed fresh unless cyclic)."""
         if sub.is_cyclic:
             return self.cyclic_subgroup_classes[self.cyclic_class_index(sub)]
-        orbit = {sub.members}
-        stack = [sub.members]
-        while stack:
-            cur = stack.pop()
-            for t, t_inv in self._conjugators:
-                img = frozenset(t * h * t_inv for h in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    stack.append(img)
-        rep_set = min(orbit, key=lambda s: sorted(p.image for p in s))
+        orbit = self._orbit(sub.members, _conj_set)
+        rep_set = min(orbit, key=_set_key)
         rep = sub if sub.members == rep_set else Subgroup._trusted(self, rep_set, None, None)
         return ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit))
 
@@ -693,16 +688,13 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
         raise InternalCheckError("transversal double-coset formula is not integral")
 
     # (3) class formula: average over a in H of |C_G(a)|·|K ∩ class(a)| / |K|,
-    # with the centralizer order |C_G(a)| = |G| / |class(a)|
+    # with the centralizer order |C_G(a)| = |G| / |class(a)|, summed class by
+    # class over the cached class counts of H and K
     classes = G.conjugacy_classes
-    cls_of = G.class_index
-    in_k = [0] * len(classes)
-    for k in K.members:
-        in_k[cls_of[k]] += 1
-    total = 0
-    for a in H.members:
-        i = cls_of[a]
-        total += G.order // classes[i].size * in_k[i]
+    in_k = dict(K.class_counts)
+    total = sum(
+        n * (G.order // classes[i].size) * in_k.get(i, 0) for i, n in H.class_counts
+    )
     by_classes, rest = divmod(total, K.order * H.order)
     if rest:
         raise InternalCheckError("class-sum double-coset formula is not integral")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .chartable import CharacterTable, GaloisClass
-from .covers import cycle_structure, quotient_genus
+from .covers import cover_report, quotient_genus
 from .errors import GroupInputError, InternalCheckError
 from .groups import FiniteGroup, Subgroup
 from .signature import GeometricSignature, signature_genus
@@ -309,9 +309,9 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
         ker = table.kernel(chi)
         c1 = rec.dim_B == 0
         c2 = all(stab.members <= ker.members for stab in reps)
-        structures = cycle_structure(G, sig, ker)
-        c3 = all(all(e == 1 for e in cs.entries) for cs in structures)
-        c4 = quotient_genus(G, sig, ker) == 1
+        cover = cover_report(G, sig, ker)
+        c3 = all(all(e == 1 for e in cs.entries) for cs in cover.cycle_structures)
+        c4 = cover.genus == 1
         if not c1 == c2 == c3 == c4:
             raise InternalCheckError(
                 f"vanishing conditions disagree for character {chi.index}: "

@@ -211,9 +211,44 @@ def test_group_file_and_signature_file(tmp_path, capsys):
 
 
 def test_bad_schur_override_exits_64(capsys):
-    code, _, err = run(capsys, "chartab", "--group", "cyclic(4)",
-                       "--schur-override", "abc")
-    assert code == 64
+    # unreadable, no such character, zero, not dividing chi(1) (degree-1
+    # character of wc3), two values for one Galois class (the degree-2
+    # characters 2 and 3 of dihedral(5)) and two values for one character;
+    # none of them is an internal defect
+    for argv in [
+        ("chartab", "--group", "cyclic(4)", "--schur-override", "abc"),
+        ("chartab", "--group", "quaternion8", "--schur-override", "99=2"),
+        ("chartab", "--group", "quaternion8", "--schur-override", "0=0"),
+        ("decompose", "--group", "wc3", "--signature", WC3_FIRST,
+         "--schur-override", "1=2"),
+        ("chartab", "--group", "dihedral(5)",
+         "--schur-override", "2=1", "--schur-override", "3=2"),
+        ("chartab", "--group", "quaternion8",
+         "--schur-override", "4=1", "--schur-override", "4=2"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exists", "--group", "wc3"],
+    ["exists", "--group", "wc3", "--signature", WC3_FIRST, "--budget", "x"],
+    ["frobnicate", "--group", "wc3"],
+], ids=["missing-signature", "bad-budget", "unknown-command"])
+def test_usage_errors_exit_64(capsys, argv):
+    # argparse's own status 2 would read as "search budget exhausted"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--help"])
+    assert exc.value.code == 0
+    assert "--schur-override" in capsys.readouterr().out
 
 
 def test_trivial_group_lattice(capsys):
@@ -250,7 +285,7 @@ def test_internal_defect_exits_70(capsys, monkeypatch, defect):
     # verdict: status 1 would claim the action does not exist
     def broken(*_args):
         raise defect
-    monkeypatch.setattr(covers, "quotient_genus", broken)
+    monkeypatch.setattr(covers, "double_coset_count", broken)
     code, out, err = run(capsys, "lattice", "--group", "wc3",
                          "--signature", WC3_FIRST, "--format", "json")
     assert code == 70

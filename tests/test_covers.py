@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from geosig import covers
 from geosig.covers import (
     cover_report,
     cycle_structure,
@@ -8,7 +11,7 @@ from geosig.covers import (
     quotient_genus,
     transversal_partition,
 )
-from geosig.errors import GroupInputError
+from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import Subgroup, catalog
 from geosig.signature import (
     BranchEntry,
@@ -232,3 +235,22 @@ def test_geometric_signature_separation_on_refinements():
                     assert vectors[i] != vectors[j], (name, i, j)
                     compared += 1
     assert compared >= 3  # the check must not be vacuous
+
+
+def test_doctored_marks_fail_the_genus_check(monkeypatch):
+    # moving two points from mark 2 to mark 1 over branch value 1 keeps the
+    # cycle lengths summing to the index (2·2 + 4·5 = 24), so only the
+    # ramification genus, read from the marks, can disagree with the
+    # double-coset genus
+    G = catalog("wc3")
+    sig = geometric(G, 0, "xa^2", "xyab", "xyzb")
+    H = Subgroup.generated(G, [G.element("(2,5)(3,6)")])
+    marks = marked_points(G, sig, H)
+    assert [(m.mark, m.count) for m in marks if m.branch_index == 1] == [(2, 4), (1, 4)]
+    doctored = {2: 2, 1: 5}
+    fake = tuple(
+        replace(m, count=doctored[m.mark]) if m.branch_index == 1 else m for m in marks
+    )
+    monkeypatch.setattr(covers, "marked_points", lambda *_args: fake)
+    with pytest.raises(InternalCheckError, match="genus formulas disagree"):
+        cover_report(G, sig, H)
