@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -111,7 +112,8 @@ def _parse_overrides(items: Sequence[str]) -> dict[int, int]:
 def _parse_subgroups(G: FiniteGroup, items: Sequence[str]) -> list[Subgroup]:
     subs = []
     for item in items:
-        words = [w.strip() for w in item.split(",") if w.strip()]
+        # a comma inside parentheses belongs to a cycle, not the list
+        words = [w.strip() for w in re.split(r",(?![^()]*\))", item) if w.strip()]
         if not words:
             raise GroupInputError(f"empty subgroup specification {item!r}")
         subs.append(G.subgroup_from_words(words, label=",".join(words)))
@@ -265,7 +267,7 @@ def cmd_decompose(args, G: FiniteGroup) -> int:
     }
     text = [f"signature {sig}; total genus {report.total_genus}", report.render_text()]
     if sig.quotient_genus == 1:
-        conditions = jacobian.gamma1_analysis(G, table, sig)
+        conditions = jacobian._gamma1_conditions(G, table, sig, report)
         payload["gamma1_conditions"] = [c.to_json() for c in conditions]
         vanished = [f"chi{c.galois_representative}" for c in conditions if c.all_true]
         text.append(
@@ -326,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice", help="geometry of all intermediate quotient covers")
     common(p)
     p.add_argument("--subgroups", nargs="*", default=(),
-                   help="extra subgroups, each a comma-separated list of generator words")
+                   help="extra subgroups, each a comma-separated list of generators, "
+                        "as words or in cycle notation, e.g. 'y,z,ab' or '(1,4),(2,5)'")
     p.add_argument("--cross-check", action="store_true",
                    help="recompute every report with the coset-action oracle")
     p.add_argument("--assume-realizable", action="store_true",

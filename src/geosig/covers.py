@@ -5,8 +5,12 @@ marked points of S/H over each branch value, the cycle structure of the
 non-Galois covering from S/H down to S/G, and the genus of S/H twice,
 by two formulas that must agree: Riemann–Hurwitz for S/H -> S/G over the
 marked points, and the double-coset count of the points of S/H over each
-branch value.  Counts that theory proves integral are asserted integral;
-a failure is raised, never rounded.
+branch value.  The marked points, and route 2 of the double-coset count,
+read how the conjugates l G_j l^-1 of a branch stabilizer G_j meet H; the
+conjugates depend on G_j alone, so their member sets are built once and
+cached on G_j, and each meet with a new H is a set intersection.  Counts
+that theory proves integral are asserted integral; a failure is raised,
+never rounded.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import GroupInputError, InternalCheckError
-from .groups import FiniteGroup, Subgroup, _meet, double_coset_count
+from .groups import FiniteGroup, Subgroup, double_coset_count
 from .signature import GeometricSignature
 
 
@@ -144,7 +148,12 @@ def _quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
 
 def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
                           j: int) -> TransversalPartition:
-    """Split the transversal of N(G_j) by how the conjugates of G_j meet H."""
+    """Split the transversal of N(G_j) by how the conjugates of G_j meet H.
+
+    The conjugate l G_j l^-1 of each transversal element l is cached on G_j
+    (`Subgroup.conjugate_sets`, in transversal order), so each meet
+    |l G_j l^-1 ∩ H| is one set intersection and no product per H.
+    """
     _require_geometric(sig)
     _check_subgroup(G, H)
     entry = sig.entries[j]
@@ -152,8 +161,8 @@ def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
     omega = Gj.normalizer().left_transversal()
     order: list[int] = []
     groups: dict[int, list] = {}
-    for ell in omega:
-        meet = _meet(ell, Gj, H)
+    for ell, conj_gj in zip(omega, Gj.conjugate_sets, strict=True):
+        meet = len(conj_gj & H.members)
         if meet not in groups:
             groups[meet] = []
             order.append(meet)

@@ -167,12 +167,6 @@ def conj(t: Perm, g: Perm) -> Perm:
     return t * g * t.inverse()
 
 
-def _meet(ell: Perm, K: "Subgroup", H: "Subgroup") -> int:
-    """|ell K ell^-1 ∩ H|, inverting ell once."""
-    inv = ell.inverse()
-    return sum(1 for k in K.members if ell * k * inv in H.members)
-
-
 def _set_key(members) -> list[tuple[int, ...]]:
     """Canonical order on member sets: their sorted image tuples."""
     return sorted(p.image for p in members)
@@ -350,18 +344,28 @@ class FiniteGroup:
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
         """All cyclic subgroups up to conjugacy, trivial subgroup included."""
-        # element -> the cyclic subgroup it generates, one frozenset per subgroup
-        shared: dict[frozenset[Perm], frozenset[Perm]] = {}
-        self._cyclic_of = {}
+        # element -> the cyclic subgroup it generates, one frozenset per
+        # subgroup, and one generator of each subgroup
+        shared: dict[frozenset[Perm], Perm] = {}
+        self._cyclic_of = cyclic_of = {}
         for g in self.elements:
             s = self._cyclic_members(g)
-            self._cyclic_of[g] = shared.setdefault(s, s)
+            if s in shared:
+                s = cyclic_of[shared[s]]
+            else:
+                shared[s] = g
+            cyclic_of[g] = s
+
+        def conjugate(t, s, t_inv):
+            # t s t^-1 is generated by the conjugate of any generator of s
+            return cyclic_of[t * shared[s] * t_inv]
+
         assigned: set[frozenset[Perm]] = set()
         classes = []
         for base in sorted(shared, key=_set_key):
             if base in assigned:
                 continue
-            orbit = self._orbit(base, _conj_set)
+            orbit = self._orbit(base, conjugate)
             rep_set = min(orbit, key=_set_key)
             gen = min(h for h in rep_set if h.order() == len(rep_set))
             rep = Subgroup._trusted(self, rep_set, (gen,), str(gen))
@@ -453,7 +457,13 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup given by its explicit member set inside a parent group."""
+    """A subgroup given by its explicit member set inside a parent group.
+
+    What depends on the subgroup alone is computed once and kept on it: the
+    normalizer, the left transversal, the class counts, the left-coset map
+    and the member sets of its conjugates (`conjugate_sets`), which the
+    marked points and double-coset route 2 intersect with each H.
+    """
 
     def __init__(self, *_args, **_kwargs):
         raise TypeError("use Subgroup.generated or Subgroup.from_members")
@@ -530,10 +540,12 @@ class Subgroup:
         cached = getattr(self, "_normalizer", None)
         if cached is not None:
             return cached
+        # t K t^-1 = K as soon as t conjugates K's generators into K
+        gens = self.generators if self.generators is not None else self.members
         mem = []
         for t in self.parent.elements:
             t_inv = t.inverse()
-            if all(t * h * t_inv in self.members for h in self.members):
+            if all(t * h * t_inv in self.members for h in gens):
                 mem.append(t)
         mem = frozenset(mem)
         tag = f"N({self.label})" if self.label else None
@@ -548,6 +560,15 @@ class Subgroup:
             j = self.parent.class_index[h]
             counts[j] = counts.get(j, 0) + 1
         return tuple(sorted(counts.items()))
+
+    @cached_property
+    def conjugate_sets(self) -> tuple[frozenset[Perm], ...]:
+        """The member sets of l K l^-1, one for each l of the left transversal
+        of N(K), in transversal order; each conjugate of K appears once."""
+        return tuple(
+            _conj_set(ell, self.members, ell.inverse())
+            for ell in self.normalizer().left_transversal()
+        )
 
     @cached_property
     def left_cosets(self) -> tuple[dict[Perm, int], tuple[Perm, ...]]:
@@ -679,10 +700,10 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
                     seen.add(c2)
                     stack.append(reps[c2])
 
-    # (2) transversal formula over the normalizer of K
-    nk = K.normalizer()
-    ratio = nk.order // K.order
-    total = sum(ratio * _meet(ell, K, H) for ell in nk.left_transversal())
+    # (2) transversal formula over the normalizer of K: sum over the
+    # conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|
+    ratio = K.normalizer().order // K.order
+    total = ratio * sum(len(conj_k & H.members) for conj_k in K.conjugate_sets)
     by_transversal, rest = divmod(total, H.order)
     if rest:
         raise InternalCheckError("transversal double-coset formula is not integral")

@@ -299,7 +299,13 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
     """Evaluate the vanishing conditions for every nontrivial class when gamma = 1."""
     if sig.quotient_genus != 1:
         raise GroupInputError("this analysis applies only to quotient genus 1")
-    report = factor_dimensions(G, table, sig)
+    return _gamma1_conditions(G, table, sig, factor_dimensions(G, table, sig))
+
+
+def _gamma1_conditions(G: FiniteGroup, table: CharacterTable, sig: GeometricSignature,
+                       report: DecompositionReport) -> tuple[TorusCaseConditions, ...]:
+    """The vanishing conditions read from a decomposition the caller already has;
+    sig has quotient genus 1 and report is factor_dimensions(G, table, sig)."""
     reps = _branch_class_reps(G, sig)
     out = []
     for rec in report.records:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from geosig import covers
+from geosig import covers, jacobian
 from geosig.cli import main
 from geosig.errors import InternalCheckError
 from geosig.groups import catalog
@@ -101,6 +101,19 @@ def test_lattice_wc3(capsys):
     assert genera["y,z,ab"] == 1
 
 
+def test_subgroups_in_cycle_notation(capsys):
+    # x = (1,4) and y = (2,5) in wc3; commas inside a cycle do not split
+    reports = {}
+    for spec in ("x,y", "(1,4),(2,5)"):
+        code, out, _ = run(capsys, "lattice", "--group", "wc3", "--signature",
+                           WC3_FIRST, "--subgroups", spec, "--format", "json")
+        assert code == 0
+        extra = json.loads(out)["reports"][-1]
+        assert extra["subgroup"]["order"] == 4
+        reports[spec] = (extra["genus"], extra["branch_values"])
+    assert reports["x,y"] == reports["(1,4),(2,5)"]
+
+
 def test_lattice_cross_check(capsys):
     code, out, _ = run(capsys, "lattice", "--group", "cyclic(4)",
                        "--signature", json.dumps({
@@ -156,6 +169,24 @@ def test_decompose_wc3(capsys):
     nonzero = [c for c in dec["classes"] if c["dim_B"] > 0]
     assert len(nonzero) == 1
     assert nonzero[0]["degree"] == 3 and nonzero[0]["exponent"] == 3
+
+
+def test_decompose_gamma1_runs_factor_dimensions_once(capsys, monkeypatch):
+    calls = []
+    real = jacobian.factor_dimensions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jacobian, "factor_dimensions", counted)
+    code, out, _ = run(capsys, "decompose", "--group", "symmetric(4)", "--signature",
+                       json.dumps({"genus": 1, "branches": [{"order": 2, "class_rep": "b"},
+                                                            {"order": 2, "class_rep": "b"}]}),
+                       "--format", "json")
+    assert code == 0
+    assert "gamma1_conditions" in json.loads(out)
+    assert len(calls) == 1
 
 
 def test_decompose_text_output(capsys):

@@ -12,7 +12,7 @@ from geosig.covers import (
     transversal_partition,
 )
 from geosig.errors import GroupInputError, InternalCheckError
-from geosig.groups import Subgroup, catalog
+from geosig.groups import Perm, Subgroup, catalog
 from geosig.signature import (
     BranchEntry,
     GeometricSignature,
@@ -254,3 +254,23 @@ def test_doctored_marks_fail_the_genus_check(monkeypatch):
     monkeypatch.setattr(covers, "marked_points", lambda *_args: fake)
     with pytest.raises(InternalCheckError, match="genus formulas disagree"):
         cover_report(G, sig, H)
+
+
+def test_new_subgroup_marks_make_no_products(monkeypatch):
+    # the conjugates of each G_j are cached on G_j, so the marked points of
+    # another H are set intersections only
+    G = catalog("symmetric(6)")
+    sig = geometric(G, 0, "b", "a", "(1,2,3,4,5)")
+    marked_points(G, sig, G.subgroup_from_words(["a^2"]))
+    H = G.subgroup_from_words(["(1,2)(3,4)", "(1,3)(2,4)"])
+    products = []
+    real = Perm.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Perm, "__mul__", counted)
+    marked_points(G, sig, H)
+    monkeypatch.undo()
+    assert len(products) == 0

@@ -1,11 +1,12 @@
-"""Property tests for the trusted element paths, the single-pass reports and
-the integer character rows.
+"""Property tests for the trusted element paths, the single-pass reports,
+the integer character rows and the cached conjugates of a subgroup.
 
 Products, inverses and powers are built without re-validation,
-`oracle_summary` and `cover_report` compute their data once, and the table
+`oracle_summary` and `cover_report` compute their data once, the table
 averages `fixed_dim` and `frobenius_schur_indicator` are integer sums over
-class counts and the class power map; each must agree with the fully
-validated, separately computed or element-by-element `Cyclo` result.
+class counts and the class power map, a subgroup caches its conjugates and
+tests its normalizer on its generators only; each must agree with the fully
+validated, separately computed, element-by-element or definitional result.
 hypothesis is a test-only dependency: the module is skipped when it is
 missing, and runs derandomized so that every run draws the same examples.
 """
@@ -18,7 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from corpus import CORPUS, materialize  # noqa: E402
+from corpus import CORPUS, group as corpus_group, materialize  # noqa: E402
 from geosig.chartable import Character, CharacterTable, compute_table  # noqa: E402
 from geosig.covers import (  # noqa: E402
     cover_report,
@@ -28,7 +29,7 @@ from geosig.covers import (  # noqa: E402
 )
 from geosig.cyclotomic import Cyclo  # noqa: E402
 from geosig.errors import InternalCheckError, NotRationalError  # noqa: E402
-from geosig.groups import Perm, Subgroup, catalog  # noqa: E402
+from geosig.groups import Perm, Subgroup, catalog, conj  # noqa: E402
 from geosig.monodromy import (  # noqa: E402
     oracle_cycle_structure,
     oracle_genus,
@@ -104,6 +105,51 @@ def test_cover_report_matches_separate_calls(case):
     assert report.genus == quotient_genus(G, sig, H)
     assert report.marked_points == marked_points(G, sig, H)
     assert report.cycle_structures == cycle_structure(G, sig, H)
+
+
+CORPUS_GROUPS = sorted({case.group_name for case in CORPUS})
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """A corpus group with subgroups K and H, each generated by one or two of
+    its elements; K is built either with its generators or from its members.
+    Groups are drawn by name, so the many cyclic cases do not crowd out the
+    groups with non-normal subgroups."""
+    G = corpus_group(draw(st.sampled_from(CORPUS_GROUPS)))
+    K, H = (
+        Subgroup.generated(G, [G.elements[j] for j in draw(
+            st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2))])
+        for _ in range(2)
+    )
+    if draw(st.booleans()):
+        K = Subgroup.from_members(G, K.members)
+    return G, K, H
+
+
+@settings(DERANDOMIZED, max_examples=80)
+@given(subgroup_pairs())
+def test_conjugate_sets_are_the_conjugates_in_transversal_order(case):
+    G, K, H = case
+    omega = K.normalizer().left_transversal()
+    sets = K.conjugate_sets
+    assert len(sets) == len(omega) == len(set(sets))
+    assert set(sets) == G.subgroup_class(K).member_sets == {
+        frozenset(conj(t, k) for k in K.members) for t in G.elements
+    }
+    for ell, conj_k in zip(omega, sets):
+        assert len(conj_k & H.members) == sum(
+            1 for k in K.members if conj(ell, k) in H.members
+        )
+
+
+@settings(DERANDOMIZED, max_examples=80)
+@given(subgroup_pairs())
+def test_normalizer_matches_its_definition(case):
+    G, K, _ = case
+    assert K.normalizer().members == frozenset(
+        t for t in G.elements if all(conj(t, k) in K.members for k in K.members)
+    )
 
 
 TABLE_GROUPS = ("cyclic(6)", "dihedral(6)", "quaternion8", "wc3", "symmetric(4)",
