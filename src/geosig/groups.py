@@ -346,23 +346,23 @@ class FiniteGroup:
         """All cyclic subgroups up to conjugacy, trivial subgroup included."""
         # element -> the cyclic subgroup it generates, one frozenset per
         # subgroup, and one generator of each subgroup
-        shared: dict[frozenset[Perm], Perm] = {}
+        generator_of: dict[frozenset[Perm], Perm] = {}
         self._cyclic_of = cyclic_of = {}
         for g in self.elements:
             s = self._cyclic_members(g)
-            if s in shared:
-                s = cyclic_of[shared[s]]
+            if s in generator_of:
+                s = cyclic_of[generator_of[s]]
             else:
-                shared[s] = g
+                generator_of[s] = g
             cyclic_of[g] = s
 
         def conjugate(t, s, t_inv):
             # t s t^-1 is generated by the conjugate of any generator of s
-            return cyclic_of[t * shared[s] * t_inv]
+            return cyclic_of[t * generator_of[s] * t_inv]
 
         assigned: set[frozenset[Perm]] = set()
         classes = []
-        for base in sorted(shared, key=_set_key):
+        for base in sorted(generator_of, key=_set_key):
             if base in assigned:
                 continue
             orbit = self._orbit(base, conjugate)
