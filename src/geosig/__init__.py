@@ -46,8 +46,7 @@ from .jacobian import (
 from .monodromy import (
     CosetAction,
     coset_action,
-    oracle_cycle_structure,
-    oracle_genus,
+    oracle_summary,
 )
 from .signature import (
     BranchEntry,

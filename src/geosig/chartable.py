@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import Cyclo, euler_phi, reduce_integral
 from .errors import GroupInputError, InternalCheckError, NotRationalError
-from .groups import FiniteGroup, Perm, Subgroup
+from .groups import FiniteGroup, Subgroup
 
 SCHUR_COMPUTED = "computed-upper-bound"
 SCHUR_OVERRIDE = "user-override"
@@ -58,7 +58,6 @@ class GaloisClass:
 
     members: tuple[int, ...]
     representative: int
-    fixing_exponents: tuple[int, ...]
     field_degree: int
     schur_index: int
     schur_index_source: str
@@ -72,23 +71,15 @@ class CharacterTable:
         self.group = group
         self.classes = group.conjugacy_classes
         self.characters = tuple(characters)
-        self.merged_classes = group.merged_element_classes
         self.rows = tuple(_integer_row(chi, group.exponent) for chi in self.characters)
         self._row_index = {row: chi.index for chi, row in zip(self.characters, self.rows)}
         self.galois_classes = self._build_galois_classes(schur_overrides or {})
-        r = len(group.cyclic_subgroup_classes)
-        if not len(self.galois_classes) == len(self.merged_classes) == r:
+        if len(self.galois_classes) != len(group.cyclic_subgroup_classes):
             raise InternalCheckError(
                 "Galois class count does not match cyclic subgroup classes"
             )
 
     # -- queries ---------------------------------------------------------
-
-    def value(self, char_index: int, class_index: int) -> Cyclo:
-        return self.characters[char_index].values[class_index]
-
-    def class_of(self, g: Perm) -> int:
-        return self.group.class_index[g]
 
     def _rational(self, value: int) -> tuple[int, ...]:
         """The integer row entry of a rational integer."""
@@ -177,7 +168,6 @@ class CharacterTable:
             if chi.index in seen:
                 continue
             members = {}
-            fixing = []
             for k in units:
                 img = self._row_index.get(self._galois_image(chi, k))
                 if img is None:
@@ -185,14 +175,11 @@ class CharacterTable:
                         "power map left the character table; lifting is inconsistent"
                     )
                 members[img] = None
-                if img == chi.index:
-                    fixing.append(k)
             idxs = tuple(sorted(members))
             seen.update(idxs)
             gc = GaloisClass(
                 members=idxs,
                 representative=idxs[0],
-                fixing_exponents=tuple(fixing),
                 field_degree=len(idxs),
                 schur_index=0,
                 schur_index_source=SCHUR_COMPUTED,

@@ -4,15 +4,17 @@ Verdicts travel through exit codes, never prose: 0 = success / exists,
 1 = proven not to exist (or unrealizable signature), 2 = search budget
 exhausted, 64 = malformed input, 70 = internal defect (a cross-check
 failed or the program raised unexpectedly; stderr names the group hash,
-the signature and the failing check).  JSON output is byte-stable for
-equal inputs; every report embeds the group hash and the signature it was
-computed from.
+the signature and the failing check), 74 = the output could not be
+written (stdout was, say, a pipe whose reader had gone).  JSON output is
+byte-stable for equal inputs; every report embeds the group hash and the
+signature it was computed from.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import traceback
@@ -43,6 +45,7 @@ EX_NOT_EXISTS = 1
 EX_BUDGET = 2
 EX_USAGE = 64
 EX_SOFTWARE = 70
+EX_IOERR = 74
 
 _CATALOG_NAMES = ("cyclic(", "dihedral(", "symmetric(", "alternating(")
 
@@ -129,11 +132,16 @@ def _group_header(G: FiniteGroup) -> dict:
     }
 
 
+class _OutputError(Exception):
+    """Writing stdout failed; carries the OSError."""
+
+
 def _emit(args, payload: dict, text: str) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    try:
+        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise _OutputError(exc) from None
 
 
 def _resolve_geometric(G: FiniteGroup, sig: GeometricSignature,
@@ -267,7 +275,7 @@ def cmd_decompose(args, G: FiniteGroup) -> int:
     }
     text = [f"signature {sig}; total genus {report.total_genus}", report.render_text()]
     if sig.quotient_genus == 1:
-        conditions = jacobian._gamma1_conditions(G, table, sig, report)
+        conditions = jacobian.gamma1_analysis(G, table, sig, report)
         payload["gamma1_conditions"] = [c.to_json() for c in conditions]
         vanished = [f"chi{c.galois_representative}" for c in conditions if c.all_true]
         text.append(
@@ -369,6 +377,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except GroupInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
+    except _OutputError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EX_IOERR
     except Exception as exc:  # a defect must never read as a verdict
         traceback.print_exc()
         print(f"internal defect: {type(exc).__name__}: {exc}\n"
@@ -378,7 +389,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EX_IOERR:
+        # stdout is gone: send what is still buffered for it to the null
+        # device, so that the flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -176,7 +176,8 @@ def _conj_set(t: Perm, members: frozenset[Perm], t_inv: Perm) -> frozenset[Perm]
     return frozenset(t * h * t_inv for h in members)
 
 
-def _closure(degree: int, generators: Sequence[Perm], cap: int) -> list[Perm]:
+def _closure(degree: int, generators: Sequence[Perm], limit: int) -> set[Perm]:
+    """The elements the generators generate, or the first limit of them found."""
     ident = Perm.identity(degree)
     elems = {ident}
     frontier = [ident]
@@ -186,14 +187,12 @@ def _closure(degree: int, generators: Sequence[Perm], cap: int) -> list[Perm]:
             for g in generators:
                 b = a * g
                 if b not in elems:
-                    if len(elems) >= cap:
-                        raise GroupInputError(
-                            f"group order exceeds the supported cap of {cap} elements"
-                        )
                     elems.add(b)
+                    if len(elems) == limit:
+                        return elems
                     fresh.append(b)
         frontier = fresh
-    return sorted(elems)
+    return elems
 
 
 class FiniteGroup:
@@ -222,7 +221,12 @@ class FiniteGroup:
         self.generators = gens
         self.named_generators = named
         self.name = name
-        self.elements: tuple[Perm, ...] = tuple(_closure(degree, gens, MAX_GROUP_ORDER))
+        elems = _closure(degree, gens, MAX_GROUP_ORDER + 1)
+        if len(elems) > MAX_GROUP_ORDER:
+            raise GroupInputError(
+                f"group order exceeds the supported cap of {MAX_GROUP_ORDER} elements"
+            )
+        self.elements: tuple[Perm, ...] = tuple(sorted(elems))
         self.order = len(self.elements)
         self.identity = Perm.identity(degree)
 
@@ -246,6 +250,10 @@ class FiniteGroup:
         if self.order % exp:
             raise InternalCheckError("group exponent does not divide the order")
         return exp
+
+    def is_generated_by(self, generators: Sequence[Perm]) -> bool:
+        """Whether the generators generate the whole group; the closure stops at |G|."""
+        return len(_closure(self.degree, generators, self.order)) == self.order
 
     @cached_property
     def digest(self) -> str:
@@ -333,28 +341,28 @@ class FiniteGroup:
             out.append(tuple(powers))
         return tuple(out)
 
-    def _cyclic_members(self, g: Perm) -> frozenset[Perm]:
-        members = [self.identity]
-        h = g
-        while not h.is_identity():
-            members.append(h)
-            h = h * g
-        return frozenset(members)
-
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
         """All cyclic subgroups up to conjugacy, trivial subgroup included."""
         # element -> the cyclic subgroup it generates, one frozenset per
-        # subgroup, and one generator of each subgroup
+        # subgroup, and its least generator; one power walk per subgroup
+        # files all of its generators g^k, gcd(k, m) = 1
         generator_of: dict[frozenset[Perm], Perm] = {}
         self._cyclic_of = cyclic_of = {}
         for g in self.elements:
-            s = self._cyclic_members(g)
-            if s in generator_of:
-                s = cyclic_of[generator_of[s]]
-            else:
-                generator_of[s] = g
-            cyclic_of[g] = s
+            if g in cyclic_of:
+                continue
+            powers = [self.identity]
+            h = g
+            while not h.is_identity():
+                powers.append(h)
+                h = h * g
+            s = frozenset(powers)
+            generator_of[s] = g
+            m = len(powers)
+            for k in range(m):
+                if math.gcd(k, m) == 1:
+                    cyclic_of[powers[k]] = s
 
         def conjugate(t, s, t_inv):
             # t s t^-1 is generated by the conjugate of any generator of s
@@ -388,14 +396,14 @@ class FiniteGroup:
             raise GroupInputError(f"subgroup {sub.label or ''} is not cyclic") from None
 
     @cached_property
-    def merged_element_classes(self) -> tuple["MergedElementClass", ...]:
+    def merged_element_classes(self) -> tuple["ElementClass", ...]:
         """Elements fused by conjugacy of generated cyclic subgroups, one per cyclic class."""
         classes = self.cyclic_subgroup_classes
         buckets: list[list[Perm]] = [[] for _ in classes]
         for g in self.elements:
             buckets[self._cyclic_class_of_set[self._cyclic_of[g]]].append(g)
         return tuple(
-            MergedElementClass(min(b), tuple(sorted(b))) for b in buckets
+            ElementClass(min(b), tuple(sorted(b))) for b in buckets
         )
 
     def subgroup_class(self, sub: "Subgroup") -> "ConjugacyClassOfSubgroups":
@@ -507,10 +515,6 @@ class Subgroup:
                     raise GroupInputError("member set is not closed under composition")
         return cls._trusted(parent, mem, None, label)
 
-    @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.members))
-
     @property
     def index(self) -> int:
         return self.parent.order // self.order
@@ -604,7 +608,8 @@ class Subgroup:
 
 
 class ElementClass:
-    """A conjugacy class of group elements."""
+    """A class of group elements: a conjugacy class, or, in
+    `merged_element_classes`, the generators of one cyclic-subgroup class."""
 
     __slots__ = ("representative", "members")
 
@@ -622,23 +627,6 @@ class ElementClass:
 
     def __repr__(self) -> str:
         return f"ElementClass({self.representative}, size={self.size})"
-
-
-class MergedElementClass:
-    """All elements whose generated cyclic subgroup lies in one conjugacy class."""
-
-    __slots__ = ("representative", "members")
-
-    def __init__(self, representative: Perm, members: tuple[Perm, ...]):
-        self.representative = representative
-        self.members = members
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    def __repr__(self) -> str:
-        return f"MergedElementClass({self.representative}, size={self.size})"
 
 
 class ConjugacyClassOfSubgroups:

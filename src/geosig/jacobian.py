@@ -196,8 +196,13 @@ def solve_omega_system(G: FiniteGroup, table: CharacterTable,
 
 def factor_dimensions(G: FiniteGroup, table: CharacterTable, sig: GeometricSignature,
                       genera: Optional[Sequence[int]] = None) -> DecompositionReport:
-    """Dimensions and exponents of the isogeny factors, fully cross-checked."""
-    reps = _branch_class_reps(G, sig)
+    """Dimensions and exponents of the isogeny factors, fully cross-checked.
+
+    The factor of a Galois class with k = schur_index * field_degree has
+    dimension k[d(gamma-1) + (1/2) sum_j (d - d^{G_j})], which is k*n/2 for
+    the multiplicity n of its characters in the homology action.
+    """
+    _branch_class_reps(G, sig)  # a plain signature is refused before any arithmetic
     gamma = sig.quotient_genus
     g = signature_genus(G, sig)
     multiplicities = complex_multiplicities(G, table, sig)
@@ -211,26 +216,18 @@ def factor_dimensions(G: FiniteGroup, table: CharacterTable, sig: GeometricSigna
             raise InternalCheckError(
                 f"Schur index {schur} does not divide degree {chi.degree}"
             )
-        exponent = chi.degree // schur
-        if chi.index == table.trivial_character_index:
-            records.append(MultiplicityRecord(
-                galois_class=gc, degree=1, n=n, e=n, dim_B=gamma, exponent=1, k=1,
-            ))
-            continue
         if n % schur:
             raise InternalCheckError(
                 f"multiplicity {n} is not divisible by the Schur index {schur} "
                 f"of character {chi.index}"
             )
         k = schur * gc.field_degree
-        dim = Fraction(k) * (chi.degree * (gamma - 1) + Fraction(sum(
-            chi.degree - table.fixed_dim(chi, stab) for stab in reps
-        ), 2))
-        if dim.denominator != 1 or dim < 0:
-            raise InternalCheckError(f"factor dimension is not admissible: {dim}")
+        dim, rest = divmod(k * n, 2)
+        if rest:
+            raise InternalCheckError(f"factor dimension {k * n}/2 is not an integer")
         records.append(MultiplicityRecord(
             galois_class=gc, degree=chi.degree, n=n, e=n // schur,
-            dim_B=int(dim), exponent=exponent, k=k,
+            dim_B=dim, exponent=chi.degree // schur, k=k,
         ))
 
     # sum rule over all complex irreducibles, Galois conjugates included
@@ -294,18 +291,17 @@ class TorusCaseConditions:
         }
 
 
-def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
-                    sig: GeometricSignature) -> tuple[TorusCaseConditions, ...]:
-    """Evaluate the vanishing conditions for every nontrivial class when gamma = 1."""
+def gamma1_analysis(G: FiniteGroup, table: CharacterTable, sig: GeometricSignature,
+                    report: Optional[DecompositionReport] = None,
+                    ) -> tuple[TorusCaseConditions, ...]:
+    """Evaluate the vanishing conditions for every nontrivial class when gamma = 1.
+
+    report is factor_dimensions(G, table, sig), computed here when not given.
+    """
     if sig.quotient_genus != 1:
         raise GroupInputError("this analysis applies only to quotient genus 1")
-    return _gamma1_conditions(G, table, sig, factor_dimensions(G, table, sig))
-
-
-def _gamma1_conditions(G: FiniteGroup, table: CharacterTable, sig: GeometricSignature,
-                       report: DecompositionReport) -> tuple[TorusCaseConditions, ...]:
-    """The vanishing conditions read from a decomposition the caller already has;
-    sig has quotient genus 1 and report is factor_dimensions(G, table, sig)."""
+    if report is None:
+        report = factor_dimensions(G, table, sig)
     reps = _branch_class_reps(G, sig)
     out = []
     for rec in report.records:

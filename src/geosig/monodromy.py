@@ -56,14 +56,13 @@ def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAct
     def image(g: Perm) -> Perm:
         return Perm(coset_of[r * g] for r in reps)
 
-    action = CosetAction(
+    return CosetAction(
         subgroup=H,
         cosets=tuple(reps),
         a_images=tuple(image(g) for g in vec.a),
         b_images=tuple(image(g) for g in vec.b),
         c_images=tuple(image(g) for g in vec.c),
     )
-    return action
 
 
 def _cycle_type(p: Perm) -> tuple[int, ...]:
@@ -72,24 +71,14 @@ def _cycle_type(p: Perm) -> tuple[int, ...]:
     return tuple(sorted(listed + [1] * fixed))
 
 
-def oracle_cycle_structure(G: FiniteGroup, H: Subgroup,
-                           vec: GeneratingVector) -> tuple[tuple[int, ...], ...]:
-    """Cycle type of each branch element acting on the cosets of H."""
-    action = coset_action(G, H, vec)
-    return tuple(_cycle_type(img) for img in action.c_images)
-
-
-def oracle_genus(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
-                 quotient_genus: int) -> int:
-    """Genus of S/H recovered from the coset action by Riemann-Hurwitz."""
+def oracle_summary(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
+                   quotient_genus: int) -> dict:
+    """Genus of S/H, by Riemann-Hurwitz over the coset action, and the cycle
+    type of each branch element acting on the cosets of H."""
     action = coset_action(G, H, vec)
     types = [_cycle_type(img) for img in action.c_images]
-    return _riemann_hurwitz(action.degree, types, quotient_genus)
-
-
-def _riemann_hurwitz(n: int, cycle_types: list[tuple[int, ...]], quotient_genus: int) -> int:
-    ramification = sum(length - 1 for ct in cycle_types for length in ct)
-    euler = n * (2 - 2 * quotient_genus) - ramification
+    ramification = sum(length - 1 for ct in types for length in ct)
+    euler = action.degree * (2 - 2 * quotient_genus) - ramification
     if euler % 2:
         raise InternalCheckError(
             f"coset action gives an odd Euler characteristic {euler}"
@@ -97,15 +86,7 @@ def _riemann_hurwitz(n: int, cycle_types: list[tuple[int, ...]], quotient_genus:
     genus = (2 - euler) // 2
     if genus < 0:
         raise InternalCheckError(f"coset action gives negative genus {genus}")
-    return genus
-
-
-def oracle_summary(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
-                   quotient_genus: int) -> dict:
-    """Genus and cycle data in one bundle for report embedding."""
-    action = coset_action(G, H, vec)
-    types = [_cycle_type(img) for img in action.c_images]
     return {
-        "genus": _riemann_hurwitz(action.degree, types, quotient_genus),
+        "genus": genus,
         "cycle_structures": [list(ct) for ct in types],
     }

@@ -207,23 +207,6 @@ def _commutator(a: Perm, b: Perm) -> Perm:
     return a * b * a.inverse() * b.inverse()
 
 
-def _generates(G: FiniteGroup, gens: Sequence[Perm]) -> bool:
-    elems = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elems:
-                    elems.add(y)
-                    fresh.append(y)
-        if len(elems) == G.order:
-            return True
-        frontier = fresh
-    return False
-
-
 def verify_generating_vector(G: FiniteGroup, sig: GeometricSignature,
                              vec: GeneratingVector) -> VectorCheck:
     """Check the three existence conditions independently."""
@@ -251,7 +234,7 @@ def verify_generating_vector(G: FiniteGroup, sig: GeometricSignature,
     for c in vec.c:
         prod = prod * c
     product_ok = prod.is_identity()
-    generates = _generates(G, vec.elements())
+    generates = G.is_generated_by(vec.elements())
     return VectorCheck(orders_ok, classes_ok, product_ok, generates)
 
 
@@ -260,8 +243,7 @@ def _candidate_pool(G: FiniteGroup, entry: BranchEntry) -> tuple[Perm, ...]:
     if entry.cls is None:
         return tuple(g for g in G.elements if g.order() == entry.order)
     idx = G.cyclic_class_index(entry.cls.representative)
-    merged = G.merged_element_classes[idx]
-    return tuple(g for g in merged.members if g.order() == entry.order)
+    return G.merged_element_classes[idx].members
 
 
 def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
@@ -298,7 +280,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
                 if last not in pool_sets[t - 1]:
                     return None
                 cs = chosen + (last,)
-                if _generates(G, ab + cs):
+                if G.is_generated_by(ab + cs):
                     return GeneratingVector(a, b, cs)
                 return None
             for cand in pools[depth]:
@@ -310,7 +292,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
 
         if t == 0:
             spend()
-            if prefix.is_identity() and _generates(G, ab):
+            if prefix.is_identity() and G.is_generated_by(ab):
                 return GeneratingVector(a, b, ())
             return None
         return rec(0, prefix, ())

@@ -20,7 +20,7 @@ from geosig.jacobian import (
     gamma1_analysis,
     solve_omega_system,
 )
-from geosig.monodromy import oracle_cycle_structure, oracle_genus
+from geosig.monodromy import oracle_summary
 from geosig.signature import (
     GeneratingVector,
     find_generating_vector,
@@ -182,10 +182,11 @@ def test_criterion_5_oracle_equivalence():
             vec = witness(idx)
             targets = [cls.representative for cls in G.cyclic_subgroup_classes] + subs
             for H in targets:
-                assert oracle_genus(G, H, vec, sig.quotient_genus) == \
-                    quotient_genus(G, sig, H), (case, H.label)
+                oracle = oracle_summary(G, H, vec, sig.quotient_genus)
+                assert oracle["genus"] == quotient_genus(G, sig, H), (case, H.label)
                 closed = tuple(c.entries for c in cycle_structure(G, sig, H))
-                assert oracle_cycle_structure(G, H, vec) == closed, (case, H.label)
+                assert oracle["cycle_structures"] == [list(ct) for ct in closed], \
+                    (case, H.label)
                 # marked-point accounting: counts match the oracle's point counts
                 marks = marked_points(G, sig, H)
                 for j, ct in enumerate(closed):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +277,32 @@ def test_usage_errors_exit_64(capsys, argv):
         main(argv)
     assert exc.value.code == 64
     assert "error:" in capsys.readouterr().err
+
+
+def test_group_over_the_order_cap_exits_64(capsys):
+    code, out, err = run(capsys, "exists", "--group", "symmetric(7)",
+                         "--signature", json.dumps({"genus": 0, "branches": []}))
+    assert code == 64
+    assert out == ""
+    assert "exceeds the supported cap of 2000" in err
+
+
+def test_closed_stdout_exits_74():
+    # the reader of the pipe is gone long before the table is written: a
+    # failed write is neither a verdict nor an internal defect
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geosig.cli", "chartab", "--group", "symmetric(6)",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 74
+    assert err.startswith("error: cannot write the output:"), err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_help_exits_0(capsys):

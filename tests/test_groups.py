@@ -79,9 +79,23 @@ def test_degree_zero_rejected():
 
 
 def test_group_order_cap():
-    # symmetric(7) has order 5040 > 2000
-    with pytest.raises(GroupInputError):
-        catalog("symmetric(7)")
+    # the cap is 2000 elements: dihedral(1000) reaches it exactly, while
+    # dihedral(1001) (order 2002) and symmetric(7) (order 5040) pass it
+    assert catalog("dihedral(1000)").order == 2000
+    for name in ("dihedral(1001)", "symmetric(7)"):
+        with pytest.raises(GroupInputError, match="exceeds the supported cap of 2000"):
+            catalog(name)
+
+
+def test_is_generated_by():
+    G = catalog("dihedral(4)")
+    x, y = G.named_generators["x"], G.named_generators["y"]
+    assert G.is_generated_by([x, y])
+    assert G.is_generated_by([x * y, y])
+    assert not G.is_generated_by([x])
+    assert not G.is_generated_by([x * x, y])
+    assert not G.is_generated_by([])
+    assert FiniteGroup(1).is_generated_by([])
 
 
 def test_conjugacy_classes_s3():
@@ -150,7 +164,10 @@ def test_merged_classes_align_with_cyclic_classes():
         assert len(merged) == len(classes)
         assert sum(m.size for m in merged) == G.order
         for m, c in zip(merged, classes):
+            # every member generates a subgroup of the class, so has its order
+            assert m.element_order == c.order
             for g in m.members:
+                assert g.order() == c.order
                 sub = Subgroup.generated(G, [g])
                 assert c.contains_subgroup(sub)
 

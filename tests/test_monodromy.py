@@ -2,12 +2,7 @@ import pytest
 
 from geosig.covers import cycle_structure, quotient_genus
 from geosig.groups import Subgroup, catalog
-from geosig.monodromy import (
-    coset_action,
-    oracle_cycle_structure,
-    oracle_genus,
-    oracle_summary,
-)
+from geosig.monodromy import coset_action, oracle_summary
 from geosig.signature import (
     BranchEntry,
     GeneratingVector,
@@ -74,19 +69,21 @@ def test_oracle_matches_cyclic4_torus_example():
     sig = geometric(G, 1, "x^2", "x^2")
     vec = find_generating_vector(G, sig)
     H = G.subgroup_from_words(["x^2"])
-    assert oracle_genus(G, H, vec, 1) == 1
-    assert oracle_cycle_structure(G, H, vec) == ((1, 1), (1, 1))
+    data = oracle_summary(G, H, vec, 1)
+    assert data["genus"] == 1
+    assert data["cycle_structures"] == [[1, 1], [1, 1]]
 
 
 def test_oracle_matches_d4_sphere():
     G = catalog("dihedral(4)")
     sig = geometric(G, 0, "x", "y", "xy")
     vec = find_generating_vector(G, sig)
-    assert oracle_genus(G, G.trivial_subgroup, vec, 0) == 0
+    data = oracle_summary(G, G.trivial_subgroup, vec, 0)
+    assert data["genus"] == 0
     # regular action of c_j: |G|/m_j cycles of length m_j
-    cts = oracle_cycle_structure(G, G.trivial_subgroup, vec)
-    assert cts[0] == (4, 4)
-    assert cts[1] == (2, 2, 2, 2)
+    cts = data["cycle_structures"]
+    assert cts[0] == [4, 4]
+    assert cts[1] == [2, 2, 2, 2]
 
 
 def test_oracle_trivial_cases():
@@ -95,7 +92,7 @@ def test_oracle_trivial_cases():
     vec = find_generating_vector(G, sig)
     for cls in G.cyclic_subgroup_classes:
         H = cls.representative
-        assert oracle_genus(G, H, vec, 2) == H.index * (2 - 1) + 1
+        assert oracle_summary(G, H, vec, 2)["genus"] == H.index * (2 - 1) + 1
     full = coset_action(G, G.full_subgroup, vec)
     assert all(img.is_identity() for img in full.a_images + full.b_images)
 
@@ -114,9 +111,10 @@ def test_oracle_agrees_with_covers_on_examples():
         assert vec is not None
         for cls in G.cyclic_subgroup_classes:
             H = cls.representative
-            assert oracle_genus(G, H, vec, gamma) == quotient_genus(G, sig, H)
-            want = tuple(c.entries for c in cycle_structure(G, sig, H))
-            assert oracle_cycle_structure(G, H, vec) == want
+            data = oracle_summary(G, H, vec, gamma)
+            assert data["genus"] == quotient_genus(G, sig, H)
+            want = [list(c.entries) for c in cycle_structure(G, sig, H)]
+            assert data["cycle_structures"] == want
 
 
 def test_oracle_independent_of_witness():
@@ -134,11 +132,8 @@ def test_oracle_independent_of_witness():
     reference = None
     for cls in G.cyclic_subgroup_classes:
         H = cls.representative
-        data = [
-            (oracle_genus(G, H, vec, 0), oracle_cycle_structure(G, H, vec))
-            for vec in witnesses
-        ]
-        assert len(set(data)) == 1
+        data = [oracle_summary(G, H, vec, 0) for vec in witnesses]
+        assert all(d == data[0] for d in data)
 
 
 def test_oracle_summary_payload():

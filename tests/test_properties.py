@@ -2,7 +2,7 @@
 the integer character rows and the cached conjugates of a subgroup.
 
 Products, inverses and powers are built without re-validation,
-`oracle_summary` and `cover_report` compute their data once, the table
+`cover_report` computes its data once, the table
 averages `fixed_dim` and `frobenius_schur_indicator` are integer sums over
 class counts and the class power map, a subgroup caches its conjugates and
 tests its normalizer on its generators only; each must agree with the fully
@@ -30,12 +30,6 @@ from geosig.covers import (  # noqa: E402
 from geosig.cyclotomic import Cyclo  # noqa: E402
 from geosig.errors import InternalCheckError, NotRationalError  # noqa: E402
 from geosig.groups import Perm, Subgroup, catalog, conj  # noqa: E402
-from geosig.monodromy import (  # noqa: E402
-    oracle_cycle_structure,
-    oracle_genus,
-    oracle_summary,
-)
-from geosig.signature import find_generating_vector  # noqa: E402
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -73,34 +67,23 @@ def test_trusted_products_match_validated(images, k):
 @lru_cache(maxsize=None)
 def _case(i):
     G, sig, _ = materialize(CORPUS[i])
-    return G, sig, find_generating_vector(G, sig)
+    return G, sig
 
 
 @st.composite
 def corpus_subgroups(draw):
     """A corpus case and a subgroup generated by up to two of its elements."""
     i = draw(st.integers(0, len(CORPUS) - 1))
-    G, sig, vec = _case(i)
+    G, sig = _case(i)
     picks = draw(st.lists(st.integers(0, G.order - 1), max_size=2))
     H = Subgroup.generated(G, [G.elements[j] for j in picks])
-    return G, sig, vec, H
-
-
-@settings(DERANDOMIZED, max_examples=60)
-@given(corpus_subgroups())
-def test_oracle_summary_matches_separate_calls(case):
-    G, sig, vec, H = case
-    summary = oracle_summary(G, H, vec, sig.quotient_genus)
-    assert summary == {
-        "genus": oracle_genus(G, H, vec, sig.quotient_genus),
-        "cycle_structures": [list(ct) for ct in oracle_cycle_structure(G, H, vec)],
-    }
+    return G, sig, H
 
 
 @settings(DERANDOMIZED, max_examples=60)
 @given(corpus_subgroups())
 def test_cover_report_matches_separate_calls(case):
-    G, sig, _, H = case
+    G, sig, H = case
     report = cover_report(G, sig, H)
     assert report.genus == quotient_genus(G, sig, H)
     assert report.marked_points == marked_points(G, sig, H)
