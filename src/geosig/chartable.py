@@ -140,11 +140,8 @@ class CharacterTable:
         """Elements where the character reaches its degree; a normal subgroup."""
         top = self._rational(chi.degree)
         at_degree = {j for j, v in enumerate(self.rows[chi.index]) if v == top}
-        members = [
-            g for g in self.group.elements
-            if self.group.class_index[g] in at_degree
-        ]
-        return Subgroup._trusted(self.group, frozenset(members), None, f"ker(chi{chi.index})")
+        members = [g for g, j in enumerate(self.group.class_of) if j in at_degree]
+        return Subgroup._trusted(self.group, members, None, f"ker(chi{chi.index})")
 
     def galois_class_of(self, char_index: int) -> GaloisClass:
         for gc in self.galois_classes:
@@ -494,15 +491,16 @@ def _eval_poly(poly: list[int], x: int, p: int) -> int:
 
 
 def _class_matrix(G: FiniteGroup, i: int) -> list[list[int]]:
+    """Entry (j, k): the x in class i with x^-1 rep_k in class j; x^-1 spans the inverse class."""
     classes = G.conjugacy_classes
-    cls_of = G.class_index
+    cls_of = G.class_of
+    inverses = classes[G.class_powers[i][-1]].indices
     s = len(classes)
     mat = [[0] * s for _ in range(s)]
     for k, cls_k in enumerate(classes):
-        rep_k = cls_k.representative
-        for x in classes[i].members:
-            j = cls_of[x.inverse() * rep_k]
-            mat[j][k] += 1
+        rep_k = cls_k.indices[0]
+        for y in inverses:
+            mat[cls_of[G.product(y, rep_k)]][k] += 1
     return mat
 
 

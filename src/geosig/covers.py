@@ -7,8 +7,8 @@ by two formulas that must agree: Riemann–Hurwitz for S/H -> S/G over the
 marked points, and the double-coset count of the points of S/H over each
 branch value.  The marked points, and route 2 of the double-coset count,
 read how the conjugates l G_j l^-1 of a branch stabilizer G_j meet H; the
-conjugates depend on G_j alone, so their member sets are built once and
-cached on G_j, and each meet with a new H is a set intersection.  Counts
+conjugates depend on G_j alone, so their member masks are built once and
+cached on G_j, and each meet with a new H is a bitwise and.  Counts
 that theory proves integral are asserted integral; a failure is raised,
 never rounded.
 """
@@ -72,10 +72,7 @@ class CoverReport:
             "order": self.subgroup.order,
             "generators": [str(g) for g in self.subgroup.generators or ()],
         }
-        if self.subgroup.is_cyclic:
-            sub["cyclic_class_index"] = G.cyclic_class_index(self.subgroup)
-        else:
-            sub["cyclic_class_index"] = None
+        sub["cyclic_class_index"] = G.cyclic_subgroup_masks.get(self.subgroup.mask)
         branch_values = []
         for j in range(len(self.cycle_structures)):
             marked = [
@@ -151,29 +148,24 @@ def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
     """Split the transversal of N(G_j) by how the conjugates of G_j meet H.
 
     The conjugate l G_j l^-1 of each transversal element l is cached on G_j
-    (`Subgroup.conjugate_sets`, in transversal order), so each meet
-    |l G_j l^-1 ∩ H| is one set intersection and no product per H.
+    as a member mask (`Subgroup.conjugate_masks`, in transversal order), so
+    each meet |l G_j l^-1 ∩ H| is one bitwise and, and no product per H.
     """
     _require_geometric(sig)
     _check_subgroup(G, H)
-    entry = sig.entries[j]
-    Gj = entry.cls.representative
-    omega = Gj.normalizer().left_transversal()
-    order: list[int] = []
-    groups: dict[int, list] = {}
-    for ell, conj_gj in zip(omega, Gj.conjugate_sets, strict=True):
-        meet = len(conj_gj & H.members)
-        if meet not in groups:
-            groups[meet] = []
-            order.append(meet)
-        groups[meet].append(ell)
-    if sum(len(groups[m]) for m in order) != len(omega):
+    Gj = sig.entries[j].cls.representative
+    omega, conjugates = Gj.normalizer().transversal, Gj.conjugate_masks
+    if len(omega) != len(conjugates):
+        raise InternalCheckError(
+            f"G_{j} = <{Gj.label}> of order {Gj.order}: the transversal of its "
+            f"normalizer has {len(omega)} elements, its cached conjugates {len(conjugates)}"
+        )
+    groups: dict[int, list] = {}  # meet size -> its l, in first-appearance order
+    for ell, conj_gj in zip(omega, conjugates):
+        groups.setdefault((conj_gj & H.mask).bit_count(), []).append(G.elements[ell])
+    if sum(map(len, groups.values())) != len(omega):
         raise InternalCheckError("transversal partition lost elements")
-    return TransversalPartition(
-        branch_index=j,
-        sets=tuple(tuple(groups[m]) for m in order),
-        intersection_sizes=tuple(order),
-    )
+    return TransversalPartition(j, tuple(map(tuple, groups.values())), tuple(groups))
 
 
 def marked_points(G: FiniteGroup, sig: GeometricSignature,

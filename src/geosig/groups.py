@@ -6,6 +6,12 @@ Cycle notation in input and output is 1-based.  Permutations order
 lexicographically by image tuple, which puts the identity first and makes
 every derived listing (element lists, class representatives, transversals)
 deterministic.
+
+Inside a group an element is its index 0..|G|-1 in that order (identity 0).
+All arithmetic composes image tuples: `FiniteGroup.product`, and the columns
+`right(g)`: x -> x*g and `left(g)`: x -> g*x, built lazily and cached on the
+group.  Member sets are int bitmasks, so a meet is `(a & b).bit_count()`.
+`Perm` objects appear only at the boundary: input, witnesses and output.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import hashlib
 import math
 import re
 from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupInputError, InternalCheckError
 
@@ -96,24 +102,16 @@ class Perm:
         o = other.image
         if len(self.image) != len(o):
             raise GroupInputError("cannot compose permutations of different degree")
-        return Perm._trusted(tuple(map(o.__getitem__, self.image)))
+        return Perm._trusted(_compose(self.image, o))
 
     def inverse(self) -> "Perm":
-        img = [0] * len(self.image)
-        for p, q in enumerate(self.image):
-            img[q] = p
-        return Perm._trusted(tuple(img))
+        return Perm._trusted(tuple(sorted(range(len(self.image)), key=self.image.__getitem__)))
 
     def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
+        base = self if k >= 0 else self.inverse()
         acc = Perm._trusted(tuple(range(len(self.image))))
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
+        for _ in range(abs(k) % self.order()):
+            acc = acc * base
         return acc
 
     def __call__(self, point: int) -> int:
@@ -167,32 +165,33 @@ def conj(t: Perm, g: Perm) -> Perm:
     return t * g * t.inverse()
 
 
-def _set_key(members) -> list[tuple[int, ...]]:
-    """Canonical order on member sets: their sorted image tuples."""
-    return sorted(p.image for p in members)
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of a * b: a first, then b."""
+    return tuple(map(b.__getitem__, a))
 
 
-def _conj_set(t: Perm, members: frozenset[Perm], t_inv: Perm) -> frozenset[Perm]:
-    return frozenset(t * h * t_inv for h in members)
+def _mask(indices: Iterable[int]) -> int:
+    """The member bitmask of distinct element indices."""
+    return sum(1 << i for i in indices)
 
 
-def _closure(degree: int, generators: Sequence[Perm], limit: int) -> set[Perm]:
-    """The elements the generators generate, or the first limit of them found."""
-    ident = Perm.identity(degree)
-    elems = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in generators:
-                b = a * g
-                if b not in elems:
-                    elems.add(b)
-                    if len(elems) == limit:
-                        return elems
-                    fresh.append(b)
-        frontier = fresh
-    return elems
+def _bits(mask: int) -> list[int]:
+    """The indices in a member mask, ascending: as a sort key, the image order."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def _closure(start, steps, limit: int) -> set:
+    """What the step maps reach from start, or the first limit of it found."""
+    found, queue = {start}, [start]
+    for a in queue:
+        for step in steps:
+            b = step(a)
+            if b not in found:
+                found.add(b)
+                if len(found) == limit:
+                    return found
+                queue.append(b)
+    return found
 
 
 class FiniteGroup:
@@ -221,45 +220,76 @@ class FiniteGroup:
         self.generators = gens
         self.named_generators = named
         self.name = name
-        elems = _closure(degree, gens, MAX_GROUP_ORDER + 1)
-        if len(elems) > MAX_GROUP_ORDER:
+        steps = [lambda a, g=g.image: _compose(a, g) for g in gens]
+        found = _closure(tuple(range(degree)), steps, MAX_GROUP_ORDER + 1)
+        if len(found) > MAX_GROUP_ORDER:
             raise GroupInputError(
                 f"group order exceeds the supported cap of {MAX_GROUP_ORDER} elements"
             )
-        self.elements: tuple[Perm, ...] = tuple(sorted(elems))
+        self._images = tuple(sorted(found))
+        self._index = {img: i for i, img in enumerate(self._images)}
+        self.elements: tuple[Perm, ...] = tuple(map(Perm._trusted, self._images))
         self.order = len(self.elements)
-        self.identity = Perm.identity(degree)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
+        self.identity = self.elements[0]
+        self._right: dict[int, list[int]] = {}
+        self._left: dict[int, list[int]] = {}
 
     def __contains__(self, g: Perm) -> bool:
-        return g in self._index
+        return g.image in self._index
 
     def __repr__(self) -> str:
         label = self.name or f"degree-{self.degree} group"
         return f"FiniteGroup({label}, order={self.order})"
 
+    # -- element arithmetic on indices ---------------------------------------
+
+    def index(self, g: Perm) -> int:
+        """The index of g, an element of the group, in the canonical order."""
+        return self._index[g.image]
+
+    def product(self, a: int, b: int) -> int:
+        """The index of a * b."""
+        return self._index[tuple(map(self._images[b].__getitem__, self._images[a]))]
+
+    def right(self, g: int) -> list[int]:
+        """The column x -> x * g over all element indices, built once per g."""
+        if g not in self._right:
+            idx, img = self._index, self._images[g].__getitem__
+            self._right[g] = [idx[tuple(map(img, x))] for x in self._images]
+        return self._right[g]
+
+    def left(self, g: int) -> list[int]:
+        """The column x -> g * x over all element indices, built once per g."""
+        if g not in self._left:
+            idx, img = self._index, self._images[g]
+            self._left[g] = [idx[tuple(map(x.__getitem__, img))] for x in self._images]
+        return self._left[g]
+
     @cached_property
-    def _index(self) -> dict[Perm, int]:
-        return {g: i for i, g in enumerate(self.elements)}
+    def inverses(self) -> list[int]:
+        """The index of each element's inverse."""
+        points = range(self.degree)
+        return [self._index[tuple(sorted(points, key=x.__getitem__))] for x in self._images]
+
+    def _generated(self, gens: Sequence[int]) -> set[int]:
+        """The subgroup that element indices generate; the closure stops at |G|.
+        It caches no columns: those of the search's many candidates would fill a table."""
+        return _closure(0, [lambda x, g=g: self.product(x, g) for g in gens], self.order)
 
     @cached_property
     def exponent(self) -> int:
-        exp = math.lcm(*(g.order() for g in self.elements))
+        exp = math.lcm(*(c.element_order for c in self.conjugacy_classes))
         if self.order % exp:
             raise InternalCheckError("group exponent does not divide the order")
         return exp
 
-    def is_generated_by(self, generators: Sequence[Perm]) -> bool:
-        """Whether the generators generate the whole group; the closure stops at |G|."""
-        return len(_closure(self.degree, generators, self.order)) == self.order
+    def is_generated_by(self, generators: Iterable[Perm]) -> bool:
+        """Whether the generators generate the whole group."""
+        return len(self._generated([self.index(g) for g in generators])) == self.order
 
     @cached_property
     def digest(self) -> str:
-        blob = f"{self.degree}|" + ";".join(
-            ",".join(map(str, g.image)) for g in self.elements
-        )
+        blob = f"{self.degree}|" + ";".join(",".join(map(str, x)) for x in self._images)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     # -- subgroups ---------------------------------------------------------
@@ -277,121 +307,108 @@ class FiniteGroup:
 
     @cached_property
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup._trusted(self, frozenset(self.elements), self.generators, "G")
+        return Subgroup._trusted(self, range(self.order), self.generators, "G")
 
     # -- conjugacy structure -----------------------------------------------
 
     @cached_property
-    def _conjugators(self) -> tuple[tuple[Perm, Perm], ...]:
-        """Each generator with its inverse, for the orbit walks under conjugation."""
-        return tuple((t, t.inverse()) for t in self.generators)
-
-    def _orbit(self, start, conjugate) -> set:
-        """The orbit of start under conjugation, where conjugate(t, x, t^-1)
-        is x conjugated by t; the orbits of G are those of its generators."""
-        orbit = {start}
-        stack = [start]
-        while stack:
-            cur = stack.pop()
-            for t, t_inv in self._conjugators:
-                img = conjugate(t, cur, t_inv)
-                if img not in orbit:
-                    orbit.add(img)
-                    stack.append(img)
-        return orbit
-
-    @cached_property
     def conjugacy_classes(self) -> tuple["ElementClass", ...]:
-        """Element classes ordered by (element order, class size, representative)."""
-        seen: set[Perm] = set()
+        """Element classes ordered by (element order, class size, representative);
+        the orbits of G under conjugation are those of its generators."""
+        conjugators = [  # for each generator t, the column x -> t x t^-1
+            [self.product(self.product(t, x), self.inverses[t]) for x in range(self.order)]
+            for t in dict.fromkeys(map(self.index, self.generators))
+        ]
+        seen = [False] * self.order
         raw = []
-        for g in self.elements:
-            if g in seen:
+        for g in range(self.order):
+            if seen[g]:
                 continue
-            orbit = self._orbit(g, lambda t, h, t_inv: t * h * t_inv)
-            seen |= orbit
-            raw.append(tuple(sorted(orbit)))
-        raw.sort(key=lambda mem: (mem[0].order(), len(mem), mem[0].image))
-        return tuple(ElementClass(mem[0], mem) for mem in raw)
+            seen[g] = True
+            orbit = [g]
+            for x in orbit:
+                for col in conjugators:
+                    if not seen[col[x]]:
+                        seen[col[x]] = True
+                        orbit.append(col[x])
+            raw.append(sorted(orbit))
+        raw.sort(key=lambda mem: (self.elements[mem[0]].order(), len(mem), mem[0]))
+        return tuple(ElementClass(self, tuple(mem)) for mem in raw)
 
     @cached_property
-    def class_index(self) -> dict[Perm, int]:
-        out = {}
+    def class_of(self) -> list[int]:
+        """The class number of each element, by element index."""
+        out = [0] * self.order
         for i, cls in enumerate(self.conjugacy_classes):
-            for g in cls.members:
+            for g in cls.indices:
                 out[g] = i
         return out
 
     @cached_property
-    def class_powers(self) -> tuple[tuple[int, ...], ...]:
-        """For each class, the class indices of rep^0, rep^1, ..., rep^(m-1).
+    def class_index(self) -> dict[Perm, int]:
+        """The class number of each element, keyed by permutation."""
+        return dict(zip(self.elements, self.class_of))
 
-        m is the element order of the class.  This is the one power map of
-        the package: the class of g^k, for g in class j, is
-        class_powers[j][k % m].
-        """
-        out = []
-        for cls in self.conjugacy_classes:
-            rep = cls.representative
-            powers = [0]
-            h = rep
-            while not h.is_identity():
-                powers.append(self.class_index[h])
-                h = h * rep
-            out.append(tuple(powers))
-        return tuple(out)
+    @cached_property
+    def class_powers(self) -> tuple[tuple[int, ...], ...]:
+        """For each class, the class indices of rep^0, rep^1, ..., rep^(m-1), m the
+        element order: the one power map, the class of g^k for g in class j being
+        class_powers[j][k % m]."""
+        return tuple(
+            tuple(self.class_of[h] for h in self._powers(cls.indices[0]))
+            for cls in self.conjugacy_classes
+        )
+
+    def _powers(self, g: int) -> list[int]:
+        """g^0, g^1, ..., g^(m-1), for g of order m: the one power walk."""
+        powers, h = [0], g
+        while h:
+            powers.append(h)
+            h = self.product(h, g)
+        return powers
 
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
         """All cyclic subgroups up to conjugacy, trivial subgroup included."""
-        # element -> the cyclic subgroup it generates, one frozenset per
-        # subgroup, and its least generator; one power walk per subgroup
-        # files all of its generators g^k, gcd(k, m) = 1
-        generator_of: dict[frozenset[Perm], Perm] = {}
-        self._cyclic_of = cyclic_of = {}
-        for g in self.elements:
-            if g in cyclic_of:
+        # element -> mask of the cyclic subgroup it generates, and mask -> sorted
+        # members; one power walk per subgroup files its generators g^k, gcd(k, m) = 1
+        self._cyclic_of = cyclic_of = [0] * self.order
+        members: dict[int, tuple[int, ...]] = {}
+        for g in range(self.order):
+            if cyclic_of[g]:
                 continue
-            powers = [self.identity]
-            h = g
-            while not h.is_identity():
-                powers.append(h)
-                h = h * g
-            s = frozenset(powers)
-            generator_of[s] = g
-            m = len(powers)
-            for k in range(m):
-                if math.gcd(k, m) == 1:
+            powers = self._powers(g)
+            s = _mask(powers)
+            members[s] = tuple(sorted(powers))
+            for k in range(len(powers)):
+                if math.gcd(k, len(powers)) == 1:
                     cyclic_of[powers[k]] = s
 
-        def conjugate(t, s, t_inv):
-            # t s t^-1 is generated by the conjugate of any generator of s
-            return cyclic_of[t * generator_of[s] * t_inv]
-
-        assigned: set[frozenset[Perm]] = set()
+        assigned: set[int] = set()
         classes = []
-        for base in sorted(generator_of, key=_set_key):
-            if base in assigned:
+        for g in range(self.order):
+            if cyclic_of[g] in assigned:
                 continue
-            orbit = self._orbit(base, conjugate)
-            rep_set = min(orbit, key=_set_key)
-            gen = min(h for h in rep_set if h.order() == len(rep_set))
-            rep = Subgroup._trusted(self, rep_set, (gen,), str(gen))
+            # the conjugates of <g> are the <x>, x in the class of g
+            orbit = {cyclic_of[x] for x in self.conjugacy_classes[self.class_of[g]].indices}
+            rep_set = min(orbit, key=members.__getitem__)
+            gen = next(x for x in members[rep_set] if cyclic_of[x] == rep_set)
+            gen = self.elements[gen]
+            rep = Subgroup._trusted(self, members[rep_set], (gen,), str(gen))
             classes.append(ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit)))
             assigned |= orbit
-        classes.sort(
-            key=lambda c: (c.order, c.class_size, _set_key(c.representative.members))
-        )
-        self._cyclic_class_of_set = {
-            s: i for i, c in enumerate(classes) for s in c.member_sets
-        }
+        classes.sort(key=lambda c: (c.order, c.class_size, c.representative.indices))
         return tuple(classes)
+
+    @cached_property
+    def cyclic_subgroup_masks(self) -> dict[int, int]:
+        """The member mask of every cyclic subgroup -> the index of its class."""
+        return {s: i for i, c in enumerate(self.cyclic_subgroup_classes) for s in c.member_masks}
 
     def cyclic_class_index(self, sub: "Subgroup") -> int:
         """Index of the cyclic-subgroup class containing sub."""
-        self.cyclic_subgroup_classes
         try:
-            return self._cyclic_class_of_set[sub.members]
+            return self.cyclic_subgroup_masks[sub.mask]
         except KeyError:
             raise GroupInputError(f"subgroup {sub.label or ''} is not cyclic") from None
 
@@ -399,26 +416,22 @@ class FiniteGroup:
     def merged_element_classes(self) -> tuple["ElementClass", ...]:
         """Elements fused by conjugacy of generated cyclic subgroups, one per cyclic class."""
         classes = self.cyclic_subgroup_classes
-        buckets: list[list[Perm]] = [[] for _ in classes]
-        for g in self.elements:
-            buckets[self._cyclic_class_of_set[self._cyclic_of[g]]].append(g)
-        return tuple(
-            ElementClass(min(b), tuple(sorted(b))) for b in buckets
-        )
+        buckets: list[list[int]] = [[] for _ in classes]
+        for g in range(self.order):
+            buckets[self.cyclic_subgroup_masks[self._cyclic_of[g]]].append(g)
+        return tuple(ElementClass(self, tuple(b)) for b in buckets)
 
     def subgroup_class(self, sub: "Subgroup") -> "ConjugacyClassOfSubgroups":
-        """Conjugacy class of an arbitrary subgroup (computed fresh unless cyclic)."""
+        """Conjugacy class of an arbitrary subgroup (its cached conjugates unless cyclic)."""
         if sub.is_cyclic:
             return self.cyclic_subgroup_classes[self.cyclic_class_index(sub)]
-        orbit = self._orbit(sub.members, _conj_set)
-        rep_set = min(orbit, key=_set_key)
-        rep = sub if sub.members == rep_set else Subgroup._trusted(self, rep_set, None, None)
-        return ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit))
+        orbit = frozenset(sub.conjugate_masks)
+        rep_set = min(orbit, key=_bits)
+        rep = sub if sub.mask == rep_set else Subgroup._trusted(self, _bits(rep_set), None, None)
+        return ConjugacyClassOfSubgroups(rep, len(orbit), orbit)
 
     def are_conjugate_subgroups(self, a: "Subgroup", b: "Subgroup") -> bool:
-        if a.order != b.order:
-            return False
-        return b.members in self.subgroup_class(a).member_sets
+        return a.order == b.order and b.mask in self.subgroup_class(a).member_masks
 
     # -- element input -----------------------------------------------------
 
@@ -465,12 +478,11 @@ class FiniteGroup:
 
 
 class Subgroup:
-    """A subgroup given by its explicit member set inside a parent group.
-
-    What depends on the subgroup alone is computed once and kept on it: the
-    normalizer, the left transversal, the class counts, the left-coset map
-    and the member sets of its conjugates (`conjugate_sets`), which the
-    marked points and double-coset route 2 intersect with each H.
+    """A subgroup given by its members, element indices held sorted (`indices`)
+    and as a bitmask (`mask`).  What depends on the subgroup alone is computed
+    once and kept on it: a generating set, the normalizer, the left transversal,
+    the class counts, the left-coset map and the member masks of its conjugates
+    (`conjugate_masks`), which the marks and double-coset route 2 meet with each H.
     """
 
     def __init__(self, *_args, **_kwargs):
@@ -478,12 +490,14 @@ class Subgroup:
 
     @classmethod
     def _trusted(cls, parent, members, generators, label) -> "Subgroup":
+        """members are element indices, generators permutations."""
         self = object.__new__(cls)
         self.parent = parent
-        self.members = members
+        self.indices = tuple(sorted(members))
+        self.mask = _mask(self.indices)
         self.generators = tuple(generators) if generators else None
         self.label = label
-        self.order = len(members)
+        self.order = len(self.indices)
         if parent.order % self.order:
             raise InternalCheckError("subgroup order does not divide group order")
         return self
@@ -491,12 +505,12 @@ class Subgroup:
     @classmethod
     def generated(cls, parent: FiniteGroup, generators: Sequence[Perm],
                   label: Optional[str] = None) -> "Subgroup":
-        gens = tuple(generators)
-        for g in gens:
+        generators = tuple(generators)
+        for g in generators:
             if g not in parent:
                 raise GroupInputError(f"generator {g} lies outside the parent group")
-        members = frozenset(_closure(parent.degree, gens, parent.order))
-        return cls._trusted(parent, members, gens, label)
+        members = parent._generated([parent.index(g) for g in generators])
+        return cls._trusted(parent, members, generators, label)
 
     @classmethod
     def from_members(cls, parent: FiniteGroup, members: Iterable[Perm],
@@ -507,13 +521,28 @@ class Subgroup:
         for g in mem:
             if g not in parent:
                 raise GroupInputError(f"member {g} lies outside the parent group")
-            if g.inverse() not in mem:
-                raise GroupInputError("member set is not closed under inversion")
-        for g in mem:
-            for h in mem:
-                if g * h not in mem:
-                    raise GroupInputError("member set is not closed under composition")
-        return cls._trusted(parent, mem, None, label)
+        idx = [parent.index(g) for g in mem]
+        if len(parent._generated(idx)) != len(idx):
+            raise GroupInputError("member set is not closed under composition")
+        return cls._trusted(parent, idx, None, label)
+
+    @property
+    def members(self) -> frozenset[Perm]:
+        return frozenset(map(self.parent.elements.__getitem__, self.indices))
+
+    @cached_property
+    def generating_set(self) -> tuple[int, ...]:
+        """Indices generating H: its generators, or else, greedily, the least
+        member not yet generated; each pick at least doubles the subgroup (Lagrange)."""
+        if self.generators:
+            return tuple(map(self.parent.index, self.generators))
+        gens: list[int] = []
+        reached = {0}
+        for g in self.indices:
+            if g not in reached:
+                gens.append(g)
+                reached = self.parent._generated(gens)
+        return tuple(gens)
 
     @property
     def index(self) -> int:
@@ -521,20 +550,14 @@ class Subgroup:
 
     @cached_property
     def is_cyclic(self) -> bool:
-        return any(g.order() == self.order for g in self.members)
-
-    def __contains__(self, g: Perm) -> bool:
-        return g in self.members
+        return self.mask in self.parent.cyclic_subgroup_masks
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and self.parent is other.parent
-            and self.members == other.members
-        )
+        return (isinstance(other, Subgroup) and self.parent is other.parent
+                and self.mask == other.mask)
 
     def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+        return hash((id(self.parent), self.mask))
 
     def __repr__(self) -> str:
         tag = self.label or "subgroup"
@@ -544,86 +567,79 @@ class Subgroup:
         cached = getattr(self, "_normalizer", None)
         if cached is not None:
             return cached
-        # t K t^-1 = K as soon as t conjugates K's generators into K
-        gens = self.generators if self.generators is not None else self.members
-        mem = []
-        for t in self.parent.elements:
-            t_inv = t.inverse()
-            if all(t * h * t_inv in self.members for h in gens):
-                mem.append(t)
-        mem = frozenset(mem)
+        # t K t^-1 = K as soon as t conjugates a generating set of K into K
+        G, inverses = self.parent, self.parent.inverses
+        mem = [t for t in range(G.order) if all(
+            self.mask >> G.product(G.product(t, k), inverses[t]) & 1 for k in self.generating_set
+        )]
         tag = f"N({self.label})" if self.label else None
-        self._normalizer = Subgroup._trusted(self.parent, mem, None, tag)
+        self._normalizer = Subgroup._trusted(G, mem, None, tag)
         return self._normalizer
 
     @cached_property
     def class_counts(self) -> tuple[tuple[int, int], ...]:
         """(class index, number of members in that class) for every class H meets."""
         counts: dict[int, int] = {}
-        for h in self.members:
-            j = self.parent.class_index[h]
+        class_of = self.parent.class_of
+        for h in self.indices:
+            j = class_of[h]
             counts[j] = counts.get(j, 0) + 1
         return tuple(sorted(counts.items()))
 
     @cached_property
-    def conjugate_sets(self) -> tuple[frozenset[Perm], ...]:
-        """The member sets of l K l^-1, one for each l of the left transversal
+    def conjugate_masks(self) -> tuple[int, ...]:
+        """The member masks of l K l^-1, one for each l of the left transversal
         of N(K), in transversal order; each conjugate of K appears once."""
+        G = self.parent
         return tuple(
-            _conj_set(ell, self.members, ell.inverse())
-            for ell in self.normalizer().left_transversal()
+            _mask(G.product(G.product(ell, k), G.inverses[ell]) for k in self.indices)
+            for ell in self.normalizer().transversal
         )
 
     @cached_property
-    def left_cosets(self) -> tuple[dict[Perm, int], tuple[Perm, ...]]:
-        """The left cosets gH: a map from each element to its coset's number,
-        and the least element of each coset, numbered in element order."""
-        coset_of: dict[Perm, int] = {}
-        reps: list[Perm] = []
-        for g in self.parent.elements:
-            if g in coset_of:
-                continue
-            cid = len(reps)
-            reps.append(g)
-            for h in self.members:
-                coset_of[g * h] = cid
+    def left_cosets(self) -> tuple[list[int], tuple[int, ...]]:
+        """The left cosets gH: each element's coset number, and the least
+        element of each coset, numbered in element order."""
+        G = self.parent
+        coset_of, reps = [-1] * G.order, []
+        for g in range(G.order):
+            if coset_of[g] < 0:
+                for h in self.indices:
+                    coset_of[G.product(g, h)] = len(reps)
+                reps.append(g)
         return coset_of, tuple(reps)
+
+    @cached_property
+    def transversal(self) -> tuple[int, ...]:
+        """One element index per left coset gH, each the least of its coset."""
+        G = self.parent
+        covered, reps = 0, []
+        for g in range(G.order):
+            if not covered >> g & 1:
+                reps.append(g)
+                covered |= _mask(G.product(g, h) for h in self.indices)
+        if len(reps) != self.index:
+            raise InternalCheckError("left transversal has the wrong size")
+        return tuple(reps)
 
     def left_transversal(self) -> tuple[Perm, ...]:
         """One representative per left coset gH, each the least element of its coset."""
-        cached = getattr(self, "_transversal", None)
-        if cached is not None:
-            return cached
-        covered: set[Perm] = set()
-        reps = []
-        for g in self.parent.elements:
-            if g in covered:
-                continue
-            reps.append(g)
-            covered.update(g * h for h in self.members)
-        if len(reps) != self.index:
-            raise InternalCheckError("left transversal has the wrong size")
-        self._transversal = tuple(reps)
-        return self._transversal
+        return tuple(map(self.parent.elements.__getitem__, self.transversal))
 
 
 class ElementClass:
-    """A class of group elements: a conjugacy class, or, in
-    `merged_element_classes`, the generators of one cyclic-subgroup class."""
+    """A class of group elements, held as sorted element indices: a conjugacy
+    class, or, in `merged_element_classes`, the generators of one
+    cyclic-subgroup class."""
 
-    __slots__ = ("representative", "members")
+    __slots__ = ("indices", "members", "representative", "size", "element_order")
 
-    def __init__(self, representative: Perm, members: tuple[Perm, ...]):
-        self.representative = representative
-        self.members = members
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def element_order(self) -> int:
-        return self.representative.order()
+    def __init__(self, group: FiniteGroup, indices: tuple[int, ...]):
+        self.indices = indices
+        self.members = tuple(map(group.elements.__getitem__, indices))
+        self.representative = self.members[0]
+        self.size = len(indices)
+        self.element_order = self.representative.order()
 
     def __repr__(self) -> str:
         return f"ElementClass({self.representative}, size={self.size})"
@@ -633,26 +649,24 @@ class ConjugacyClassOfSubgroups:
     """A conjugacy class of subgroups, held by a canonical representative."""
 
     def __init__(self, representative: Subgroup, class_size: int,
-                 member_sets: frozenset[frozenset[Perm]]):
+                 member_masks: frozenset[int]):
         self.representative = representative
         self.class_size = class_size
-        self.member_sets = member_sets
+        self.member_masks = member_masks
 
     @property
     def order(self) -> int:
         return self.representative.order
 
     def contains_subgroup(self, sub: Subgroup) -> bool:
-        return sub.members in self.member_sets
+        return sub.mask in self.member_masks
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ConjugacyClassOfSubgroups)
-            and self.member_sets == other.member_sets
-        )
+        return (isinstance(other, ConjugacyClassOfSubgroups)
+                and self.member_masks == other.member_masks)
 
     def __hash__(self) -> int:
-        return hash(self.member_sets)
+        return hash(self.member_masks)
 
     def __repr__(self) -> str:
         tag = self.representative.label or "?"
@@ -671,27 +685,25 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
     # orbits of a finite group are those of any generating set.  K's coset
     # map is built once and cached on K; routes 2 and 3 do not use it
     coset_of, reps = K.left_cosets
-    movers = H.generators if H.generators is not None else H.members
-    seen: set[int] = set()
+    cols = [G.left(h) for h in H.generating_set]
+    seen = [False] * len(reps)
     direct = 0
-    for cid, rep in enumerate(reps):
-        if cid in seen:
-            continue
-        direct += 1
-        stack = [rep]
-        seen.add(cid)
-        while stack:
-            r = stack.pop()
-            for h in movers:
-                c2 = coset_of[h * r]
-                if c2 not in seen:
-                    seen.add(c2)
-                    stack.append(reps[c2])
+    for cid in range(len(reps)):
+        if not seen[cid]:
+            direct += 1
+            seen[cid] = True
+            orbit = [cid]
+            for c in orbit:
+                for col in cols:
+                    c2 = coset_of[col[reps[c]]]
+                    if not seen[c2]:
+                        seen[c2] = True
+                        orbit.append(c2)
 
     # (2) transversal formula over the normalizer of K: sum over the
     # conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|
     ratio = K.normalizer().order // K.order
-    total = ratio * sum(len(conj_k & H.members) for conj_k in K.conjugate_sets)
+    total = ratio * sum((conj_k & H.mask).bit_count() for conj_k in K.conjugate_masks)
     by_transversal, rest = divmod(total, H.order)
     if rest:
         raise InternalCheckError("transversal double-coset formula is not integral")

@@ -310,7 +310,7 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable, sig: GeometricSignatu
             continue
         ker = table.kernel(chi)
         c1 = rec.dim_B == 0
-        c2 = all(stab.members <= ker.members for stab in reps)
+        c2 = not any(stab.mask & ~ker.mask for stab in reps)
         cover = cover_report(G, sig, ker)
         c3 = all(all(e == 1 for e in cs.entries) for cs in cover.cycle_structures)
         c4 = cover.genus == 1

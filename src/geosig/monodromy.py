@@ -43,26 +43,26 @@ def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAct
     for g in vec.elements():
         if g not in G:
             raise GroupInputError(f"vector element {g} is not in the group")
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for g in G.elements:
-        if g in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(g)
-        for h in H.members:
-            coset_of[h * g] = cid
+    # a right coset Hg is the orbit of g under left multiplication by H's generators
+    cols = [G.left(h) for h in H.generating_set]
+    coset_of, reps = [-1] * G.order, []
+    for g in range(G.order):
+        if coset_of[g] < 0:
+            coset_of[g] = len(reps)
+            orbit = [g]
+            for x in orbit:
+                for col in cols:
+                    if coset_of[col[x]] < 0:
+                        coset_of[col[x]] = len(reps)
+                        orbit.append(col[x])
+            reps.append(g)
 
     def image(g: Perm) -> Perm:
-        return Perm(coset_of[r * g] for r in reps)
+        times_g = G.right(G.index(g))
+        return Perm(coset_of[times_g[r]] for r in reps)
 
-    return CosetAction(
-        subgroup=H,
-        cosets=tuple(reps),
-        a_images=tuple(image(g) for g in vec.a),
-        b_images=tuple(image(g) for g in vec.b),
-        c_images=tuple(image(g) for g in vec.c),
-    )
+    images = (tuple(image(g) for g in part) for part in (vec.a, vec.b, vec.c))
+    return CosetAction(H, tuple(G.elements[r] for r in reps), *images)
 
 
 def _cycle_type(p: Perm) -> tuple[int, ...]:

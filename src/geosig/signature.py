@@ -238,12 +238,12 @@ def verify_generating_vector(G: FiniteGroup, sig: GeometricSignature,
     return VectorCheck(orders_ok, classes_ok, product_ok, generates)
 
 
-def _candidate_pool(G: FiniteGroup, entry: BranchEntry) -> tuple[Perm, ...]:
-    """Elements of order m whose generated subgroup lies in the entry's class."""
+def _candidate_pool(G: FiniteGroup, entry: BranchEntry) -> tuple[int, ...]:
+    """Indices of the elements of order m whose generated subgroup lies in the entry's class."""
     if entry.cls is None:
-        return tuple(g for g in G.elements if g.order() == entry.order)
+        return tuple(i for i, g in enumerate(G.elements) if g.order() == entry.order)
     idx = G.cyclic_class_index(entry.cls.representative)
-    return G.merged_element_classes[idx].members
+    return G.merged_element_classes[idx].indices
 
 
 def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
@@ -254,6 +254,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
     handle elements over the whole group, then c_1..c_{t-1} over their
     candidate pools; c_t is forced by the product relation and membership-
     tested.  Every candidate considered costs one node against the budget.
+    The search runs on element indices; the vector it returns holds `Perm`s.
     """
     signature_genus(G, sig)  # condition (i); raises InvalidSignatureError
     gamma, t = sig.quotient_genus, len(sig.entries)
@@ -261,6 +262,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
     if t and any(not pool for pool in pools):
         return None
     pool_sets = [frozenset(pool) for pool in pools]
+    mul, inverses = G.product, G.inverses
     nodes = 0
 
     def spend(n: int = 1):
@@ -269,41 +271,34 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
         if nodes > budget:
             raise SearchBudgetExceeded(budget)
 
-    def search_c(ab: tuple[Perm, ...], prefix: Perm) -> Optional[GeneratingVector]:
-        """Backtrack over c_1..c_{t-1}; prefix is commutators * chosen c's so far."""
-        a, b = ab[:gamma], ab[gamma:]
+    def vector(ab: tuple[int, ...], cs: tuple[int, ...]) -> Optional[GeneratingVector]:
+        """The vector of these indices, or None if they do not generate G."""
+        a, b, c = (tuple(G.elements[i] for i in part) for part in (ab[:gamma], ab[gamma:], cs))
+        return GeneratingVector(a, b, c) if G.is_generated_by(a + b + c) else None
 
-        def rec(depth: int, acc: Perm, chosen: tuple[Perm, ...]) -> Optional[GeneratingVector]:
-            if depth == t - 1:
-                last = acc.inverse()
-                spend()
-                if last not in pool_sets[t - 1]:
-                    return None
-                cs = chosen + (last,)
-                if G.is_generated_by(ab + cs):
-                    return GeneratingVector(a, b, cs)
-                return None
-            for cand in pools[depth]:
-                spend()
-                out = rec(depth + 1, acc * cand, chosen + (cand,))
-                if out is not None:
-                    return out
-            return None
-
-        if t == 0:
+    def search_c(ab: tuple[int, ...], acc: int, depth: int = 0,
+                 chosen: tuple[int, ...] = ()) -> Optional[GeneratingVector]:
+        """Backtrack over c_1..c_{t-1}; acc is commutators * chosen c's so far."""
+        if depth >= t - 1:  # no free choice left: t = 0, or c_t is forced
             spend()
-            if prefix.is_identity() and G.is_generated_by(ab):
-                return GeneratingVector(a, b, ())
-            return None
-        return rec(0, prefix, ())
+            if t == 0:
+                return vector(ab, ()) if acc == 0 else None
+            last = inverses[acc]
+            return vector(ab, chosen + (last,)) if last in pool_sets[t - 1] else None
+        for cand in pools[depth]:
+            spend()
+            out = search_c(ab, mul(acc, cand), depth + 1, chosen + (cand,))
+            if out is not None:
+                return out
+        return None
 
     if gamma == 0:
-        return search_c((), G.identity)
-    for ab in product(G.elements, repeat=2 * gamma):
+        return search_c((), 0)
+    for ab in product(range(G.order), repeat=2 * gamma):
         spend()
-        prefix = G.identity
-        for i in range(gamma):
-            prefix = prefix * _commutator(ab[i], ab[gamma + i])
+        prefix = 0
+        for x, y in zip(ab[:gamma], ab[gamma:]):
+            prefix = mul(prefix, mul(mul(x, y), mul(inverses[x], inverses[y])))
         found = search_c(ab, prefix)
         if found is not None:
             return found

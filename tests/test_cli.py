@@ -9,7 +9,8 @@ import pytest
 from geosig import covers, jacobian
 from geosig.cli import main
 from geosig.errors import InternalCheckError
-from geosig.groups import catalog
+from geosig.groups import Subgroup, catalog
+from geosig.signature import signature_from_payload
 
 D4_FIRST = json.dumps({
     "genus": 0,
@@ -354,3 +355,22 @@ def test_internal_defect_exits_70(capsys, monkeypatch, defect):
     assert catalog("wc3").digest in err
     assert WC3_FIRST in err
     assert "genus formulas disagree" in err
+
+
+def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):
+    # a conjugate cache shorter than the transversal of N(G_j) is a defect
+    # that names G_j and both lengths, never a bare zip() error
+    real = Subgroup.conjugate_masks.func
+    monkeypatch.setattr(Subgroup, "conjugate_masks", property(lambda K: real(K)[:-1]))
+    G = catalog("wc3")
+    sig = signature_from_payload(G, json.loads(WC3_FIRST))
+    with pytest.raises(InternalCheckError) as err:
+        covers.transversal_partition(G, sig, G.trivial_subgroup, 0)
+    message = str(err.value)
+    assert "G_0 = <(1,5,3,4,2,6)> of order 6" in message
+    assert "has 4 elements, its cached conjugates 3" in message
+    code, out, err = run(capsys, "lattice", "--group", "wc3", "--signature", WC3_FIRST,
+                         "--cross-check", "--format", "json")
+    assert code == 70
+    assert out == ""
+    assert message in err

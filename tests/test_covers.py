@@ -274,3 +274,35 @@ def test_new_subgroup_marks_make_no_products(monkeypatch):
     marked_points(G, sig, H)
     monkeypatch.undo()
     assert len(products) == 0
+
+
+@pytest.mark.parametrize("name, gamma, words, subgroups", [
+    ("symmetric(6)", 0, ("b", "a", "(1,2,3,4,5)"), ()),
+    ("wc3", 0, ("xa^2", "xyab", "xyzb"), (("y", "z", "xyzab"), ("y", "z", "ab"))),
+    ("symmetric(4)", 1, ("b", "b"), ()),
+])
+def test_pipeline_after_parsing_makes_no_perm_arithmetic(monkeypatch, name, gamma, words,
+                                                         subgroups):
+    # elements are indices inside the engine: past parsing, a lattice pass
+    # multiplies, inverts and powers no Perm
+    from geosig import jacobian, monodromy
+    from geosig.chartable import compute_table
+    from geosig.signature import find_generating_vector
+
+    G = catalog(name)
+    sig = geometric(G, gamma, *words)
+    subs = [G.subgroup_from_words(list(w)) for w in subgroups]
+    calls = []
+    for method in ("__mul__", "inverse", "__pow__"):
+        real = getattr(Perm, method)
+        monkeypatch.setattr(Perm, method, lambda *args, real=real, method=method: (
+            calls.append(method), real(*args))[1])
+    vec = find_generating_vector(G, sig)
+    for report in lattice_report(G, sig, subs):
+        monodromy.oracle_summary(G, report.subgroup, vec, gamma)
+    table = compute_table(G)
+    dec = jacobian.factor_dimensions(G, table, sig)
+    if gamma == 1:
+        jacobian.gamma1_analysis(G, table, sig, dec)
+    monkeypatch.undo()
+    assert calls == []

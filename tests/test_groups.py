@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -323,3 +324,22 @@ def test_are_conjugate_subgroups():
     C = G.subgroup([x * y])
     assert G.are_conjugate_subgroups(A, B)
     assert not G.are_conjugate_subgroups(A, C)
+
+
+def test_generating_set_of_a_subgroup_without_generators():
+    # the kernel of the sign character of symmetric(6) is alternating(6),
+    # given by its 360 members; a greedy generating set stays small
+    from geosig.chartable import compute_table
+
+    G = catalog("symmetric(6)")
+    T = compute_table(G)
+    sign = next(c for c in T.characters if c.degree == 1 and c.index != T.trivial_character_index)
+    H = T.kernel(sign)
+    assert H.order == 360 and H.generators is None
+    gens = H.generating_set
+    assert 1 <= len(gens) <= math.log2(H.order)
+    assert G.subgroup([G.elements[g] for g in gens]) == H
+    # a subgroup built from generators moves by those generators
+    K = G.subgroup_from_words(["a", "b"])
+    assert K.generating_set == tuple(G.index(g) for g in K.generators)
+    assert Subgroup.from_members(G, H.members).generating_set == gens

@@ -110,14 +110,19 @@ def subgroup_pairs(draw):
     return G, K, H
 
 
+def _perms(G, mask):
+    """The permutations whose indices a member mask holds."""
+    return frozenset(g for i, g in enumerate(G.elements) if mask >> i & 1)
+
+
 @settings(DERANDOMIZED, max_examples=80)
 @given(subgroup_pairs())
 def test_conjugate_sets_are_the_conjugates_in_transversal_order(case):
     G, K, H = case
     omega = K.normalizer().left_transversal()
-    sets = K.conjugate_sets
+    sets = [_perms(G, mask) for mask in K.conjugate_masks]
     assert len(sets) == len(omega) == len(set(sets))
-    assert set(sets) == G.subgroup_class(K).member_sets == {
+    assert set(sets) == {_perms(G, m) for m in G.subgroup_class(K).member_masks} == {
         frozenset(conj(t, k) for k in K.members) for t in G.elements
     }
     for ell, conj_k in zip(omega, sets):
@@ -192,6 +197,36 @@ def test_non_rational_weighted_sum_is_a_defect():
     x = G.element("x")
     chi = next(c for c in T.characters if not c.values[G.class_index[x]].is_rational())
     # {x} is not a subgroup, so the class sum of chi over it is not rational
-    not_a_subgroup = Subgroup._trusted(G, frozenset([x]), None, None)
+    not_a_subgroup = Subgroup._trusted(G, [G.index(x)], None, None)
     with pytest.raises(NotRationalError):
         T.fixed_dim(chi, not_a_subgroup)
+
+
+@st.composite
+def corpus_element_pairs(draw):
+    """A corpus group, drawn by name, and two of its element indices."""
+    G = corpus_group(draw(st.sampled_from(CORPUS_GROUPS)))
+    return G, draw(st.integers(0, G.order - 1)), draw(st.integers(0, G.order - 1))
+
+
+@DERANDOMIZED
+@given(corpus_element_pairs())
+def test_columns_and_products_match_perm_products(case):
+    G, a, b = case
+    els = G.elements
+    assert G.product(a, b) == G.index(els[a] * els[b])
+    assert G.inverses[a] == G.index(els[a].inverse())
+    assert G.right(b) == [G.index(x * els[b]) for x in els]
+    assert G.left(a) == [G.index(els[a] * x) for x in els]
+
+
+@settings(DERANDOMIZED, max_examples=80)
+@given(subgroup_pairs())
+def test_masks_match_member_sets_and_index_order_is_image_order(case):
+    G, K, H = case
+    assert _perms(G, K.mask) == K.members and len(K.indices) == K.order
+    assert (K.mask & H.mask).bit_count() == len(K.members & H.members)
+    # sorting by index is sorting by image tuple, the canonical order
+    assert [g.image for g in G.elements] == sorted(g.image for g in G.elements)
+    assert [G.elements[i].image for i in K.indices] == sorted(g.image for g in K.members)
+    assert G.elements[0].is_identity()
