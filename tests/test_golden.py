@@ -1,10 +1,13 @@
 """Byte-for-byte golden outputs of the command line.
 
-Each file in tests/golden/ is the exact `--format json` standard output of
-one command: every README example, `lattice --cross-check` plus
+Each `.json` file in tests/golden/ is the exact `--format json` standard
+output of one command: every README example, `lattice --cross-check` plus
 `decompose` on three larger cases, and `chartab` on a spread of catalog
-groups (symmetric, alternating, wreath, cyclic and dihedral).  A refactor of the engine must leave all
-of them unchanged.  Regenerate them only for an intended output change, and
+groups (symmetric, alternating, wreath, cyclic and dihedral).  Each `.txt`
+file is the `--format text` output of one of the TEXT_CASES: the README
+examples, `decompose` on symmetric(6), and `chartab` on cyclic(6), whose
+table has irrational values.  A refactor of the engine must leave all of
+them unchanged.  Regenerate them only for an intended output change, and
 record that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -56,12 +59,14 @@ for _group in ("symmetric(5)", "symmetric(6)", "alternating(5)", "alternating(6)
                "wc3", "cyclic(6)", "dihedral(6)"):
     _tag = re.sub(r"\W", "", _group)
     CASES[f"chartab_{_tag}"] = ["chartab", "--group", _group]
+TEXT_CASES = sorted(name for name in CASES if name.startswith("readme_")) + [
+    "decompose_s6", "chartab_cyclic6"]
 
 
-def _run(argv) -> tuple[int, bytes]:
+def _run(argv, fmt="json") -> tuple[int, bytes]:
     buf = io.StringIO()
     with redirect_stdout(buf):
-        code = main([*argv, "--format", "json"])
+        code = main([*argv, "--format", fmt])
     return code, buf.getvalue().encode()
 
 
@@ -72,11 +77,20 @@ def test_golden_output(name):
     assert out == (GOLDEN / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", TEXT_CASES)
+def test_golden_text(name):
+    code, out = _run(CASES[name], "text")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        code, out = _run(argv)
+    jobs = [(name, "json") for name in CASES] + [(name, "text") for name in TEXT_CASES]
+    for name, fmt in jobs:
+        code, out = _run(CASES[name], fmt)
         if code != 0:
-            raise SystemExit(f"{name}: exit status {code}")
-        (GOLDEN / f"{name}.json").write_bytes(out)
-        print(f"wrote {name}.json ({len(out)} bytes)")
+            raise SystemExit(f"{name} ({fmt}): exit status {code}")
+        path = GOLDEN / f"{name}.{'txt' if fmt == 'text' else fmt}"
+        path.write_bytes(out)
+        print(f"wrote {path.name} ({len(out)} bytes)")
