@@ -8,15 +8,16 @@ transform over power maps.  The prime is the smallest qualifying one, the
 subspace splitting is performed in a fixed order, and the finished rows are
 sorted by (degree, value sequence), so the table is deterministic.
 
-Character values are algebraic integers, so every hot path works on one
-integer row per character: for each class, the phi(e) coefficients of the
-value in the power basis of Z[zeta_e], e the group exponent.  The lift,
-the self-orthogonality norms, the Galois images, the fixed-space
-dimensions and the Frobenius-Schur indicators are integer sums, and
-rationals appear only at the final exact division.  `Character.values`
-holds the same values as `Cyclo` numbers for the public API and the
-outputs.  Powers of class representatives come from the group's one class
-power map, `FiniteGroup.class_powers`.
+Character values are algebraic integers, and a character stores them in
+one form only, its integer row `Character.row`: for each class, the phi(e)
+coefficients of the value in the power basis of Z[zeta_e], e the group
+exponent.  The lift, the self-orthogonality norms, the Galois images, the
+fixed-space dimensions and the Frobenius-Schur indicators are integer sums
+over these rows, and rationals appear only at the final exact division.
+`Character.values`, the same values as `Cyclo` numbers, is built from the
+row on first read, for the JSON and text output and for API callers.
+Powers of class representatives come from the group's one class power map,
+`FiniteGroup.class_powers`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import Cyclo, euler_phi, reduce_integral
 from .errors import GroupInputError, InternalCheckError, NotRationalError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, is_catalog_group
 
 SCHUR_COMPUTED = "computed-upper-bound"
 SCHUR_OVERRIDE = "user-override"
@@ -42,14 +43,20 @@ class SchurIndexWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Character:
-    """One irreducible complex character, with a value per conjugacy class."""
+    """One irreducible complex character, with a value per conjugacy class.
+
+    row[j] holds the phi(conductor) integer coefficients of the value on
+    class j in the power basis of Z[zeta_conductor].
+    """
 
     index: int
-    values: tuple[Cyclo, ...]
+    row: tuple[tuple[int, ...], ...]
+    conductor: int
     degree: int
 
-    def value_key(self):
-        return tuple(v.coeffs for v in self.values)
+    @cached_property
+    def values(self) -> tuple[Cyclo, ...]:
+        return tuple(Cyclo(self.conductor, v) for v in self.row)
 
 
 @dataclass
@@ -71,8 +78,18 @@ class CharacterTable:
         self.group = group
         self.classes = group.conjugacy_classes
         self.characters = tuple(characters)
-        self.rows = tuple(_integer_row(chi, group.exponent) for chi in self.characters)
-        self._row_index = {row: chi.index for chi, row in zip(self.characters, self.rows)}
+        phi = euler_phi(group.exponent)
+        for chi in self.characters:
+            if chi.conductor != group.exponent or any(len(v) != phi for v in chi.row):
+                raise InternalCheckError(
+                    f"character {chi.index} is not a row over Z[zeta_{group.exponent}]"
+                )
+            bad = next((c for v in chi.row for c in v if not isinstance(c, int)), None)
+            if bad is not None:
+                raise InternalCheckError(
+                    f"character {chi.index} has a non-integral coefficient: {bad}"
+                )
+        self._row_index = {chi.row: chi.index for chi in self.characters}
         self.galois_classes = self._build_galois_classes(schur_overrides or {})
         if len(self.galois_classes) != len(group.cyclic_subgroup_classes):
             raise InternalCheckError(
@@ -88,14 +105,14 @@ class CharacterTable:
     @cached_property
     def trivial_character_index(self) -> int:
         one = self._rational(1)
-        for chi, row in zip(self.characters, self.rows):
-            if all(v == one for v in row):
+        for chi in self.characters:
+            if all(v == one for v in chi.row):
                 return chi.index
         raise InternalCheckError("no trivial character found")
 
     def _weighted_sum(self, chi: Character, weights: Sequence[tuple[int, int]]) -> int:
         """Sum of n * chi(class j) over the (j, n) in weights, which must be rational."""
-        row = self.rows[chi.index]
+        row = chi.row
         total = [0] * len(row[0])
         for j, n in weights:
             total = [t + n * c for t, c in zip(total, row[j])]
@@ -139,7 +156,7 @@ class CharacterTable:
     def kernel(self, chi: Character) -> Subgroup:
         """Elements where the character reaches its degree; a normal subgroup."""
         top = self._rational(chi.degree)
-        at_degree = {j for j, v in enumerate(self.rows[chi.index]) if v == top}
+        at_degree = {j for j, v in enumerate(chi.row) if v == top}
         members = [g for g, j in enumerate(self.group.class_of) if j in at_degree]
         return Subgroup._trusted(self.group, members, None, f"ker(chi{chi.index})")
 
@@ -153,8 +170,7 @@ class CharacterTable:
 
     def _galois_image(self, chi: Character, k: int) -> tuple[tuple[int, ...], ...]:
         """The row of the Galois conjugate zeta -> zeta^k of chi: g -> chi(g^k)."""
-        row = self.rows[chi.index]
-        return tuple(row[powers[k % len(powers)]] for powers in self.group.class_powers)
+        return tuple(chi.row[powers[k % len(powers)]] for powers in self.group.class_powers)
 
     def _build_galois_classes(self, overrides: Mapping[int, int]) -> tuple[GaloisClass, ...]:
         e = self.group.exponent
@@ -289,26 +305,14 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-def _integer_row(chi: Character, e: int) -> tuple[tuple[int, ...], ...]:
-    """chi's values as integer coefficient tuples in the power basis of Z[zeta_e]."""
-    row = []
-    for v in chi.values:
-        coeffs = v.promoted(e).coeffs
-        if any(c.denominator != 1 for c in coeffs):
-            raise InternalCheckError(
-                f"character {chi.index} has a value with a non-integral coefficient: {v}"
-            )
-        row.append(tuple(c.numerator for c in coeffs))
-    return tuple(row)
-
-
 def schur_bound_is_verified(group: FiniteGroup) -> bool:
-    """True for groups where the computed Schur bound is known to be exact."""
-    name = group.name or ""
-    if name in ("quaternion8", "wc3"):
-        return True
-    family = name.split("(")[0]
-    if family in ("cyclic", "dihedral"):
+    """True for groups where the computed Schur bound is known to be exact:
+    catalog groups of the families below, never a group that only carries
+    such a name."""
+    if not is_catalog_group(group):
+        return False
+    family = group.name.split("(")[0]
+    if group.name in ("quaternion8", "wc3") or family in ("cyclic", "dihedral"):
         return True
     return family in ("symmetric", "alternating") and group.order <= 48
 
@@ -347,32 +351,6 @@ def _primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
     raise InternalCheckError(f"no primitive root mod {p}")
-
-
-def _sqrt_modp(a: int, p: int) -> int:
-    """Tonelli-Shanks square root; a must be a quadratic residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise InternalCheckError(f"{a} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
@@ -578,9 +556,11 @@ def compute_table(G: FiniteGroup,
         w = [v * scale % p for v in w]
         norm = sum(w[j] * w[inverse_class[j]] * inv_sizes[j] for j in range(s)) % p
         d2 = G.order * pow(norm, p - 2, p) % p
-        r = _sqrt_modp(d2, p)
-        degree = min(r, p - r)
-        if degree == 0 or degree * degree > G.order:
+        # p > 2*sqrt(|G|), so at most one d in 1..sqrt(|G|) squares to d2
+        degree = next(
+            (d for d in range(1, math.isqrt(G.order) + 1) if d * d % p == d2), None
+        )
+        if degree is None:
             raise InternalCheckError("lifted degree out of range")
         degrees_sq += degree * degree
         tvals = [degree * w[j] * inv_sizes[j] % p for j in range(s)]
@@ -624,7 +604,7 @@ def compute_table(G: FiniteGroup,
         if reduce_integral(norm, e) != target:
             raise InternalCheckError(f"character {i} fails self-orthogonality")
     chars = tuple(
-        Character(index=i, values=tuple(Cyclo(e, v) for v in row), degree=deg)
+        Character(index=i, row=row, conductor=e, degree=deg)
         for i, (deg, row) in enumerate(characters)
     )
     return CharacterTable(G, chars, schur_overrides)

@@ -145,11 +145,20 @@ def _quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
 
 def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
                           j: int) -> TransversalPartition:
-    """Split the transversal of N(G_j) by how the conjugates of G_j meet H.
+    """Split the transversal of N(G_j) by how the conjugates of G_j meet H."""
+    blocks = _meet_blocks(G, sig, H, j)
+    sets = tuple(tuple(G.elements[ell] for ell in block) for block in blocks.values())
+    return TransversalPartition(j, sets, tuple(blocks))
+
+
+def _meet_blocks(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
+                 j: int) -> dict[int, list[int]]:
+    """Meet size |l G_j l^-1 ∩ H| -> the indices l of the transversal of N(G_j)
+    with that meet, in first-appearance order.
 
     The conjugate l G_j l^-1 of each transversal element l is cached on G_j
     as a member mask (`Subgroup.conjugate_masks`, in transversal order), so
-    each meet |l G_j l^-1 ∩ H| is one bitwise and, and no product per H.
+    each meet is one bitwise and, and no product per H.
     """
     _require_geometric(sig)
     _check_subgroup(G, H)
@@ -160,12 +169,12 @@ def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
             f"G_{j} = <{Gj.label}> of order {Gj.order}: the transversal of its "
             f"normalizer has {len(omega)} elements, its cached conjugates {len(conjugates)}"
         )
-    groups: dict[int, list] = {}  # meet size -> its l, in first-appearance order
+    blocks: dict[int, list[int]] = {}
     for ell, conj_gj in zip(omega, conjugates):
-        groups.setdefault((conj_gj & H.mask).bit_count(), []).append(G.elements[ell])
-    if sum(map(len, groups.values())) != len(omega):
+        blocks.setdefault((conj_gj & H.mask).bit_count(), []).append(ell)
+    if sum(map(len, blocks.values())) != len(omega):
         raise InternalCheckError("transversal partition lost elements")
-    return TransversalPartition(j, tuple(map(tuple, groups.values())), tuple(groups))
+    return blocks
 
 
 def marked_points(G: FiniteGroup, sig: GeometricSignature,
@@ -177,8 +186,7 @@ def marked_points(G: FiniteGroup, sig: GeometricSignature,
     for j, entry in enumerate(sig.entries):
         Gj = entry.cls.representative
         ratio = Gj.normalizer().order // Gj.order
-        part = transversal_partition(G, sig, H, j)
-        for block, mark in zip(part.sets, part.intersection_sizes):
+        for mark, block in _meet_blocks(G, sig, H, j).items():
             count, rest = divmod(len(block) * ratio * mark, H.order)
             if rest or count <= 0:
                 raise InternalCheckError(

@@ -6,11 +6,14 @@ reduced modulo the e-th cyclotomic polynomial.  The reduced form is unique,
 so equality is a coefficient comparison.  No floating point is involved
 anywhere.
 
-`Cyclo` is the general, Fraction-backed value type.  Character values are
-algebraic integers, and the power basis is an integral basis of Z[zeta_e],
-so the character-table hot paths keep plain integer coefficient tuples
-instead (`reduce_integral` reduces them modulo the monic Phi_e without
-leaving Z); rationals appear there only at the final division.
+Character values are algebraic integers, and the power basis is an
+integral basis of Z[zeta_e], so the character table stores each value only
+as a plain integer coefficient tuple (`reduce_integral` reduces products
+modulo the monic Phi_e without leaving Z).  `Cyclo`, the Fraction-backed
+value type, is the output and reference type: the table builds it for
+JSON and text output, and the tests use it to recompute table quantities
+independently.  It is a ring with division by scalars; nothing in the
+engine inverts a cyclotomic number.
 """
 
 from __future__ import annotations
@@ -113,9 +116,6 @@ class Cyclo:
         m = math.lcm(self.conductor, other.conductor)
         return self.promoted(m), other.promoted(m)
 
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
@@ -163,14 +163,12 @@ class Cyclo:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Cyclo":
-        if isinstance(other, (int, Fraction)):
-            return Cyclo(self.conductor, [c / other for c in self.coeffs])
-        return self * _coerce(other).inverse()
+    def __truediv__(self, other: Scalar) -> "Cyclo":
+        return Cyclo(self.conductor, [c / other for c in self.coeffs])
 
     def __pow__(self, k: int) -> "Cyclo":
         if k < 0:
-            return (self ** (-k)).inverse()
+            raise ValueError("negative powers of a cyclotomic number are not supported")
         acc = Cyclo.rational(1, self.conductor)
         base = self
         while k:
@@ -179,20 +177,6 @@ class Cyclo:
             base = base * base
             k >>= 1
         return acc
-
-    def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_e."""
-        if self.is_zero():
-            raise ZeroDivisionError("cyclotomic division by zero")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        lead = next(c for c in reversed(r0) if c)
-        return Cyclo(self.conductor, [c / lead for c in s0])
 
     def conjugate(self) -> "Cyclo":
         """Complex conjugation, zeta -> zeta^-1."""
@@ -255,13 +239,6 @@ class Cyclo:
             "coeffs": [str(c) for c in self.coeffs],
         }
 
-    @staticmethod
-    def from_json(payload: dict) -> "Cyclo":
-        return Cyclo(
-            int(payload["conductor"]),
-            [Fraction(c) for c in payload["coeffs"]],
-        )
-
 
 def _coerce(value) -> Cyclo:
     if isinstance(value, Cyclo):
@@ -292,35 +269,3 @@ def _reduce(coeffs: list, conductor: int) -> list:
             work[i - deg + j] -= c * pj
     return work[:deg]
 
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    while den and not den[-1]:
-        den = den[:-1]
-    num = list(num)
-    if len(num) < len(den):
-        return [Fraction(0)], num
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
-    for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
-        q[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return q, num[: len(den) - 1]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]

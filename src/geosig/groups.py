@@ -796,4 +796,33 @@ def group_from_payload(payload: Mapping) -> FiniteGroup:
         if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", label):
             raise GroupInputError(f"bad generator name {label!r}")
         named[label] = Perm.parse(degree, str(text))
-    return FiniteGroup(degree, named_generators=named, name=payload.get("name"))
+    name = payload.get("name")
+    if name is not None and not isinstance(name, str):
+        raise GroupInputError("group spec 'name' must be a string")
+    return FiniteGroup(degree, named_generators=named, name=name)
+
+
+def _catalog_size(name: str) -> Optional[tuple[int, int]]:
+    """(degree, order) of the catalog group of that name, without building it;
+    None if the catalog has no such group within the order cap."""
+    key = name.replace(" ", "").lower()
+    if key in ("quaternion8", "wc3"):
+        return (8, 8) if key == "quaternion8" else (6, 48)
+    m = _CATALOG_RE.match(key)
+    if not m:
+        return None
+    family, n = m.group(1), int(m.group(2))
+    if family == "cyclic":
+        return (n, n) if n >= 1 else None
+    if family == "dihedral":
+        return (n, 2 * n) if n >= 3 else None
+    if (family == "alternating" and n < 3) or n > 7:  # 8!/2 exceeds the cap
+        return None
+    return n, math.factorial(n) // (2 if family == "alternating" else 1)
+
+
+def is_catalog_group(G: FiniteGroup) -> bool:
+    """Whether G is the catalog group of its name: same degree, order and
+    digest.  The catalog group is built only once degree and order match."""
+    return (isinstance(G.name, str) and _catalog_size(G.name) == (G.degree, G.order)
+            and catalog(G.name).digest == G.digest)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .chartable import CharacterTable, GaloisClass
+from .chartable import SCHUR_COMPUTED, CharacterTable, GaloisClass
 from .covers import cover_report, quotient_genus
 from .errors import GroupInputError, InternalCheckError
 from .groups import FiniteGroup, Subgroup
@@ -96,7 +96,7 @@ class DecompositionReport:
         head = ["class", "degree", "field", "schur", "n", "e", "dim B", "exponent"]
         rows = [head]
         for i, rec in enumerate(self.records):
-            star = "*" if rec.galois_class.schur_index_source != "computed-upper-bound" else ""
+            star = "*" if rec.galois_class.schur_index_source != SCHUR_COMPUTED else ""
             rows.append([
                 f"chi{rec.representative}{star}",
                 str(rec.degree),
@@ -110,7 +110,7 @@ class DecompositionReport:
         widths = [max(len(r[i]) for r in rows) for i in range(len(head))]
         lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
         lines.insert(1, "-" * len(lines[0]))
-        if any(rec.galois_class.schur_index_source != "computed-upper-bound"
+        if any(rec.galois_class.schur_index_source != SCHUR_COMPUTED
                for rec in self.records):
             lines.append("(* = user-supplied Schur index)")
         lines.append("")

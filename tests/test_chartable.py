@@ -14,6 +14,8 @@ from geosig.chartable import (
 )
 from geosig.cyclotomic import Cyclo
 from geosig.groups import catalog
+from geosig.jacobian import factor_dimensions, gamma1_analysis
+from geosig.signature import signature_from_payload
 
 CATALOG_SMALL = [
     "cyclic(1)", "cyclic(3)", "cyclic(4)", "cyclic(6)",
@@ -265,10 +267,40 @@ def test_kernel_subgroup():
 def test_table_determinism():
     a = compute_table(catalog("wc3"))
     b = compute_table(catalog("wc3"))
-    assert [c.value_key() for c in a.characters] == [c.value_key() for c in b.characters]
+    assert [c.row for c in a.characters] == [c.row for c in b.characters]
     assert a.to_json() == b.to_json()
 
 
 def test_render_text_runs():
     text = compute_table(catalog("dihedral(4)")).render_text()
     assert "chi0" in text and "galois class" in text
+
+
+def test_engine_builds_no_cyclo(monkeypatch):
+    # the integer rows are the only stored form of the character values;
+    # Cyclo numbers are built only for output, so the table, the
+    # decomposition and the gamma = 1 analysis construct none
+    built = []
+    real_init = Cyclo.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cyclo, "__init__", counting_init)
+    cases = [
+        ("wc3", 0, [(6, "xa^2"), (4, "xyab"), (2, "xyzb")]),
+        ("symmetric(6)", 0, [(2, "b"), (6, "a"), (5, "(1,2,3,4,5)")]),
+        ("symmetric(4)", 1, [(2, "b"), (2, "b")]),
+    ]
+    for name, genus, branches in cases:
+        G = catalog(name)
+        sig = signature_from_payload(G, {"genus": genus, "branches": [
+            {"order": m, "class_rep": rep} for m, rep in branches]})
+        T = compute_table(G)
+        report = factor_dimensions(G, T, sig)
+        if genus == 1:
+            gamma1_analysis(G, T, sig, report)
+    assert built == []
+    # the values are built on first read, from the rows
+    assert str(T.characters[-1].values[0]) == "3" and len(built) == len(T.classes)

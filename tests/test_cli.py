@@ -231,6 +231,35 @@ def test_chartab_text_and_json(capsys):
     assert "chi0" in out
 
 
+S6_GENERATORS = {"a": "(1,2,3,4,5,6)", "b": "(1,2)"}
+
+
+def test_schur_flag_needs_the_catalog_group_not_its_name(capsys):
+    # symmetric(6) under the name cyclic(5): the flag follows the group, so
+    # the Schur indices 2 known wrong on S6 are not reported as verified
+    for name in ("cyclic(5)", "symmetric(6)"):
+        spec = json.dumps({"name": name, "degree": 6, "generators": S6_GENERATORS})
+        code, out, _ = run(capsys, "chartab", "--group", spec, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["schur_bound_verified_group"] is False
+    code, out, _ = run(capsys, "chartab", "--group", "symmetric(6)", "--format", "json")
+    assert json.loads(out)["schur_bound_verified_group"] is False
+    # the catalog group itself, given inline under its own name, is verified
+    spec = json.dumps({"name": "symmetric(4)", "degree": 4,
+                       "generators": {"a": "(1,2,3,4)", "b": "(1,2)"}})
+    code, out, _ = run(capsys, "chartab", "--group", spec, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["schur_bound_verified_group"] is True
+
+
+def test_non_string_group_name_exits_64(capsys):
+    spec = json.dumps({"name": 5, "degree": 6, "generators": S6_GENERATORS})
+    code, out, err = run(capsys, "chartab", "--group", spec, "--format", "json")
+    assert code == 64
+    assert out == ""
+    assert "'name' must be a string" in err
+
+
 def test_group_file_and_signature_file(tmp_path, capsys):
     gpath = tmp_path / "d4.json"
     gpath.write_text(json.dumps({

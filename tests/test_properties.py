@@ -185,8 +185,8 @@ def test_frobenius_schur_matches_cyclo_average(case):
 def test_non_integral_coefficient_is_a_defect():
     T = _table("symmetric(4)")
     chi = T.characters[-1]
-    half = Cyclo(T.group.exponent, [Fraction(1, 2)])
-    bad = Character(chi.index, (half,) + chi.values[1:], chi.degree)
+    half = (Fraction(1, 2),) + chi.row[0][1:]
+    bad = Character(chi.index, (half,) + chi.row[1:], chi.conductor, chi.degree)
     with pytest.raises(InternalCheckError, match="non-integral"):
         CharacterTable(T.group, T.characters[:-1] + (bad,))
 
