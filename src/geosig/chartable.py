@@ -306,15 +306,13 @@ class CharacterTable:
 
 
 def schur_bound_is_verified(group: FiniteGroup) -> bool:
-    """True for groups where the computed Schur bound is known to be exact:
-    catalog groups of the families below, never a group that only carries
-    such a name."""
-    if not is_catalog_group(group):
-        return False
-    family = group.name.split("(")[0]
-    if group.name in ("quaternion8", "wc3") or family in ("cyclic", "dihedral"):
-        return True
-    return family in ("symmetric", "alternating") and group.order <= 48
+    """True for the catalog groups where the computed Schur bound is known to
+    be exact; a group that only carries such a name does not count."""
+    name = group.name if isinstance(group.name, str) else ""
+    family = name.split("(")[0]
+    listed = (name in ("quaternion8", "wc3") or family in ("cyclic", "dihedral")
+              or (family in ("symmetric", "alternating") and group.order <= 48))
+    return listed and is_catalog_group(group)
 
 
 # -- modular linear algebra ---------------------------------------------------

@@ -268,4 +268,3 @@ def _reduce(coeffs: list, conductor: int) -> list:
         for j, pj in enumerate(phi):
             work[i - deg + j] -= c * pj
     return work[:deg]
-

@@ -823,6 +823,7 @@ def _catalog_size(name: str) -> Optional[tuple[int, int]]:
 
 def is_catalog_group(G: FiniteGroup) -> bool:
     """Whether G is the catalog group of its name: same degree, order and
-    digest.  The catalog group is built only once degree and order match."""
+    elements, so the same digest.  The catalog group is built only once
+    degree and order match."""
     return (isinstance(G.name, str) and _catalog_size(G.name) == (G.degree, G.order)
-            and catalog(G.name).digest == G.digest)
+            and catalog(G.name)._images == G._images)

@@ -127,3 +127,9 @@ def test_str_forms():
     assert str(Cyclo.zeta(4)) == "z4"
     assert str(-Cyclo.zeta(4)) == "-z4"
     assert str(Cyclo(5, [1, 0, 2])) == "1+2*z5^2"
+
+
+def test_negative_power_is_refused():
+    # the engine never inverts a cyclotomic number, so Cyclo has no inverse
+    with pytest.raises(ValueError, match="negative powers"):
+        Cyclo.zeta(5) ** -1

@@ -191,6 +191,15 @@ def test_non_integral_coefficient_is_a_defect():
         CharacterTable(T.group, T.characters[:-1] + (bad,))
 
 
+def test_row_over_another_conductor_is_a_defect():
+    T = _table("symmetric(4)")
+    chi = T.characters[-1]
+    rational = tuple(v[:1] for v in chi.row)  # the same rational values in Z[zeta_1]
+    bad = Character(chi.index, rational, 1, chi.degree)
+    with pytest.raises(InternalCheckError, match="not a row over Z"):
+        CharacterTable(T.group, T.characters[:-1] + (bad,))
+
+
 def test_non_rational_weighted_sum_is_a_defect():
     T = _table("cyclic(6)")
     G = T.group
