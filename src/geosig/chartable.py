@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import Cyclo, euler_phi, reduce_integral
 from .errors import GroupInputError, InternalCheckError, NotRationalError
-from .groups import FiniteGroup, Subgroup, is_catalog_group
+from .groups import FiniteGroup, Subgroup
 
 SCHUR_COMPUTED = "computed-upper-bound"
 SCHUR_OVERRIDE = "user-override"
@@ -235,8 +235,8 @@ class CharacterTable:
     def _schur_upper_bound(self, chi: Character) -> int:
         """gcd of the nonzero multiplicities of chi in 1-inductions from cyclic subgroups.
 
-        The true Schur index divides this bound; it is exact on every group
-        in the verified list.
+        The true Schur index divides this bound; `schur_bound_is_verified`
+        says whether every bound of the table is proven exact.
         """
         vals = []
         for cls in self.group.cyclic_subgroup_classes:
@@ -305,14 +305,20 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-def schur_bound_is_verified(group: FiniteGroup) -> bool:
-    """True for the catalog groups where the computed Schur bound is known to
-    be exact; a group that only carries such a name does not count."""
-    name = group.name if isinstance(group.name, str) else ""
-    family = name.split("(")[0]
-    listed = (name in ("quaternion8", "wc3") or family in ("cyclic", "dihedral")
-              or (family in ("symmetric", "alternating") and group.order <= 48))
-    return listed and is_catalog_group(group)
+def schur_bound_is_verified(table: CharacterTable) -> bool:
+    """True when the computed Schur bound of every Galois class is proven exact.
+
+    The bound is a multiple of the rational Schur index m.  A bound of 1 is
+    therefore exact, and so is a bound of 2 on a character of indicator -1,
+    whose real Schur index 2 divides m.  The bound is recomputed here, so a
+    `--schur-override` never enters the flag, and neither does the group's name.
+    """
+    for gc in table.galois_classes:
+        chi = table.characters[gc.representative]
+        bound = table._schur_upper_bound(chi)
+        if bound != 1 and not (bound == 2 and table.frobenius_schur_indicator(chi) == -1):
+            return False
+    return True
 
 
 # -- modular linear algebra ---------------------------------------------------

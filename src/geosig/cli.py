@@ -145,22 +145,29 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _resolve_geometric(G: FiniteGroup, sig: GeometricSignature,
-                       budget: int) -> GeometricSignature:
-    """Refine a plain signature; demand a unique realizable refinement."""
+                       budget: int) -> tuple[GeometricSignature, GeneratingVector]:
+    """A realizable geometric signature and the generating vector found for it;
+    a plain signature must have exactly one realizable refinement."""
     if sig.is_geometric:
-        return sig
-    candidates = []
+        vec = find_generating_vector(G, sig, budget)
+        if vec is None:
+            raise InvalidSignatureError(
+                "no generating vector exists for this geometric signature"
+            )
+        return sig, vec
+    found = []
     for refined in refinements(G, sig):
         try:
-            if find_generating_vector(G, refined, budget) is not None:
-                candidates.append(refined)
+            vec = find_generating_vector(G, refined, budget)
         except InvalidSignatureError:
             break  # genus arithmetic is shared by all refinements
-    if len(candidates) == 1:
-        return candidates[0]
-    if not candidates:
+        if vec is not None:
+            found.append((refined, vec))
+    if len(found) == 1:
+        return found[0]
+    if not found:
         raise InvalidSignatureError("no realizable refinement of the plain signature")
-    listing = "; ".join(str(c) for c in candidates)
+    listing = "; ".join(str(refined) for refined, _ in found)
     raise GroupInputError(
         f"plain signature is ambiguous; realizable refinements: {listing}. "
         "Specify class_rep entries to choose one."
@@ -210,21 +217,13 @@ def cmd_exists(args, G: FiniteGroup) -> int:
 
 
 def _prepare_realizable(args, G: FiniteGroup) -> tuple[GeometricSignature,
-                                                       Optional[GeneratingVector]]:
+                                                       GeneratingVector]:
     """Shared lattice/decompose input handling: geometric + realizable."""
     if args.budget <= 0:
         raise GroupInputError("--budget must be positive")
     sig = load_signature(G, args.signature)
     signature_genus(G, sig)  # raises InvalidSignatureError -> exit 1
-    sig = _resolve_geometric(G, sig, args.budget)
-    vec = None
-    if not args.assume_realizable or args.cross_check:
-        vec = find_generating_vector(G, sig, args.budget)
-        if vec is None:
-            raise InvalidSignatureError(
-                "no generating vector exists for this geometric signature"
-            )
-    return sig, vec
+    return _resolve_geometric(G, sig, args.budget)
 
 
 def cmd_lattice(args, G: FiniteGroup) -> int:
@@ -270,7 +269,7 @@ def cmd_decompose(args, G: FiniteGroup) -> int:
     payload = {
         "group": _group_header(G),
         "signature": sig.to_json(),
-        "schur_bound_verified_group": schur_bound_is_verified(G),
+        "schur_bound_verified_group": schur_bound_is_verified(table),
         "decomposition": report.to_json(),
     }
     text = [f"signature {sig}; total genus {report.total_genus}", report.render_text()]
@@ -288,7 +287,7 @@ def cmd_decompose(args, G: FiniteGroup) -> int:
 def cmd_chartab(args, G: FiniteGroup) -> int:
     table = compute_table(G, _parse_overrides(args.schur_override))
     payload = table.to_json()
-    payload["schur_bound_verified_group"] = schur_bound_is_verified(G)
+    payload["schur_bound_verified_group"] = schur_bound_is_verified(table)
     _emit(args, payload, table.render_text())
     return EX_OK
 
@@ -340,17 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "as words or in cycle notation, e.g. 'y,z,ab' or '(1,4),(2,5)'")
     p.add_argument("--cross-check", action="store_true",
                    help="recompute every report with the coset-action oracle")
-    p.add_argument("--assume-realizable", action="store_true",
-                   help="skip the existence search")
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("decompose", help="isogeny decomposition of the Jacobian action")
     common(p)
     p.add_argument("--schur-override", action="append", default=[],
                    metavar="IDX=VAL", help="override the Schur index of a character")
-    p.add_argument("--assume-realizable", action="store_true",
-                   help="skip the existence search")
-    p.set_defaults(func=cmd_decompose, cross_check=False)
+    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("chartab", help="exact character table with Galois classes")
     common(p, signature=False)

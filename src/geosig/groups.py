@@ -782,12 +782,18 @@ def catalog(name: str) -> FiniteGroup:
     return FiniteGroup(n, named_generators={"a": a, "b": b}, name=key)
 
 
+def json_int(payload, key: str, message: str) -> int:
+    """payload[key] when payload is a JSON object and that value a JSON integer,
+    an int that is not a bool; anything else raises GroupInputError(message)."""
+    value = payload.get(key) if isinstance(payload, Mapping) else None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GroupInputError(message)
+    return value
+
+
 def group_from_payload(payload: Mapping) -> FiniteGroup:
     """Build a group from the JSON group-specification object."""
-    try:
-        degree = int(payload["degree"])
-    except (KeyError, TypeError, ValueError):
-        raise GroupInputError("group spec needs an integer 'degree'") from None
+    degree = json_int(payload, "degree", "group spec needs an integer 'degree'")
     raw = payload.get("generators")
     if not isinstance(raw, Mapping) or not raw:
         raise GroupInputError("group spec needs a non-empty 'generators' object")
@@ -800,30 +806,3 @@ def group_from_payload(payload: Mapping) -> FiniteGroup:
     if name is not None and not isinstance(name, str):
         raise GroupInputError("group spec 'name' must be a string")
     return FiniteGroup(degree, named_generators=named, name=name)
-
-
-def _catalog_size(name: str) -> Optional[tuple[int, int]]:
-    """(degree, order) of the catalog group of that name, without building it;
-    None if the catalog has no such group within the order cap."""
-    key = name.replace(" ", "").lower()
-    if key in ("quaternion8", "wc3"):
-        return (8, 8) if key == "quaternion8" else (6, 48)
-    m = _CATALOG_RE.match(key)
-    if not m:
-        return None
-    family, n = m.group(1), int(m.group(2))
-    if family == "cyclic":
-        return (n, n) if n >= 1 else None
-    if family == "dihedral":
-        return (n, 2 * n) if n >= 3 else None
-    if (family == "alternating" and n < 3) or n > 7:  # 8!/2 exceeds the cap
-        return None
-    return n, math.factorial(n) // (2 if family == "alternating" else 1)
-
-
-def is_catalog_group(G: FiniteGroup) -> bool:
-    """Whether G is the catalog group of its name: same degree, order and
-    elements, so the same digest.  The catalog group is built only once
-    degree and order match."""
-    return (isinstance(G.name, str) and _catalog_size(G.name) == (G.degree, G.order)
-            and catalog(G.name)._images == G._images)

@@ -194,8 +194,8 @@ def solve_omega_system(G: FiniteGroup, table: CharacterTable,
     )
 
 
-def factor_dimensions(G: FiniteGroup, table: CharacterTable, sig: GeometricSignature,
-                      genera: Optional[Sequence[int]] = None) -> DecompositionReport:
+def factor_dimensions(G: FiniteGroup, table: CharacterTable,
+                      sig: GeometricSignature) -> DecompositionReport:
     """Dimensions and exponents of the isogeny factors, fully cross-checked.
 
     The factor of a Galois class with k = schur_index * field_degree has
@@ -243,11 +243,9 @@ def factor_dimensions(G: FiniteGroup, table: CharacterTable, sig: GeometricSigna
         )
 
     # independent route: solve the linear system over the quotient genera
-    if genera is None:
-        genera = [
-            quotient_genus(G, sig, cls.representative)
-            for cls in G.cyclic_subgroup_classes
-        ]
+    genera = [
+        quotient_genus(G, sig, cls.representative) for cls in G.cyclic_subgroup_classes
+    ]
     omega = solve_omega_system(G, table, genera)
     expected = tuple(multiplicities[gc.representative] for gc in table.galois_classes)
     if omega.solution != expected:

@@ -19,7 +19,7 @@ from .errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from .groups import ConjugacyClassOfSubgroups, FiniteGroup, Perm, Subgroup
+from .groups import ConjugacyClassOfSubgroups, FiniteGroup, Perm, Subgroup, json_int
 
 DEFAULT_SEARCH_BUDGET = 10 ** 8
 
@@ -86,19 +86,13 @@ class GeometricSignature:
 
 def signature_from_payload(G: FiniteGroup, payload: Mapping) -> GeometricSignature:
     """Build a signature from its JSON object, resolving class_rep words."""
-    try:
-        genus = int(payload["genus"])
-    except (KeyError, TypeError, ValueError):
-        raise GroupInputError("signature spec needs an integer 'genus'") from None
+    genus = json_int(payload, "genus", "signature spec needs an integer 'genus'")
     branches = payload.get("branches", [])
     if not isinstance(branches, Sequence) or isinstance(branches, str):
         raise GroupInputError("'branches' must be a list")
     entries = []
     for raw in branches:
-        try:
-            order = int(raw["order"])
-        except (KeyError, TypeError, ValueError):
-            raise GroupInputError("each branch needs an integer 'order'") from None
+        order = json_int(raw, "order", "each branch needs an integer 'order'")
         word = raw.get("class_rep")
         if word is None:
             entries.append(BranchEntry(order))

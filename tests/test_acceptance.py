@@ -254,7 +254,7 @@ def test_criterion_8_character_table_exactness():
                   if T.characters[g.representative].degree == 2)
         assert gc.schur_index == 2
         assert gc.schur_index_source == SCHUR_COMPUTED
-        assert schur_bound_is_verified(group("quaternion8"))
+        assert schur_bound_is_verified(T)
 
 
 def test_criterion_9_positive_dimensions_for_large_quotient_genus():

@@ -209,7 +209,7 @@ def test_schur_index_quaternion():
     assert two_dim.schur_index == 2
     assert two_dim.schur_index_source == SCHUR_COMPUTED
     assert T.frobenius_schur_indicator(T.characters[two_dim.representative]) == -1
-    assert schur_bound_is_verified(G)
+    assert schur_bound_is_verified(T)
 
 
 def test_schur_index_linear_characters_are_one():

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from geosig import covers, jacobian
+from geosig import cli, covers, jacobian
 from geosig.cli import main
 from geosig.errors import InternalCheckError
 from geosig.groups import Subgroup, catalog
-from geosig.signature import signature_from_payload
+from geosig.signature import refinements, signature_from_payload
 
 D4_FIRST = json.dumps({
     "genus": 0,
@@ -143,6 +143,47 @@ def test_lattice_unrealizable_exit_1(capsys):
     assert "not realizable" in err
 
 
+@pytest.mark.parametrize("group,signature", [
+    ("dihedral(4)", D4_SECOND),
+    ("symmetric(4)", json.dumps({"genus": 1, "branches": [{"order": 2, "class_rep": "b"}]})),
+], ids=["d4", "s4"])
+def test_decompose_unrealizable_exits_1(capsys, group, signature):
+    # the existence search always runs first, so no arithmetic on an
+    # unrealizable signature can fail as an internal defect
+    code, out, err = run(capsys, "decompose", "--group", group, "--signature", signature)
+    assert code == 1
+    assert out == ""
+    assert "not realizable" in err
+
+
+def test_assume_realizable_is_gone(capsys):
+    for command in ("lattice", "decompose"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--group", "dihedral(4)", "--signature", D4_FIRST,
+                  "--assume-realizable"])
+        assert exc.value.code == 64
+        assert "--assume-realizable" in capsys.readouterr().err
+
+
+def test_plain_signature_is_searched_once_per_refinement(capsys, monkeypatch):
+    searched = []
+    real = cli.find_generating_vector
+
+    def counting(G, sig, *rest):
+        searched.append(str(sig))
+        return real(G, sig, *rest)
+
+    monkeypatch.setattr(cli, "find_generating_vector", counting)
+    code, _, _ = run(capsys, "lattice", "--group", "alternating(6)", "--signature",
+                     json.dumps({"genus": 0, "branches": [{"order": 4}, {"order": 4},
+                                                          {"order": 5}]}))
+    assert code == 0
+    G = catalog("alternating(6)")
+    sig = signature_from_payload(G, {"genus": 0, "branches": [
+        {"order": 4}, {"order": 4}, {"order": 5}]})
+    assert searched == [str(refined) for refined in refinements(G, sig)]
+
+
 def test_lattice_plain_signature_unique_refinement(capsys):
     # cyclic(4) with plain (1; 2,2): the only order-2 class is <x^2>
     code, out, _ = run(capsys, "lattice", "--group", "cyclic(4)",
@@ -234,7 +275,7 @@ def test_chartab_text_and_json(capsys):
 S6_GENERATORS = {"a": "(1,2,3,4,5,6)", "b": "(1,2)"}
 
 
-def test_schur_flag_needs_the_catalog_group_not_its_name(capsys):
+def test_schur_flag_follows_the_group_not_its_name(capsys):
     # symmetric(6) under the name cyclic(5): the flag follows the group, so
     # the Schur indices 2 known wrong on S6 are not reported as verified
     for name in ("cyclic(5)", "symmetric(6)"):
@@ -250,6 +291,63 @@ def test_schur_flag_needs_the_catalog_group_not_its_name(capsys):
     code, out, _ = run(capsys, "chartab", "--group", spec, "--format", "json")
     assert code == 0
     assert json.loads(out)["schur_bound_verified_group"] is True
+
+
+def flag(capsys, *argv):
+    code, out, _ = run(capsys, "chartab", "--format", "json", *argv)
+    assert code == 0
+    return json.loads(out)["schur_bound_verified_group"]
+
+
+def test_schur_flag_is_proven_from_the_bounds(capsys):
+    # every Schur bound of symmetric(5) is 1, so its flag is proven, under
+    # the catalog name and inline
+    assert flag(capsys, "--group", "symmetric(5)") is True
+    s5 = {"degree": 5, "generators": {"a": "(1,2,3,4,5)", "b": "(1,2)"}}
+    assert flag(capsys, "--group", json.dumps(s5)) is True
+    # dihedral(4) on other labels is not the catalog group, and is proven
+    d4 = {"name": "dihedral(4)", "degree": 4,
+          "generators": {"r": "(1,2,4,3)", "s": "(1,4)"}}
+    assert flag(capsys, "--group", json.dumps(d4)) is True
+
+
+def test_schur_overrides_do_not_reach_the_flag(capsys):
+    # symmetric(6) has the bound 2 on characters 8, 9 and 10 with indicator
+    # +1; pinning their indices to 1 changes the table, not the proof
+    overrides = ["--schur-override", "8=1", "--schur-override", "9=1",
+                 "--schur-override", "10=1"]
+    code, out, _ = run(capsys, "chartab", "--group", "symmetric(6)",
+                       "--format", "json", *overrides)
+    assert code == 0
+    payload = json.loads(out)
+    assert {gc["schur_index_source"] for gc in payload["galois_classes"]
+            if gc["members"][0] in (8, 9, 10)} == {"user-override"}
+    assert payload["schur_bound_verified_group"] is False
+    code, out, _ = run(capsys, "decompose", "--group", "symmetric(6)", "--signature",
+                       json.dumps({"genus": 0, "branches": [
+                           {"order": 2, "class_rep": "b"}, {"order": 6, "class_rep": "a"},
+                           {"order": 5, "class_rep": "(1,2,3,4,5)"}]}),
+                       "--format", "json", *overrides)
+    assert code == 0
+    assert json.loads(out)["schur_bound_verified_group"] is False
+
+
+@pytest.mark.parametrize("group,signature", [
+    (None, {"genus": 0.9, "branches": []}),
+    (None, {"genus": True, "branches": []}),
+    (None, {"genus": "0", "branches": []}),
+    (None, {"genus": 0, "branches": [{"order": 2.5}, {"order": 2}, {"order": 2}]}),
+    ({"degree": 4.7, "generators": {"x": "(1,2,3,4)", "y": "(1,3)"}},
+     {"genus": 0, "branches": []}),
+], ids=["genus-float", "genus-bool", "genus-string", "order-float", "degree-float"])
+def test_json_integers_must_be_integers(capsys, group, signature):
+    # int() would truncate or convert each of these and echo the result
+    code, out, err = run(capsys, "exists",
+                         "--group", json.dumps(group) if group else "dihedral(4)",
+                         "--signature", json.dumps(signature), "--format", "json")
+    assert code == 64
+    assert out == ""
+    assert "needs an integer" in err
 
 
 def test_non_string_group_name_exits_64(capsys):
@@ -323,14 +421,14 @@ def test_closed_stdout_exits_74():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "geosig.cli", "chartab", "--group", "symmetric(6)",
          "--format", "json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 74
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 74
     assert err.startswith("error: cannot write the output:"), err
     assert "Traceback" not in err and "Exception ignored" not in err
 

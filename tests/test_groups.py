@@ -12,7 +12,6 @@ from geosig.groups import (
     conj,
     double_coset_count,
     group_from_payload,
-    is_catalog_group,
 )
 
 
@@ -87,25 +86,6 @@ def test_group_order_cap():
     for name in ("dihedral(1001)", "symmetric(7)"):
         with pytest.raises(GroupInputError, match="exceeds the supported cap of 2000"):
             catalog(name)
-
-
-def test_is_catalog_group_needs_the_named_group():
-    names = ("cyclic(1)", "cyclic(6)", "dihedral(5)", "symmetric(1)", "symmetric(4)",
-             "alternating(3)", "alternating(5)", "quaternion8", "wc3")
-    for name in names:
-        G = catalog(name)
-        assert is_catalog_group(G), name
-        other = "quaternion8" if name == "wc3" else "wc3"
-        assert not is_catalog_group(FiniteGroup(G.degree, G.generators, name=other))
-    # same name, degree and order, other elements: D4 on other labels
-    D4 = FiniteGroup(4, [Perm.parse(4, "(1,2,4,3)"), Perm.parse(4, "(1,4)")],
-                     name="dihedral(4)")
-    assert D4.order == 8 and not is_catalog_group(D4)
-    # the name of a group past the order cap is refused without building it
-    assert not is_catalog_group(FiniteGroup(3, [Perm.parse(3, "(1,2,3)")],
-                                            name="symmetric(100000)"))
-    with pytest.raises(GroupInputError, match="'name' must be a string"):
-        group_from_payload({"name": 5, "degree": 2, "generators": {"a": "(1,2)"}})
 
 
 def test_is_generated_by():
@@ -325,6 +305,8 @@ def test_group_from_payload_roundtrip():
         group_from_payload({"degree": 4, "generators": {}})
     with pytest.raises(GroupInputError):
         group_from_payload({"generators": {"x": "(1,2)"}})
+    with pytest.raises(GroupInputError, match="'name' must be a string"):
+        group_from_payload({"name": 5, "degree": 2, "generators": {"a": "(1,2)"}})
 
 
 def test_wc3_named_subgroups_are_nonconjugate():

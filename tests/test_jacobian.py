@@ -1,5 +1,6 @@
 import pytest
 
+from geosig import jacobian
 from geosig.chartable import compute_table
 from geosig.covers import quotient_genus
 from geosig.errors import GroupInputError, InternalCheckError
@@ -274,12 +275,12 @@ def test_report_json_shape():
     assert "matrix" in payload["omega"]
 
 
-def test_decomposition_respects_genera_argument():
+def test_decomposition_rejects_wrong_quotient_genera(monkeypatch):
+    # the omega system over the cyclic-subgroup quotient genera is an
+    # independent route: genera off by one must not pass the comparison
     G, T, sig = cyclic4_setup()
-    good = [quotient_genus(G, sig, cls.representative)
-            for cls in G.cyclic_subgroup_classes]
-    report = factor_dimensions(G, T, sig, genera=good)
-    assert report.total_genus == 3
-    bad = [g + 1 for g in good]
+    assert factor_dimensions(G, T, sig).total_genus == 3
+    monkeypatch.setattr(jacobian, "quotient_genus",
+                        lambda *args: quotient_genus(*args) + 1)
     with pytest.raises(InternalCheckError):
-        factor_dimensions(G, T, sig, genera=bad)
+        factor_dimensions(G, T, sig)
