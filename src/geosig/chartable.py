@@ -23,7 +23,6 @@ Powers of class representatives come from the group's one class power map,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -35,10 +34,6 @@ from .groups import FiniteGroup, Subgroup
 
 SCHUR_COMPUTED = "computed-upper-bound"
 SCHUR_OVERRIDE = "user-override"
-
-
-class SchurIndexWarning(UserWarning):
-    """The Schur data looks inconsistent with the Frobenius-Schur indicator."""
 
 
 @dataclass(frozen=True)
@@ -59,15 +54,27 @@ class Character:
         return tuple(Cyclo(self.conductor, v) for v in self.row)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaloisClass:
-    """A Galois orbit of irreducible characters."""
+    """A Galois orbit of irreducible characters with its Schur data, built once.
+
+    `schur_bound` (`_schur_upper_bound`) and the Frobenius-Schur `indicator`
+    are Galois invariants, computed on the representative, the least member;
+    `schur_index` is the override when one is given, else the bound."""
 
     members: tuple[int, ...]
     representative: int
     field_degree: int
+    schur_bound: int
+    indicator: int
     schur_index: int
     schur_index_source: str
+
+
+def _admissible_schur_index(index: int, bound: int, indicator: int) -> bool:
+    """Whether index can be the Schur index m of a class: m divides the computed
+    bound, and m is even under indicator -1, whose real Schur index 2 divides m."""
+    return index >= 1 and bound % index == 0 and not (indicator == -1 and index % 2)
 
 
 class CharacterTable:
@@ -173,6 +180,13 @@ class CharacterTable:
         return tuple(chi.row[powers[k % len(powers)]] for powers in self.group.class_powers)
 
     def _build_galois_classes(self, overrides: Mapping[int, int]) -> tuple[GaloisClass, ...]:
+        """One pass in character order, which meets each class at its least member."""
+        for i in overrides:
+            if not 0 <= i < len(self.characters):
+                raise GroupInputError(
+                    f"Schur override for character {i}: the characters are "
+                    f"0..{len(self.characters) - 1}"
+                )
         e = self.group.exponent
         units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
         seen: set[int] = set()
@@ -180,56 +194,38 @@ class CharacterTable:
         for chi in self.characters:
             if chi.index in seen:
                 continue
-            members = {}
-            for k in units:
-                img = self._row_index.get(self._galois_image(chi, k))
-                if img is None:
-                    raise InternalCheckError(
-                        "power map left the character table; lifting is inconsistent"
-                    )
-                members[img] = None
-            idxs = tuple(sorted(members))
-            seen.update(idxs)
-            gc = GaloisClass(
-                members=idxs,
-                representative=idxs[0],
-                field_degree=len(idxs),
-                schur_index=0,
-                schur_index_source=SCHUR_COMPUTED,
-            )
-            out.append(gc)
-        out.sort(key=lambda gc: gc.representative)
-        for i, value in overrides.items():
-            if not 0 <= i < len(self.characters):
-                raise GroupInputError(
-                    f"Schur override for character {i}: the characters are "
-                    f"0..{len(self.characters) - 1}"
+            images = {self._row_index.get(self._galois_image(chi, k)) for k in units}
+            if None in images:
+                raise InternalCheckError(
+                    "power map left the character table; lifting is inconsistent"
                 )
-            if value < 1 or self.characters[i].degree % value:
-                raise GroupInputError(
-                    f"Schur override {i}={value}: the index must be a positive "
-                    f"divisor of the degree {self.characters[i].degree}"
+            members = tuple(sorted(images))
+            seen.update(members)
+            bound = self._schur_upper_bound(chi)
+            indicator = self.frobenius_schur_indicator(chi)
+            if not _admissible_schur_index(bound, bound, indicator):
+                raise InternalCheckError(
+                    f"computed Schur bound {bound} of character {chi.index} is not "
+                    f"an admissible Schur index under indicator {indicator}"
                 )
-        for gc in out:
-            given = {overrides[i] for i in gc.members if i in overrides}
+            given = {overrides[i] for i in members if i in overrides}
             if len(given) > 1:
                 raise GroupInputError(
                     f"Schur overrides {sorted(given)} disagree within the Galois "
-                    f"class {list(gc.members)}"
+                    f"class {list(members)}"
                 )
+            index, source = bound, SCHUR_COMPUTED
             if given:
-                gc.schur_index = given.pop()
-                gc.schur_index_source = SCHUR_OVERRIDE
-            else:
-                gc.schur_index = self._schur_upper_bound(self.characters[gc.representative])
-                gc.schur_index_source = SCHUR_COMPUTED
-            fs = self.frobenius_schur_indicator(self.characters[gc.representative])
-            if fs == -1 and gc.schur_index == 1:
-                warnings.warn(
-                    f"character {gc.representative}: indicator -1 with Schur index 1; "
-                    "the real Schur index 2 is then attained",
-                    SchurIndexWarning,
-                )
+                index, source = given.pop(), SCHUR_OVERRIDE
+                if not _admissible_schur_index(index, bound, indicator):
+                    parity = " and be even, as the Frobenius-Schur indicator is -1"
+                    raise GroupInputError(
+                        f"Schur override of {index} on the Galois class {list(members)}: "
+                        f"the index must be a positive divisor of the computed bound "
+                        f"{bound}{parity if indicator == -1 else ''}"
+                    )
+            out.append(GaloisClass(members, chi.index, len(members), bound, indicator,
+                                   index, source))
         return tuple(out)
 
     def _schur_upper_bound(self, chi: Character) -> int:
@@ -248,6 +244,7 @@ class CharacterTable:
     # -- rendering ---------------------------------------------------------
 
     def to_json(self) -> dict:
+        indicator = {i: gc.indicator for gc in self.galois_classes for i in gc.members}
         return {
             "group": {
                 "name": self.group.name,
@@ -269,7 +266,7 @@ class CharacterTable:
                     "index": chi.index,
                     "degree": chi.degree,
                     "values": [v.to_json() for v in chi.values],
-                    "frobenius_schur": self.frobenius_schur_indicator(chi),
+                    "frobenius_schur": indicator[chi.index],
                 }
                 for chi in self.characters
             ],
@@ -310,15 +307,12 @@ def schur_bound_is_verified(table: CharacterTable) -> bool:
 
     The bound is a multiple of the rational Schur index m.  A bound of 1 is
     therefore exact, and so is a bound of 2 on a character of indicator -1,
-    whose real Schur index 2 divides m.  The bound is recomputed here, so a
-    `--schur-override` never enters the flag, and neither does the group's name.
+    whose real Schur index 2 divides m.  The flag reads the stored bound, not
+    the index, so a `--schur-override` never enters it, and neither does the
+    group's name.
     """
-    for gc in table.galois_classes:
-        chi = table.characters[gc.representative]
-        bound = table._schur_upper_bound(chi)
-        if bound != 1 and not (bound == 2 and table.frobenius_schur_indicator(chi) == -1):
-            return False
-    return True
+    return all(gc.schur_bound == 1 or (gc.schur_bound == 2 and gc.indicator == -1)
+               for gc in table.galois_classes)
 
 
 # -- modular linear algebra ---------------------------------------------------

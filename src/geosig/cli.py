@@ -29,7 +29,7 @@ from .errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from .groups import FiniteGroup, Subgroup, catalog, group_from_payload
+from .groups import FiniteGroup, Subgroup, catalog, group_from_payload, is_catalog_name
 from .signature import (
     DEFAULT_SEARCH_BUDGET,
     GeneratingVector,
@@ -47,8 +47,6 @@ EX_USAGE = 64
 EX_SOFTWARE = 70
 EX_IOERR = 74
 
-_CATALOG_NAMES = ("cyclic(", "dihedral(", "symmetric(", "alternating(")
-
 WORD_GRAMMAR_HELP = (
     "Elements are written either in 1-based disjoint-cycle notation, e.g. "
     "\"(1,2,3)(4,5)\", or as words in the group's named generators with "
@@ -60,7 +58,7 @@ WORD_GRAMMAR_HELP = (
 def load_group(source: str) -> FiniteGroup:
     """A catalog name, inline JSON object, or path to a group file."""
     text = source.strip()
-    if text == "quaternion8" or text == "wc3" or text.startswith(_CATALOG_NAMES):
+    if is_catalog_name(text):
         return catalog(text)
     if text.startswith("{"):
         payload = _parse_json(text, "group")
@@ -144,12 +142,14 @@ def _emit(args, payload: dict, text: str) -> None:
         raise _OutputError(exc) from None
 
 
-def _resolve_geometric(G: FiniteGroup, sig: GeometricSignature,
-                       budget: int) -> tuple[GeometricSignature, GeneratingVector]:
-    """A realizable geometric signature and the generating vector found for it;
-    a plain signature must have exactly one realizable refinement."""
+def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, GeneratingVector]:
+    """The lattice/decompose signature, realizable and geometric, and the
+    generating vector found for it; a plain signature must have exactly one
+    realizable refinement."""
+    sig = load_signature(G, args.signature)
+    signature_genus(G, sig)  # raises InvalidSignatureError -> exit 1
     if sig.is_geometric:
-        vec = find_generating_vector(G, sig, budget)
+        vec = find_generating_vector(G, sig, args.budget)
         if vec is None:
             raise InvalidSignatureError(
                 "no generating vector exists for this geometric signature"
@@ -158,7 +158,7 @@ def _resolve_geometric(G: FiniteGroup, sig: GeometricSignature,
     found = []
     for refined in refinements(G, sig):
         try:
-            vec = find_generating_vector(G, refined, budget)
+            vec = find_generating_vector(G, refined, args.budget)
         except InvalidSignatureError:
             break  # genus arithmetic is shared by all refinements
         if vec is not None:
@@ -178,8 +178,6 @@ def _resolve_geometric(G: FiniteGroup, sig: GeometricSignature,
 
 
 def cmd_exists(args, G: FiniteGroup) -> int:
-    if args.budget <= 0:
-        raise GroupInputError("--budget must be positive")
     sig = load_signature(G, args.signature)
     payload = {
         "group": _group_header(G),
@@ -216,18 +214,8 @@ def cmd_exists(args, G: FiniteGroup) -> int:
     return EX_OK
 
 
-def _prepare_realizable(args, G: FiniteGroup) -> tuple[GeometricSignature,
-                                                       GeneratingVector]:
-    """Shared lattice/decompose input handling: geometric + realizable."""
-    if args.budget <= 0:
-        raise GroupInputError("--budget must be positive")
-    sig = load_signature(G, args.signature)
-    signature_genus(G, sig)  # raises InvalidSignatureError -> exit 1
-    return _resolve_geometric(G, sig, args.budget)
-
-
 def cmd_lattice(args, G: FiniteGroup) -> int:
-    sig, vec = _prepare_realizable(args, G)
+    sig, vec = _resolve_geometric(args, G)
     subgroups = _parse_subgroups(G, args.subgroups)
     reports = covers.lattice_report(G, sig, subgroups)
     if args.cross_check:
@@ -263,7 +251,7 @@ def cmd_lattice(args, G: FiniteGroup) -> int:
 
 
 def cmd_decompose(args, G: FiniteGroup) -> int:
-    sig, _ = _prepare_realizable(args, G)
+    sig, _ = _resolve_geometric(args, G)
     table = compute_table(G, _parse_overrides(args.schur_override))
     report = jacobian.factor_dimensions(G, table, sig)
     payload = {
@@ -295,6 +283,16 @@ def cmd_chartab(args, G: FiniteGroup) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose usage errors exit 64, not argparse's 2,
     which here means "search budget exhausted"; subparsers inherit it."""
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--signature", required=True,
                            help="inline JSON or file: "
                                 '{"genus": g, "branches": [{"order": m, "class_rep": "word"}]}')
-            p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET,
+            p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET,
                            help="node budget for the generating-vector search")
         p.add_argument("--format", choices=("text", "json"), default="text")
 

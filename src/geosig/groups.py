@@ -25,6 +25,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import GroupInputError, InternalCheckError
 
 MAX_GROUP_ORDER = 2000
+MAX_DEGREE = 2000  # refused before any permutation is built; cyclic(2000) reaches it
+
+
+def _check_cap(what: str, value: int, cap: int, unit: str) -> None:
+    if value > cap:
+        raise GroupInputError(f"{what} exceeds the supported cap of {cap} {unit}")
 
 
 @total_ordering
@@ -200,32 +206,26 @@ class FiniteGroup:
     def __init__(
         self,
         degree: int,
-        generators: Sequence[Perm] = (),
         named_generators: Optional[Mapping[str, Perm]] = None,
         name: Optional[str] = None,
     ):
         if degree < 1:
             raise GroupInputError("degree must be at least 1")
+        _check_cap("group degree", degree, MAX_DEGREE, "points")
         named = dict(named_generators or {})
-        gens = tuple(generators) if generators else tuple(named.values())
+        gens = tuple(named.values())
         for g in gens:
             if g.degree != degree:
                 raise GroupInputError(
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
-        for label, g in named.items():
-            if g not in gens:
-                raise GroupInputError(f"named generator {label!r} not in generator list")
         self.degree = degree
         self.generators = gens
         self.named_generators = named
         self.name = name
         steps = [lambda a, g=g.image: _compose(a, g) for g in gens]
         found = _closure(tuple(range(degree)), steps, MAX_GROUP_ORDER + 1)
-        if len(found) > MAX_GROUP_ORDER:
-            raise GroupInputError(
-                f"group order exceeds the supported cap of {MAX_GROUP_ORDER} elements"
-            )
+        _check_cap("group order", len(found), MAX_GROUP_ORDER, "elements")
         self._images = tuple(sorted(found))
         self._index = {img: i for i, img in enumerate(self._images)}
         self.elements: tuple[Perm, ...] = tuple(map(Perm._trusted, self._images))
@@ -729,12 +729,25 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
 
 # -- catalog and group input --------------------------------------------------
 
-_CATALOG_RE = re.compile(r"^(cyclic|dihedral|symmetric|alternating)\((\d+)\)$")
+_CATALOG_RE = re.compile(r"quaternion8|wc3|(cyclic|dihedral|symmetric|alternating)\((\d+)\)")
+
+
+def _catalog_match(name: str) -> Optional[re.Match]:
+    return _CATALOG_RE.fullmatch(name.replace(" ", "").lower())
+
+
+def is_catalog_name(name: str) -> bool:
+    """Whether `catalog` reads name: quaternion8, wc3, cyclic(n), dihedral(n),
+    symmetric(n) or alternating(n), in any letter case and with any spaces."""
+    return _catalog_match(name) is not None
 
 
 def catalog(name: str) -> FiniteGroup:
     """Built-in groups with documented named generators."""
-    key = name.replace(" ", "").lower()
+    m = _catalog_match(name)
+    if not m:
+        raise GroupInputError(f"unknown catalog group {name!r}")
+    key = m.group(0)
     if key == "quaternion8":
         x = Perm.from_cycles(8, [(1, 2, 3, 4), (5, 6, 7, 8)])
         y = Perm.from_cycles(8, [(1, 5, 3, 7), (2, 8, 4, 6)])
@@ -748,38 +761,28 @@ def catalog(name: str) -> FiniteGroup:
             "b": Perm.from_cycles(6, [(1, 2), (4, 5)]),
         }
         return FiniteGroup(6, named_generators=gens, name=key)
-    m = _CATALOG_RE.match(key)
-    if not m:
-        raise GroupInputError(f"unknown catalog group {name!r}")
-    family, n = m.group(1), int(m.group(2))
+    family, digits = m.group(1), m.group(2).lstrip("0")
+    n = int(digits or "0") if len(digits) < 5 else MAX_GROUP_ORDER + 1
+    least = 3 if family in ("dihedral", "alternating") else 1
+    if n < least:
+        raise GroupInputError(f"{family}(n) needs n >= {least}")
+    # the order is refused before any permutation of degree n exists; an n of
+    # five digits passes every family's cap, and n! and n!/2 pass it from n = 7
+    order = {"cyclic": n, "dihedral": 2 * n, "symmetric": math.factorial(min(n, 7)),
+             "alternating": math.factorial(min(n, 7)) // 2}[family]
+    _check_cap("group order", order, MAX_GROUP_ORDER, "elements")
+    cycle = Perm.from_cycles(n, [tuple(range(1, n + 1))])
     if family == "cyclic":
-        if n < 1:
-            raise GroupInputError("cyclic(n) needs n >= 1")
-        x = Perm.from_cycles(n, [tuple(range(1, n + 1))]) if n > 1 else Perm.identity(1)
-        return FiniteGroup(max(n, 1), named_generators={"x": x}, name=key)
+        return FiniteGroup(n, named_generators={"x": cycle}, name=key)
     if family == "dihedral":
-        if n < 3:
-            raise GroupInputError("dihedral(n) needs n >= 3")
-        x = Perm.from_cycles(n, [tuple(range(1, n + 1))])
         y = Perm([(n - 2 - p) % n for p in range(n)])
-        return FiniteGroup(n, named_generators={"x": x, "y": y}, name=key)
+        return FiniteGroup(n, named_generators={"x": cycle, "y": y}, name=key)
     if family == "symmetric":
-        if n < 1:
-            raise GroupInputError("symmetric(n) needs n >= 1")
-        if n == 1:
-            return FiniteGroup(1, named_generators={"a": Perm.identity(1)}, name=key)
-        a = Perm.from_cycles(n, [tuple(range(1, n + 1))])
-        b = Perm.from_cycles(n, [(1, 2)])
-        return FiniteGroup(n, named_generators={"a": a, "b": b}, name=key)
-    if n < 3:
-        raise GroupInputError("alternating(n) needs n >= 3")
-    a = Perm.from_cycles(n, [(1, 2, 3)])
-    b = (
-        Perm.from_cycles(n, [tuple(range(1, n + 1))])
-        if n % 2
-        else Perm.from_cycles(n, [tuple(range(2, n + 1))])
-    )
-    return FiniteGroup(n, named_generators={"a": a, "b": b}, name=key)
+        gens = {"a": cycle, "b": Perm.from_cycles(n, [(1, 2)])} if n > 1 else {"a": cycle}
+        return FiniteGroup(n, named_generators=gens, name=key)
+    b = cycle if n % 2 else Perm.from_cycles(n, [tuple(range(2, n + 1))])
+    return FiniteGroup(n, named_generators={"a": Perm.from_cycles(n, [(1, 2, 3)]), "b": b},
+                       name=key)
 
 
 def json_int(payload, key: str, message: str) -> int:
@@ -794,6 +797,7 @@ def json_int(payload, key: str, message: str) -> int:
 def group_from_payload(payload: Mapping) -> FiniteGroup:
     """Build a group from the JSON group-specification object."""
     degree = json_int(payload, "degree", "group spec needs an integer 'degree'")
+    _check_cap("group degree", degree, MAX_DEGREE, "points")
     raw = payload.get("generators")
     if not isinstance(raw, Mapping) or not raw:
         raise GroupInputError("group spec needs a non-empty 'generators' object")

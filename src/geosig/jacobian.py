@@ -212,10 +212,6 @@ def factor_dimensions(G: FiniteGroup, table: CharacterTable,
         chi = table.characters[gc.representative]
         schur = gc.schur_index
         n = multiplicities[chi.index]
-        if chi.degree % schur:
-            raise InternalCheckError(
-                f"Schur index {schur} does not divide degree {chi.degree}"
-            )
         if n % schur:
             raise InternalCheckError(
                 f"multiplicity {n} is not divisible by the Schur index {schur} "

@@ -235,7 +235,8 @@ def verify_generating_vector(G: FiniteGroup, sig: GeometricSignature,
 def _candidate_pool(G: FiniteGroup, entry: BranchEntry) -> tuple[int, ...]:
     """Indices of the elements of order m whose generated subgroup lies in the entry's class."""
     if entry.cls is None:
-        return tuple(i for i, g in enumerate(G.elements) if g.order() == entry.order)
+        return tuple(sorted(g for c in G.merged_element_classes
+                            if c.element_order == entry.order for g in c.indices))
     idx = G.cyclic_class_index(entry.cls.representative)
     return G.merged_element_classes[idx].indices
 

@@ -7,12 +7,14 @@ import pytest
 from geosig.chartable import (
     SCHUR_COMPUTED,
     SCHUR_OVERRIDE,
+    CharacterTable,
     _charpoly_modp,
     _eval_poly,
     compute_table,
     schur_bound_is_verified,
 )
 from geosig.cyclotomic import Cyclo
+from geosig.errors import GroupInputError
 from geosig.groups import catalog
 from geosig.jacobian import factor_dimensions, gamma1_analysis
 from geosig.signature import signature_from_payload
@@ -232,12 +234,52 @@ def test_schur_override():
     T = compute_table(G)
     idx = next(gc.representative for gc in T.galois_classes
                if T.characters[gc.representative].degree == 2)
-    # forcing index 1 on a quaternionic character trips the indicator warning
-    with pytest.warns(UserWarning, match="indicator -1"):
-        T2 = compute_table(G, schur_overrides={idx: 1})
+    # index 1 on a quaternionic character contradicts its indicator -1
+    with pytest.raises(GroupInputError, match="computed bound 2 and be even"):
+        compute_table(G, schur_overrides={idx: 1})
+    T2 = compute_table(G, schur_overrides={idx: 2})
     gc = T2.galois_class_of(idx)
-    assert gc.schur_index == 1
+    assert gc.schur_index == 2
     assert gc.schur_index_source == SCHUR_OVERRIDE
+
+
+GOLDEN_GROUPS = ("dihedral(4)", "wc3", "quaternion8", "symmetric(4)", "symmetric(5)",
+                 "symmetric(6)", "alternating(5)", "alternating(6)", "cyclic(6)",
+                 "dihedral(6)")
+SCHUR_DATA_GROUPS = tuple(dict.fromkeys(
+    GOLDEN_GROUPS + tuple(f"cyclic({n})" for n in range(1, 13))
+    + tuple(f"dihedral({n})" for n in range(3, 13))))
+
+
+@pytest.mark.parametrize("name", SCHUR_DATA_GROUPS)
+def test_stored_schur_data_matches_a_recomputation(name):
+    # the bound and the indicator are built once per Galois class; both are
+    # Galois invariants, so the representative's bound and every member's
+    # indicator must agree with them
+    T = compute_table(catalog(name))
+    for gc in T.galois_classes:
+        assert gc.representative == gc.members[0]
+        assert gc.schur_bound == T._schur_upper_bound(T.characters[gc.representative])
+        assert gc.schur_index == gc.schur_bound
+        assert {T.frobenius_schur_indicator(T.characters[i]) for i in gc.members} == {
+            gc.indicator}
+
+
+def test_schur_flag_reads_the_stored_data(monkeypatch):
+    calls = []
+    fixed_dim = CharacterTable.fixed_dim
+    monkeypatch.setattr(CharacterTable, "fixed_dim",
+                        lambda self, chi, H: calls.append(chi.index) or fixed_dim(self, chi, H))
+    tables = [compute_table(catalog(name)) for name in ("quaternion8", "symmetric(6)")]
+    calls.clear()
+    assert [schur_bound_is_verified(T) for T in tables] == [True, False]
+    assert calls == []
+
+
+def test_galois_classes_are_frozen():
+    gc = compute_table(catalog("quaternion8")).galois_classes[0]
+    with pytest.raises(AttributeError):
+        gc.schur_index = 2
 
 
 def test_frobenius_schur_values():

@@ -398,7 +398,11 @@ def test_bad_schur_override_exits_64(capsys):
     ["exists", "--group", "wc3"],
     ["exists", "--group", "wc3", "--signature", WC3_FIRST, "--budget", "x"],
     ["frobnicate", "--group", "wc3"],
-], ids=["missing-signature", "bad-budget", "unknown-command"])
+    ["exists", "--group", "wc3", "--signature", WC3_FIRST, "--budget", "0"],
+    ["lattice", "--group", "wc3", "--signature", WC3_FIRST, "--budget", "0"],
+    ["decompose", "--group", "wc3", "--signature", WC3_FIRST, "--budget", "-1"],
+], ids=["missing-signature", "bad-budget", "unknown-command", "zero-budget-exists",
+        "zero-budget-lattice", "negative-budget-decompose"])
 def test_usage_errors_exit_64(capsys, argv):
     # argparse's own status 2 would read as "search budget exhausted"
     with pytest.raises(SystemExit) as exc:
@@ -408,11 +412,54 @@ def test_usage_errors_exit_64(capsys, argv):
 
 
 def test_group_over_the_order_cap_exits_64(capsys):
-    code, out, err = run(capsys, "exists", "--group", "symmetric(7)",
-                         "--signature", json.dumps({"genus": 0, "branches": []}))
+    # an inline group of degree 2001 is over the degree cap, which is
+    # checked before any generator is parsed
+    for group in ("symmetric(7)", json.dumps({"degree": 2001, "generators": {"a": "(1,2)"}})):
+        code, out, err = run(capsys, "exists", "--group", group,
+                             "--signature", json.dumps({"genus": 0, "branches": []}))
+        assert code == 64
+        assert out == ""
+        assert "exceeds the supported cap of 2000" in err
+
+
+@pytest.mark.parametrize("source", ["Symmetric(3)", "WC3", "symmetric( 3)", " Dihedral(4) "])
+def test_catalog_spellings_are_catalog_names(capsys, source, tmp_path, monkeypatch):
+    # a file of the same name never shadows a catalog name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / source.strip()).write_text("not a group file")
+    code, out, _ = run(capsys, "chartab", "--group", source, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["group"]["name"] == source.replace(" ", "").lower()
+
+
+def test_unknown_group_source_exits_64(capsys):
+    for source in ("nosuchgroup(3)", "cyclic(x)"):
+        code, out, err = run(capsys, "chartab", "--group", source)
+        assert code == 64
+        assert out == ""
+        assert err == (f"error: group source {source!r} is neither a catalog name "
+                       "nor a readable file\n")
+
+
+Q8_SIGNATURE = json.dumps({"genus": 0, "branches": [
+    {"order": 4, "class_rep": "x"}, {"order": 4, "class_rep": "y"},
+    {"order": 4, "class_rep": "xy"}]})
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["chartab", "--group", "quaternion8", "--schur-override", "4=1"], 2),
+    (["decompose", "--group", "quaternion8", "--signature", Q8_SIGNATURE,
+      "--schur-override", "4=1"], 2),
+    (["chartab", "--group", "dihedral(4)", "--schur-override", "4=2"], 1),
+], ids=["quaternion8-chartab", "quaternion8-decompose", "dihedral4-chartab"])
+def test_override_against_the_computed_bound_exits_64(capsys, argv, bound):
+    # quaternion8's character 4 has indicator -1, so its index is even;
+    # dihedral(4)'s character 4 has the computed bound 1, which 2 does not divide
+    code, out, err = run(capsys, *argv)
     assert code == 64
     assert out == ""
-    assert "exceeds the supported cap of 2000" in err
+    assert err.startswith("error: Schur override") and f"computed bound {bound}" in err
+    assert ("indicator is -1" in err) == (bound == 2)
 
 
 def test_closed_stdout_exits_74():

@@ -79,13 +79,30 @@ def test_degree_zero_rejected():
         FiniteGroup(0)
 
 
-def test_group_order_cap():
+def test_group_order_cap(monkeypatch):
     # the cap is 2000 elements: dihedral(1000) reaches it exactly, while
-    # dihedral(1001) (order 2002) and symmetric(7) (order 5040) pass it
+    # dihedral(1001) (order 2002), symmetric(7) (order 5040) and cyclic(2001)
+    # pass it; a catalog name is refused before any permutation is built
     assert catalog("dihedral(1000)").order == 2000
-    for name in ("dihedral(1001)", "symmetric(7)"):
+
+    def no_perm(*args):
+        raise AssertionError("a permutation was built for an oversized group")
+
+    monkeypatch.setattr(Perm, "from_cycles", no_perm)
+    for name in ("dihedral(1001)", "symmetric(7)", "cyclic(2001)", "alternating(100000)",
+                 "cyclic(" + "9" * 5000 + ")"):
         with pytest.raises(GroupInputError, match="exceeds the supported cap of 2000"):
             catalog(name)
+
+
+def test_group_degree_cap(monkeypatch):
+    # the degree is refused before Perm.parse builds an image of that length
+    monkeypatch.setattr(Perm, "parse", lambda *args: pytest.fail("parsed a generator"))
+    spec = {"degree": 2001, "generators": {"a": "(1,2)"}}
+    with pytest.raises(GroupInputError, match="degree exceeds the supported cap of 2000"):
+        group_from_payload(spec)
+    with pytest.raises(GroupInputError, match="degree exceeds the supported cap of 2000"):
+        FiniteGroup(2001)
 
 
 def test_is_generated_by():

@@ -13,6 +13,7 @@ from geosig.signature import (
     BranchEntry,
     GeneratingVector,
     GeometricSignature,
+    _candidate_pool,
     find_generating_vector,
     orbit_packages,
     refinements,
@@ -182,6 +183,15 @@ def test_conjugated_vector_stays_valid():
             tuple(conj(t, g) for g in vec.c),
         )
         assert verify_generating_vector(G, sig, moved).ok
+
+
+def test_plain_entry_pool_is_every_element_of_that_order():
+    for name in ("wc3", "symmetric(5)", "alternating(5)", "dihedral(12)", "cyclic(30)",
+                 "quaternion8"):
+        G = catalog(name)
+        for m in sorted({g.order() for g in G.elements} - {1}) + [7]:
+            want = tuple(i for i, g in enumerate(G.elements) if g.order() == m)
+            assert _candidate_pool(G, BranchEntry(m, None)) == want, (name, m)
 
 
 def test_orbit_packages():
