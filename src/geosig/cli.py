@@ -87,7 +87,7 @@ def load_signature(G: FiniteGroup, source: str) -> GeometricSignature:
 def _parse_json(text: str, what: str) -> dict:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
         raise GroupInputError(f"bad JSON in {what}: {exc}") from None
     if not isinstance(payload, dict):
         raise GroupInputError(f"{what} must be a JSON object")

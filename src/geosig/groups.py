@@ -95,9 +95,12 @@ class Perm:
             return cls.identity(degree)
         if not re.fullmatch(r"(\(\d+(,\d+)*\))+", s):
             raise GroupInputError(f"bad cycle notation: {text!r}")
-        cycles = [
-            [int(p) for p in part.split(",")] for part in re.findall(r"\(([\d,]+)\)", s)
-        ]
+        try:
+            cycles = [
+                [int(p) for p in part.split(",")] for part in re.findall(r"\(([\d,]+)\)", s)
+            ]
+        except ValueError:  # a point too long for int() is far out of range
+            raise GroupInputError(f"cycle point out of range 1..{degree}") from None
         return cls.from_cycles(degree, cycles)
 
     @property

@@ -350,6 +350,21 @@ def test_json_integers_must_be_integers(capsys, group, signature):
     assert "needs an integer" in err
 
 
+def test_integers_too_long_to_read_exit_64(capsys):
+    # Python 3.11 and later refuse int() on more than 4300 digits
+    big = "9" * 5000
+    for group, signature in [
+        (f'{{"degree": {big}, "generators": {{"a": "(1,2)"}}}}', '{"genus": 0, "branches": []}'),
+        (json.dumps({"degree": 4, "generators": {"a": f"(1,{big})"}}),
+         '{"genus": 0, "branches": []}'),
+        ("dihedral(4)", f'{{"genus": {big}, "branches": []}}'),
+    ]:
+        code, out, err = run(capsys, "exists", "--group", group, "--signature", signature)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error:")
+
+
 def test_non_string_group_name_exits_64(capsys):
     spec = json.dumps({"name": 5, "degree": 6, "generators": S6_GENERATORS})
     code, out, err = run(capsys, "chartab", "--group", spec, "--format", "json")
