@@ -60,28 +60,28 @@ def load_group(source: str) -> FiniteGroup:
     text = source.strip()
     if is_catalog_name(text):
         return catalog(text)
-    if text.startswith("{"):
-        payload = _parse_json(text, "group")
-        return group_from_payload(payload)
-    path = Path(text)
-    if not path.is_file():
-        raise GroupInputError(
-            f"group source {source!r} is neither a catalog name nor a readable file"
-        )
-    return group_from_payload(_parse_json(path.read_text(), f"group file {source}"))
+    return group_from_payload(_read_source(source, "group", "a catalog name"))
 
 
 def load_signature(G: FiniteGroup, source: str) -> GeometricSignature:
+    return signature_from_payload(G, _read_source(source, "signature", "inline JSON"))
+
+
+def _read_source(source: str, what: str, alternative: str) -> dict:
+    """The JSON object written inline in source, or in the UTF-8 file it names;
+    a path that cannot be read or decoded is malformed input."""
     text = source.strip()
     if text.startswith("{"):
-        return signature_from_payload(G, _parse_json(text, "signature"))
+        return _parse_json(text, what)
     path = Path(text)
-    if not path.is_file():
-        raise GroupInputError(
-            f"signature source {source!r} is neither inline JSON nor a readable file"
-        )
-    payload = _parse_json(path.read_text(), f"signature file {source}")
-    return signature_from_payload(G, payload)
+    try:
+        if path.is_file():
+            return _parse_json(path.read_text(encoding="utf-8"), f"{what} file {source}")
+    except UnicodeDecodeError as exc:
+        raise GroupInputError(f"{what} file {source} is not UTF-8 text: {exc}") from None
+    except OSError:  # unreadable, or a name too long for the file system
+        pass
+    raise GroupInputError(f"{what} source {source!r} is neither {alternative} nor a readable file")
 
 
 def _parse_json(text: str, what: str) -> dict:
@@ -262,7 +262,7 @@ def cmd_decompose(args, G: FiniteGroup) -> int:
     }
     text = [f"signature {sig}; total genus {report.total_genus}", report.render_text()]
     if sig.quotient_genus == 1:
-        conditions = jacobian.gamma1_analysis(G, table, sig, report)
+        conditions = jacobian.gamma1_analysis(G, table, sig)
         payload["gamma1_conditions"] = [c.to_json() for c in conditions]
         vanished = [f"chi{c.galois_representative}" for c in conditions if c.all_true]
         text.append(
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, signature=True):
+    def common(p, signature=True, schur=False):
         p.add_argument("--group", required=True,
                        help="catalog name (cyclic(n), dihedral(n), symmetric(n), "
                             "alternating(n), quaternion8, wc3), inline JSON, or file")
@@ -325,6 +325,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET,
                            help="node budget for the generating-vector search")
         p.add_argument("--format", choices=("text", "json"), default="text")
+        if schur:
+            p.add_argument("--schur-override", action="append", default=[],
+                           metavar="IDX=VAL", help="override the Schur index of a character")
 
     p = sub.add_parser("exists", help="decide whether an action with the signature exists")
     common(p)
@@ -340,15 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("decompose", help="isogeny decomposition of the Jacobian action")
-    common(p)
-    p.add_argument("--schur-override", action="append", default=[],
-                   metavar="IDX=VAL", help="override the Schur index of a character")
+    common(p, schur=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("chartab", help="exact character table with Galois classes")
-    common(p, signature=False)
-    p.add_argument("--schur-override", action="append", default=[],
-                   metavar="IDX=VAL", help="override the Schur index of a character")
+    common(p, signature=False, schur=True)
     p.set_defaults(func=cmd_chartab)
 
     return parser

@@ -26,6 +26,7 @@ from .errors import GroupInputError, InternalCheckError
 
 MAX_GROUP_ORDER = 2000
 MAX_DEGREE = 2000  # refused before any permutation is built; cyclic(2000) reaches it
+MAX_QUOTIENT_GENUS = 2000  # the search walks 2 * genus elements; refused before it starts
 
 
 def _check_cap(what: str, value: int, cap: int, unit: str) -> None:
@@ -322,19 +323,13 @@ class FiniteGroup:
             [self.product(self.product(t, x), self.inverses[t]) for x in range(self.order)]
             for t in dict.fromkeys(map(self.index, self.generators))
         ]
-        seen = [False] * self.order
-        raw = []
+        steps = [col.__getitem__ for col in conjugators]
+        raw, seen = [], set()
         for g in range(self.order):
-            if seen[g]:
-                continue
-            seen[g] = True
-            orbit = [g]
-            for x in orbit:
-                for col in conjugators:
-                    if not seen[col[x]]:
-                        seen[col[x]] = True
-                        orbit.append(col[x])
-            raw.append(sorted(orbit))
+            if g not in seen:
+                orbit = _closure(g, steps, self.order)
+                seen |= orbit
+                raw.append(sorted(orbit))
         raw.sort(key=lambda mem: (self.elements[mem[0]].order(), len(mem), mem[0]))
         return tuple(ElementClass(self, tuple(mem)) for mem in raw)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .chartable import SCHUR_COMPUTED, CharacterTable, GaloisClass
 from .covers import cover_report, quotient_genus
@@ -285,25 +285,25 @@ class TorusCaseConditions:
         }
 
 
-def gamma1_analysis(G: FiniteGroup, table: CharacterTable, sig: GeometricSignature,
-                    report: Optional[DecompositionReport] = None,
-                    ) -> tuple[TorusCaseConditions, ...]:
+def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
+                    sig: GeometricSignature) -> tuple[TorusCaseConditions, ...]:
     """Evaluate the vanishing conditions for every nontrivial class when gamma = 1.
 
-    report is factor_dimensions(G, table, sig), computed here when not given.
+    dim B = k*n/2 with k >= 1, so the first condition is n = 0 for the
+    closed-form multiplicity n; no decomposition is computed.
     """
     if sig.quotient_genus != 1:
         raise GroupInputError("this analysis applies only to quotient genus 1")
-    if report is None:
-        report = factor_dimensions(G, table, sig)
     reps = _branch_class_reps(G, sig)
+    signature_genus(G, sig)  # a non-integral genus is refused before any arithmetic
+    multiplicities = complex_multiplicities(G, table, sig)
     out = []
-    for rec in report.records:
-        chi = table.characters[rec.representative]
+    for gc in table.galois_classes:
+        chi = table.characters[gc.representative]
         if chi.index == table.trivial_character_index:
             continue
         ker = table.kernel(chi)
-        c1 = rec.dim_B == 0
+        c1 = multiplicities[chi.index] == 0
         c2 = not any(stab.mask & ~ker.mask for stab in reps)
         cover = cover_report(G, sig, ker)
         c3 = all(all(e == 1 for e in cs.entries) for cs in cover.cycle_structures)
@@ -321,7 +321,7 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable, sig: GeometricSignatu
                 f"{chi.index} (degree {chi.degree}) would vanish"
             )
         out.append(TorusCaseConditions(
-            galois_representative=rec.representative,
+            galois_representative=chi.index,
             degree=chi.degree,
             dim_is_zero=c1,
             stabilizers_in_kernel=c2,

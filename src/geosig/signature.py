@@ -19,7 +19,8 @@ from .errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from .groups import ConjugacyClassOfSubgroups, FiniteGroup, Perm, Subgroup, json_int
+from .groups import (MAX_QUOTIENT_GENUS, ConjugacyClassOfSubgroups, FiniteGroup, Perm,
+                     Subgroup, json_int)
 
 DEFAULT_SEARCH_BUDGET = 10 ** 8
 
@@ -61,6 +62,10 @@ class GeometricSignature:
     def __post_init__(self):
         if self.quotient_genus < 0:
             raise GroupInputError("quotient genus cannot be negative")
+        if self.quotient_genus > MAX_QUOTIENT_GENUS:
+            raise GroupInputError(
+                f"quotient genus exceeds the supported cap of {MAX_QUOTIENT_GENUS}"
+            )
 
     @property
     def orders(self) -> tuple[int, ...]:

@@ -342,7 +342,7 @@ def test_engine_builds_no_cyclo(monkeypatch):
         T = compute_table(G)
         report = factor_dimensions(G, T, sig)
         if genus == 1:
-            gamma1_analysis(G, T, sig, report)
+            gamma1_analysis(G, T, sig)
     assert built == []
     # the values are built on first read, from the rows
     assert str(T.characters[-1].values[0]) == "3" and len(built) == len(T.classes)

@@ -456,6 +456,34 @@ def test_unknown_group_source_exits_64(capsys):
                        "nor a readable file\n")
 
 
+def test_huge_quotient_genus_exits_64(capsys):
+    # refused before the search, whose product(..., repeat=2 * genus) overflows
+    huge = json.dumps({"genus": 10 ** 23, "branches": []})
+    for command in ("exists", "lattice", "decompose"):
+        code, out, err = run(capsys, command, "--group", "cyclic(2)", "--signature", huge)
+        assert (code, out) == (64, "")
+        assert err == "error: quotient genus exceeds the supported cap of 2000\n"
+
+
+@pytest.mark.parametrize("option", ["--group", "--signature"])
+@pytest.mark.parametrize("kind", ["non-utf8-file", "over-long-source"])
+def test_unreadable_sources_exit_64(capsys, tmp_path, option, kind):
+    # a file that is not UTF-8, or a source too long to be a file name
+    # (ENAMETOOLONG), is malformed input, not an internal defect
+    if kind == "non-utf8-file":
+        source = tmp_path / "input.json"
+        source.write_bytes(b"\xff\xfe{")
+        source = str(source)
+    else:
+        source = "x" * 5000
+    sources = {"--group": "cyclic(4)", "--signature": D4_FIRST, option: source}
+    code, out, err = run(capsys, "exists", "--group", sources["--group"],
+                         "--signature", sources["--signature"])
+    assert (code, out) == (64, "")
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 Q8_SIGNATURE = json.dumps({"genus": 0, "branches": [
     {"order": 4, "class_rep": "x"}, {"order": 4, "class_rep": "y"},
     {"order": 4, "class_rep": "xy"}]})

@@ -303,6 +303,6 @@ def test_pipeline_after_parsing_makes_no_perm_arithmetic(monkeypatch, name, gamm
     table = compute_table(G)
     dec = jacobian.factor_dimensions(G, table, sig)
     if gamma == 1:
-        jacobian.gamma1_analysis(G, table, sig, dec)
+        jacobian.gamma1_analysis(G, table, sig)
     monkeypatch.undo()
     assert calls == []

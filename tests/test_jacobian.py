@@ -235,6 +235,26 @@ def test_gamma1_analysis_cyclic4():
             assert not cond.kernel_quotient_is_torus
 
 
+def test_gamma1_analysis_runs_no_decomposition(monkeypatch):
+    # dim B = 0 is n = 0 for the closed-form multiplicity: neither the
+    # factor records nor the omega system are needed
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    sig = geometric(G, 1, "b", "b")
+    calls = []
+    monkeypatch.setattr(jacobian, "factor_dimensions",
+                        lambda *args: calls.append(args) or factor_dimensions(*args))
+    conditions = gamma1_analysis(G, T, sig)
+    assert calls == []
+    report = factor_dimensions(G, T, sig)
+    dims = {rec.representative: rec.dim_B for rec in report.records}
+    assert [c.galois_representative for c in conditions] == [
+        gc.representative for gc in T.galois_classes
+        if gc.representative != T.trivial_character_index
+    ]
+    assert all(c.dim_is_zero == (dims[c.galois_representative] == 0) for c in conditions)
+
+
 def test_gamma1_analysis_unramified():
     # realizable on a 2-generated abelian group: every nontrivial factor vanishes
     G = catalog("cyclic(6)")

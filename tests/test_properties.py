@@ -7,6 +7,8 @@ averages `fixed_dim` and `frobenius_schur_indicator` are integer sums over
 class counts and the class power map, a subgroup caches its conjugates and
 tests its normalizer on its generators only; each must agree with the fully
 validated, separately computed, element-by-element or definitional result.
+On drawn spherical generating vectors, the closed-form covers must agree
+with the coset-action oracle.
 hypothesis is a test-only dependency: the module is skipped when it is
 missing, and runs derandomized so that every run draws the same examples.
 """
@@ -24,12 +26,20 @@ from geosig.chartable import Character, CharacterTable, compute_table  # noqa: E
 from geosig.covers import (  # noqa: E402
     cover_report,
     cycle_structure,
+    lattice_report,
     marked_points,
     quotient_genus,
 )
 from geosig.cyclotomic import Cyclo  # noqa: E402
 from geosig.errors import InternalCheckError, NotRationalError  # noqa: E402
 from geosig.groups import Perm, Subgroup, catalog, conj  # noqa: E402
+from geosig.monodromy import oracle_summary  # noqa: E402
+from geosig.signature import (  # noqa: E402
+    BranchEntry,
+    GeneratingVector,
+    GeometricSignature,
+    verify_generating_vector,
+)
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -239,3 +249,39 @@ def test_masks_match_member_sets_and_index_order_is_image_order(case):
     assert [g.image for g in G.elements] == sorted(g.image for g in G.elements)
     assert [G.elements[i].image for i in K.indices] == sorted(g.image for g in K.members)
     assert G.elements[0].is_identity()
+
+
+ORACLE_GROUPS = ("dihedral(3)", "dihedral(4)", "dihedral(5)", "dihedral(6)",
+                 "symmetric(4)", "alternating(4)", "quaternion8", "wc3")
+
+
+@st.composite
+def spherical_vectors(draw):
+    """A catalog group and branch elements c_1..c_t, t = 3 or 4, with the
+    last one forced: c_t = (c_1...c_{t-1})^-1, so the product is 1."""
+    G = corpus_group(draw(st.sampled_from(ORACLE_GROUPS)))
+    free = draw(st.lists(st.integers(1, G.order - 1), min_size=2, max_size=3))
+    acc = 0
+    for c in free:
+        acc = G.product(acc, c)
+    return G, tuple(G.elements[c] for c in free + [G.inverses[acc]])
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(spherical_vectors())
+def test_closed_form_covers_match_the_oracle_on_drawn_vectors(case):
+    # the gamma = 0 signature is read off the drawn vector, so the vector
+    # realizes it; every cyclic-class quotient must then agree with the
+    # coset action of the same vector
+    G, cs = case
+    hypothesis.assume(all(not c.is_identity() for c in cs) and G.is_generated_by(cs))
+    subs = [Subgroup.generated(G, [c]) for c in cs]
+    sig = GeometricSignature(0, tuple(
+        BranchEntry(H.order, G.cyclic_subgroup_classes[G.cyclic_class_index(H)]) for H in subs
+    ))
+    vec = GeneratingVector((), (), cs)
+    assert verify_generating_vector(G, sig, vec).ok
+    for report in lattice_report(G, sig):
+        oracle = oracle_summary(G, report.subgroup, vec, 0)
+        assert oracle["genus"] == report.genus
+        assert oracle["cycle_structures"] == [list(c.entries) for c in report.cycle_structures]

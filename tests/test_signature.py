@@ -8,7 +8,7 @@ from geosig.errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from geosig.groups import Subgroup, catalog, conj
+from geosig.groups import MAX_QUOTIENT_GENUS, Subgroup, catalog, conj
 from geosig.signature import (
     BranchEntry,
     GeneratingVector,
@@ -55,6 +55,18 @@ def test_riemann_hurwitz_invalid():
         riemann_hurwitz_genus(8, 0, [1])
     with pytest.raises(GroupInputError):
         riemann_hurwitz_genus(8, -1, [])
+
+
+def test_quotient_genus_cap():
+    # refused before any search: product(..., repeat=2 * genus) overflows
+    # for a genus of 10**23
+    G = catalog("cyclic(2)")
+    assert GeometricSignature(MAX_QUOTIENT_GENUS).quotient_genus == MAX_QUOTIENT_GENUS
+    for genus in (MAX_QUOTIENT_GENUS + 1, 10 ** 23):
+        with pytest.raises(GroupInputError, match="exceeds the supported cap of 2000"):
+            GeometricSignature(genus)
+        with pytest.raises(GroupInputError, match="exceeds the supported cap of 2000"):
+            signature_from_payload(G, {"genus": genus, "branches": []})
 
 
 def test_d4_sphere_action_found():
