@@ -474,9 +474,9 @@ def _class_matrix(G: FiniteGroup, i: int) -> list[list[int]]:
     s = len(classes)
     mat = [[0] * s for _ in range(s)]
     for k, cls_k in enumerate(classes):
-        rep_k = cls_k.indices[0]
+        times_rep = G.right(cls_k.indices[0])
         for y in inverses:
-            mat[cls_of[G.product(y, rep_k)]][k] += 1
+            mat[cls_of[times_rep[y]]][k] += 1
     return mat
 
 

@@ -87,7 +87,8 @@ def _read_source(source: str, what: str, alternative: str) -> dict:
 def _parse_json(text: str, what: str) -> dict:
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer too long for int()
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer too long for int(), or nesting too deep
         raise GroupInputError(f"bad JSON in {what}: {exc}") from None
     if not isinstance(payload, dict):
         raise GroupInputError(f"{what} must be a JSON object")

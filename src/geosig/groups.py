@@ -8,10 +8,16 @@ every derived listing (element lists, class representatives, transversals)
 deterministic.
 
 Inside a group an element is its index 0..|G|-1 in that order (identity 0).
-All arithmetic composes image tuples: `FiniteGroup.product`, and the columns
-`right(g)`: x -> x*g and `left(g)`: x -> g*x, built lazily and cached on the
-group.  Member sets are int bitmasks, so a meet is `(a & b).bit_count()`.
-`Perm` objects appear only at the boundary: input, witnesses and output.
+The closure that builds G composes each element with each generator s once
+and keeps the results as integer columns x -> x*s.  Every other column is a
+walk of list lookups over a spanning tree of the Cayley graph: `left(g)`
+(x -> g*x) along x = p*s, `right(g)` (x -> x*g) along x = s*p, the inverses,
+the generators' conjugation columns and `conjugates_of(k)` (t -> t k t^-1).
+`left` and `right` are cached on the group.  Only `FiniteGroup.product`
+composes image tuples: the search, the power walks and the subgroup
+closures call it.  Member sets are int bitmasks, so a meet is
+`(a & b).bit_count()`.  `Perm` objects appear only at the boundary: input,
+witnesses and output.
 """
 
 from __future__ import annotations
@@ -190,6 +196,30 @@ def _bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
+def _spanning_tree(order: int, columns: Sequence[list[int]]) -> list[tuple[int, int, int]]:
+    """A breadth-first spanning tree from 0 of the graph x -> columns[j][x] on
+    0..order-1: edges (x, p, j) with x = columns[j][p], parents first."""
+    tree, queue, seen = [], [0], [True] + [False] * (order - 1)
+    for p in queue:
+        for j, col in enumerate(columns):
+            x = col[p]
+            if not seen[x]:
+                seen[x] = True
+                tree.append((x, p, j))
+                queue.append(x)
+    return tree
+
+
+def _tree_walk(start: int, tree: list[tuple[int, int, int]],
+               columns: Sequence[list[int]]) -> list[int]:
+    """The column out with out[0] = start and out[x] = columns[j][out[p]] along
+    each tree edge (x, p, j): list lookups only, no composition."""
+    out = [start] * (len(tree) + 1)
+    for x, p, j in tree:
+        out[x] = columns[j][out[p]]
+    return out
+
+
 def _closure(start, steps, limit: int) -> set:
     """What the step maps reach from start, or the first limit of it found."""
     found, queue = {start}, [start]
@@ -227,15 +257,27 @@ class FiniteGroup:
         self.generators = gens
         self.named_generators = named
         self.name = name
-        steps = [lambda a, g=g.image: _compose(a, g) for g in gens]
-        found = _closure(tuple(range(degree)), steps, MAX_GROUP_ORDER + 1)
+        # the closure composes every element with every distinct generator
+        # once; those products, kept in walk order, become the columns x -> x*s
+        identity = tuple(range(degree))
+        distinct = [g for g in dict.fromkeys(g.image for g in gens) if g != identity]
+        made: list[tuple[int, ...]] = []
+        steps = [lambda a, s=s: made.append(_compose(a, s)) or made[-1] for s in distinct]
+        found = _closure(identity, steps, MAX_GROUP_ORDER + 1)
         _check_cap("group order", len(found), MAX_GROUP_ORDER, "elements")
         self._images = tuple(sorted(found))
-        self._index = {img: i for i, img in enumerate(self._images)}
+        self._index = idx = {img: i for i, img in enumerate(self._images)}
         self.elements: tuple[Perm, ...] = tuple(map(Perm._trusted, self._images))
         self.order = len(self.elements)
         self.identity = self.elements[0]
-        self._right: dict[int, list[int]] = {}
+        walked = [idx[a] for a in dict.fromkeys([identity, *made])]  # the closure's queue
+        made_at, k = [idx[b] for b in made], len(distinct)
+        self._gens = tuple(idx[s] for s in distinct)
+        self._times = [  # per generator s, the column x -> x*s
+            [y for _, y in sorted(zip(walked, made_at[j::k]))] for j in range(k)
+        ]
+        self._right_tree = _spanning_tree(self.order, self._times)
+        self._right: dict[int, list[int]] = dict(zip(self._gens, self._times))
         self._left: dict[int, list[int]] = {}
 
     def __contains__(self, g: Perm) -> bool:
@@ -256,24 +298,46 @@ class FiniteGroup:
         return self._index[tuple(map(self._images[b].__getitem__, self._images[a]))]
 
     def right(self, g: int) -> list[int]:
-        """The column x -> x * g over all element indices, built once per g."""
+        """The column x -> x * g over all element indices, built once per g: for
+        x = s*p on the left tree, x*g = s*(p*g)."""
         if g not in self._right:
-            idx, img = self._index, self._images[g].__getitem__
-            self._right[g] = [idx[tuple(map(img, x))] for x in self._images]
+            tree, times_s = self._left_tree
+            self._right[g] = _tree_walk(g, tree, times_s)
         return self._right[g]
 
     def left(self, g: int) -> list[int]:
-        """The column x -> g * x over all element indices, built once per g."""
+        """The column x -> g * x over all element indices, built once per g: for
+        x = p*s on the right tree, g*x = (g*p)*s."""
         if g not in self._left:
-            idx, img = self._index, self._images[g]
-            self._left[g] = [idx[tuple(map(x.__getitem__, img))] for x in self._images]
+            self._left[g] = _tree_walk(g, self._right_tree, self._times)
         return self._left[g]
 
     @cached_property
+    def _left_tree(self) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+        """A spanning tree of the left Cayley graph, x = s*p, with the
+        generator columns p -> s*p it walks."""
+        times_s = [self.left(s) for s in self._gens]
+        return _spanning_tree(self.order, times_s), times_s
+
+    @cached_property
+    def _undo(self) -> list[list[int]]:
+        """For each generator s, the column x -> x * s^-1."""
+        return [sorted(range(self.order), key=col.__getitem__) for col in self._times]
+
+    @cached_property
     def inverses(self) -> list[int]:
-        """The index of each element's inverse."""
-        points = range(self.degree)
-        return [self._index[tuple(sorted(points, key=x.__getitem__))] for x in self._images]
+        """The index of each element's inverse: for x = s*p, x^-1 = p^-1 * s^-1."""
+        return _tree_walk(0, self._left_tree[0], self._undo)
+
+    @cached_property
+    def _conjugators(self) -> list[list[int]]:
+        """For each generator t, the column x -> t x t^-1."""
+        return [[back[y] for y in self.left(t)] for t, back in zip(self._gens, self._undo)]
+
+    def conjugates_of(self, k: int) -> list[int]:
+        """The column t -> t k t^-1 over all element indices, not cached: for
+        t = s*p on the left tree, t k t^-1 = s (p k p^-1) s^-1."""
+        return _tree_walk(k, self._left_tree[0], self._conjugators)
 
     def _generated(self, gens: Sequence[int]) -> set[int]:
         """The subgroup that element indices generate; the closure stops at |G|.
@@ -319,11 +383,7 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple["ElementClass", ...]:
         """Element classes ordered by (element order, class size, representative);
         the orbits of G under conjugation are those of its generators."""
-        conjugators = [  # for each generator t, the column x -> t x t^-1
-            [self.product(self.product(t, x), self.inverses[t]) for x in range(self.order)]
-            for t in dict.fromkeys(map(self.index, self.generators))
-        ]
-        steps = [col.__getitem__ for col in conjugators]
+        steps = [col.__getitem__ for col in self._conjugators]
         raw, seen = [], set()
         for g in range(self.order):
             if g not in seen:
@@ -469,7 +529,11 @@ class FiniteGroup:
                 m = re.match(r"\^(-?\d+)", s[i:])
                 if not m:
                     raise GroupInputError(f"bad exponent in {text!r}")
-                exp = int(m.group(1))
+                try:
+                    exp = int(m.group(1))
+                except ValueError:  # more digits than int() reads
+                    raise GroupInputError(f"exponent too long to read in a word of "
+                                          f"{len(s)} characters") from None
                 i += m.end()
             acc = acc * (self.named_generators[nm] ** exp)
         return acc
@@ -566,10 +630,10 @@ class Subgroup:
         if cached is not None:
             return cached
         # t K t^-1 = K as soon as t conjugates a generating set of K into K
-        G, inverses = self.parent, self.parent.inverses
-        mem = [t for t in range(G.order) if all(
-            self.mask >> G.product(G.product(t, k), inverses[t]) & 1 for k in self.generating_set
-        )]
+        G, mem = self.parent, range(self.parent.order)
+        for k in self.generating_set:
+            col = G.conjugates_of(k)
+            mem = [t for t in mem if self.mask >> col[t] & 1]
         tag = f"N({self.label})" if self.label else None
         self._normalizer = Subgroup._trusted(G, mem, None, tag)
         return self._normalizer
@@ -587,38 +651,60 @@ class Subgroup:
     @cached_property
     def conjugate_masks(self) -> tuple[int, ...]:
         """The member masks of l K l^-1, one for each l of the left transversal
-        of N(K), in transversal order; each conjugate of K appears once."""
-        G = self.parent
-        return tuple(
-            _mask(G.product(G.product(ell, k), G.inverses[ell]) for k in self.indices)
-            for ell in self.normalizer().transversal
-        )
+        of N(K), in transversal order; each conjugate of K appears once.  They
+        are the orbit of K under the generators' conjugation columns, each filed
+        at the coset of N(K) that holds its conjugator."""
+        G, N = self.parent, self.normalizer()
+        coset_of, reps = N.left_cosets
+        masks = [0] * len(reps)
+        masks[coset_of[0]] = self.mask
+        orbit = [(0, self.indices)]  # (a conjugator l, the members of l K l^-1)
+        for ell, members in orbit:
+            for times_t, conj in zip(G._left_tree[1], G._conjugators):
+                image = [conj[k] for k in members]
+                m, slot = _mask(image), coset_of[times_t[ell]]
+                if not masks[slot]:
+                    masks[slot] = m
+                    orbit.append((times_t[ell], image))
+                elif masks[slot] != m:
+                    raise InternalCheckError(
+                        f"two conjugates of a subgroup of order {self.order} share the "
+                        f"coset {slot} of its normalizer"
+                    )
+        if len(set(masks) - {0}) != len(reps):
+            raise InternalCheckError(
+                f"a subgroup of order {self.order} has {len(set(masks) - {0})} conjugates, "
+                f"its normalizer index is {len(reps)}"
+            )
+        return tuple(masks)
 
     @cached_property
     def left_cosets(self) -> tuple[list[int], tuple[int, ...]]:
         """The left cosets gH: each element's coset number, and the least
-        element of each coset, numbered in element order."""
+        element of each coset, numbered in element order.  The coset of g is
+        its orbit under right multiplication by the generating set."""
         G = self.parent
+        cols = [G.right(h) for h in self.generating_set]
         coset_of, reps = [-1] * G.order, []
         for g in range(G.order):
             if coset_of[g] < 0:
-                for h in self.indices:
-                    coset_of[G.product(g, h)] = len(reps)
+                coset_of[g] = len(reps)
+                orbit = [g]
+                for x in orbit:
+                    for col in cols:
+                        if coset_of[col[x]] < 0:
+                            coset_of[col[x]] = len(reps)
+                            orbit.append(col[x])
                 reps.append(g)
         return coset_of, tuple(reps)
 
     @cached_property
     def transversal(self) -> tuple[int, ...]:
         """One element index per left coset gH, each the least of its coset."""
-        G = self.parent
-        covered, reps = 0, []
-        for g in range(G.order):
-            if not covered >> g & 1:
-                reps.append(g)
-                covered |= _mask(G.product(g, h) for h in self.indices)
+        reps = self.left_cosets[1]
         if len(reps) != self.index:
             raise InternalCheckError("left transversal has the wrong size")
-        return tuple(reps)
+        return reps
 
     def left_transversal(self) -> tuple[Perm, ...]:
         """One representative per left coset gH, each the least element of its coset."""

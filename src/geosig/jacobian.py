@@ -147,20 +147,33 @@ def complex_multiplicities(G: FiniteGroup, table: CharacterTable,
 
 
 def _solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
+    """The exact solution of matrix · x = rhs: Bareiss's fraction-free
+    elimination to upper-triangular form, in integers, then back-substitution
+    in Fractions.  Each division by the previous pivot is exact (Bareiss 1968)."""
     n = len(matrix)
-    work = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    work = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if work[r][col]), None)
         if pivot is None:
             raise InternalCheckError("fixed-dimension matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-    return [work[r][n] for r in range(n)]
+        top = work[col]
+        for row in work[col + 1:]:
+            lead, row[col] = row[col], 0
+            for c in range(col + 1, n + 1):
+                row[c], rest = divmod(top[col] * row[c] - lead * top[c], prev)
+                if rest:
+                    raise InternalCheckError(
+                        f"Bareiss division by the pivot {prev} is not exact"
+                    )
+        prev = top[col]
+    solution = [Fraction(0)] * n
+    for r in reversed(range(n)):
+        row = work[r]
+        known = sum(row[c] * solution[c] for c in range(r + 1, n))
+        solution[r] = (row[n] - known) / Fraction(row[r])
+    return solution
 
 
 def solve_omega_system(G: FiniteGroup, table: CharacterTable,

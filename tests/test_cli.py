@@ -365,6 +365,40 @@ def test_integers_too_long_to_read_exit_64(capsys):
         assert err.startswith("error:")
 
 
+def test_word_exponent_too_long_to_read_exits_64(capsys):
+    # a word exponent goes through int() as well
+    word = "x^" + "9" * 5000
+    signature = json.dumps({"genus": 0, "branches": [
+        {"order": 4, "class_rep": word}, {"order": 2, "class_rep": "y"},
+        {"order": 2, "class_rep": "xy"}]})
+    for argv in [
+        ("lattice", "--group", "dihedral(4)", "--signature", D4_FIRST, "--subgroups", word),
+        ("exists", "--group", "dihedral(4)", "--signature", signature),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 64, argv
+        assert out == ""
+        assert err.startswith("error: exponent too long to read"), err
+
+
+def test_deeply_nested_json_exits_64(tmp_path):
+    # json.loads recurses once per level; a fresh process has the default
+    # recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in [("--group", "dihedral(4)", "--signature", str(deep)),
+                 ("--group", str(deep), "--signature", D4_FIRST)]:
+        proc = subprocess.run([sys.executable, "-m", "geosig.cli", "exists", *argv],
+                              capture_output=True, env=env, text=True, timeout=120)
+        assert proc.returncode == 64, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: bad JSON in"), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_non_string_group_name_exits_64(capsys):
     spec = json.dumps({"name": 5, "degree": 6, "generators": S6_GENERATORS})
     code, out, err = run(capsys, "chartab", "--group", spec, "--format", "json")

@@ -306,3 +306,27 @@ def test_pipeline_after_parsing_makes_no_perm_arithmetic(monkeypatch, name, gamm
         jacobian.gamma1_analysis(G, table, sig)
     monkeypatch.undo()
     assert calls == []
+
+
+def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
+    # past the class data, columns come from walks over a Cayley-graph
+    # spanning tree; the scalar products left are the generating-set closures
+    # of subgroups built from members (the parent made 10,110 here)
+    from geosig import jacobian, monodromy
+    from geosig.chartable import compute_table
+    from geosig.groups import FiniteGroup
+    from geosig.signature import find_generating_vector
+
+    G = catalog("symmetric(6)")
+    sig = geometric(G, 0, "b", "a", "(1,2,3,4,5)")
+    vec = find_generating_vector(G, sig)
+    G.class_powers, G.merged_element_classes
+    calls = []
+    real = FiniteGroup.product
+    monkeypatch.setattr(FiniteGroup, "product",
+                        lambda self, a, b: (calls.append(1), real(self, a, b))[1])
+    for report in lattice_report(G, sig, []):
+        monodromy.oracle_summary(G, report.subgroup, vec, 0)
+    jacobian.factor_dimensions(G, compute_table(G), sig)
+    monkeypatch.undo()
+    assert 0 < len(calls) < 500

@@ -362,3 +362,83 @@ def test_generating_set_of_a_subgroup_without_generators():
     K = G.subgroup_from_words(["a", "b"])
     assert K.generating_set == tuple(G.index(g) for g in K.generators)
     assert Subgroup.from_members(G, H.members).generating_set == gens
+
+
+# -- derived columns against direct Perm composition ---------------------------
+
+W_D5 = {"name": "w_d5", "degree": 10, "generators": {
+    "a": "(1,2,3,4,5)(6,7,8,9,10)", "b": "(1,2)(6,7)", "c": "(1,6)(2,7)"}}
+
+
+def _check_columns(G, sample):
+    # left, right and the column t -> t g t^-1 for each g of sample; the
+    # inverses and each generator's conjugation column for every element
+    E, index = G.elements, G.index
+    for g in sample:
+        assert G.left(g) == [index(E[g] * x) for x in E]
+        assert G.right(g) == [index(x * E[g]) for x in E]
+        assert G.conjugates_of(g) == [index(conj(t, E[g])) for t in E]
+    assert G.inverses == [index(x.inverse()) for x in E]
+    assert {E[t] for t in G._gens} == set(G.generators) - {G.identity}
+    for t, col in zip(G._gens, G._conjugators):
+        assert col == [index(conj(E[t], x)) for x in E]
+
+
+def _check_subgroup(G, K):
+    # the normalizer, the left cosets, the transversal and the conjugates of
+    # K against their definitions
+    E, index, members = G.elements, G.index, K.members
+    N = K.normalizer()
+    assert N.members == frozenset(
+        t for t in E if frozenset(conj(t, k) for k in members) == members)
+    least = {g: min(g * k for k in members) for g in E}
+    reps = sorted(set(least.values()))
+    coset_of, coset_reps = K.left_cosets
+    assert coset_reps == K.transversal == tuple(map(index, reps))
+    assert coset_of == [reps.index(least[g]) for g in E]
+    assert K.conjugate_masks == tuple(
+        sum(1 << index(conj(E[ell], k)) for k in members) for ell in N.transversal)
+
+
+def _subgroups(G):
+    # the cyclic-subgroup representatives, their normalizers (built from
+    # members, so moved by greedy generating sets), and G itself
+    cyclic = [c.representative for c in G.cyclic_subgroup_classes]
+    return [*cyclic, *(K.normalizer() for K in cyclic), G.full_subgroup]
+
+
+@pytest.mark.parametrize("name", ["cyclic(6)", "dihedral(5)", "dihedral(6)", "quaternion8",
+                                  "symmetric(4)", "alternating(4)", "wc3", "alternating(5)"])
+def test_derived_columns_match_perm_composition(name):
+    G = catalog(name)
+    _check_columns(G, range(G.order))
+    for K in _subgroups(G):
+        _check_subgroup(G, K)
+
+
+def test_derived_columns_on_w_d5():
+    G = group_from_payload(W_D5)
+    assert G.order == 1920
+    _check_columns(G, range(0, G.order, 193))
+    for K in G.cyclic_subgroup_classes[1::10]:
+        _check_subgroup(G, K.representative)
+
+
+def test_derived_columns_on_random_groups():
+    pytest.importorskip("hypothesis")  # a test-only dependency
+    from hypothesis import given, settings, strategies as st
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.permutations(range(n)), min_size=0, max_size=3)))
+    def check(images):
+        degree = len(images[0]) if images else 3
+        G = group_from_payload({
+            "degree": degree,
+            "generators": {f"g{i}": str(Perm(img)) for i, img in enumerate(images)} or {"e": "()"},
+        })
+        _check_columns(G, range(G.order))
+        for K in _subgroups(G):
+            _check_subgroup(G, K)
+
+    check()

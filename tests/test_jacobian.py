@@ -304,3 +304,89 @@ def test_decomposition_rejects_wrong_quotient_genera(monkeypatch):
                         lambda *args: quotient_genus(*args) + 1)
     with pytest.raises(InternalCheckError):
         factor_dimensions(G, T, sig)
+
+
+# -- the omega solve: Bareiss elimination against Fraction Gauss-Jordan ---------
+
+
+def _gauss_jordan(matrix, rhs):
+    # the Fraction Gauss-Jordan solve that Bareiss elimination replaced
+    from fractions import Fraction
+
+    n = len(matrix)
+    work = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise InternalCheckError("fixed-dimension matrix is singular")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = 1 / work[col][col]
+        work[col] = [v * inv for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [work[r][n] for r in range(n)]
+
+
+def _random_systems(count):
+    import random
+
+    rng = random.Random(20)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        yield ([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)],
+               [rng.randint(-9, 9) for _ in range(n)])
+
+
+def test_solve_exact_refuses_a_singular_matrix():
+    with pytest.raises(InternalCheckError, match="singular"):
+        jacobian._solve_exact([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(InternalCheckError, match="singular"):
+        jacobian._solve_exact([[0]], [5])
+
+
+def test_solve_exact_returns_fractions():
+    from fractions import Fraction
+
+    for matrix, rhs, expected in [([[2]], [3], Fraction(3, 2)), ([[-3]], [6], Fraction(-2)),
+                                  ([[1]], [0], Fraction(0))]:
+        (value,) = jacobian._solve_exact(matrix, rhs)
+        assert type(value) is Fraction and value == expected
+    assert all(type(v) is Fraction for v in jacobian._solve_exact([[0, 2], [3, 1]], [4, 5]))
+
+
+def test_solve_exact_matches_fraction_gauss_jordan():
+    solved = 0
+    for matrix, rhs in _random_systems(300):
+        try:
+            expected = _gauss_jordan(matrix, rhs)
+        except InternalCheckError:
+            with pytest.raises(InternalCheckError, match="singular"):
+                jacobian._solve_exact(matrix, rhs)
+            continue
+        assert jacobian._solve_exact(matrix, rhs) == expected
+        solved += 1
+    assert solved > 200
+
+
+def test_solve_exact_divisions_are_exact(monkeypatch):
+    # every Bareiss step divides by the previous pivot with no remainder; a
+    # remainder would be an InternalCheckError, never a rounded quotient
+    rests = []
+
+    def recorded(a, b):
+        q, r = divmod(a, b)
+        rests.append(r)
+        return q, r
+
+    monkeypatch.setattr(jacobian, "divmod", recorded, raising=False)
+    for matrix, rhs in _random_systems(100):
+        try:
+            jacobian._solve_exact(matrix, rhs)
+        except InternalCheckError:
+            pass
+    assert rests and set(rests) == {0}
+    monkeypatch.setattr(jacobian, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InternalCheckError, match="not exact"):
+        jacobian._solve_exact([[2, 1], [1, 3]], [1, 1])
