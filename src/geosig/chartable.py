@@ -466,15 +466,15 @@ def _eval_poly(poly: list[int], x: int, p: int) -> int:
 # -- table computation ---------------------------------------------------------
 
 
-def _class_matrix(G: FiniteGroup, i: int) -> list[list[int]]:
-    """Entry (j, k): the x in class i with x^-1 rep_k in class j; x^-1 spans the inverse class."""
+def _class_matrix(G: FiniteGroup, i: int, times_reps: list[list[int]]) -> list[list[int]]:
+    """Entry (j, k): the x in class i with x^-1 rep_k in class j; x^-1 spans the
+    inverse class.  times_reps[k] is the column y -> y * rep_k."""
     classes = G.conjugacy_classes
     cls_of = G.class_of
     inverses = classes[G.class_powers[i][-1]].indices
     s = len(classes)
     mat = [[0] * s for _ in range(s)]
-    for k, cls_k in enumerate(classes):
-        times_rep = G.right(cls_k.indices[0])
+    for k, times_rep in enumerate(times_reps):
         for y in inverses:
             mat[cls_of[times_rep[y]]][k] += 1
     return mat
@@ -486,10 +486,12 @@ def _split_spaces(G: FiniteGroup, p: int) -> list[list[int]]:
     spaces: list[tuple[list[list[int]], list[int]]] = [
         _rref([[1 if i == j else 0 for j in range(s)] for i in range(s)], p)
     ]
+    # every class matrix reads these columns; they are not kept on the group
+    times_reps = [G.right(cls.indices[0], cache=False) for cls in G.conjugacy_classes]
     for i in range(1, s):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        mat = [[v % p for v in row] for row in _class_matrix(G, i)]
+        mat = [[v % p for v in row] for row in _class_matrix(G, i, times_reps)]
         refined = []
         for rows, pivots in spaces:
             d = len(rows)

@@ -13,11 +13,12 @@ and keeps the results as integer columns x -> x*s.  Every other column is a
 walk of list lookups over a spanning tree of the Cayley graph: `left(g)`
 (x -> g*x) along x = p*s, `right(g)` (x -> x*g) along x = s*p, the inverses,
 the generators' conjugation columns and `conjugates_of(k)` (t -> t k t^-1).
-`left` and `right` are cached on the group.  Only `FiniteGroup.product`
-composes image tuples: the search, the power walks and the subgroup
-closures call it.  Member sets are int bitmasks, so a meet is
-`(a & b).bit_count()`.  `Perm` objects appear only at the boundary: input,
-witnesses and output.
+`left` and `right` are cached on the group; a caller that reads a right
+column once (`left_cosets`, the class matrices) takes `right(g, cache=False)`,
+which keeps nothing.  Only `FiniteGroup.product` composes image tuples: the
+search, the power walks and the subgroup closures call it.  Member sets are
+int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm` objects appear
+only at the boundary: input, witnesses and output.
 """
 
 from __future__ import annotations
@@ -258,24 +259,31 @@ class FiniteGroup:
         self.named_generators = named
         self.name = name
         # the closure composes every element with every distinct generator
-        # once; those products, kept in walk order, become the columns x -> x*s
+        # once: at[b] is b's place in the walk, and after[j][i] the place of
+        # walk[i]*s_j; in element order they become the columns x -> x*s
         identity = tuple(range(degree))
         distinct = [g for g in dict.fromkeys(g.image for g in gens) if g != identity]
-        made: list[tuple[int, ...]] = []
-        steps = [lambda a, s=s: made.append(_compose(a, s)) or made[-1] for s in distinct]
-        found = _closure(identity, steps, MAX_GROUP_ORDER + 1)
-        _check_cap("group order", len(found), MAX_GROUP_ORDER, "elements")
-        self._images = tuple(sorted(found))
+        walk, at = [identity], {identity: 0}
+        after: list[list[int]] = [[] for _ in distinct]
+        for a in walk:
+            for s, col in zip(distinct, after):
+                b = _compose(a, s)
+                if b not in at:
+                    at[b] = len(walk)
+                    walk.append(b)
+                    _check_cap("group order", len(walk), MAX_GROUP_ORDER, "elements")
+                col.append(at[b])
+        self._images = tuple(sorted(walk))
         self._index = idx = {img: i for i, img in enumerate(self._images)}
         self.elements: tuple[Perm, ...] = tuple(map(Perm._trusted, self._images))
         self.order = len(self.elements)
         self.identity = self.elements[0]
-        walked = [idx[a] for a in dict.fromkeys([identity, *made])]  # the closure's queue
-        made_at, k = [idx[b] for b in made], len(distinct)
         self._gens = tuple(idx[s] for s in distinct)
-        self._times = [  # per generator s, the column x -> x*s
-            [y for _, y in sorted(zip(walked, made_at[j::k]))] for j in range(k)
-        ]
+        rank = [idx[a] for a in walk]
+        self._times = [[0] * self.order for _ in distinct]  # per s, x -> x*s
+        for times_s, col in zip(self._times, after):
+            for i, b in enumerate(col):
+                times_s[rank[i]] = rank[b]
         self._right_tree = _spanning_tree(self.order, self._times)
         self._right: dict[int, list[int]] = dict(zip(self._gens, self._times))
         self._left: dict[int, list[int]] = {}
@@ -297,13 +305,16 @@ class FiniteGroup:
         """The index of a * b."""
         return self._index[tuple(map(self._images[b].__getitem__, self._images[a]))]
 
-    def right(self, g: int) -> list[int]:
-        """The column x -> x * g over all element indices, built once per g: for
-        x = s*p on the left tree, x*g = s*(p*g)."""
-        if g not in self._right:
-            tree, times_s = self._left_tree
-            self._right[g] = _tree_walk(g, tree, times_s)
-        return self._right[g]
+    def right(self, g: int, cache: bool = True) -> list[int]:
+        """The column x -> x * g over all element indices: for x = s*p on the
+        left tree, x*g = s*(p*g).  It is kept on the group unless cache=False,
+        for a caller that reads it once."""
+        if g in self._right:
+            return self._right[g]
+        column = _tree_walk(g, *self._left_tree)
+        if cache:
+            self._right[g] = column
+        return column
 
     def left(self, g: int) -> list[int]:
         """The column x -> g * x over all element indices, built once per g: for
@@ -684,7 +695,7 @@ class Subgroup:
         element of each coset, numbered in element order.  The coset of g is
         its orbit under right multiplication by the generating set."""
         G = self.parent
-        cols = [G.right(h) for h in self.generating_set]
+        cols = [G.right(h, cache=False) for h in self.generating_set]
         coset_of, reps = [-1] * G.order, []
         for g in range(G.order):
             if coset_of[g] < 0:

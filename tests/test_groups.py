@@ -376,6 +376,7 @@ def _check_columns(G, sample):
     E, index = G.elements, G.index
     for g in sample:
         assert G.left(g) == [index(E[g] * x) for x in E]
+        assert G.right(g, cache=False) == [index(x * E[g]) for x in E]
         assert G.right(g) == [index(x * E[g]) for x in E]
         assert G.conjugates_of(g) == [index(conj(t, E[g])) for t in E]
     assert G.inverses == [index(x.inverse()) for x in E]
@@ -422,6 +423,38 @@ def test_derived_columns_on_w_d5():
     _check_columns(G, range(0, G.order, 193))
     for K in G.cyclic_subgroup_classes[1::10]:
         _check_subgroup(G, K.representative)
+
+
+def test_columns_read_once_are_not_kept():
+    # the class matrices and the left cosets read right columns once, so
+    # the group keeps none beyond its generators'
+    from geosig.chartable import compute_table
+
+    G = catalog("symmetric(5)")
+    compute_table(G)
+    for K in _subgroups(G):
+        assert K.left_cosets and K.conjugate_masks
+    assert set(G._right) == set(G._gens)
+
+
+def test_build_keeps_no_copy_of_each_product():
+    # eight generators of a cyclic group of degree 500: the closure makes
+    # 8 * 500 products, and the group should hold about one image tuple
+    # per element at its peak, not one per product
+    import sys
+    import tracemalloc
+
+    n = 500
+    gens = {f"c{k}": Perm([(i + k) % n for i in range(n)]) for k in (1, 3, 7, 9, 11, 13, 17, 19)}
+    tracemalloc.start()
+    try:
+        G = FiniteGroup(n, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == n
+    images = sum(map(sys.getsizeof, (g.image for g in G.elements)))
+    assert peak < 2 * images
 
 
 def test_derived_columns_on_random_groups():
