@@ -486,8 +486,8 @@ def _split_spaces(G: FiniteGroup, p: int) -> list[list[int]]:
     spaces: list[tuple[list[list[int]], list[int]]] = [
         _rref([[1 if i == j else 0 for j in range(s)] for i in range(s)], p)
     ]
-    # every class matrix reads these columns; they are not kept on the group
-    times_reps = [G.right(cls.indices[0], cache=False) for cls in G.conjugacy_classes]
+    # every class matrix reads these columns; the group does not keep them
+    times_reps = [G.right(cls.indices[0]) for cls in G.conjugacy_classes]
     for i in range(1, s):
         if all(len(rows) == 1 for rows, _ in spaces):
             break

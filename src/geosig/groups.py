@@ -8,17 +8,19 @@ every derived listing (element lists, class representatives, transversals)
 deterministic.
 
 Inside a group an element is its index 0..|G|-1 in that order (identity 0).
-The closure that builds G composes each element with each generator s once
+The walk that builds G composes each element with each generator s once
 and keeps the results as integer columns x -> x*s.  Every other column is a
 walk of list lookups over a spanning tree of the Cayley graph: `left(g)`
 (x -> g*x) along x = p*s, `right(g)` (x -> x*g) along x = s*p, the inverses,
 the generators' conjugation columns and `conjugates_of(k)` (t -> t k t^-1).
-`left` and `right` are cached on the group; a caller that reads a right
-column once (`left_cosets`, the class matrices) takes `right(g, cache=False)`,
-which keeps nothing.  Only `FiniteGroup.product` composes image tuples: the
-search, the power walks and the subgroup closures call it.  Member sets are
-int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm` objects appear
-only at the boundary: input, witnesses and output.
+What the group keeps follows one rule: a `left(g)` column is kept once
+walked, a generator's right column is the build's own, and any other right
+column is walked on each call and never kept (`left_cosets` and the class
+matrices read them once); every other kept value is a cached property.
+Only `FiniteGroup.product` composes image tuples: the search, the power
+walks and the subgroup closures call it.  Member sets are int bitmasks, so
+a meet is `(a & b).bit_count()`.  `Perm` objects appear only at the
+boundary: input, witnesses and output.
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ class FiniteGroup:
             for i, b in enumerate(after[j::k]):
                 times_s[rank[i]] = rank[b]
         self._right_tree = _spanning_tree(self.order, self._times)
-        self._right: dict[int, list[int]] = dict(zip(self._gens, self._times))
+        self._right: dict[int, list[int]] = dict(zip(self._gens, self._times))  # never grows
         self._left: dict[int, list[int]] = {}
 
     def __contains__(self, g: Perm) -> bool:
@@ -306,16 +308,13 @@ class FiniteGroup:
         """The index of a * b."""
         return self._index[tuple(map(self._images[b].__getitem__, self._images[a]))]
 
-    def right(self, g: int, cache: bool = True) -> list[int]:
-        """The column x -> x * g over all element indices: for x = s*p on the
-        left tree, x*g = s*(p*g).  It is kept on the group unless cache=False,
-        for a caller that reads it once."""
+    def right(self, g: int) -> list[int]:
+        """The column x -> x * g over all element indices.  A generator's is
+        the build's own; any other is walked on each call and not kept: for
+        x = s*p on the left tree, x*g = s*(p*g)."""
         if g in self._right:
             return self._right[g]
-        column = _tree_walk(g, *self._left_tree)
-        if cache:
-            self._right[g] = column
-        return column
+        return _tree_walk(g, *self._left_tree)
 
     def left(self, g: int) -> list[int]:
         """The column x -> g * x over all element indices, built once per g: for
@@ -401,9 +400,10 @@ class FiniteGroup:
             if g not in seen:
                 orbit = _closure(g, steps, self.order)
                 seen |= orbit
-                raw.append(sorted(orbit))
-        raw.sort(key=lambda mem: (self.elements[mem[0]].order(), len(mem), mem[0]))
-        return tuple(ElementClass(self, tuple(mem)) for mem in raw)
+                mem = sorted(orbit)
+                raw.append((self.elements[mem[0]].order(), len(mem), mem))
+        raw.sort()
+        return tuple(ElementClass(self, tuple(mem), m) for m, _, mem in raw)
 
     @cached_property
     def class_of(self) -> list[int]:
@@ -438,11 +438,11 @@ class FiniteGroup:
         return powers
 
     @cached_property
-    def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
-        """All cyclic subgroups up to conjugacy, trivial subgroup included."""
-        # element -> mask of the cyclic subgroup it generates, and mask -> sorted
-        # members; one power walk per subgroup files its generators g^k, gcd(k, m) = 1
-        self._cyclic_of = cyclic_of = [0] * self.order
+    def _cyclic_subgroups(self) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+        """The mask of the cyclic subgroup <g> by element index g, and the
+        sorted members of each cyclic subgroup by mask: one power walk per
+        subgroup files its generators g^k, gcd(k, m) = 1."""
+        cyclic_of = [0] * self.order
         members: dict[int, tuple[int, ...]] = {}
         for g in range(self.order):
             if cyclic_of[g]:
@@ -453,7 +453,12 @@ class FiniteGroup:
             for k in range(len(powers)):
                 if math.gcd(k, len(powers)) == 1:
                     cyclic_of[powers[k]] = s
+        return cyclic_of, members
 
+    @cached_property
+    def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
+        """All cyclic subgroups up to conjugacy, trivial subgroup included."""
+        cyclic_of, members = self._cyclic_subgroups
         assigned: set[int] = set()
         classes = []
         for g in range(self.order):
@@ -485,11 +490,12 @@ class FiniteGroup:
     @cached_property
     def merged_element_classes(self) -> tuple["ElementClass", ...]:
         """Elements fused by conjugacy of generated cyclic subgroups, one per cyclic class."""
-        classes = self.cyclic_subgroup_classes
+        classes, cyclic_of = self.cyclic_subgroup_classes, self._cyclic_subgroups[0]
         buckets: list[list[int]] = [[] for _ in classes]
         for g in range(self.order):
-            buckets[self.cyclic_subgroup_masks[self._cyclic_of[g]]].append(g)
-        return tuple(ElementClass(self, tuple(b)) for b in buckets)
+            buckets[self.cyclic_subgroup_masks[cyclic_of[g]]].append(g)
+        # every generator of a cyclic subgroup of order m has order m
+        return tuple(ElementClass(self, tuple(b), c.order) for b, c in zip(buckets, classes))
 
     def subgroup_class(self, sub: "Subgroup") -> "ConjugacyClassOfSubgroups":
         """Conjugacy class of an arbitrary subgroup (its cached conjugates unless cyclic)."""
@@ -638,17 +644,17 @@ class Subgroup:
         return f"Subgroup(<{tag}>, order={self.order})"
 
     def normalizer(self) -> "Subgroup":
-        cached = getattr(self, "_normalizer", None)
-        if cached is not None:
-            return cached
+        return self._normalizer
+
+    @cached_property
+    def _normalizer(self) -> "Subgroup":
         # t K t^-1 = K as soon as t conjugates a generating set of K into K
         G, mem = self.parent, range(self.parent.order)
         for k in self.generating_set:
             col = G.conjugates_of(k)
             mem = [t for t in mem if self.mask >> col[t] & 1]
         tag = f"N({self.label})" if self.label else None
-        self._normalizer = Subgroup._trusted(G, mem, None, tag)
-        return self._normalizer
+        return Subgroup._trusted(G, mem, None, tag)
 
     @cached_property
     def class_counts(self) -> tuple[tuple[int, int], ...]:
@@ -696,7 +702,7 @@ class Subgroup:
         element of each coset, numbered in element order.  The coset of g is
         its orbit under right multiplication by the generating set."""
         G = self.parent
-        cols = [G.right(h, cache=False) for h in self.generating_set]
+        cols = [G.right(h) for h in self.generating_set]
         coset_of, reps = [-1] * G.order, []
         for g in range(G.order):
             if coset_of[g] < 0:
@@ -726,16 +732,16 @@ class Subgroup:
 class ElementClass:
     """A class of group elements, held as sorted element indices: a conjugacy
     class, or, in `merged_element_classes`, the generators of one
-    cyclic-subgroup class."""
+    cyclic-subgroup class.  Its builder knows the element order and passes it."""
 
     __slots__ = ("indices", "members", "representative", "size", "element_order")
 
-    def __init__(self, group: FiniteGroup, indices: tuple[int, ...]):
+    def __init__(self, group: FiniteGroup, indices: tuple[int, ...], element_order: int):
         self.indices = indices
         self.members = tuple(map(group.elements.__getitem__, indices))
         self.representative = self.members[0]
         self.size = len(indices)
-        self.element_order = self.representative.order()
+        self.element_order = element_order
 
     def __repr__(self) -> str:
         return f"ElementClass({self.representative}, size={self.size})"

@@ -57,9 +57,18 @@ def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAct
                         orbit.append(col[x])
             reps.append(g)
 
+    # r*g = (g^-1 * r^-1)^-1 reads the kept left column of g^-1
+    inv = G.inverses
+
     def image(g: Perm) -> Perm:
-        times_g = G.right(G.index(g))
-        return Perm(coset_of[times_g[r]] for r in reps)
+        g_inv_times = G.left(inv[G.index(g)])
+        try:
+            return Perm(coset_of[inv[g_inv_times[inv[r]]]] for r in reps)
+        except GroupInputError:
+            raise InternalCheckError(
+                f"vector element {g} does not permute the {len(reps)} right cosets "
+                f"of a subgroup of order {H.order}"
+            ) from None
 
     images = (tuple(image(g) for g in part) for part in (vec.a, vec.b, vec.c))
     return CosetAction(H, tuple(G.elements[r] for r in reps), *images)

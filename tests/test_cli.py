@@ -9,7 +9,7 @@ import pytest
 from geosig import cli, covers, jacobian
 from geosig.cli import main
 from geosig.errors import InternalCheckError
-from geosig.groups import Subgroup, catalog
+from geosig.groups import FiniteGroup, Subgroup, catalog
 from geosig.signature import refinements, signature_from_payload
 
 D4_FIRST = json.dumps({
@@ -606,6 +606,26 @@ def test_internal_defect_exits_70(capsys, monkeypatch, defect):
     assert catalog("wc3").digest in err
     assert WC3_FIRST in err
     assert "genus formulas disagree" in err
+
+
+def test_oracle_defect_exits_70(capsys, monkeypatch):
+    # a coset image that is not a permutation is a defect in the columns the
+    # oracle reads, not malformed input: 70, naming the subgroup order and
+    # the vector element
+    real = covers.lattice_report
+
+    def then_break_columns(G, *args):
+        reports = real(G, *args)
+        monkeypatch.setattr(FiniteGroup, "left", lambda self, g: [0] * self.order)
+        return reports
+    monkeypatch.setattr(covers, "lattice_report", then_break_columns)
+    code, out, err = run(capsys, "lattice", "--group", "wc3", "--signature", WC3_FIRST,
+                         "--cross-check", "--format", "json")
+    assert code == 70
+    assert out == ""
+    assert catalog("wc3").digest in err
+    assert WC3_FIRST in err
+    assert "does not permute the 48 right cosets of a subgroup of order 1" in err
 
 
 def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):

@@ -19,15 +19,7 @@ from geosig.signature import (
     signature_genus,
 )
 
-
-def geometric(G, gamma, *words):
-    entries = []
-    for word in words:
-        g = G.element(word)
-        sub = Subgroup.generated(G, [g], label=word)
-        cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
-        entries.append(BranchEntry(g.order(), cls, label=word))
-    return GeometricSignature(gamma, tuple(entries))
+from corpus import geometric_signature
 
 
 def test_trivial_subgroup_recovers_total_genus():
@@ -37,16 +29,16 @@ def test_trivial_subgroup_recovers_total_genus():
         ("wc3", 0, ("xa^2", "xyab", "xyzb")),
     ]:
         G = catalog(name)
-        sig = geometric(G, gamma, *words)
+        sig = geometric_signature(G, gamma, words)
         assert quotient_genus(G, sig, G.trivial_subgroup) == signature_genus(G, sig)
 
 
 def test_full_subgroup_recovers_quotient_genus():
     G = catalog("wc3")
-    sig = geometric(G, 0, "xa^2", "xyab", "xyzb")
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
     assert quotient_genus(G, sig, G.full_subgroup) == 0
     G2 = catalog("cyclic(4)")
-    sig2 = geometric(G2, 1, "x^2", "x^2")
+    sig2 = geometric_signature(G2, 1, ("x^2", "x^2"))
     assert quotient_genus(G2, sig2, G2.full_subgroup) == 1
 
 
@@ -54,8 +46,8 @@ def test_wc3_named_subgroup_quotient_genera():
     G = catalog("wc3")
     H1 = G.subgroup_from_words(["y", "z", "xyzab"])
     H2 = G.subgroup_from_words(["y", "z", "ab"])
-    sig1 = geometric(G, 0, "xa^2", "xyab", "xyzb")
-    sig2 = geometric(G, 0, "xa^2", "yab", "yzab")
+    sig1 = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    sig2 = geometric_signature(G, 0, ("xa^2", "yab", "yzab"))
     assert quotient_genus(G, sig1, H1) == 0
     assert quotient_genus(G, sig1, H2) == 1
     assert quotient_genus(G, sig2, H1) == 1
@@ -64,7 +56,7 @@ def test_wc3_named_subgroup_quotient_genera():
 
 def test_cyclic4_degree_two_unramified_cover():
     G = catalog("cyclic(4)")
-    sig = geometric(G, 1, "x^2", "x^2")
+    sig = geometric_signature(G, 1, ("x^2", "x^2"))
     H = G.subgroup_from_words(["x^2"])
     assert quotient_genus(G, sig, H) == 1
     marks = marked_points(G, sig, H)
@@ -78,7 +70,7 @@ def test_cyclic4_degree_two_unramified_cover():
 def test_marked_points_trivial_subgroup():
     # identity cover: |G|/m_j points over branch value j, stabilizer trivial
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     marks = marked_points(G, sig, G.trivial_subgroup)
     per_branch = {}
     for m in marks:
@@ -96,7 +88,7 @@ def test_marked_points_trivial_subgroup():
 
 def test_marked_points_full_subgroup():
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     marks = marked_points(G, sig, G.full_subgroup)
     assert [(m.branch_index, m.mark, m.count) for m in marks] == [
         (0, 4, 1), (1, 2, 1), (2, 2, 1),
@@ -108,7 +100,7 @@ def test_marked_points_full_subgroup():
 def test_transversal_partition_examples():
     G = catalog("dihedral(4)")
     # normal G_j: single set of size 1
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     part = transversal_partition(G, sig, G.trivial_subgroup, 0)
     assert part.nu == 1 and part.sets[0] == (G.identity,)
     # [2,<y>] against H = <x^2>: both conjugates of <y> meet H trivially
@@ -126,7 +118,7 @@ def test_transversal_partition_examples():
 
 def test_cycle_structure_accounts_for_all_sheets():
     G = catalog("wc3")
-    sig = geometric(G, 0, "xa^2", "xyab", "xyzb")
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
     for cls in G.cyclic_subgroup_classes:
         H = cls.representative
         for c in cycle_structure(G, sig, H):
@@ -141,7 +133,7 @@ def test_genus_satisfies_riemann_hurwitz_from_cycles():
         ("cyclic(4)", 1, ("x^2", "x^2")),
     ]:
         G = catalog(name)
-        sig = geometric(G, gamma, *words)
+        sig = geometric_signature(G, gamma, words)
         for cls in G.cyclic_subgroup_classes:
             H = cls.representative
             idx = H.index
@@ -167,7 +159,7 @@ def test_unramified_signature_report():
 
 def test_lattice_report_includes_user_subgroups():
     G = catalog("wc3")
-    sig = geometric(G, 0, "xa^2", "xyab", "xyzb")
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
     H1 = G.subgroup_from_words(["y", "z", "xyzab"])
     H2 = G.subgroup_from_words(["y", "z", "ab"])
     reports = lattice_report(G, sig, [H1, H2])
@@ -191,8 +183,8 @@ def test_geometric_signature_separation_wc3():
     # the two known genus-3 actions share a plain signature but differ on
     # a cyclic class quotient genus
     G = catalog("wc3")
-    sig1 = geometric(G, 0, "xa^2", "xyab", "xyzb")
-    sig2 = geometric(G, 0, "xa^2", "yab", "yzab")
+    sig1 = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    sig2 = geometric_signature(G, 0, ("xa^2", "yab", "yzab"))
     genera1 = [quotient_genus(G, sig1, c.representative) for c in G.cyclic_subgroup_classes]
     genera2 = [quotient_genus(G, sig2, c.representative) for c in G.cyclic_subgroup_classes]
     assert genera1 != genera2
@@ -243,7 +235,7 @@ def test_doctored_marks_fail_the_genus_check(monkeypatch):
     # ramification genus, read from the marks, can disagree with the
     # double-coset genus
     G = catalog("wc3")
-    sig = geometric(G, 0, "xa^2", "xyab", "xyzb")
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
     H = Subgroup.generated(G, [G.element("(2,5)(3,6)")])
     marks = marked_points(G, sig, H)
     assert [(m.mark, m.count) for m in marks if m.branch_index == 1] == [(2, 4), (1, 4)]
@@ -260,7 +252,7 @@ def test_new_subgroup_marks_make_no_products(monkeypatch):
     # the conjugates of each G_j are cached on G_j, so the marked points of
     # another H are set intersections only
     G = catalog("symmetric(6)")
-    sig = geometric(G, 0, "b", "a", "(1,2,3,4,5)")
+    sig = geometric_signature(G, 0, ("b", "a", "(1,2,3,4,5)"))
     marked_points(G, sig, G.subgroup_from_words(["a^2"]))
     H = G.subgroup_from_words(["(1,2)(3,4)", "(1,3)(2,4)"])
     products = []
@@ -290,7 +282,7 @@ def test_pipeline_after_parsing_makes_no_perm_arithmetic(monkeypatch, name, gamm
     from geosig.signature import find_generating_vector
 
     G = catalog(name)
-    sig = geometric(G, gamma, *words)
+    sig = geometric_signature(G, gamma, words)
     subs = [G.subgroup_from_words(list(w)) for w in subgroups]
     calls = []
     for method in ("__mul__", "inverse", "__pow__"):
@@ -318,7 +310,7 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     from geosig.signature import find_generating_vector
 
     G = catalog("symmetric(6)")
-    sig = geometric(G, 0, "b", "a", "(1,2,3,4,5)")
+    sig = geometric_signature(G, 0, ("b", "a", "(1,2,3,4,5)"))
     vec = find_generating_vector(G, sig)
     G.class_powers, G.merged_element_classes
     calls = []
@@ -330,3 +322,6 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     jacobian.factor_dimensions(G, compute_table(G), sig)
     monkeypatch.undo()
     assert 0 < len(calls) < 500
+    # the oracle reads kept left columns, and the group keeps no right
+    # column beyond the build's own
+    assert set(G._right) == set(G._gens)

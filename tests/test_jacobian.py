@@ -18,21 +18,13 @@ from geosig.signature import (
     signature_genus,
 )
 
-
-def geometric(G, gamma, *words):
-    entries = []
-    for word in words:
-        g = G.element(word)
-        sub = Subgroup.generated(G, [g], label=word)
-        cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
-        entries.append(BranchEntry(g.order(), cls, label=word))
-    return GeometricSignature(gamma, tuple(entries))
+from corpus import geometric_signature
 
 
 def cyclic4_setup():
     G = catalog("cyclic(4)")
     T = compute_table(G)
-    sig = geometric(G, 1, "x^2", "x^2")
+    sig = geometric_signature(G, 1, ("x^2", "x^2"))
     return G, T, sig
 
 
@@ -44,7 +36,7 @@ def test_trivial_character_multiplicity_is_twice_gamma():
     ]:
         G = catalog(name)
         T = compute_table(G)
-        sig = geometric(G, gamma, *words)
+        sig = geometric_signature(G, gamma, words)
         n = complex_multiplicities(G, T, sig)
         assert n[T.trivial_character_index] == 2 * gamma
 
@@ -112,8 +104,8 @@ def test_cyclic4_factor_dimensions():
 def test_wc3_both_signatures_one_elliptic_cube():
     G = catalog("wc3")
     T = compute_table(G)
-    sig1 = geometric(G, 0, "xa^2", "xyab", "xyzb")
-    sig2 = geometric(G, 0, "xa^2", "yab", "yzab")
+    sig1 = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    sig2 = geometric_signature(G, 0, ("xa^2", "yab", "yzab"))
     distinguished = []
     for sig in (sig1, sig2):
         report = factor_dimensions(G, T, sig)
@@ -136,8 +128,8 @@ def test_wc3_both_signatures_one_elliptic_cube():
 def test_wc3_signatures_yield_different_multiplicity_vectors():
     G = catalog("wc3")
     T = compute_table(G)
-    sig1 = geometric(G, 0, "xa^2", "xyab", "xyzb")
-    sig2 = geometric(G, 0, "xa^2", "yab", "yzab")
+    sig1 = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    sig2 = geometric_signature(G, 0, ("xa^2", "yab", "yzab"))
     assert complex_multiplicities(G, T, sig1) != complex_multiplicities(G, T, sig2)
 
 
@@ -183,7 +175,7 @@ def test_sum_rule_various():
     for name, gamma, words in cases:
         G = catalog(name)
         T = compute_table(G)
-        sig = geometric(G, gamma, *words)
+        sig = geometric_signature(G, gamma, words)
         n = complex_multiplicities(G, T, sig)
         total = sum(chi.degree * n[chi.index] for chi in T.characters)
         assert total == 2 * signature_genus(G, sig), name
@@ -240,7 +232,7 @@ def test_gamma1_analysis_runs_no_decomposition(monkeypatch):
     # factor records nor the omega system are needed
     G = catalog("symmetric(4)")
     T = compute_table(G)
-    sig = geometric(G, 1, "b", "b")
+    sig = geometric_signature(G, 1, ("b", "b"))
     calls = []
     monkeypatch.setattr(jacobian, "factor_dimensions",
                         lambda *args: calls.append(args) or factor_dimensions(*args))
@@ -281,7 +273,7 @@ def test_gamma1_analysis_rejects_other_genus():
     G = catalog("dihedral(4)")
     T = compute_table(G)
     with pytest.raises(GroupInputError):
-        gamma1_analysis(G, T, geometric(G, 0, "x", "y", "xy"))
+        gamma1_analysis(G, T, geometric_signature(G, 0, ("x", "y", "xy")))
 
 
 def test_report_json_shape():

@@ -1,30 +1,21 @@
 import pytest
 
 from geosig.covers import cycle_structure, quotient_genus
-from geosig.groups import Subgroup, catalog
+from geosig.groups import Perm, catalog
 from geosig.monodromy import coset_action, oracle_summary
 from geosig.signature import (
-    BranchEntry,
     GeneratingVector,
     GeometricSignature,
     find_generating_vector,
     verify_generating_vector,
 )
 
-
-def geometric(G, gamma, *words):
-    entries = []
-    for word in words:
-        g = G.element(word)
-        sub = Subgroup.generated(G, [g], label=word)
-        cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
-        entries.append(BranchEntry(g.order(), cls, label=word))
-    return GeometricSignature(gamma, tuple(entries))
+from corpus import geometric_signature
 
 
 def test_coset_action_shapes():
     G = catalog("cyclic(4)")
-    sig = geometric(G, 1, "x^2", "x^2")
+    sig = geometric_signature(G, 1, ("x^2", "x^2"))
     vec = find_generating_vector(G, sig)
     H = G.subgroup_from_words(["x^2"])
     action = coset_action(G, H, vec)
@@ -40,7 +31,7 @@ def test_coset_action_shapes():
 
 def test_coset_action_is_homomorphism_and_transitive():
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     vec = find_generating_vector(G, sig)
     for cls in G.cyclic_subgroup_classes:
         H = cls.representative
@@ -64,9 +55,28 @@ def test_coset_action_is_homomorphism_and_transitive():
         assert orbit == set(range(action.degree))
 
 
+@pytest.mark.parametrize("name", ["cyclic(6)", "dihedral(5)", "dihedral(6)", "quaternion8",
+                                  "symmetric(3)", "symmetric(4)", "alternating(4)", "wc3",
+                                  "alternating(5)"])
+def test_coset_action_matches_perm_products(name):
+    # the images read r*g as (g^-1 * r^-1)^-1 from left columns; here every
+    # element's image is the right coset H*r*g built from Perm products
+    G = catalog(name)
+    every = GeneratingVector((), (), G.elements)
+    cyclic = [c.representative for c in G.cyclic_subgroup_classes]
+    for H in [*cyclic, G.trivial_subgroup, G.full_subgroup]:
+        coset = {g: frozenset(h * g for h in H.members) for g in G.elements}
+        cosets = sorted(set(coset.values()), key=min)
+        number = {c: i for i, c in enumerate(cosets)}
+        action = coset_action(G, H, every)
+        assert action.cosets == tuple(map(min, cosets))
+        for g, image in zip(G.elements, action.c_images, strict=True):
+            assert image == Perm(number[coset[r * g]] for r in action.cosets)
+
+
 def test_oracle_matches_cyclic4_torus_example():
     G = catalog("cyclic(4)")
-    sig = geometric(G, 1, "x^2", "x^2")
+    sig = geometric_signature(G, 1, ("x^2", "x^2"))
     vec = find_generating_vector(G, sig)
     H = G.subgroup_from_words(["x^2"])
     data = oracle_summary(G, H, vec, 1)
@@ -76,7 +86,7 @@ def test_oracle_matches_cyclic4_torus_example():
 
 def test_oracle_matches_d4_sphere():
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     vec = find_generating_vector(G, sig)
     data = oracle_summary(G, G.trivial_subgroup, vec, 0)
     assert data["genus"] == 0
@@ -106,7 +116,7 @@ def test_oracle_agrees_with_covers_on_examples():
     ]
     for name, gamma, words in cases:
         G = catalog(name)
-        sig = geometric(G, gamma, *words)
+        sig = geometric_signature(G, gamma, words)
         vec = find_generating_vector(G, sig)
         assert vec is not None
         for cls in G.cyclic_subgroup_classes:
@@ -122,7 +132,7 @@ def test_oracle_independent_of_witness():
     import itertools
 
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     witnesses = []
     for c in itertools.product(G.elements, repeat=3):
         vec = GeneratingVector((), (), c)
@@ -138,7 +148,7 @@ def test_oracle_independent_of_witness():
 
 def test_oracle_summary_payload():
     G = catalog("cyclic(4)")
-    sig = geometric(G, 1, "x^2", "x^2")
+    sig = geometric_signature(G, 1, ("x^2", "x^2"))
     vec = find_generating_vector(G, sig)
     H = G.subgroup_from_words(["x^2"])
     data = oracle_summary(G, H, vec, 1)

@@ -8,7 +8,7 @@ from geosig.errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from geosig.groups import MAX_QUOTIENT_GENUS, Subgroup, catalog, conj
+from geosig.groups import MAX_QUOTIENT_GENUS, catalog, conj
 from geosig.signature import (
     BranchEntry,
     GeneratingVector,
@@ -23,15 +23,7 @@ from geosig.signature import (
     verify_generating_vector,
 )
 
-
-def geometric(G, gamma, *words):
-    entries = []
-    for word in words:
-        g = G.element(word)
-        sub = Subgroup.generated(G, [g], label=word)
-        cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
-        entries.append(BranchEntry(g.order(), cls, label=word))
-    return GeometricSignature(gamma, tuple(entries))
+from corpus import geometric_signature
 
 
 def plain(gamma, *orders):
@@ -71,7 +63,7 @@ def test_quotient_genus_cap():
 
 def test_d4_sphere_action_found():
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     vec = find_generating_vector(G, sig)
     assert vec is not None
     assert verify_generating_vector(G, sig, vec).ok
@@ -82,14 +74,14 @@ def test_d4_sphere_action_found():
 
 def test_d4_central_signature_not_found():
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "x^2", "x^2")
+    sig = geometric_signature(G, 0, ("x", "x^2", "x^2"))
     assert find_generating_vector(G, sig) is None
 
 
 def test_d4_negative_case_matches_brute_force():
     # independent oracle: enumerate all |G|^3 triples
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "x^2", "x^2")
+    sig = geometric_signature(G, 0, ("x", "x^2", "x^2"))
     hits = []
     for c in itertools.product(G.elements, repeat=3):
         vec = GeneratingVector((), (), c)
@@ -123,8 +115,8 @@ def test_exhaustive_agreement_small_groups():
 
 def test_wc3_known_witnesses():
     G = catalog("wc3")
-    sig1 = geometric(G, 0, "xa^2", "xyab", "xyzb")
-    sig2 = geometric(G, 0, "xa^2", "yab", "yzab")
+    sig1 = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    sig2 = geometric_signature(G, 0, ("xa^2", "yab", "yzab"))
     assert signature_genus(G, sig1) == 3
     assert signature_genus(G, sig2) == 3
 
@@ -144,7 +136,7 @@ def test_wc3_known_witnesses():
 
 def test_verify_reports_failing_condition():
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     bad_product = GeneratingVector((), (), (G.element("x"), G.element("y"), G.element("x^2*y")))
     check = verify_generating_vector(G, sig, bad_product)
     assert not check.ok
@@ -161,7 +153,7 @@ def test_verify_reports_failing_condition():
 
 def test_positive_genus_search():
     G = catalog("cyclic(4)")
-    sig = geometric(G, 1, "x^2", "x^2")
+    sig = geometric_signature(G, 1, ("x^2", "x^2"))
     vec = find_generating_vector(G, sig)
     assert vec is not None
     assert len(vec.a) == 1 and len(vec.b) == 1
@@ -186,7 +178,7 @@ def test_budget_exhaustion_is_distinct():
 
 def test_conjugated_vector_stays_valid():
     G = catalog("dihedral(4)")
-    sig = geometric(G, 0, "x", "y", "xy")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
     vec = find_generating_vector(G, sig)
     for t in G.elements:
         moved = GeneratingVector(
