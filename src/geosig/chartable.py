@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import Cyclo, euler_phi, reduce_integral
 from .errors import GroupInputError, InternalCheckError, NotRationalError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, require_subgroups
 
 SCHUR_COMPUTED = "computed-upper-bound"
 SCHUR_OVERRIDE = "user-override"
@@ -131,6 +131,7 @@ class CharacterTable:
 
     def fixed_dim(self, chi: Character, H: Subgroup) -> int:
         """dim of the H-fixed subspace: the average of chi over H."""
+        require_subgroups(self.group, H)
         total = self._weighted_sum(chi, H.class_counts)
         dim, rest = divmod(total, H.order)
         if rest or dim < 0:

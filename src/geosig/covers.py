@@ -1,16 +1,16 @@
 """Closed-form geometric structure of the intermediate covers S/H.
 
-For a geometric signature and any subgroup H, this module computes the
+For a geometric signature and any subgroup H, `cover_report` computes the
 marked points of S/H over each branch value, the cycle structure of the
 non-Galois covering from S/H down to S/G, and the genus of S/H twice,
 by two formulas that must agree: Riemann–Hurwitz for S/H -> S/G over the
 marked points, and the double-coset count of the points of S/H over each
 branch value.  The marked points, and route 2 of the double-coset count,
-read how the conjugates l G_j l^-1 of a branch stabilizer G_j meet H; the
-conjugates depend on G_j alone, so their member masks are built once and
-cached on G_j, and each meet with a new H is a bitwise and.  Counts
-that theory proves integral are asserted integral; a failure is raised,
-never rounded.
+read how the conjugates l G_j l^-1 of a branch stabilizer G_j meet H: the
+conjugates and N(G_j) come from one conjugation walk cached on G_j, so each
+meet with a new H is a bitwise and, and no coset map of N(G_j) is read.
+Counts that theory proves integral are asserted integral; a failure is
+raised, never rounded.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import GroupInputError, InternalCheckError
-from .groups import FiniteGroup, Subgroup, double_coset_count
-from .signature import GeometricSignature
+from .errors import InternalCheckError
+from .groups import FiniteGroup, Perm, Subgroup, double_coset_count, require_subgroups
+from .signature import GeometricSignature, branch_stabilizers
 
 
 @dataclass(frozen=True)
@@ -100,39 +100,23 @@ class CoverReport:
         return out
 
 
-def _require_geometric(sig: GeometricSignature):
-    if not sig.is_geometric:
-        raise GroupInputError(
-            "this computation needs a fully geometric signature; "
-            "refine the plain entries first"
-        )
-
-
-def _check_subgroup(G: FiniteGroup, H: Subgroup):
-    if H.parent is not G:
-        raise GroupInputError("subgroup does not belong to this group")
-
-
-def quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> int:
-    """Genus of S/H, by two independent formulas that must agree.
+def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverReport:
+    """Marked points, genus and cycle structure of S/H, the genus by two
+    independent formulas that must agree.
 
     Ramification: Riemann–Hurwitz for S/H -> S/G over the marked points; a
     point marked k over a branch value of order m has index m/k, so
     2g = 2·[G:H]·(γ−1) + 2 + Σ count·(m/k − 1).  Double cosets: S/H has
     |H\\G/G_j| points over branch value j.
     """
-    return _quotient_genus(G, sig, H, marked_points(G, sig, H))
-
-
-def _quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
-                    marks: tuple[MarkedPointSet, ...]) -> int:
+    marks = marked_points(G, sig, H)
     idx = H.index
     base = 2 * idx * (sig.quotient_genus - 1) + 2
     by_ramification = base + sum(
         m.count * (sig.entries[m.branch_index].order // m.mark - 1) for m in marks
     )
     by_double_cosets = base + sum(
-        idx - double_coset_count(G, H, entry.cls.representative) for entry in sig.entries
+        idx - double_coset_count(G, H, Gj) for Gj in branch_stabilizers(G, sig)
     )
     if by_ramification != by_double_cosets:
         raise InternalCheckError(
@@ -140,108 +124,96 @@ def _quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
         )
     if by_ramification % 2 or by_ramification < 0:
         raise InternalCheckError(f"quotient genus is not admissible: 2g = {by_ramification}")
-    return by_ramification // 2
-
-
-def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
-                          j: int) -> TransversalPartition:
-    """Split the transversal of N(G_j) by how the conjugates of G_j meet H."""
-    blocks = _meet_blocks(G, sig, H, j)
-    sets = tuple(tuple(G.elements[ell] for ell in block) for block in blocks.values())
-    return TransversalPartition(j, sets, tuple(blocks))
-
-
-def _meet_blocks(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
-                 j: int) -> dict[int, list[int]]:
-    """Meet size |l G_j l^-1 ∩ H| -> the indices l of the transversal of N(G_j)
-    with that meet, in first-appearance order.
-
-    The conjugate l G_j l^-1 of each transversal element l is cached on G_j
-    as a member mask (`Subgroup.conjugate_masks`, in transversal order), so
-    each meet is one bitwise and, and no product per H.
-    """
-    _require_geometric(sig)
-    _check_subgroup(G, H)
-    Gj = sig.entries[j].cls.representative
-    omega, conjugates = Gj.normalizer().transversal, Gj.conjugate_masks
-    if len(omega) != len(conjugates):
-        raise InternalCheckError(
-            f"G_{j} = <{Gj.label}> of order {Gj.order}: the transversal of its "
-            f"normalizer has {len(omega)} elements, its cached conjugates {len(conjugates)}"
-        )
-    blocks: dict[int, list[int]] = {}
-    for ell, conj_gj in zip(omega, conjugates):
-        blocks.setdefault((conj_gj & H.mask).bit_count(), []).append(ell)
-    if sum(map(len, blocks.values())) != len(omega):
-        raise InternalCheckError("transversal partition lost elements")
-    return blocks
-
-
-def marked_points(G: FiniteGroup, sig: GeometricSignature,
-                  H: Subgroup) -> tuple[MarkedPointSet, ...]:
-    """Marked points of S/H over each branch value, with their stabilizer orders."""
-    _require_geometric(sig)
-    _check_subgroup(G, H)
-    out = []
+    cycles = []
     for j, entry in enumerate(sig.entries):
-        Gj = entry.cls.representative
-        ratio = Gj.normalizer().order // Gj.order
-        for mark, block in _meet_blocks(G, sig, H, j).items():
-            count, rest = divmod(len(block) * ratio * mark, H.order)
-            if rest or count <= 0:
-                raise InternalCheckError(
-                    f"marked-point count is not a positive integer: {count} + {rest}/{H.order}"
-                )
-            if entry.order % mark:
-                raise InternalCheckError("stabilizer order does not divide branch order")
-            out.append(MarkedPointSet(branch_index=j, mark=mark, count=count))
-    return tuple(out)
+        entries = sorted(entry.order // m.mark
+                         for m in marks if m.branch_index == j for _ in range(m.count))
+        if sum(entries) != idx:
+            raise InternalCheckError(
+                f"cycle structure over branch value {j} does not cover all sheets"
+            )
+        cycles.append(CycleStructure(branch_index=j, entries=tuple(entries)))
+    return CoverReport(
+        subgroup=H,
+        degree=idx,
+        genus=by_ramification // 2,
+        branch_types=tuple(
+            e.label or e.cls.representative.label or "?" for e in sig.entries
+        ),
+        marked_points=marks,
+        cycle_structures=tuple(cycles),
+    )
+
+
+def quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> int:
+    """Genus of S/H, by the two formulas of `cover_report`."""
+    return cover_report(G, sig, H).genus
 
 
 def cycle_structure(G: FiniteGroup, sig: GeometricSignature,
                     H: Subgroup) -> tuple[CycleStructure, ...]:
     """Cycle structure of S/H -> S/G over each branch value."""
-    return _cycles_from_marks(sig, H, marked_points(G, sig, H))
+    return cover_report(G, sig, H).cycle_structures
 
 
-def _cycles_from_marks(sig: GeometricSignature, H: Subgroup,
-                       marks: tuple[MarkedPointSet, ...]) -> tuple[CycleStructure, ...]:
-    idx = H.index
+def _conjugates(j: int, Gj: Subgroup, expected: int) -> tuple[int, ...]:
+    """The member masks of the conjugates of G_j, cached on G_j, checked to
+    number the elements of a transversal of N(G_j)."""
+    conjugates = Gj.conjugate_masks
+    if len(conjugates) != expected:
+        raise InternalCheckError(
+            f"G_{j} = <{Gj.label}> of order {Gj.order}: the transversal of its "
+            f"normalizer has {expected} elements, its cached conjugates {len(conjugates)}"
+        )
+    return conjugates
+
+
+def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
+                          j: int) -> TransversalPartition:
+    """Split the transversal of N(G_j) by the size |l G_j l^-1 ∩ H| of each
+    conjugate's meet with H, the sets L_k in first-appearance order."""
+    Gj = branch_stabilizers(G, sig)[j]
+    require_subgroups(G, H)
+    omega = Gj.normalizer().transversal
+    blocks: dict[int, list[Perm]] = {}
+    for ell, conj_gj in zip(omega, _conjugates(j, Gj, len(omega))):
+        blocks.setdefault((conj_gj & H.mask).bit_count(), []).append(G.elements[ell])
+    if sum(map(len, blocks.values())) != len(omega):
+        raise InternalCheckError("transversal partition lost elements")
+    return TransversalPartition(j, tuple(map(tuple, blocks.values())), tuple(blocks))
+
+
+def marked_points(G: FiniteGroup, sig: GeometricSignature,
+                  H: Subgroup) -> tuple[MarkedPointSet, ...]:
+    """Marked points of S/H over each branch value, with their stabilizer orders.
+
+    The c conjugates of G_j that meet H in k elements give c·|N(G_j):G_j|·k/|H|
+    points marked k over branch value j; each meet is one bitwise and."""
+    stabilizers = branch_stabilizers(G, sig)
+    require_subgroups(G, H)
     out = []
-    for j, entry in enumerate(sig.entries):
-        entries: list[int] = []
-        for m in marks:
-            if m.branch_index == j:
-                entries.extend([entry.order // m.mark] * m.count)
-        entries.sort()
-        if sum(entries) != idx:
-            raise InternalCheckError(
-                f"cycle structure over branch value {j} does not cover all sheets"
-            )
-        out.append(CycleStructure(branch_index=j, entries=tuple(entries)))
+    for j, Gj in enumerate(stabilizers):
+        N = Gj.normalizer()
+        meets: dict[int, int] = {}
+        for conj_gj in _conjugates(j, Gj, N.index):
+            k = (conj_gj & H.mask).bit_count()
+            meets[k] = meets.get(k, 0) + 1
+        for mark, c in meets.items():
+            count, rest = divmod(c * (N.order // Gj.order) * mark, H.order)
+            if rest or count <= 0:
+                raise InternalCheckError(
+                    f"marked-point count is not a positive integer: {count} + {rest}/{H.order}"
+                )
+            if sig.entries[j].order % mark:
+                raise InternalCheckError("stabilizer order does not divide branch order")
+            out.append(MarkedPointSet(branch_index=j, mark=mark, count=count))
     return tuple(out)
-
-
-def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverReport:
-    marks = marked_points(G, sig, H)
-    return CoverReport(
-        subgroup=H,
-        degree=H.index,
-        genus=_quotient_genus(G, sig, H, marks),
-        branch_types=tuple(
-            e.label or e.cls.representative.label or "?" for e in sig.entries
-        ),
-        marked_points=marks,
-        cycle_structures=_cycles_from_marks(sig, H, marks),
-    )
 
 
 def lattice_report(G: FiniteGroup, sig: GeometricSignature,
                    subgroups: Sequence[Subgroup] = ()) -> tuple[CoverReport, ...]:
     """Reports for every cyclic subgroup class, then any listed subgroups."""
-    _require_geometric(sig)
+    branch_stabilizers(G, sig)
+    require_subgroups(G, *subgroups)
     targets = [cls.representative for cls in G.cyclic_subgroup_classes]
-    for H in subgroups:
-        _check_subgroup(G, H)
-        targets.append(H)
-    return tuple(cover_report(G, sig, H) for H in targets)
+    return tuple(cover_report(G, sig, H) for H in [*targets, *subgroups])

@@ -11,8 +11,10 @@ Inside a group an element is its index 0..|G|-1 in that order (identity 0).
 The walk that builds G composes each element with each generator s once
 and keeps the results as integer columns x -> x*s.  Every other column is a
 walk of list lookups over a spanning tree of the Cayley graph: `left(g)`
-(x -> g*x) along x = p*s, `right(g)` (x -> x*g) along x = s*p, the inverses,
-the generators' conjugation columns and `conjugates_of(k)` (t -> t k t^-1).
+(x -> g*x) along x = p*s, `right(g)` (x -> x*g) along x = s*p, the inverses
+and the generators' conjugation columns.  A subgroup K's normalizer and
+conjugates are the stabilizer and the orbit of one action, G on the
+conjugates of K, walked once: t K t^-1 is numbered for every t along t = s*p.
 What the group keeps follows one rule: a `left(g)` column is kept once
 walked, a generator's right column is the build's own, and any other right
 column is walked on each call and never kept (`left_cosets` and the class
@@ -345,11 +347,6 @@ class FiniteGroup:
         """For each generator t, the column x -> t x t^-1."""
         return [[back[y] for y in self.left(t)] for t, back in zip(self._gens, self._undo)]
 
-    def conjugates_of(self, k: int) -> list[int]:
-        """The column t -> t k t^-1 over all element indices, not cached: for
-        t = s*p on the left tree, t k t^-1 = s (p k p^-1) s^-1."""
-        return _tree_walk(k, self._left_tree[0], self._conjugators)
-
     def _generated(self, gens: Sequence[int]) -> set[int]:
         """The subgroup that element indices generate; the closure stops at |G|.
         It caches no columns: those of the search's many candidates would fill a table."""
@@ -482,6 +479,7 @@ class FiniteGroup:
 
     def cyclic_class_index(self, sub: "Subgroup") -> int:
         """Index of the cyclic-subgroup class containing sub."""
+        require_subgroups(self, sub)
         try:
             return self.cyclic_subgroup_masks[sub.mask]
         except KeyError:
@@ -499,6 +497,7 @@ class FiniteGroup:
 
     def subgroup_class(self, sub: "Subgroup") -> "ConjugacyClassOfSubgroups":
         """Conjugacy class of an arbitrary subgroup (its cached conjugates unless cyclic)."""
+        require_subgroups(self, sub)
         if sub.is_cyclic:
             return self.cyclic_subgroup_classes[self.cyclic_class_index(sub)]
         orbit = frozenset(sub.conjugate_masks)
@@ -507,6 +506,7 @@ class FiniteGroup:
         return ConjugacyClassOfSubgroups(rep, len(orbit), orbit)
 
     def are_conjugate_subgroups(self, a: "Subgroup", b: "Subgroup") -> bool:
+        require_subgroups(self, a, b)
         return a.order == b.order and b.mask in self.subgroup_class(a).member_masks
 
     # -- element input -----------------------------------------------------
@@ -560,9 +560,10 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup given by its members, element indices held sorted (`indices`)
     and as a bitmask (`mask`).  What depends on the subgroup alone is computed
-    once and kept on it: a generating set, the normalizer, the left transversal,
-    the class counts, the left-coset map and the member masks of its conjugates
-    (`conjugate_masks`), which the marks and double-coset route 2 meet with each H.
+    once and kept on it: a generating set, the left transversal, the class
+    counts, the left-coset map, and the normalizer and the member masks of the
+    conjugates (`conjugate_masks`), both from one conjugation walk.  The marks
+    and double-coset route 2 meet those masks with each H and read no coset map.
     """
 
     def __init__(self, *_args, **_kwargs):
@@ -643,18 +644,46 @@ class Subgroup:
         tag = self.label or "subgroup"
         return f"Subgroup(<{tag}>, order={self.order})"
 
+    @cached_property
+    def _conjugation(self) -> tuple[list[int], list[int]]:
+        """G acting on the conjugates of K by conjugation, walked once: the
+        number of t K t^-1 for each element t, and the orbit's member masks by
+        number.  The orbit is K's under the generators' conjugation columns,
+        each generator's action on it kept as a list; then for t = s*p on the
+        left tree, t K t^-1 = s (p K p^-1) s^-1 reads that list."""
+        G = self.parent
+        members, numbered = [self.indices], {self.mask: 0}
+        acts: list[list[int]] = [[] for _ in G._conjugators]
+        for conjugate in members:
+            for act, conj in zip(acts, G._conjugators):
+                image = [conj[k] for k in conjugate]
+                n = numbered.setdefault(_mask(image), len(members))
+                if n == len(members):
+                    members.append(image)
+                act.append(n)
+        number = _tree_walk(0, G._left_tree[0], acts)
+        # orbit-stabilizer: each conjugate is t K t^-1 for the |N(K)| elements
+        # t of one left coset of N(K)
+        sizes = [0] * len(members)
+        for n in number:
+            sizes[n] += 1
+        if len(members) * sizes[0] != G.order:
+            raise InternalCheckError(f"a subgroup of order {self.order} has {len(members)} "
+                                     f"conjugates and a normalizer of order {sizes[0]}")
+        if len(set(sizes)) != 1:
+            raise InternalCheckError(f"the left cosets of the normalizer of a subgroup of "
+                                     f"order {self.order} have sizes {sorted(set(sizes))}")
+        return number, list(numbered)
+
     def normalizer(self) -> "Subgroup":
         return self._normalizer
 
     @cached_property
     def _normalizer(self) -> "Subgroup":
-        # t K t^-1 = K as soon as t conjugates a generating set of K into K
-        G, mem = self.parent, range(self.parent.order)
-        for k in self.generating_set:
-            col = G.conjugates_of(k)
-            mem = [t for t in mem if self.mask >> col[t] & 1]
+        # the stabilizer of K under conjugation: the t with t K t^-1 = K
+        mem = [t for t, n in enumerate(self._conjugation[0]) if not n]
         tag = f"N({self.label})" if self.label else None
-        return Subgroup._trusted(G, mem, None, tag)
+        return Subgroup._trusted(self.parent, mem, None, tag)
 
     @cached_property
     def class_counts(self) -> tuple[tuple[int, int], ...]:
@@ -670,31 +699,10 @@ class Subgroup:
     def conjugate_masks(self) -> tuple[int, ...]:
         """The member masks of l K l^-1, one for each l of the left transversal
         of N(K), in transversal order; each conjugate of K appears once.  They
-        are the orbit of K under the generators' conjugation columns, each filed
-        at the coset of N(K) that holds its conjugator."""
-        G, N = self.parent, self.normalizer()
-        coset_of, reps = N.left_cosets
-        masks = [0] * len(reps)
-        masks[coset_of[0]] = self.mask
-        orbit = [(0, self.indices)]  # (a conjugator l, the members of l K l^-1)
-        for ell, members in orbit:
-            for times_t, conj in zip(G._left_tree[1], G._conjugators):
-                image = [conj[k] for k in members]
-                m, slot = _mask(image), coset_of[times_t[ell]]
-                if not masks[slot]:
-                    masks[slot] = m
-                    orbit.append((times_t[ell], image))
-                elif masks[slot] != m:
-                    raise InternalCheckError(
-                        f"two conjugates of a subgroup of order {self.order} share the "
-                        f"coset {slot} of its normalizer"
-                    )
-        if len(set(masks) - {0}) != len(reps):
-            raise InternalCheckError(
-                f"a subgroup of order {self.order} has {len(set(masks) - {0})} conjugates, "
-                f"its normalizer index is {len(reps)}"
-            )
-        return tuple(masks)
+        are the orbit of the conjugation walk, listed in the order of the least
+        t with each number, which is the least element of its coset t N(K)."""
+        number, masks = self._conjugation
+        return tuple(masks[n] for n in dict.fromkeys(number))
 
     @cached_property
     def left_cosets(self) -> tuple[list[int], tuple[int, ...]]:
@@ -761,6 +769,7 @@ class ConjugacyClassOfSubgroups:
         return self.representative.order
 
     def contains_subgroup(self, sub: Subgroup) -> bool:
+        require_subgroups(self.representative.parent, sub)
         return sub.mask in self.member_masks
 
     def __eq__(self, other) -> bool:
@@ -778,10 +787,15 @@ class ConjugacyClassOfSubgroups:
 # -- double cosets ----------------------------------------------------------
 
 
+def require_subgroups(G: FiniteGroup, *subgroups: Subgroup) -> None:
+    """Refuse a subgroup of another group object: it is malformed input."""
+    if any(H.parent is not G for H in subgroups):
+        raise GroupInputError("a subgroup belongs to another group")
+
+
 def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
     """|H\\G/K| computed three independent ways; they must agree exactly."""
-    if H.parent is not G or K.parent is not G:
-        raise GroupInputError("H and K must be subgroups of G")
+    require_subgroups(G, H, K)
 
     # (1) orbits of H on the left cosets gK under left multiplication; the
     # orbits of a finite group are those of any generating set.  K's coset

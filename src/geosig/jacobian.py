@@ -17,8 +17,8 @@ from typing import Sequence
 from .chartable import SCHUR_COMPUTED, CharacterTable, GaloisClass
 from .covers import cover_report, quotient_genus
 from .errors import GroupInputError, InternalCheckError
-from .groups import FiniteGroup, Subgroup
-from .signature import GeometricSignature, signature_genus
+from .groups import FiniteGroup
+from .signature import GeometricSignature, branch_stabilizers, signature_genus
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,10 @@ class DecompositionReport:
         return "\n".join(lines)
 
 
-def _branch_class_reps(G: FiniteGroup, sig: GeometricSignature) -> list[Subgroup]:
-    if not sig.is_geometric:
-        raise GroupInputError("decomposition needs a fully geometric signature")
-    return [entry.cls.representative for entry in sig.entries]
-
-
 def complex_multiplicities(G: FiniteGroup, table: CharacterTable,
                            sig: GeometricSignature) -> tuple[int, ...]:
     """Multiplicity of each irreducible character in the homology action."""
-    reps = _branch_class_reps(G, sig)
+    reps = branch_stabilizers(G, sig)
     gamma = sig.quotient_genus
     out = []
     for chi in table.characters:
@@ -215,7 +209,7 @@ def factor_dimensions(G: FiniteGroup, table: CharacterTable,
     dimension k[d(gamma-1) + (1/2) sum_j (d - d^{G_j})], which is k*n/2 for
     the multiplicity n of its characters in the homology action.
     """
-    _branch_class_reps(G, sig)  # a plain signature is refused before any arithmetic
+    branch_stabilizers(G, sig)  # a plain or foreign signature is refused before any arithmetic
     gamma = sig.quotient_genus
     g = signature_genus(G, sig)
     multiplicities = complex_multiplicities(G, table, sig)
@@ -307,7 +301,7 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
     """
     if sig.quotient_genus != 1:
         raise GroupInputError("this analysis applies only to quotient genus 1")
-    reps = _branch_class_reps(G, sig)
+    reps = branch_stabilizers(G, sig)
     signature_genus(G, sig)  # a non-integral genus is refused before any arithmetic
     multiplicities = complex_multiplicities(G, table, sig)
     out = []

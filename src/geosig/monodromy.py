@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GroupInputError, InternalCheckError
-from .groups import FiniteGroup, Perm, Subgroup
+from .groups import FiniteGroup, Perm, Subgroup, require_subgroups
 from .signature import GeneratingVector
 
 
@@ -38,8 +38,7 @@ class CosetAction:
 
 def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAction:
     """Permutations induced by the vector's elements on the cosets of H."""
-    if H.parent is not G:
-        raise GroupInputError("subgroup does not belong to this group")
+    require_subgroups(G, H)
     for g in vec.elements():
         if g not in G:
             raise GroupInputError(f"vector element {g} is not in the group")

@@ -20,7 +20,7 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .groups import (MAX_QUOTIENT_GENUS, ConjugacyClassOfSubgroups, FiniteGroup, Perm,
-                     Subgroup, json_int)
+                     Subgroup, json_int, require_subgroups)
 
 DEFAULT_SEARCH_BUDGET = 10 ** 8
 
@@ -111,6 +111,22 @@ def signature_from_payload(G: FiniteGroup, payload: Mapping) -> GeometricSignatu
         cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
         entries.append(BranchEntry(order, cls, label=str(word)))
     return GeometricSignature(genus, tuple(entries))
+
+
+def check_branch_classes(G: FiniteGroup, sig: GeometricSignature) -> None:
+    """Refuse a branch class of another group: it is malformed input."""
+    if any(e.cls is not None and e.cls.representative.parent is not G for e in sig.entries):
+        raise GroupInputError("a branch class of the signature belongs to another group")
+
+
+def branch_stabilizers(G: FiniteGroup, sig: GeometricSignature) -> tuple[Subgroup, ...]:
+    """The stabilizer G_j of each branch value, its class representative: the
+    one place that decides a signature is fully geometric and of G."""
+    if not sig.is_geometric:
+        raise GroupInputError("this computation needs a fully geometric signature; "
+                              "refine the plain entries first")
+    check_branch_classes(G, sig)
+    return tuple(e.cls.representative for e in sig.entries)
 
 
 def refinements(G: FiniteGroup, sig: GeometricSignature) -> tuple[GeometricSignature, ...]:
@@ -209,6 +225,7 @@ def _commutator(a: Perm, b: Perm) -> Perm:
 def verify_generating_vector(G: FiniteGroup, sig: GeometricSignature,
                              vec: GeneratingVector) -> VectorCheck:
     """Check the three existence conditions independently."""
+    check_branch_classes(G, sig)
     gamma, t = sig.quotient_genus, len(sig.entries)
     if len(vec.a) != gamma or len(vec.b) != gamma or len(vec.c) != t:
         raise GroupInputError(
@@ -256,6 +273,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
     tested.  Every candidate considered costs one node against the budget.
     The search runs on element indices; the vector it returns holds `Perm`s.
     """
+    check_branch_classes(G, sig)
     signature_genus(G, sig)  # condition (i); raises InvalidSignatureError
     gamma, t = sig.quotient_genus, len(sig.entries)
     pools = [_candidate_pool(G, e) for e in sig.entries]
@@ -307,6 +325,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
 
 def orbit_packages(G: FiniteGroup, stabilizer: Subgroup) -> tuple[int, int]:
     """(number of packages in the orbit, points per package) for a cyclic stabilizer."""
+    require_subgroups(G, stabilizer)
     if stabilizer.order == 1:
         raise GroupInputError("orbit packages need a nontrivial stabilizer")
     if not stabilizer.is_cyclic:

@@ -302,8 +302,10 @@ def test_pipeline_after_parsing_makes_no_perm_arithmetic(monkeypatch, name, gamm
 
 def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     # past the class data, columns come from walks over a Cayley-graph
-    # spanning tree; the scalar products left are the generating-set closures
-    # of subgroups built from members (the parent made 10,110 here)
+    # spanning tree, and each normalizer and its conjugates from one
+    # conjugation walk, so no generating set of a normalizer is closed and
+    # the pass makes no scalar product (328 while they were, 10,110 before
+    # the tree walks); a closure afterwards shows that the counter counts
     from geosig import jacobian, monodromy
     from geosig.chartable import compute_table
     from geosig.groups import FiniteGroup
@@ -320,8 +322,14 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     for report in lattice_report(G, sig, []):
         monodromy.oracle_summary(G, report.subgroup, vec, 0)
     jacobian.factor_dimensions(G, compute_table(G), sig)
+    pipeline = len(calls)
+    G.is_generated_by(vec.elements())
     monkeypatch.undo()
-    assert 0 < len(calls) < 500
+    assert pipeline == 0 < len(calls)
+    # the marks and double-coset route 2 read each normalizer for its order only
+    for cls in G.cyclic_subgroup_classes:
+        N = cls.representative.normalizer()
+        assert not {"left_cosets", "transversal", "generating_set"} & set(vars(N))
     # the oracle reads kept left columns, and the group keeps no right
     # column beyond the build's own
     assert set(G._right) == set(G._gens)

@@ -371,13 +371,12 @@ W_D5 = {"name": "w_d5", "degree": 10, "generators": {
 
 
 def _check_columns(G, sample):
-    # left, right and the column t -> t g t^-1 for each g of sample; the
-    # inverses and each generator's conjugation column for every element
+    # left and right columns for each g of sample; the inverses and each
+    # generator's conjugation column for every element
     E, index = G.elements, G.index
     for g in sample:
         assert G.left(g) == [index(E[g] * x) for x in E]
         assert G.right(g) == [index(x * E[g]) for x in E]
-        assert G.conjugates_of(g) == [index(conj(t, E[g])) for t in E]
     assert G.inverses == [index(x.inverse()) for x in E]
     assert {E[t] for t in G._gens} == set(G.generators) - {G.identity}
     for t, col in zip(G._gens, G._conjugators):

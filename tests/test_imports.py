@@ -1,10 +1,13 @@
-"""No module of the package imports another module's private names.
+"""No module of the package imports another module's private names, and
+none but groups.py reads another object's private attributes.
 
 Modules reach each other only through public names, so a helper that one
 module keeps private is never shared with another unseen.  The redundant
 routes (the two genus formulas, the three double-coset counts, the closed
 form against the omega system and against the oracle) rely on that to stay
-independent.
+independent.  The group kernel's private state (columns, trees, cached
+walks) is read by groups.py alone; the one exception is the `_trusted`
+constructors, which wrap data already known to be valid.
 """
 
 import ast
@@ -34,3 +37,28 @@ def test_no_module_imports_a_private_name(path):
 def test_private_import_is_caught():
     source = "from .groups import FiniteGroup, _bits\nfrom . import _helper\nfrom os import _exit\n"
     assert _private_imports(source) == ["from .groups import _bits", "from . import _helper"]
+
+
+def _private_reads(source: str) -> list[str]:
+    """The underscore attributes that source reads of anything but self,
+    dunders and the `_trusted` constructors aside."""
+    reads = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.endswith("__") and node.attr != "_trusted"
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    reads.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in reads]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "groups.py"],
+                         ids=lambda p: p.name)
+def test_no_module_reads_private_state(path):
+    assert _private_reads(path.read_text()) == []
+
+
+def test_private_read_is_caught():
+    source = ("G._left_tree[0]\nself._times\nSubgroup._trusted(G, m, None, None)\n"
+              "object.__setattr__(self, 'a', 1)\nH.parent._gens\n")
+    assert _private_reads(source) == ["line 1: G._left_tree", "line 5: H.parent._gens"]

@@ -4,8 +4,8 @@ the integer character rows and the cached conjugates of a subgroup.
 Products, inverses and powers are built without re-validation,
 `cover_report` computes its data once, the table
 averages `fixed_dim` and `frobenius_schur_indicator` are integer sums over
-class counts and the class power map, a subgroup caches its conjugates and
-tests its normalizer on its generators only; each must agree with the fully
+class counts and the class power map, a subgroup's normalizer and conjugates
+come from one conjugation walk; each must agree with the fully
 validated, separately computed, element-by-element or definitional result.
 On drawn spherical generating vectors, the closed-form covers must agree
 with the coset-action oracle.

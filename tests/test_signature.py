@@ -244,3 +244,50 @@ def test_signature_payload_parsing():
         signature_from_payload(G, {"branches": []})
     roundtrip = signature_from_payload(G, sig.to_json())
     assert roundtrip == sig
+
+
+def _foreign_cases():
+    # symmetric(5) against a signature or a subgroup built on symmetric(4):
+    # each entry point refuses it as malformed input, never a verdict
+    from geosig import covers, jacobian, monodromy
+    from geosig.chartable import compute_table
+    from geosig.groups import double_coset_count
+
+    S5, S4 = catalog("symmetric(5)"), catalog("symmetric(4)")
+    sig4 = geometric_signature(S4, 0, ("b", "a", "a"))
+    sig5 = geometric_signature(S5, 0, ("b", "a", "a"))
+    H4, e5 = S4.subgroup_from_words(["b"]), S5.trivial_subgroup
+    vec5 = GeneratingVector((), (), tuple(S5.element(w) for w in ("b", "a", "a")))
+    table5 = lambda: compute_table(S5)  # noqa: E731
+    return {
+        "marked_points": lambda: covers.marked_points(S5, sig4, e5),
+        "marked_points_subgroup": lambda: covers.marked_points(S5, sig5, H4),
+        "cycle_structure": lambda: covers.cycle_structure(S5, sig4, e5),
+        "quotient_genus": lambda: covers.quotient_genus(S5, sig5, H4),
+        "cover_report": lambda: covers.cover_report(S5, sig4, e5),
+        "transversal_partition": lambda: covers.transversal_partition(S5, sig5, H4, 0),
+        "lattice_report": lambda: covers.lattice_report(S5, sig4),
+        "lattice_report_subgroup": lambda: covers.lattice_report(S5, sig5, [H4]),
+        "double_coset_count": lambda: double_coset_count(S5, H4, e5),
+        "complex_multiplicities": lambda: jacobian.complex_multiplicities(S5, table5(), sig4),
+        "factor_dimensions": lambda: jacobian.factor_dimensions(S5, table5(), sig4),
+        "gamma1_analysis": lambda: jacobian.gamma1_analysis(
+            S5, table5(), geometric_signature(S4, 1, ("b", "b"))),
+        "table_of_another_group": lambda: jacobian.complex_multiplicities(
+            S5, compute_table(S4), sig5),
+        "fixed_dim": lambda: table5().fixed_dim(table5().characters[1], H4),
+        "find_generating_vector": lambda: find_generating_vector(S5, sig4),
+        "verify_generating_vector": lambda: verify_generating_vector(S5, sig4, vec5),
+        "orbit_packages": lambda: orbit_packages(S5, H4),
+        "coset_action": lambda: monodromy.coset_action(S5, H4, vec5),
+        "cyclic_class_index": lambda: S5.cyclic_class_index(H4),
+        "subgroup_class": lambda: S5.subgroup_class(H4),
+        "are_conjugate_subgroups": lambda: S5.are_conjugate_subgroups(e5, H4),
+        "contains_subgroup": lambda: S5.cyclic_subgroup_classes[1].contains_subgroup(H4),
+    }
+
+
+@pytest.mark.parametrize("entry_point", sorted(_foreign_cases()))
+def test_input_from_another_group_is_malformed(entry_point):
+    with pytest.raises(GroupInputError, match="belongs to another group"):
+        _foreign_cases()[entry_point]()
