@@ -8,6 +8,10 @@ the signature and the failing check), 74 = the output could not be
 written (stdout was, say, a pipe whose reader had gone).  JSON output is
 byte-stable for equal inputs; every report embeds the group hash and the
 signature it was computed from.
+
+Each command imports the modules it runs when it runs, so a call loads
+only what its subcommand needs: `chartab` never loads the existence
+search, and a malformed group name loads the group kernel alone.
 """
 
 from __future__ import annotations
@@ -17,28 +21,20 @@ import json
 import os
 import re
 import sys
-import traceback
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import covers, jacobian, monodromy
-from .chartable import compute_table, schur_bound_is_verified
 from .errors import (
     GroupInputError,
     InternalCheckError,
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from .groups import FiniteGroup, Subgroup, catalog, group_from_payload, is_catalog_name
-from .signature import (
-    DEFAULT_SEARCH_BUDGET,
-    GeneratingVector,
-    GeometricSignature,
-    find_generating_vector,
-    refinements,
-    signature_from_payload,
-    signature_genus,
-)
+from .groups import (DEFAULT_SEARCH_BUDGET, FiniteGroup, Subgroup, catalog, group_from_payload,
+                     is_catalog_name)
+
+if TYPE_CHECKING:
+    from .signature import GeneratingVector, GeometricSignature
 
 EX_OK = 0
 EX_NOT_EXISTS = 1
@@ -64,6 +60,7 @@ def load_group(source: str) -> FiniteGroup:
 
 
 def load_signature(G: FiniteGroup, source: str) -> GeometricSignature:
+    from .signature import signature_from_payload
     return signature_from_payload(G, _read_source(source, "signature", "inline JSON"))
 
 
@@ -147,6 +144,7 @@ def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, Genera
     """The lattice/decompose signature, realizable and geometric, and the
     generating vector found for it; a plain signature must have exactly one
     realizable refinement."""
+    from .signature import find_generating_vector, refinements, signature_genus
     sig = load_signature(G, args.signature)
     signature_genus(G, sig)  # raises InvalidSignatureError -> exit 1
     if sig.is_geometric:
@@ -179,6 +177,7 @@ def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, Genera
 
 
 def cmd_exists(args, G: FiniteGroup) -> int:
+    from .signature import find_generating_vector, signature_genus
     sig = load_signature(G, args.signature)
     payload = {
         "group": _group_header(G),
@@ -216,6 +215,8 @@ def cmd_exists(args, G: FiniteGroup) -> int:
 
 
 def cmd_lattice(args, G: FiniteGroup) -> int:
+    from . import covers, monodromy
+    from .signature import signature_genus
     sig, vec = _resolve_geometric(args, G)
     subgroups = _parse_subgroups(G, args.subgroups)
     reports = covers.lattice_report(G, sig, subgroups)
@@ -252,6 +253,8 @@ def cmd_lattice(args, G: FiniteGroup) -> int:
 
 
 def cmd_decompose(args, G: FiniteGroup) -> int:
+    from . import jacobian
+    from .chartable import compute_table, schur_bound_is_verified
     sig, _ = _resolve_geometric(args, G)
     table = compute_table(G, _parse_overrides(args.schur_override))
     report = jacobian.factor_dimensions(G, table, sig)
@@ -274,6 +277,7 @@ def cmd_decompose(args, G: FiniteGroup) -> int:
 
 
 def cmd_chartab(args, G: FiniteGroup) -> int:
+    from .chartable import compute_table, schur_bound_is_verified
     table = compute_table(G, _parse_overrides(args.schur_override))
     payload = table.to_json()
     payload["schur_bound_verified_group"] = schur_bound_is_verified(table)
@@ -374,6 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: cannot write the output: {exc}", file=sys.stderr)
         return EX_IOERR
     except Exception as exc:  # a defect must never read as a verdict
+        import traceback
         traceback.print_exc()
         print(f"internal defect: {type(exc).__name__}: {exc}\n"
               f"  group hash: {G.digest if G is not None else 'not built'}\n"

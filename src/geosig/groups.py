@@ -38,6 +38,7 @@ from .errors import GroupInputError, InternalCheckError
 MAX_GROUP_ORDER = 2000
 MAX_DEGREE = 2000  # refused before any permutation is built; cyclic(2000) reaches it
 MAX_QUOTIENT_GENUS = 2000  # the search walks 2 * genus elements; refused before it starts
+DEFAULT_SEARCH_BUDGET = 10 ** 8  # search nodes; here so the CLI parser needs no search
 
 
 def _check_cap(what: str, value: int, cap: int, unit: str) -> None:
@@ -910,8 +911,22 @@ def json_int(payload, key: str, message: str) -> int:
     return value
 
 
+def json_keys(payload, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse the keys of a JSON object that are not in allowed, naming them:
+    a misspelled key must not be read as an absent one.  Anything but an
+    object is left to `json_int`, which refuses it."""
+    if not isinstance(payload, Mapping):
+        return
+    unknown = [key for key in payload if key not in allowed]
+    if unknown:
+        raise GroupInputError(f"{what} has unknown key{'s' if len(unknown) > 1 else ''} "
+                              f"{', '.join(map(repr, unknown))}; the keys are "
+                              f"{', '.join(map(repr, allowed))}")
+
+
 def group_from_payload(payload: Mapping) -> FiniteGroup:
     """Build a group from the JSON group-specification object."""
+    json_keys(payload, ("name", "degree", "generators"), "group spec")
     degree = json_int(payload, "degree", "group spec needs an integer 'degree'")
     _check_cap("group degree", degree, MAX_DEGREE, "points")
     raw = payload.get("generators")

@@ -19,10 +19,8 @@ from .errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from .groups import (MAX_QUOTIENT_GENUS, ConjugacyClassOfSubgroups, FiniteGroup, Perm,
-                     Subgroup, json_int, require_subgroups)
-
-DEFAULT_SEARCH_BUDGET = 10 ** 8
+from .groups import (DEFAULT_SEARCH_BUDGET, MAX_QUOTIENT_GENUS, ConjugacyClassOfSubgroups,
+                     FiniteGroup, Perm, Subgroup, json_int, json_keys, require_subgroups)
 
 
 @dataclass(frozen=True)
@@ -91,12 +89,14 @@ class GeometricSignature:
 
 def signature_from_payload(G: FiniteGroup, payload: Mapping) -> GeometricSignature:
     """Build a signature from its JSON object, resolving class_rep words."""
+    json_keys(payload, ("genus", "branches"), "signature spec")
     genus = json_int(payload, "genus", "signature spec needs an integer 'genus'")
     branches = payload.get("branches", [])
     if not isinstance(branches, Sequence) or isinstance(branches, str):
         raise GroupInputError("'branches' must be a list")
     entries = []
     for raw in branches:
+        json_keys(raw, ("order", "class_rep"), "branch")
         order = json_int(raw, "order", "each branch needs an integer 'order'")
         word = raw.get("class_rep")
         if word is None:

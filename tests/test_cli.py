@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from geosig import cli, covers, jacobian
+from geosig import covers, jacobian
 from geosig.cli import main
 from geosig.errors import InternalCheckError
 from geosig.groups import FiniteGroup, Subgroup, catalog
-from geosig.signature import refinements, signature_from_payload
+from geosig.signature import find_generating_vector, refinements, signature_from_payload
 
 D4_FIRST = json.dumps({
     "genus": 0,
@@ -167,13 +167,13 @@ def test_assume_realizable_is_gone(capsys):
 
 def test_plain_signature_is_searched_once_per_refinement(capsys, monkeypatch):
     searched = []
-    real = cli.find_generating_vector
+    real = find_generating_vector
 
     def counting(G, sig, *rest):
         searched.append(str(sig))
         return real(G, sig, *rest)
 
-    monkeypatch.setattr(cli, "find_generating_vector", counting)
+    monkeypatch.setattr("geosig.signature.find_generating_vector", counting)
     code, _, _ = run(capsys, "lattice", "--group", "alternating(6)", "--signature",
                      json.dumps({"genus": 0, "branches": [{"order": 4}, {"order": 4},
                                                           {"order": 5}]}))
@@ -348,6 +348,23 @@ def test_json_integers_must_be_integers(capsys, group, signature):
     assert code == 64
     assert out == ""
     assert "needs an integer" in err
+
+
+@pytest.mark.parametrize("group,signature,key", [
+    ("dihedral(4)", {"genus": 0, "brnches": json.loads(D4_FIRST)["branches"]}, "brnches"),
+    ("dihedral(4)", {"genus": 0, "branches": [{"order": 4, "clas_rep": "x"},
+                                              {"order": 2}, {"order": 2}]}, "clas_rep"),
+    (json.dumps({"nmae": "d4", "degree": 4, "generators": {"x": "(1,2,3,4)", "y": "(1,3)"}}),
+     json.loads(D4_FIRST), "nmae"),
+], ids=["signature", "branch", "group"])
+def test_unknown_payload_keys_exit_64(capsys, group, signature, key):
+    # malformed input, never a verdict: "brnches" used to exit 1 with a
+    # negative genus, "clas_rep" to search a plain entry, "nmae" to pass
+    code, out, err = run(capsys, "exists", "--group", group,
+                         "--signature", json.dumps(signature), "--format", "json")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error:") and f"unknown key '{key}'" in err
 
 
 def test_integers_too_long_to_read_exit_64(capsys):

@@ -324,6 +324,8 @@ def test_group_from_payload_roundtrip():
         group_from_payload({"generators": {"x": "(1,2)"}})
     with pytest.raises(GroupInputError, match="'name' must be a string"):
         group_from_payload({"name": 5, "degree": 2, "generators": {"a": "(1,2)"}})
+    with pytest.raises(GroupInputError, match="group spec has unknown key 'nmae';"):
+        group_from_payload({"nmae": "d4", "degree": 4, "generators": payload["generators"]})
 
 
 def test_wc3_named_subgroups_are_nonconjugate():

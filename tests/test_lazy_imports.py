@@ -1,0 +1,123 @@
+"""Importing geosig loads none of its modules, and a command-line call loads
+only the modules its subcommand runs.
+
+The package exports its public names lazily (PEP 562): a name imports its
+module on first use.  The command-line front end imports each command's
+modules inside that command.  One module-level import added to either
+would make every call pay for modules it never runs, with no output
+changed; these tests are what notices.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import geosig
+from test_golden import CASES
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# the public names of the package, by defining module
+EXPORTS = {
+    "chartable": ["CharacterTable", "compute_table", "schur_bound_is_verified"],
+    "covers": ["CoverReport", "cover_report", "cycle_structure", "lattice_report",
+               "marked_points", "quotient_genus", "transversal_partition"],
+    "cyclotomic": ["Cyclo", "cyclotomic_polynomial", "euler_phi"],
+    "errors": ["GroupInputError", "InternalCheckError", "InvalidSignatureError",
+               "NotRationalError", "SearchBudgetExceeded"],
+    "groups": ["ConjugacyClassOfSubgroups", "FiniteGroup", "Perm", "Subgroup", "catalog",
+               "conj", "double_coset_count", "group_from_payload"],
+    "jacobian": ["DecompositionReport", "complex_multiplicities", "factor_dimensions",
+                 "gamma1_analysis", "solve_omega_system"],
+    "monodromy": ["CosetAction", "coset_action", "oracle_summary"],
+    "signature": ["BranchEntry", "GeneratingVector", "GeometricSignature",
+                  "find_generating_vector", "orbit_packages", "refinements",
+                  "riemann_hurwitz_genus", "signature_from_payload", "signature_genus",
+                  "verify_generating_vector"],
+}
+NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+CLI = {"geosig", "geosig.cli", "geosig.errors", "geosig.groups"}
+LOADED = {
+    "readme_exists_dihedral4": (0, CLI | {"geosig.signature"}),
+    "readme_lattice_wc3": (0, CLI | {"geosig.signature", "geosig.covers", "geosig.monodromy"}),
+    "readme_decompose_wc3": (0, CLI | {"geosig.signature", "geosig.chartable",
+                                       "geosig.cyclotomic", "geosig.covers",
+                                       "geosig.jacobian"}),
+    "readme_chartab_quaternion8": (0, CLI | {"geosig.chartable", "geosig.cyclotomic"}),
+    "bad_group_name": (64, CLI),
+}
+ARGV = dict(CASES, bad_group_name=["chartab", "--group", "nosuchgroup(3)"])
+
+CHILD = """
+import contextlib, io, json, sys
+from geosig import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("geosig"))]))
+"""
+
+
+def _child(*argv) -> str:
+    """The stdout of a fresh interpreter that imports geosig from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("name", sorted(LOADED))
+def test_each_command_loads_only_its_modules(name):
+    code, modules = json.loads(_child("-c", CHILD, json.dumps(ARGV[name])))
+    assert (code, set(modules)) == LOADED[name]
+
+
+def test_importing_the_package_loads_no_module():
+    out = _child("-c", "import sys, geosig\n"
+                       "print(sorted(m for m in sys.modules if m.startswith('geosig')))")
+    assert out == "['geosig']\n"
+
+
+def test_submodules_import_by_name():
+    # perfbench imports these two modules from the package
+    out = _child("-c", "from geosig import cli, monodromy\n"
+                       "print(cli.__name__, monodromy.__name__)")
+    assert out == "geosig.cli geosig.monodromy\n"
+
+
+def test_public_names_are_their_modules_objects():
+    assert sorted(geosig.__all__) == NAMES
+    for module, names in EXPORTS.items():
+        defining = importlib.import_module(f"geosig.{module}")
+        for name in names:
+            assert getattr(geosig, name) is getattr(defining, name), name
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace = {}
+    exec("from geosig import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == NAMES
+    assert set(NAMES) <= set(dir(geosig))
+    assert geosig.__version__ == "0.1.0"
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="'geosig' has no attribute 'nosuch'"):
+        geosig.nosuch
+    with pytest.raises(ImportError, match="cannot import name 'nosuch'"):
+        exec("from geosig import nosuch", {})
+
+
+def test_search_budget_has_one_definition():
+    # the parser reads the default budget from groups.py, so building it
+    # needs no search; the search reads the same object
+    from geosig import cli, groups, signature
+    args = cli.build_parser().parse_args(["exists", "--group", "cyclic(2)", "--signature", "{}"])
+    assert args.budget is groups.DEFAULT_SEARCH_BUDGET is signature.DEFAULT_SEARCH_BUDGET

@@ -244,6 +244,26 @@ def test_signature_payload_parsing():
         signature_from_payload(G, {"branches": []})
     roundtrip = signature_from_payload(G, sig.to_json())
     assert roundtrip == sig
+    # to_json writes only the keys signature_from_payload accepts
+    mixed = signature_from_payload(G, {"genus": 0, "branches": [
+        {"order": 4, "class_rep": "x"}, {"order": 2}]}).to_json()
+    assert set(mixed) == {"genus", "branches"}
+    assert [set(b) for b in mixed["branches"]] == [{"order", "class_rep"}, {"order"}]
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"genus": 0, "brnches": [{"order": 4, "class_rep": "x"}]}, "key 'brnches'"),
+    ({"genus": 0, "branches": [{"order": 4, "clas_rep": "x"}, {"order": 2}, {"order": 2}]},
+     "key 'clas_rep'"),
+    ({"genus": 1, "branches": [], "note": 1, "gamma": 0}, "keys 'note', 'gamma'"),
+], ids=["signature", "branch", "two-keys"])
+def test_signature_payload_refuses_unknown_keys(payload, key):
+    # a misspelled key must not read as an absent one: "brnches" would leave
+    # a sphere with no branch values, a negative genus, and "clas_rep" a plain
+    # branch entry
+    G = catalog("dihedral(4)")
+    with pytest.raises(GroupInputError, match=f"unknown {key};"):
+        signature_from_payload(G, payload)
 
 
 def _foreign_cases():
