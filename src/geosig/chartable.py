@@ -23,52 +23,58 @@ Powers of class representatives come from the group's one class power map,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import Cyclo, euler_phi, reduce_integral
 from .errors import GroupInputError, InternalCheckError, NotRationalError
-from .groups import FiniteGroup, Subgroup, require_subgroups
+from .groups import FiniteGroup, FrozenRecord, Subgroup, require_subgroups
 
 SCHUR_COMPUTED = "computed-upper-bound"
 SCHUR_OVERRIDE = "user-override"
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(FrozenRecord):
     """One irreducible complex character, with a value per conjugacy class.
 
     row[j] holds the phi(conductor) integer coefficients of the value on
-    class j in the power basis of Z[zeta_conductor].
+    class j in the power basis of Z[zeta_conductor].  The `__dict__` slot
+    holds the cached `values`.
     """
 
-    index: int
-    row: tuple[tuple[int, ...], ...]
-    conductor: int
-    degree: int
+    __slots__ = ("index", "row", "conductor", "degree", "__dict__")
+
+    def __init__(self, index: int, row: tuple[tuple[int, ...], ...], conductor: int,
+                 degree: int):
+        self._init("index", index)
+        self._init("row", row)
+        self._init("conductor", conductor)
+        self._init("degree", degree)
 
     @cached_property
     def values(self) -> tuple[Cyclo, ...]:
         return tuple(Cyclo(self.conductor, v) for v in self.row)
 
 
-@dataclass(frozen=True)
-class GaloisClass:
+class GaloisClass(FrozenRecord):
     """A Galois orbit of irreducible characters with its Schur data, built once.
 
     `schur_bound` (`_schur_upper_bound`) and the Frobenius-Schur `indicator`
     are Galois invariants, computed on the representative, the least member;
     `schur_index` is the override when one is given, else the bound."""
 
-    members: tuple[int, ...]
-    representative: int
-    field_degree: int
-    schur_bound: int
-    indicator: int
-    schur_index: int
-    schur_index_source: str
+    __slots__ = ("members", "representative", "field_degree", "schur_bound", "indicator",
+                 "schur_index", "schur_index_source")
+
+    def __init__(self, members: tuple[int, ...], representative: int, field_degree: int,
+                 schur_bound: int, indicator: int, schur_index: int, schur_index_source: str):
+        self._init("members", members)
+        self._init("representative", representative)
+        self._init("field_degree", field_degree)
+        self._init("schur_bound", schur_bound)
+        self._init("indicator", indicator)
+        self._init("schur_index", schur_index)
+        self._init("schur_index_source", schur_index_source)
 
 
 def _admissible_schur_index(index: int, bound: int, indicator: int) -> bool:
@@ -135,6 +141,7 @@ class CharacterTable:
         total = self._weighted_sum(chi, H.class_counts)
         dim, rest = divmod(total, H.order)
         if rest or dim < 0:
+            from fractions import Fraction  # only the message reads it
             raise InternalCheckError(
                 "fixed-space dimension is not a nonnegative integer: "
                 f"{Fraction(total, H.order)}"
@@ -155,6 +162,7 @@ class CharacterTable:
         total = self._weighted_sum(chi, self._square_weights)
         ind, rest = divmod(total, self.group.order)
         if rest or ind not in (-1, 0, 1):
+            from fractions import Fraction  # only the message reads it
             raise InternalCheckError(
                 "Frobenius-Schur indicator is not in -1..1: "
                 f"{Fraction(total, self.group.order)}"

@@ -15,55 +15,67 @@ raised, never rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import InternalCheckError
-from .groups import FiniteGroup, Perm, Subgroup, double_coset_count, require_subgroups
+from .groups import (FiniteGroup, FrozenRecord, Perm, Record, Subgroup, double_coset_count,
+                     require_subgroups)
 from .signature import GeometricSignature, branch_stabilizers
 
 
-@dataclass(frozen=True)
-class TransversalPartition:
+class TransversalPartition(FrozenRecord):
     """Transversal of N(G_j) split by the size of the conjugate's meet with H."""
 
-    branch_index: int
-    sets: tuple[tuple, ...]          # the L_k, in first-appearance order
-    intersection_sizes: tuple[int, ...]  # common |G_j^(l^-1) ∩ H| per set
+    __slots__ = ("branch_index", "sets", "intersection_sizes")
+
+    def __init__(self, branch_index: int, sets: tuple[tuple, ...],
+                 intersection_sizes: tuple[int, ...]):
+        self._init("branch_index", branch_index)
+        self._init("sets", sets)  # the L_k, in first-appearance order
+        self._init("intersection_sizes", intersection_sizes)  # common |G_j^(l^-1) ∩ H| per set
 
     @property
     def nu(self) -> int:
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class MarkedPointSet:
+class MarkedPointSet(FrozenRecord):
     """c points of S/H over branch value j, each marked with the same number."""
 
-    branch_index: int
-    mark: int
-    count: int
+    __slots__ = ("branch_index", "mark", "count")
+
+    def __init__(self, branch_index: int, mark: int, count: int):
+        self._init("branch_index", branch_index)
+        self._init("mark", mark)
+        self._init("count", count)
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(FrozenRecord):
     """Cycle structure of the covering S/H -> S/G over one branch value."""
 
-    branch_index: int
-    entries: tuple[int, ...]  # ramification indices, one per point, sorted
+    __slots__ = ("branch_index", "entries")
+
+    def __init__(self, branch_index: int, entries: tuple[int, ...]):
+        self._init("branch_index", branch_index)
+        self._init("entries", entries)  # ramification indices, one per point, sorted
 
 
-@dataclass
-class CoverReport:
+class CoverReport(Record):
     """Everything the signature determines about one intermediate quotient."""
 
-    subgroup: Subgroup
-    degree: int
-    genus: int
-    branch_types: tuple[str, ...]
-    marked_points: tuple[MarkedPointSet, ...]
-    cycle_structures: tuple[CycleStructure, ...]
-    oracle: Optional[dict] = None
+    __slots__ = ("subgroup", "degree", "genus", "branch_types", "marked_points",
+                 "cycle_structures", "oracle")
+
+    def __init__(self, subgroup: Subgroup, degree: int, genus: int,
+                 branch_types: tuple[str, ...], marked_points: tuple[MarkedPointSet, ...],
+                 cycle_structures: tuple[CycleStructure, ...], oracle: Optional[dict] = None):
+        self.subgroup = subgroup
+        self.degree = degree
+        self.genus = genus
+        self.branch_types = branch_types
+        self.marked_points = marked_points
+        self.cycle_structures = cycle_structures
+        self.oracle = oracle
 
     def to_json(self) -> dict:
         G = self.subgroup.parent

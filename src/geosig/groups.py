@@ -22,15 +22,17 @@ matrices read them once); every other kept value is a cached property.
 Only `FiniteGroup.product` composes image tuples: the search, the power
 walks and the subgroup closures call it.  Member sets are int bitmasks, so
 a meet is `(a & b).bit_count()`.  `Perm` objects appear only at the
-boundary: input, witnesses and output.
+boundary: input, witnesses and output.  `Record` and `FrozenRecord` are the
+slotted bases of every module's result records, here because every module
+imports this one.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from functools import cached_property, total_ordering
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import GroupInputError, InternalCheckError
@@ -44,6 +46,48 @@ DEFAULT_SEARCH_BUDGET = 10 ** 8  # search nodes; here so the CLI parser needs no
 def _check_cap(what: str, value: int, cap: int, unit: str) -> None:
     if value > cap:
         raise GroupInputError(f"{what} exceeds the supported cap of {cap} {unit}")
+
+
+class Record:
+    """A plain record: its fields are its slots, minus those named with a
+    leading underscore.  Two records are equal when they are of the same
+    class with equal fields, so a record never equals a tuple; the repr is
+    `Name(field=value, ...)`.  A mutable record is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
+        if cls._fields:
+            cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class FrozenRecord(Record):
+    """An immutable, hashable record; its `__init__` sets each field with
+    `self._init(name, value)`."""
+
+    __slots__ = ()
+    _init = object.__setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 @total_ordering
@@ -366,6 +410,7 @@ class FiniteGroup:
 
     @cached_property
     def digest(self) -> str:
+        import hashlib  # only this property reads it
         blob = f"{self.degree}|" + ";".join(",".join(map(str, x)) for x in self._images)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -14,22 +14,23 @@ composition.  Cycle types are unaffected by this choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GroupInputError, InternalCheckError
-from .groups import FiniteGroup, Perm, Subgroup, require_subgroups
+from .groups import FiniteGroup, FrozenRecord, Perm, Subgroup, require_subgroups
 from .signature import GeneratingVector
 
 
-@dataclass(frozen=True)
-class CosetAction:
+class CosetAction(FrozenRecord):
     """The permutation action of a generating vector on the cosets of H."""
 
-    subgroup: Subgroup
-    cosets: tuple[Perm, ...]           # least representative per coset
-    a_images: tuple[Perm, ...]
-    b_images: tuple[Perm, ...]
-    c_images: tuple[Perm, ...]
+    __slots__ = ("subgroup", "cosets", "a_images", "b_images", "c_images")
+
+    def __init__(self, subgroup: Subgroup, cosets: tuple[Perm, ...], a_images: tuple[Perm, ...],
+                 b_images: tuple[Perm, ...], c_images: tuple[Perm, ...]):
+        self._init("subgroup", subgroup)
+        self._init("cosets", cosets)  # least representative per coset
+        self._init("a_images", a_images)
+        self._init("b_images", b_images)
+        self._init("c_images", c_images)
 
     @property
     def degree(self) -> int:

@@ -9,8 +9,7 @@ them in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 from itertools import product
 from typing import Mapping, Optional, Sequence
 
@@ -20,28 +19,30 @@ from .errors import (
     SearchBudgetExceeded,
 )
 from .groups import (DEFAULT_SEARCH_BUDGET, MAX_QUOTIENT_GENUS, ConjugacyClassOfSubgroups,
-                     FiniteGroup, Perm, Subgroup, json_int, json_keys, require_subgroups)
+                     FiniteGroup, FrozenRecord, Perm, Record, Subgroup, json_int, json_keys,
+                     require_subgroups)
 
 
-@dataclass(frozen=True)
-class BranchEntry:
+class BranchEntry(FrozenRecord):
     """One branch value: its stabilizer order and (optionally) the stabilizer class."""
 
-    order: int
-    cls: Optional[ConjugacyClassOfSubgroups] = None
-    label: Optional[str] = None
+    __slots__ = ("order", "cls", "label")
 
-    def __post_init__(self):
-        if self.order < 2:
-            raise GroupInputError(f"branch order must be at least 2, got {self.order}")
-        if self.cls is not None:
-            rep = self.cls.representative
+    def __init__(self, order: int, cls: Optional[ConjugacyClassOfSubgroups] = None,
+                 label: Optional[str] = None):
+        if order < 2:
+            raise GroupInputError(f"branch order must be at least 2, got {order}")
+        if cls is not None:
+            rep = cls.representative
             if not rep.is_cyclic:
                 raise GroupInputError("branch stabilizer class must be cyclic")
-            if rep.order != self.order:
+            if rep.order != order:
                 raise GroupInputError(
-                    f"branch order {self.order} does not match the class order {rep.order}"
+                    f"branch order {order} does not match the class order {rep.order}"
                 )
+        self._init("order", order)
+        self._init("cls", cls)
+        self._init("label", label)
 
     def display(self) -> str:
         if self.cls is None:
@@ -50,20 +51,20 @@ class BranchEntry:
         return f"[{self.order},<{tag}>]"
 
 
-@dataclass(frozen=True)
-class GeometricSignature:
+class GeometricSignature(FrozenRecord):
     """Quotient genus plus ordered branch entries (possibly empty)."""
 
-    quotient_genus: int
-    entries: tuple[BranchEntry, ...] = ()
+    __slots__ = ("quotient_genus", "entries")
 
-    def __post_init__(self):
-        if self.quotient_genus < 0:
+    def __init__(self, quotient_genus: int, entries: tuple[BranchEntry, ...] = ()):
+        if quotient_genus < 0:
             raise GroupInputError("quotient genus cannot be negative")
-        if self.quotient_genus > MAX_QUOTIENT_GENUS:
+        if quotient_genus > MAX_QUOTIENT_GENUS:
             raise GroupInputError(
                 f"quotient genus exceeds the supported cap of {MAX_QUOTIENT_GENUS}"
             )
+        self._init("quotient_genus", quotient_genus)
+        self._init("entries", entries)
 
     @property
     def orders(self) -> tuple[int, ...]:
@@ -159,27 +160,33 @@ def riemann_hurwitz_genus(group_order: int, quotient_genus: int,
     for m in orders:
         if m < 2:
             raise GroupInputError(f"branch order must be at least 2, got {m}")
-    g = Fraction(group_order * (quotient_genus - 1) + 1)
+    # g = |G|(gamma - 1) + 1 + sum |G|(m - 1)/(2m), over the denominator 2 lcm(m)
+    den = 2 * math.lcm(*orders)
+    total = den * (group_order * (quotient_genus - 1) + 1)
     for m in orders:
-        g += Fraction(group_order, 2) * (1 - Fraction(1, m))
-    if g.denominator != 1:
-        raise InvalidSignatureError(f"branching data gives non-integral genus {g}", g)
-    if g < 0:
-        raise InvalidSignatureError(f"branching data gives negative genus {g}", g)
-    return int(g)
+        total += group_order * (m - 1) * (den // (2 * m))
+    g, rest = divmod(total, den)
+    if rest or g < 0:
+        from fractions import Fraction  # the error's value is the exact genus
+        value = Fraction(total, den)
+        kind = "non-integral" if rest else "negative"
+        raise InvalidSignatureError(f"branching data gives {kind} genus {value}", value)
+    return g
 
 
 def signature_genus(G: FiniteGroup, sig: GeometricSignature) -> int:
     return riemann_hurwitz_genus(G.order, sig.quotient_genus, sig.orders)
 
 
-@dataclass(frozen=True)
-class GeneratingVector:
+class GeneratingVector(FrozenRecord):
     """Witness tuple (a_1..a_gamma, b_1..b_gamma, c_1..c_t)."""
 
-    a: tuple[Perm, ...]
-    b: tuple[Perm, ...]
-    c: tuple[Perm, ...]
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: tuple[Perm, ...], b: tuple[Perm, ...], c: tuple[Perm, ...]):
+        self._init("a", a)
+        self._init("b", b)
+        self._init("c", c)
 
     def elements(self) -> tuple[Perm, ...]:
         return self.a + self.b + self.c
@@ -192,14 +199,16 @@ class GeneratingVector:
         }
 
 
-@dataclass
-class VectorCheck:
+class VectorCheck(Record):
     """Per-condition verdicts for a candidate generating vector."""
 
-    orders_ok: bool
-    classes_ok: bool
-    product_ok: bool
-    generates: bool
+    __slots__ = ("orders_ok", "classes_ok", "product_ok", "generates")
+
+    def __init__(self, orders_ok: bool, classes_ok: bool, product_ok: bool, generates: bool):
+        self.orders_ok = orders_ok
+        self.classes_ok = classes_ok
+        self.product_ok = product_ok
+        self.generates = generates
 
     @property
     def ok(self) -> bool:

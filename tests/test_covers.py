@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import pytest
 
 from geosig import covers
 from geosig.covers import (
+    MarkedPointSet,
     cover_report,
     cycle_structure,
     lattice_report,
@@ -241,7 +240,8 @@ def test_doctored_marks_fail_the_genus_check(monkeypatch):
     assert [(m.mark, m.count) for m in marks if m.branch_index == 1] == [(2, 4), (1, 4)]
     doctored = {2: 2, 1: 5}
     fake = tuple(
-        replace(m, count=doctored[m.mark]) if m.branch_index == 1 else m for m in marks
+        MarkedPointSet(m.branch_index, m.mark, doctored[m.mark]) if m.branch_index == 1 else m
+        for m in marks
     )
     monkeypatch.setattr(covers, "marked_points", lambda *_args: fake)
     with pytest.raises(InternalCheckError, match="genus formulas disagree"):

@@ -8,7 +8,8 @@ class counts and the class power map, a subgroup's normalizer and conjugates
 come from one conjugation walk; each must agree with the fully
 validated, separately computed, element-by-element or definitional result.
 On drawn spherical generating vectors, the closed-form covers must agree
-with the coset-action oracle.
+with the coset-action oracle.  The integer Riemann-Hurwitz genus must agree
+with the rational formula, errors included.
 hypothesis is a test-only dependency: the module is skipped when it is
 missing, and runs derandomized so that every run draws the same examples.
 """
@@ -19,7 +20,7 @@ from functools import lru_cache
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from corpus import CORPUS, group as corpus_group, materialize  # noqa: E402
 from geosig.chartable import Character, CharacterTable, compute_table  # noqa: E402
@@ -31,13 +32,18 @@ from geosig.covers import (  # noqa: E402
     quotient_genus,
 )
 from geosig.cyclotomic import Cyclo  # noqa: E402
-from geosig.errors import InternalCheckError, NotRationalError  # noqa: E402
+from geosig.errors import (  # noqa: E402
+    InternalCheckError,
+    InvalidSignatureError,
+    NotRationalError,
+)
 from geosig.groups import Perm, Subgroup, catalog, conj  # noqa: E402
 from geosig.monodromy import oracle_summary  # noqa: E402
 from geosig.signature import (  # noqa: E402
     BranchEntry,
     GeneratingVector,
     GeometricSignature,
+    riemann_hurwitz_genus,
     verify_generating_vector,
 )
 
@@ -285,3 +291,47 @@ def test_closed_form_covers_match_the_oracle_on_drawn_vectors(case):
         oracle = oracle_summary(G, report.subgroup, vec, 0)
         assert oracle["genus"] == report.genus
         assert oracle["cycle_structures"] == [list(c.entries) for c in report.cycle_structures]
+
+
+def _rational_genus(order, gamma, orders):
+    """g = 1 + |G|(gamma - 1 + sum (m - 1)/2m), in Fractions."""
+    g = 1 + order * (gamma - 1 + sum(Fraction(m - 1, 2 * m) for m in orders))
+    if g.denominator != 1:
+        raise InvalidSignatureError(f"branching data gives non-integral genus {g}", g)
+    if g < 0:
+        raise InvalidSignatureError(f"branching data gives negative genus {g}", g)
+    return int(g)
+
+
+def _genus_kind(order, gamma, orders):
+    """Compare riemann_hurwitz_genus with the rational formula; name the case."""
+    try:
+        want = _rational_genus(order, gamma, orders)
+    except InvalidSignatureError as err:
+        with pytest.raises(InvalidSignatureError) as got:
+            riemann_hurwitz_genus(order, gamma, orders)
+        assert str(got.value) == str(err)
+        assert type(got.value.value) is Fraction and got.value.value == err.value
+        return "negative" if err.value < 0 and err.value.denominator == 1 else "non-integral"
+    got = riemann_hurwitz_genus(order, gamma, orders)
+    assert type(got) is int and got == want
+    return "integral"
+
+
+@settings(DERANDOMIZED, max_examples=400)
+@given(st.integers(1, 2000), st.integers(0, 6),
+       st.lists(st.one_of(st.integers(2, 12), st.integers(2, 2000)), max_size=8))
+@example(2, 0, [])  # genus -1, the first negative value
+@example(1, 0, [])  # genus 0
+@example(3, 0, [2])  # genus -5/4: non-integral, reported before negative
+@example(3, 0, [2, 2, 2])  # genus 1/4
+@example(48, 0, [6, 4, 2])  # genus 3
+def test_integer_genus_matches_the_rational_formula(order, gamma, orders):
+    _genus_kind(order, gamma, orders)
+
+
+def test_genus_comparison_meets_every_kind():
+    kinds = {_genus_kind(order, gamma, orders)
+             for order in (1, 2, 3, 8, 24, 48) for gamma in (0, 1, 2)
+             for orders in ([], [2], [3, 3], [2, 2, 2], [4, 2, 2], [6, 4, 2], [7, 5])}
+    assert kinds == {"integral", "non-integral", "negative"}
