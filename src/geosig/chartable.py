@@ -4,7 +4,8 @@ The table is computed by the modular class-algebra method: the common
 eigenvectors of the class matrices are found over a prime field F_p with
 p = 1 (mod exponent) and p > 2*sqrt(|G|), and the character values are then
 lifted to exact cyclotomic numbers by inverting the discrete Fourier
-transform over power maps.  The prime is the smallest qualifying one, the
+transform over power maps, each eigenvalue multiplicity weighting one row of
+a table of the powers of zeta_e.  The prime is the smallest qualifying one, the
 subspace splitting is performed in a fixed order, and the finished rows are
 sorted by (degree, value sequence), so the table is deterministic.
 
@@ -26,7 +27,7 @@ import math
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .cyclotomic import Cyclo, euler_phi, reduce_integral
+from .cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi, reduce_integral
 from .errors import GroupInputError, InternalCheckError, NotRationalError
 from .groups import FiniteGroup, FrozenRecord, Subgroup, require_subgroups
 
@@ -500,17 +501,16 @@ def _split_spaces(G: FiniteGroup, p: int) -> list[list[int]]:
     for i in range(1, s):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        mat = [[v % p for v in row] for row in _class_matrix(G, i, times_reps)]
+        sparse = [[(c, v % p) for c, v in enumerate(row) if v]
+                  for row in _class_matrix(G, i, times_reps)]
         refined = []
         for rows, pivots in spaces:
             d = len(rows)
             if d == 1:
                 refined.append((rows, pivots))
                 continue
-            images = [
-                [sum(mat[r][c] * vec[c] for c in range(s)) % p for r in range(s)]
-                for vec in rows
-            ]
+            images = [[sum(v * vec[c] for c, v in entries) % p for entries in sparse]
+                      for vec in rows]
             restr_cols = [_coords_in_basis(img, rows, pivots, p) for img in images]
             # restriction matrix: columns are images of basis vectors
             restr = [[restr_cols[j][i2] for j in range(d)] for i2 in range(d)]
@@ -536,6 +536,31 @@ def _split_spaces(G: FiniteGroup, p: int) -> list[list[int]]:
     return [rows[0] for rows, _ in spaces]
 
 
+def _zeta_powers(e: int) -> list[tuple[int, ...]]:
+    """zeta_e^i in the power basis of Z[zeta_e] for i < e: each row is x times
+    the one before, reduced by the monic Phi_e at the top coefficient."""
+    cyclo = cyclotomic_polynomial(e)
+    phi = len(cyclo) - 1
+    row = (1,) + (0,) * (phi - 1)
+    out = [row]
+    for _ in range(e - 1):
+        top = row[-1]
+        row = tuple(a - top * c for a, c in zip((0,) + row[:-1], cyclo))
+        out.append(row)
+    return out
+
+
+def _zeta_sum(mults: Sequence[int], zeta_rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """sum of mults[k] * zeta_m^k, m = len(mults) dividing e = len(zeta_rows),
+    in the power basis of Z[zeta_e]: zeta_m^k is the row of zeta_e^(k*e/m)."""
+    step = len(zeta_rows) // len(mults)
+    value = [0] * len(zeta_rows[0])
+    for k, a in enumerate(mults):
+        if a:
+            value = [v + a * z for v, z in zip(value, zeta_rows[k * step])]
+    return tuple(value)
+
+
 def compute_table(G: FiniteGroup,
                   schur_overrides: Optional[Mapping[int, int]] = None) -> CharacterTable:
     """Compute the exact character table of a group of order at most 2000."""
@@ -549,6 +574,7 @@ def compute_table(G: FiniteGroup,
     inverse_class = [powers[-1] for powers in class_powers]
     omegas = _split_spaces(G, p)
 
+    zeta_rows = _zeta_powers(e)
     root = pow(_primitive_root(p), (p - 1) // e, p)  # fixed image of zeta_e in F_p
     # per element order m: the images of zeta_m^-t, t < m, and of 1/m in F_p
     dft = {}
@@ -580,17 +606,13 @@ def compute_table(G: FiniteGroup,
             m = len(powers)
             zeta_inv, inv_m = dft[m]
             samples = [tvals[c] for c in powers]
-            poly = [0] * e
-            total_mult = 0
-            for k in range(m):
-                a = sum(
-                    t * zeta_inv[k * u % m] for u, t in enumerate(samples)
-                ) * inv_m % p
-                total_mult += a
-                poly[k * (e // m)] = a
-            if total_mult != degree:
+            mults = [
+                sum(t * zeta_inv[k * u % m] for u, t in enumerate(samples)) * inv_m % p
+                for k in range(m)
+            ]
+            if sum(mults) != degree:
                 raise InternalCheckError("eigenvalue multiplicities do not sum to degree")
-            row.append(reduce_integral(poly, e))
+            row.append(_zeta_sum(mults, zeta_rows))
         characters.append((degree, tuple(row)))
     if degrees_sq != G.order:
         raise InternalCheckError("sum of squared degrees does not match the group order")

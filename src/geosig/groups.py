@@ -19,8 +19,9 @@ What the group keeps follows one rule: a `left(g)` column is kept once
 walked, a generator's right column is the build's own, and any other right
 column is walked on each call and never kept (`left_cosets` and the class
 matrices read them once); every other kept value is a cached property.
-Only `FiniteGroup.product` composes image tuples: the search, the power
-walks and the subgroup closures call it.  Member sets are int bitmasks, so
+Only `FiniteGroup.product` composes image tuples: the search and the power
+walks call it, and a subgroup closure reads the right columns of its
+generators.  Member sets are int bitmasks, so
 a meet is `(a & b).bit_count()`.  `Perm` objects appear only at the
 boundary: input, witnesses and output.  `Record` and `FrozenRecord` are the
 slotted bases of every module's result records, here because every module
@@ -393,9 +394,11 @@ class FiniteGroup:
         return [[back[y] for y in self.left(t)] for t, back in zip(self._gens, self._undo)]
 
     def _generated(self, gens: Sequence[int]) -> set[int]:
-        """The subgroup that element indices generate; the closure stops at |G|.
-        It caches no columns: those of the search's many candidates would fill a table."""
-        return _closure(0, [lambda x, g=g: self.product(x, g) for g in gens], self.order)
+        """The subgroup that element indices generate, closed over the right
+        columns of the distinct generators; the closure stops at |G|.  It keeps
+        no column: those of the search's many candidates would fill a table."""
+        steps = [self.right(g).__getitem__ for g in dict.fromkeys(gens) if g]
+        return _closure(0, steps, self.order)
 
     @cached_property
     def exponent(self) -> int:

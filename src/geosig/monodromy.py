@@ -9,7 +9,9 @@ must agree, and the acceptance suite checks that they do.
 Orientation: sheets are the right cosets Hg (canonically ordered by least
 representative) and a vector element acts by right multiplication, which
 makes the sheet map a homomorphism under this package's left-to-right
-composition.  Cycle types are unaffected by this choice.
+composition.  Cycle types are unaffected by this choice.  The images are
+integer tuples over the coset numbers, each checked to be a permutation;
+only `coset_action` wraps them as `Perm`s, for API callers.
 """
 
 from __future__ import annotations
@@ -37,8 +39,11 @@ class CosetAction(FrozenRecord):
         return len(self.cosets)
 
 
-def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAction:
-    """Permutations induced by the vector's elements on the cosets of H."""
+def _coset_images(G: FiniteGroup, H: Subgroup, vec: GeneratingVector
+                  ) -> tuple[list[int], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The least representative of each right coset of H, and the image of
+    each vector element on the cosets, part by part (a, b, c), as integer
+    tuples checked to be permutations."""
     require_subgroups(G, H)
     for g in vec.elements():
         if g not in G:
@@ -59,35 +64,51 @@ def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAct
 
     # r*g = (g^-1 * r^-1)^-1 reads the kept left column of g^-1
     inv = G.inverses
+    inv_reps = [inv[r] for r in reps]
 
-    def image(g: Perm) -> Perm:
+    def image(g: Perm) -> tuple[int, ...]:
         g_inv_times = G.left(inv[G.index(g)])
-        try:
-            return Perm(coset_of[inv[g_inv_times[inv[r]]]] for r in reps)
-        except GroupInputError:
+        img = tuple([coset_of[inv[g_inv_times[r]]] for r in inv_reps])
+        if len(set(img)) != len(reps):
             raise InternalCheckError(
                 f"vector element {g} does not permute the {len(reps)} right cosets "
                 f"of a subgroup of order {H.order}"
-            ) from None
+            )
+        return img
 
-    images = (tuple(image(g) for g in part) for part in (vec.a, vec.b, vec.c))
+    return reps, tuple(tuple(map(image, part)) for part in (vec.a, vec.b, vec.c))
+
+
+def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAction:
+    """Permutations induced by the vector's elements on the cosets of H."""
+    reps, parts = _coset_images(G, H, vec)
+    images = (tuple(map(Perm._trusted, part)) for part in parts)
     return CosetAction(H, tuple(G.elements[r] for r in reps), *images)
 
 
-def _cycle_type(p: Perm) -> tuple[int, ...]:
-    listed = [len(c) for c in p.cycles()]
-    fixed = p.degree - sum(listed)
-    return tuple(sorted(listed + [1] * fixed))
+def _cycle_type(img: tuple[int, ...]) -> tuple[int, ...]:
+    """The cycle lengths of a permutation image, fixed points included, ascending."""
+    seen = [False] * len(img)
+    lengths = []
+    for start in range(len(img)):
+        if not seen[start]:
+            length, p = 0, start
+            while not seen[p]:
+                seen[p] = True
+                p = img[p]
+                length += 1
+            lengths.append(length)
+    return tuple(sorted(lengths))
 
 
 def oracle_summary(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
                    quotient_genus: int) -> dict:
     """Genus of S/H, by Riemann-Hurwitz over the coset action, and the cycle
     type of each branch element acting on the cosets of H."""
-    action = coset_action(G, H, vec)
-    types = [_cycle_type(img) for img in action.c_images]
+    reps, (_, _, c_images) = _coset_images(G, H, vec)
+    types = [_cycle_type(img) for img in c_images]
     ramification = sum(length - 1 for ct in types for length in ct)
-    euler = action.degree * (2 - 2 * quotient_genus) - ramification
+    euler = len(reps) * (2 - 2 * quotient_genus) - ramification
     if euler % 2:
         raise InternalCheckError(
             f"coset action gives an odd Euler characteristic {euler}"

@@ -305,7 +305,8 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     # spanning tree, and each normalizer and its conjugates from one
     # conjugation walk, so no generating set of a normalizer is closed and
     # the pass makes no scalar product (328 while they were, 10,110 before
-    # the tree walks); a closure afterwards shows that the counter counts
+    # the tree walks); a closure reads generator columns and makes none
+    # either, and a power walk afterwards shows that the counter counts
     from geosig import jacobian, monodromy
     from geosig.chartable import compute_table
     from geosig.groups import FiniteGroup
@@ -323,9 +324,11 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
         monodromy.oracle_summary(G, report.subgroup, vec, 0)
     jacobian.factor_dimensions(G, compute_table(G), sig)
     pipeline = len(calls)
-    G.is_generated_by(vec.elements())
+    assert G.is_generated_by(vec.elements())
+    closure = len(calls)
+    G._powers(G.index(vec.c[-1]))
     monkeypatch.undo()
-    assert pipeline == 0 < len(calls)
+    assert pipeline == closure == 0 < len(calls)
     # the marks and double-coset route 2 read each normalizer for its order only
     for cls in G.cyclic_subgroup_classes:
         N = cls.representative.normalizer()
