@@ -17,6 +17,7 @@ search, and a malformed group name loads the group kernel alone.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -392,6 +393,11 @@ def entry() -> None:
         # stdout is gone: send what is still buffered for it to the null
         # device, so that the flush at exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # the process is about to end: move every tracked object to the
+    # permanent generation, so the collections that interpreter shutdown
+    # runs have nothing to walk; atexit handlers and the final flush of
+    # the standard streams still run
+    gc.freeze()
     sys.exit(code)
 
 

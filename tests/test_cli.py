@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -42,6 +43,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
+def child(*args):
+    """A fresh interpreter run to completion on args, as the console script
+    runs: what it exits with and writes goes through exit() and real pipes."""
+    return subprocess.run([sys.executable, *args], capture_output=True, env=CHILD_ENV,
+                          text=True, timeout=120)
 
 
 def test_exists_positive(capsys):
@@ -403,13 +416,9 @@ def test_deeply_nested_json_exits_64(tmp_path):
     # recursion limit
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     for argv in [("--group", "dihedral(4)", "--signature", str(deep)),
                  ("--group", str(deep), "--signature", D4_FIRST)]:
-        proc = subprocess.run([sys.executable, "-m", "geosig.cli", "exists", *argv],
-                              capture_output=True, env=env, text=True, timeout=120)
+        proc = child("-m", "geosig.cli", "exists", *argv)
         assert proc.returncode == 64, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: bad JSON in"), proc.stderr
@@ -559,19 +568,86 @@ def test_override_against_the_computed_bound_exits_64(capsys, argv, bound):
 def test_closed_stdout_exits_74():
     # the reader of the pipe is gone long before the table is written: a
     # failed write is neither a verdict nor an internal defect
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     with subprocess.Popen(
         [sys.executable, "-m", "geosig.cli", "chartab", "--group", "symmetric(6)",
          "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV, text=True,
     ) as proc:
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 74
     assert err.startswith("error: cannot write the output:"), err
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+BUDGET_SIGNATURE = json.dumps({"genus": 2, "branches": [{"order": 2}, {"order": 2}]})
+
+
+@pytest.mark.parametrize("argv, status, verdict", [
+    (["exists", "--group", "dihedral(4)", "--signature", D4_FIRST], 0, "exists"),
+    (["exists", "--group", "dihedral(4)", "--signature", D4_SECOND], 1, "not-exists"),
+    (["exists", "--group", "wc3", "--signature", BUDGET_SIGNATURE, "--budget", "5"],
+     2, "budget-exhausted"),
+    (["exists", "--group", "nosuchgroup(3)", "--signature", D4_FIRST], 64, None),
+], ids=["exists-0", "not-exists-1", "budget-2", "unknown-group-64"])
+def test_console_entry_exit_codes(argv, status, verdict):
+    # the verdict reaches the shell through entry()'s exit, not main()'s
+    # return value: a fresh child for each status, its output complete
+    proc = child("-m", "geosig.cli", *argv, "--format", "json")
+    assert proc.returncode == status, proc.stderr
+    if verdict is None:
+        assert proc.stdout == ""
+        assert proc.stderr == "error: group source 'nosuchgroup(3)' is neither a " \
+                              "catalog name nor a readable file\n"
+    else:
+        assert proc.stderr == ""
+        payload = json.loads(proc.stdout)
+        assert payload["verdict"] == verdict
+        assert json.dumps(payload, indent=2) + "\n" == proc.stdout
+
+
+def test_console_entry_internal_defect_exits_70():
+    script = (
+        "import sys\n"
+        "from geosig import cli, covers\n"
+        "def broken(*_args):\n"
+        "    raise ZeroDivisionError('genus formulas disagree')\n"
+        "covers.double_coset_count = broken\n"
+        f"sys.argv = ['geosig', 'lattice', '--group', 'wc3', '--signature', {WC3_FIRST!r}]\n"
+        "cli.entry()\n"
+    )
+    proc = child("-c", script)
+    assert proc.returncode == 70, proc.stderr
+    assert proc.stdout == ""
+    assert "internal defect: ZeroDivisionError: genus formulas disagree" in proc.stderr
+    assert f"group hash: {catalog('wc3').digest}" in proc.stderr
+
+
+def test_console_entry_runs_atexit_handlers_after_the_output():
+    # the process ends through sys.exit: handlers registered at exit (as
+    # site's may be) still run, after the command's output, and see the
+    # objects entry() froze before it exited
+    script = (
+        "import atexit, gc, sys\n"
+        "from geosig import cli\n"
+        "atexit.register(lambda: print('atexit marker, frozen:', gc.get_freeze_count() > 0))\n"
+        f"sys.argv = ['geosig', 'exists', '--group', 'dihedral(4)', '--signature', "
+        f"{D4_FIRST!r}, '--format', 'json']\n"
+        "cli.entry()\n"
+    )
+    proc = child("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    marker = "atexit marker, frozen: True\n"
+    assert proc.stdout.endswith("}\n" + marker)
+    assert json.loads(proc.stdout.removesuffix(marker))["verdict"] == "exists"
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # only the console script's exit freezes objects; the API never does
+    before = gc.get_freeze_count()
+    code, _, _ = run(capsys, "decompose", "--group", "wc3", "--signature", WC3_FIRST)
+    assert code == 0
+    assert gc.get_freeze_count() == before
 
 
 def test_help_exits_0(capsys):

@@ -7,15 +7,20 @@ groups (symmetric, alternating, wreath, cyclic and dihedral).  Each `.txt`
 file is the `--format text` output of one of the TEXT_CASES: the README
 examples, `decompose` on symmetric(6), and `chartab` on cyclic(6), whose
 table has irrational values.  A refactor of the engine must leave all of
-them unchanged.  Regenerate them only for an intended output change, and
-record that change in CHANGES.md:
+them unchanged.  The README cases and lattice_s6 (larger than a pipe's
+buffer) are also checked as the whole standard output of a fresh
+`python -m geosig.cli` process.  Regenerate the files only for an
+intended output change, and record that change in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -59,8 +64,8 @@ for _group in ("symmetric(5)", "symmetric(6)", "alternating(5)", "alternating(6)
                "wc3", "cyclic(6)", "dihedral(6)"):
     _tag = re.sub(r"\W", "", _group)
     CASES[f"chartab_{_tag}"] = ["chartab", "--group", _group]
-TEXT_CASES = sorted(name for name in CASES if name.startswith("readme_")) + [
-    "decompose_s6", "chartab_cyclic6"]
+README_CASES = sorted(name for name in CASES if name.startswith("readme_"))
+TEXT_CASES = README_CASES + ["decompose_s6", "chartab_cyclic6"]
 
 
 def _run(argv, fmt="json") -> tuple[int, bytes]:
@@ -75,6 +80,20 @@ def test_golden_output(name):
     code, out = _run(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", README_CASES + ["lattice_s6"])
+def test_golden_output_through_a_pipe(name):
+    # what a shell pipeline receives: every byte written before the process
+    # exits, however far it outgrows the pipe's buffer
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "geosig.cli", *CASES[name], "--format", "json"],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == b""
+    assert proc.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", TEXT_CASES)
