@@ -1,30 +1,50 @@
 """Exact complex character tables.
 
-The table is computed by the modular class-algebra method: the common
-eigenvectors of the class matrices are found over a prime field F_p with
-p = 1 (mod exponent) and p > 2*sqrt(|G|), and the character values are then
-lifted to exact cyclotomic numbers by inverting the discrete Fourier
-transform over power maps, each eigenvalue multiplicity weighting one row of
-a table of the powers of zeta_e.  The prime is the smallest qualifying one, the
-subspace splitting is performed in a fixed order, and the finished rows are
-sorted by (degree, value sequence), so the table is deterministic.
+The table is computed by the modular class-algebra method (Dixon 1967;
+Schneider 1990): the common eigenvectors of the class matrices are found
+over a prime field F_p with p = 1 (mod exponent) and p > 2*sqrt(|G|), and
+the character values are then lifted to exact cyclotomic numbers by
+inverting the discrete Fourier transform over power maps, each eigenvalue
+multiplicity weighting one row of a table of the powers of zeta_e.
+
+The split projects rather than solves.  The identity-class vector e_0 meets
+every common eigenspace, so it is the first leaf; each class matrix M in
+class order splits every leaf u by u's minimal polynomial f under M, read
+off the Krylov vectors u, Mu, M^2 u, ..., into the vectors q(M) u with
+q = f / (x - lam), one per root lam, until there are s leaves.  No
+characteristic polynomial or nullspace is computed.  The split does not
+use seeded random combinations of all class matrices: building all s of
+them costs |G|*s lookups, more than the whole split of symmetric(6), and
+the output would hang on a seed.
+
+The lift runs the inverse DFT once per rational class, on its least class;
+a class whose representative is conjugate to the leader's u-th power takes
+the leader's multiplicities moved from k to k*u mod m.  At run time the
+table checks the eigenvectors against every class matrix the split read,
+the multiplicity sum of each DFT, sum chi(1)^2 = |G|, and the row and the
+column norms of the integer rows.  The prime is the smallest qualifying
+one and the finished rows are sorted by (degree, value sequence), so the
+table is deterministic.
 
 Character values are algebraic integers, and a character stores them in
 one form only, its integer row `Character.row`: for each class, the phi(e)
 coefficients of the value in the power basis of Z[zeta_e], e the group
-exponent.  The lift, the self-orthogonality norms, the Galois images, the
-fixed-space dimensions and the Frobenius-Schur indicators are integer sums
-over these rows, and rationals appear only at the final exact division.
+exponent.  The lift, the norms, the Galois images, the fixed-space
+dimensions and the Frobenius-Schur indicators are integer sums over these
+rows, and rationals appear only at the final exact division.
 `Character.values`, the same values as `Cyclo` numbers, is built from the
 row on first read, for the JSON and text output and for API callers.
 Powers of class representatives come from the group's one class power map,
-`FiniteGroup.class_powers`.
+`FiniteGroup.class_powers`.  `CharacterTable.fixed_dims`, the fixed-space
+dimension of every character on every cyclic-class representative, is
+computed once per table and read by the Schur bounds, the closed-form
+multiplicities and the omega system.
 """
-
 from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi, reduce_integral
@@ -127,9 +147,8 @@ class CharacterTable:
     def _weighted_sum(self, chi: Character, weights: Sequence[tuple[int, int]]) -> int:
         """Sum of n * chi(class j) over the (j, n) in weights, which must be rational."""
         row = chi.row
-        total = [0] * len(row[0])
-        for j, n in weights:
-            total = [t + n * c for t, c in zip(total, row[j])]
+        total = [sum(column) for column in zip(*[
+            row[j] if n == 1 else [n * c for c in row[j]] for j, n in weights])]
         if any(total[1:]):
             raise NotRationalError(
                 f"value is not rational: {Cyclo(self.group.exponent, total)}"
@@ -148,6 +167,15 @@ class CharacterTable:
                 f"{Fraction(total, H.order)}"
             )
         return dim
+
+    @cached_property
+    def fixed_dims(self) -> tuple[tuple[int, ...], ...]:
+        """fixed_dim(chi, H) for each character chi (rows, by index) and each
+        cyclic-class representative H (columns, in class order): the one
+        source of the Schur bounds, the closed-form multiplicities and the
+        omega matrix."""
+        reps = [cls.representative for cls in self.group.cyclic_subgroup_classes]
+        return tuple(tuple(self.fixed_dim(chi, H) for H in reps) for chi in self.characters)
 
     @cached_property
     def _square_weights(self) -> tuple[tuple[int, int], ...]:
@@ -185,10 +213,6 @@ class CharacterTable:
 
     # -- construction ------------------------------------------------------
 
-    def _galois_image(self, chi: Character, k: int) -> tuple[tuple[int, ...], ...]:
-        """The row of the Galois conjugate zeta -> zeta^k of chi: g -> chi(g^k)."""
-        return tuple(chi.row[powers[k % len(powers)]] for powers in self.group.class_powers)
-
     def _build_galois_classes(self, overrides: Mapping[int, int]) -> tuple[GaloisClass, ...]:
         """One pass in character order, which meets each class at its least member."""
         for i in overrides:
@@ -198,13 +222,17 @@ class CharacterTable:
                     f"0..{len(self.characters) - 1}"
                 )
         e = self.group.exponent
-        units = [k for k in range(1, e + 1) if math.gcd(k, e) == 1]
+        # the Galois conjugate zeta -> zeta^k of chi is g -> chi(g^k): a
+        # permutation of the classes, the same for many units k
+        actions = {tuple(powers[k % len(powers)] for powers in self.group.class_powers)
+                   for k in range(1, e + 1) if math.gcd(k, e) == 1}
         seen: set[int] = set()
         out = []
         for chi in self.characters:
             if chi.index in seen:
                 continue
-            images = {self._row_index.get(self._galois_image(chi, k)) for k in units}
+            images = {self._row_index.get(tuple(chi.row[c] for c in action))
+                      for action in actions}
             if None in images:
                 raise InternalCheckError(
                     "power map left the character table; lifting is inconsistent"
@@ -244,12 +272,7 @@ class CharacterTable:
         The true Schur index divides this bound; `schur_bound_is_verified`
         says whether every bound of the table is proven exact.
         """
-        vals = []
-        for cls in self.group.cyclic_subgroup_classes:
-            m = self.fixed_dim(chi, cls.representative)
-            if m:
-                vals.append(m)
-        return math.gcd(*vals)
+        return math.gcd(*self.fixed_dims[chi.index])
 
     # -- rendering ---------------------------------------------------------
 
@@ -361,104 +384,6 @@ def _primitive_root(p: int) -> int:
     raise InternalCheckError(f"no primitive root mod {p}")
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p; returns (rows, pivot columns)."""
-    rows = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [v * inv % p for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _nullspace(mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    rows, pivots = _rref(mat, p)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * n
-        vec[fc] = 1
-        for row, pc in zip(rows, pivots):
-            vec[pc] = (-row[fc]) % p
-        basis.append(vec)
-    return basis
-
-
-def _coords_in_basis(vec: list[int], rows: list[list[int]], pivots: list[int],
-                     p: int) -> list[int]:
-    """Coordinates of vec in an RREF basis; vec must lie in the span."""
-    v = vec[:]
-    coords = []
-    for row, pc in zip(rows, pivots):
-        c = v[pc]
-        coords.append(c)
-        if c:
-            v = [(a - c * b) % p for a, b in zip(v, row)]
-    if any(v):
-        raise InternalCheckError("vector left the invariant subspace")
-    return coords
-
-
-def _charpoly_modp(mat: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial mod p (ascending coefficients, monic)."""
-    n = len(mat)
-    h = [row[:] for row in mat]
-    # reduce to upper Hessenberg form by a similarity transformation
-    for c in range(n - 2):
-        pivot = next((r for r in range(c + 1, n) if h[r][c]), None)
-        if pivot is None:
-            continue
-        if pivot != c + 1:
-            h[c + 1], h[pivot] = h[pivot], h[c + 1]
-            for row in h:
-                row[c + 1], row[pivot] = row[pivot], row[c + 1]
-        inv = pow(h[c + 1][c], p - 2, p)
-        for r in range(c + 2, n):
-            f = h[r][c] * inv % p
-            if f:
-                h[r] = [(a - f * b) % p for a, b in zip(h[r], h[c + 1])]
-                for row in h:
-                    row[c + 1] = (row[c + 1] + f * row[r]) % p
-    # recurrence over leading principal minors of xI - H
-    polys = [[1]]
-    for m in range(1, n + 1):
-        cur = [0] + polys[m - 1]  # x * p_{m-1}
-        diag = h[m - 1][m - 1]
-        cur = [
-            (a - diag * b) % p
-            for a, b in zip(cur, polys[m - 1] + [0])
-        ]
-        mult = 1
-        for i in range(1, m):
-            mult = mult * h[m - i][m - i - 1] % p
-            if not mult:
-                break
-            coeff = h[m - i - 1][m - 1] * mult % p
-            if coeff:
-                prev = polys[m - i - 1]
-                cur = [
-                    (a - coeff * (prev[j] if j < len(prev) else 0)) % p
-                    for j, a in enumerate(cur)
-                ]
-        polys.append(cur)
-    return polys[n]
-
-
 def _poly_roots_modp(poly: list[int], p: int) -> list[int]:
     return [
         lam for lam in range(p)
@@ -476,64 +401,128 @@ def _eval_poly(poly: list[int], x: int, p: int) -> int:
 # -- table computation ---------------------------------------------------------
 
 
-def _class_matrix(G: FiniteGroup, i: int, times_reps: list[list[int]]) -> list[list[int]]:
-    """Entry (j, k): the x in class i with x^-1 rep_k in class j; x^-1 spans the
-    inverse class.  times_reps[k] is the column y -> y * rep_k."""
+def _class_matrix(G: FiniteGroup, i: int) -> list[list[int]]:
+    """Entry (j, k): the number of y in the inverse class C_i' of class i with
+    y * rep_k in class j.  Conjugation moves y over C_i' and rep_k over C_k
+    alike, so that count is |C_i'| / |C_k| times the number of z in C_k with
+    y0 * z in class j, for one y0 of C_i'; y0 * z is conjugate to z * y0, so
+    the one column z -> z * y0 serves the whole matrix."""
     classes = G.conjugacy_classes
     cls_of = G.class_of
-    inverses = classes[G.class_powers[i][-1]].indices
+    inverse = classes[G.class_powers[i][-1]]
+    times_y0 = G.right(inverse.indices[0])
     s = len(classes)
     mat = [[0] * s for _ in range(s)]
-    for k, times_rep in enumerate(times_reps):
-        for y in inverses:
-            mat[cls_of[times_rep[y]]][k] += 1
+    for k, cls in enumerate(classes):
+        for z in cls.indices:
+            mat[cls_of[times_y0[z]]][k] += 1
+        for row in mat:
+            if row[k]:
+                row[k], rest = divmod(row[k] * inverse.size, cls.size)
+                if rest:
+                    raise InternalCheckError(f"class matrix {i} has a fractional entry")
     return mat
 
 
+def _apply(sparse: list[list[tuple[int, int]]], vec: list[int], p: int) -> list[int]:
+    """M * vec mod p, for M given by the nonzero entries of each row."""
+    return [sum(v * vec[c] for c, v in entries) % p for entries in sparse]
+
+
+def _split_leaf(u: list[int], sparse: list[list[tuple[int, int]]], p: int) -> list[list[int]]:
+    """The projections of u onto the eigenspaces of the class matrix M that it meets.
+
+    u, Mu, M^2 u, ... are reduced against one another until M^d u depends on
+    the d vectors before it; that relation is u's minimal polynomial f.  M is
+    diagonalizable over F_p, so f must have d distinct roots there, and for
+    each root lam, q(M) u with q = f / (x - lam) is nonzero (f is minimal)
+    and (M - lam) q(M) u = f(M) u = 0.
+    """
+    krylov: list[list[int]] = []
+    # (pivot, reduced vector with 1 at the pivot, its combination of the krylov vectors)
+    echelon: list[tuple[int, list[int], list[int]]] = []
+    v = u
+    while True:
+        d = len(krylov)
+        r, f = v, [0] * d + [1]
+        for pivot, row, comb in echelon:
+            c = r[pivot]
+            if c:
+                r = [(a - c * b) % p for a, b in zip(r, row)]
+                for k, b in enumerate(comb):
+                    f[k] = (f[k] - c * b) % p
+        pivot = next((c for c, a in enumerate(r) if a), None)
+        if pivot is None:
+            break
+        inv = pow(r[pivot], p - 2, p)
+        echelon.append((pivot, [a * inv % p for a in r], [a * inv % p for a in f]))
+        krylov.append(v)
+        v = _apply(sparse, v, p)
+    if d == 1:
+        return [u]
+    roots = _poly_roots_modp(f, p)
+    if len(roots) != d:
+        raise InternalCheckError(
+            f"minimal polynomial {f} of a class-algebra vector does not have "
+            f"{d} distinct roots mod {p}"
+        )
+    out = []
+    for lam in roots:
+        q = [1] * d  # f / (x - lam) by synthetic division from the top
+        for k in range(d - 1, 0, -1):
+            q[k - 1] = (f[k] + lam * q[k]) % p
+        w = [0] * len(u)
+        for c, vec in zip(q, krylov):
+            if c:
+                w = [a + c * b for a, b in zip(w, vec)]
+        out.append([a % p for a in w])
+    return out
+
+
 def _split_spaces(G: FiniteGroup, p: int) -> list[list[int]]:
-    """Common eigenvectors of all class matrices over F_p, one per character."""
-    s = len(G.conjugacy_classes)
-    spaces: list[tuple[list[list[int]], list[int]]] = [
-        _rref([[1 if i == j else 0 for j in range(s)] for i in range(s)], p)
-    ]
-    # every class matrix reads these columns; the group does not keep them
-    times_reps = [G.right(cls.indices[0]) for cls in G.conjugacy_classes]
+    """Common eigenvectors of all class matrices over F_p, one per character.
+
+    The identity-class vector e_0 is the sum over chi of chi(1)^2/|G| times
+    the eigenvector omega_chi, and no coefficient is 0 mod p, so e_0 meets
+    every common eigenspace.  Each class matrix in turn splits every leaf,
+    starting from e_0, into its projections onto the matrix's eigenspaces
+    (`_split_leaf`), until there are s leaves.
+
+    Each leaf is then checked to be an eigenvector of every matrix the split
+    read.  A matrix that leaves a leaf whole has already shown Mu to be a
+    multiple of u, so a leaf is multiplied out only by the matrices up to
+    the one that made it.
+    """
+    classes = G.conjugacy_classes
+    s = len(classes)
+    leaves = [([1] + [0] * (s - 1), 0)]  # (vector, number of matrices read when made)
+    read = []
     for i in range(1, s):
-        if all(len(rows) == 1 for rows, _ in spaces):
+        if len(leaves) >= s:
             break
         sparse = [[(c, v % p) for c, v in enumerate(row) if v]
-                  for row in _class_matrix(G, i, times_reps)]
-        refined = []
-        for rows, pivots in spaces:
-            d = len(rows)
-            if d == 1:
-                refined.append((rows, pivots))
-                continue
-            images = [[sum(v * vec[c] for c, v in entries) % p for entries in sparse]
-                      for vec in rows]
-            restr_cols = [_coords_in_basis(img, rows, pivots, p) for img in images]
-            # restriction matrix: columns are images of basis vectors
-            restr = [[restr_cols[j][i2] for j in range(d)] for i2 in range(d)]
-            for lam in sorted(_poly_roots_modp(_charpoly_modp(restr, p), p)):
-                shifted = [
-                    [(restr[a][b] - (lam if a == b else 0)) % p for b in range(d)]
-                    for a in range(d)
-                ]
-                null = _nullspace(shifted, p)
-                if not null:
-                    continue
-                ambient = [
-                    [sum(cv * rows[j][c] for j, cv in enumerate(coords)) % p
-                     for c in range(s)]
-                    for coords in null
-                ]
-                refined.append(_rref(ambient, p))
-        spaces = refined
-    if not all(len(rows) == 1 for rows, _ in spaces):
+                  for row in _class_matrix(G, i)]
+        read.append(sparse)
+        split = []
+        for u, made in leaves:
+            parts = _split_leaf(u, sparse, p)
+            split += [(u, made)] if len(parts) == 1 else [(w, len(read)) for w in parts]
+        leaves = split
+    if len(leaves) < s:
         raise InternalCheckError("class matrices failed to split the class algebra")
-    if len(spaces) != s:
+    if len(leaves) != s:
         raise InternalCheckError("wrong number of common eigenvectors")
-    return [rows[0] for rows, _ in spaces]
+    for w, made in leaves:
+        j = next(j for j, a in enumerate(w) if a)
+        inv = pow(w[j], p - 2, p)
+        for i, sparse in enumerate(read[:made], 1):
+            image = _apply(sparse, w, p)
+            lam = image[j] * inv % p
+            if any((a - lam * b) % p for a, b in zip(image, w)):
+                raise InternalCheckError(
+                    f"a split vector is not an eigenvector of class matrix {i}"
+                )
+    return [w for w, _ in leaves]
 
 
 def _zeta_powers(e: int) -> list[tuple[int, ...]]:
@@ -561,6 +550,62 @@ def _zeta_sum(mults: Sequence[int], zeta_rows: list[tuple[int, ...]]) -> tuple[i
     return tuple(value)
 
 
+def _rational_classes(class_powers: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """For each class j: the least class L of its rational class, and the
+    index list src with mults_j[k] = mults_L[src[k]].  The classes of g_L^u,
+    u prime to m = |g_L|, form the rational class; g_j conjugate to g_L^u has
+    the eigenvalue zeta_m^(k*u) wherever g_L has zeta_m^k, so src[k] is
+    k * u^-1 mod m."""
+    moved: dict[int, tuple[int, list[int]]] = {}
+    for lead, powers in enumerate(class_powers):
+        if lead in moved:
+            continue
+        m = len(powers)
+        for u in range(m):
+            if math.gcd(u, m) == 1 and powers[u] not in moved:
+                inv = pow(u, -1, m)
+                moved[powers[u]] = (lead, [k * inv % m for k in range(m)])
+    return [moved[j] for j in range(len(class_powers))]
+
+
+def _check_norms(G: FiniteGroup, rows: Sequence[Sequence[tuple[int, ...]]]) -> None:
+    """Row and column norms of the integer rows, from one set of products.
+
+    With P(chi, j) = chi(g_j) chi(g_j^-1), where chi(g^-1) is the complex
+    conjugate of chi(g), as an unreduced product in Z[zeta_e]: the row norm
+    sum_j |C_j| P(chi, j) is |G| for every chi, and the column norm
+    sum_chi P(chi, j) is |G|/|C_j| for every class j.
+    """
+    classes = G.conjugacy_classes
+    inverse_class = [powers[-1] for powers in G.class_powers]
+    e = G.exponent
+    phi = euler_phi(e)
+    width = 2 * phi - 1
+    columns = [[0] * width for _ in classes]
+    target = (G.order,) + (0,) * (phi - 1)
+    for i, row in enumerate(rows):
+        norm = [0] * width
+        for j, cls in enumerate(classes):
+            conj_row, column, size = row[inverse_class[j]], columns[j], cls.size
+            for a_pos, a in enumerate(row[j]):
+                if a:
+                    for b_pos, b in enumerate(conj_row, a_pos):
+                        if b:
+                            term = a * b
+                            column[b_pos] += term
+                            norm[b_pos] += size * term
+        if reduce_integral(norm, e) != target:
+            raise InternalCheckError(f"character {i} fails self-orthogonality")
+    for j, (cls, column) in enumerate(zip(classes, columns)):
+        got = reduce_integral(column, e)
+        want = (G.order // cls.size,) + (0,) * (phi - 1)
+        if got != want:
+            raise InternalCheckError(
+                f"class {j} fails column orthogonality: the sum of chi(g) chi(g^-1) "
+                f"over the characters is {Cyclo(e, got)}, expected {want[0]}"
+            )
+
+
 def compute_table(G: FiniteGroup,
                   schur_overrides: Optional[Mapping[int, int]] = None) -> CharacterTable:
     """Compute the exact character table of a group of order at most 2000."""
@@ -568,19 +613,23 @@ def compute_table(G: FiniteGroup,
     class_powers = G.class_powers
     s = len(classes)
     e = G.exponent
-    phi = euler_phi(e)
     p = _choose_prime(G.order, e)
     inv_sizes = [pow(cls.size, p - 2, p) for cls in classes]
     inverse_class = [powers[-1] for powers in class_powers]
     omegas = _split_spaces(G, p)
+    moved = _rational_classes(class_powers)
+    leaders = [j for j, (lead, _) in enumerate(moved) if lead == j]
 
     zeta_rows = _zeta_powers(e)
     root = pow(_primitive_root(p), (p - 1) // e, p)  # fixed image of zeta_e in F_p
-    # per element order m: the images of zeta_m^-t, t < m, and of 1/m in F_p
+    # per element order m: the rows k < m of images of zeta_m^(-k*u), u < m,
+    # and the image of 1/m in F_p
     dft = {}
-    for m in {len(powers) for powers in class_powers}:
+    for m in {len(class_powers[j]) for j in leaders}:
         zeta_m = pow(root, e // m, p)
-        dft[m] = ([pow(zeta_m, -t % m, p) for t in range(m)], pow(m, p - 2, p))
+        zeta_inv = [pow(zeta_m, -t % m, p) for t in range(m)]
+        dft[m] = ([[zeta_inv[k * u % m] for u in range(m)] for k in range(m)],
+                  pow(m, p - 2, p))
 
     characters = []
     degrees_sq = 0
@@ -599,20 +648,23 @@ def compute_table(G: FiniteGroup,
             raise InternalCheckError("lifted degree out of range")
         degrees_sq += degree * degree
         tvals = [degree * w[j] * inv_sizes[j] % p for j in range(s)]
-        row = []
-        for powers in class_powers:
+        lead_mults = {}
+        for j in leaders:
             # chi(g) = sum over k of a_k zeta_m^k, where a_k, the multiplicity
             # of the eigenvalue zeta_m^k of g, is an inverse DFT over g^u
-            m = len(powers)
-            zeta_inv, inv_m = dft[m]
+            powers = class_powers[j]
+            dft_rows, inv_m = dft[len(powers)]
             samples = [tvals[c] for c in powers]
-            mults = [
-                sum(t * zeta_inv[k * u % m] for u, t in enumerate(samples)) * inv_m % p
-                for k in range(m)
-            ]
+            mults = [sum(map(mul, samples, dft_row)) * inv_m % p for dft_row in dft_rows]
             if sum(mults) != degree:
-                raise InternalCheckError("eigenvalue multiplicities do not sum to degree")
-            row.append(_zeta_sum(mults, zeta_rows))
+                raise InternalCheckError(
+                    f"eigenvalue multiplicities on class {j} do not sum to degree"
+                )
+            lead_mults[j] = mults
+        row = []
+        for lead, src in moved:
+            mults = lead_mults[lead]
+            row.append(_zeta_sum([mults[k] for k in src], zeta_rows))
         characters.append((degree, tuple(row)))
     if degrees_sq != G.order:
         raise InternalCheckError("sum of squared degrees does not match the group order")
@@ -620,20 +672,7 @@ def compute_table(G: FiniteGroup,
     characters.sort()
     if len({row for _, row in characters}) != s:
         raise InternalCheckError("duplicate character rows")
-    target = (G.order,) + (0,) * (phi - 1)
-    for i, (_, row) in enumerate(characters):
-        # sum over classes of |C| chi(g) chi(g^-1), where chi(g^-1) is the
-        # complex conjugate of chi(g), as an unreduced product in Z[zeta_e]
-        norm = [0] * (2 * phi - 1)
-        for j, cls in enumerate(classes):
-            conj_row = row[inverse_class[j]]
-            for a_pos, a in enumerate(row[j]):
-                if a:
-                    weight = a * cls.size
-                    for b_pos, b in enumerate(conj_row):
-                        norm[a_pos + b_pos] += weight * b
-        if reduce_integral(norm, e) != target:
-            raise InternalCheckError(f"character {i} fails self-orthogonality")
+    _check_norms(G, [row for _, row in characters])
     chars = tuple(
         Character(index=i, row=row, conductor=e, degree=deg)
         for i, (deg, row) in enumerate(characters)

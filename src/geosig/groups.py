@@ -21,7 +21,10 @@ column is walked on each call and never kept (`left_cosets` and the class
 matrices read them once); every other kept value is a cached property.
 Only `FiniteGroup.product` composes image tuples: the search and the power
 walks call it, and a subgroup closure reads the right columns of its
-generators.  Member sets are int bitmasks, so
+generators.  There is one power walk per cyclic subgroup, from its least
+generator; the class power map reads the walk of each class
+representative's subgroup and walks nothing itself.  Member sets are int
+bitmasks, so
 a meet is `(a & b).bit_count()`.  `Perm` objects appear only at the
 boundary: input, witnesses and output.  `Record` and `FrozenRecord` are the
 slotted bases of every module's result records, here because every module
@@ -469,11 +472,16 @@ class FiniteGroup:
     def class_powers(self) -> tuple[tuple[int, ...], ...]:
         """For each class, the class indices of rep^0, rep^1, ..., rep^(m-1), m the
         element order: the one power map, the class of g^k for g in class j being
-        class_powers[j][k % m]."""
-        return tuple(
-            tuple(self.class_of[h] for h in self._powers(cls.indices[0]))
-            for cls in self.conjugacy_classes
-        )
+        class_powers[j][k % m].  It reads the power walk of <rep>: rep is
+        walk[a] = walk[1]^a, so rep^k is walk[a*k % m]."""
+        cyclic_of, _, walks = self._cyclic_subgroups
+        class_of, out = self.class_of, []
+        for cls in self.conjugacy_classes:
+            g = cls.indices[0]
+            walk = walks[cyclic_of[g]]
+            m, a = len(walk), walk.index(g)
+            out.append(tuple(class_of[walk[a * k % m]] for k in range(m)))
+        return tuple(out)
 
     def _powers(self, g: int) -> list[int]:
         """g^0, g^1, ..., g^(m-1), for g of order m: the one power walk."""
@@ -484,27 +492,30 @@ class FiniteGroup:
         return powers
 
     @cached_property
-    def _cyclic_subgroups(self) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-        """The mask of the cyclic subgroup <g> by element index g, and the
-        sorted members of each cyclic subgroup by mask: one power walk per
-        subgroup files its generators g^k, gcd(k, m) = 1."""
+    def _cyclic_subgroups(self) -> tuple[list[int], dict[int, tuple[int, ...]],
+                                         dict[int, list[int]]]:
+        """The mask of the cyclic subgroup <g> by element index g, and by mask
+        the sorted members and the power walk of each cyclic subgroup: one
+        walk per subgroup, from its least generator, files its generators
+        g^k, gcd(k, m) = 1."""
         cyclic_of = [0] * self.order
         members: dict[int, tuple[int, ...]] = {}
+        walks: dict[int, list[int]] = {}
         for g in range(self.order):
             if cyclic_of[g]:
                 continue
             powers = self._powers(g)
             s = _mask(powers)
-            members[s] = tuple(sorted(powers))
+            members[s], walks[s] = tuple(sorted(powers)), powers
             for k in range(len(powers)):
                 if math.gcd(k, len(powers)) == 1:
                     cyclic_of[powers[k]] = s
-        return cyclic_of, members
+        return cyclic_of, members, walks
 
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
         """All cyclic subgroups up to conjugacy, trivial subgroup included."""
-        cyclic_of, members = self._cyclic_subgroups
+        cyclic_of, members, _ = self._cyclic_subgroups
         assigned: set[int] = set()
         classes = []
         for g in range(self.order):

@@ -16,7 +16,7 @@ from typing import Sequence
 from .chartable import SCHUR_COMPUTED, CharacterTable, GaloisClass
 from .covers import cover_report, quotient_genus
 from .errors import GroupInputError, InternalCheckError
-from .groups import FiniteGroup, FrozenRecord
+from .groups import FiniteGroup, FrozenRecord, require_subgroups
 from .signature import GeometricSignature, branch_stabilizers, signature_genus
 
 
@@ -130,15 +130,17 @@ def complex_multiplicities(G: FiniteGroup, table: CharacterTable,
                            sig: GeometricSignature) -> tuple[int, ...]:
     """Multiplicity of each irreducible character in the homology action."""
     reps = branch_stabilizers(G, sig)
+    require_subgroups(table.group, *reps)
+    columns = [G.cyclic_subgroup_masks[stab.mask] for stab in reps]
     gamma = sig.quotient_genus
     out = []
-    for chi in table.characters:
+    for chi, dims in zip(table.characters, table.fixed_dims):
         if chi.index == table.trivial_character_index:
             out.append(2 * gamma)
             continue
         n = 2 * chi.degree * (gamma - 1)
-        for stab in reps:
-            n += chi.degree - table.fixed_dim(chi, stab)
+        for c in columns:
+            n += chi.degree - dims[c]
         if n < 0:
             raise InternalCheckError(
                 f"character {chi.index} has negative multiplicity {n}; "
@@ -186,15 +188,12 @@ def solve_omega_system(G: FiniteGroup, table: CharacterTable,
         raise GroupInputError(
             f"need one genus per cyclic subgroup class ({len(cyclic)}), got {len(genera)}"
         )
-    matrix = []
-    for cls in cyclic:
-        H = cls.representative
-        row = []
-        for gc in table.galois_classes:
-            row.append(sum(
-                table.fixed_dim(table.characters[i], H) for i in gc.members
-            ))
-        matrix.append(tuple(row))
+    require_subgroups(table.group, *(cls.representative for cls in cyclic))
+    dims = table.fixed_dims
+    matrix = [
+        tuple(sum(dims[i][c] for i in gc.members) for gc in table.galois_classes)
+        for c in range(len(cyclic))
+    ]
     rhs = tuple(2 * g for g in genera)
     solution = _solve_exact(matrix, rhs)
     for v in solution:

@@ -4,18 +4,24 @@ from fractions import Fraction
 
 import pytest
 
+from geosig import chartable
 from geosig.chartable import (
     SCHUR_COMPUTED,
     SCHUR_OVERRIDE,
     CharacterTable,
-    _charpoly_modp,
+    _check_norms,
+    _class_matrix,
+    _choose_prime,
     _eval_poly,
+    _poly_roots_modp,
+    _primitive_root,
+    _split_spaces,
     compute_table,
     schur_bound_is_verified,
 )
-from geosig.cyclotomic import Cyclo
-from geosig.errors import GroupInputError
-from geosig.groups import catalog
+from geosig.cyclotomic import Cyclo, reduce_integral
+from geosig.errors import GroupInputError, InternalCheckError
+from geosig.groups import catalog, group_from_payload
 from geosig.jacobian import factor_dimensions, gamma1_analysis
 from geosig.signature import signature_from_payload
 
@@ -24,6 +30,206 @@ CATALOG_SMALL = [
     "dihedral(4)", "dihedral(6)", "symmetric(3)", "symmetric(4)",
     "alternating(4)", "quaternion8", "wc3",
 ]
+W_D5 = {"name": "w_d5", "degree": 10, "generators": {
+    "a": "(1,2,3,4,5)(6,7,8,9,10)", "b": "(1,2)(6,7)", "c": "(1,6)(2,7)"}}
+
+
+def group_by_name(name):
+    return group_from_payload(W_D5) if name == "w_d5" else catalog(name)
+
+
+# -- reference: the split by characteristic polynomials and nullspaces ---------
+#
+# The table once split each invariant subspace by the roots of the
+# characteristic polynomial of a class matrix restricted to it, with one
+# nullspace per root.  That split and the helpers only it read are kept
+# here as the reference for the projection split of `_split_spaces`.
+
+
+def _rref(rows, p):
+    """Reduced row echelon form mod p; returns (rows, pivot columns)."""
+    rows = [row[:] for row in rows]
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(v - f * w) % p for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def _nullspace(mat, p):
+    n = len(mat)
+    rows, pivots = _rref(mat, p)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [0] * n
+        vec[fc] = 1
+        for row, pc in zip(rows, pivots):
+            vec[pc] = (-row[fc]) % p
+        basis.append(vec)
+    return basis
+
+
+def _coords_in_basis(vec, rows, pivots, p):
+    """Coordinates of vec in an RREF basis; vec must lie in the span."""
+    v = vec[:]
+    coords = []
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        coords.append(c)
+        if c:
+            v = [(a - c * b) % p for a, b in zip(v, row)]
+    if any(v):
+        raise InternalCheckError("vector left the invariant subspace")
+    return coords
+
+
+def _charpoly_modp(mat, p):
+    """Characteristic polynomial mod p (ascending coefficients, monic)."""
+    n = len(mat)
+    h = [row[:] for row in mat]
+    # reduce to upper Hessenberg form by a similarity transformation
+    for c in range(n - 2):
+        pivot = next((r for r in range(c + 1, n) if h[r][c]), None)
+        if pivot is None:
+            continue
+        if pivot != c + 1:
+            h[c + 1], h[pivot] = h[pivot], h[c + 1]
+            for row in h:
+                row[c + 1], row[pivot] = row[pivot], row[c + 1]
+        inv = pow(h[c + 1][c], p - 2, p)
+        for r in range(c + 2, n):
+            f = h[r][c] * inv % p
+            if f:
+                h[r] = [(a - f * b) % p for a, b in zip(h[r], h[c + 1])]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + f * row[r]) % p
+    # recurrence over leading principal minors of xI - H
+    polys = [[1]]
+    for m in range(1, n + 1):
+        cur = [0] + polys[m - 1]  # x * p_{m-1}
+        diag = h[m - 1][m - 1]
+        cur = [
+            (a - diag * b) % p
+            for a, b in zip(cur, polys[m - 1] + [0])
+        ]
+        mult = 1
+        for i in range(1, m):
+            mult = mult * h[m - i][m - i - 1] % p
+            if not mult:
+                break
+            coeff = h[m - i - 1][m - 1] * mult % p
+            if coeff:
+                prev = polys[m - i - 1]
+                cur = [
+                    (a - coeff * (prev[j] if j < len(prev) else 0)) % p
+                    for j, a in enumerate(cur)
+                ]
+        polys.append(cur)
+    return polys[n]
+
+
+def reference_class_matrix(G, i, times_reps):
+    """Entry (j, k): the x in class i with x^-1 rep_k in class j; x^-1 spans the
+    inverse class.  times_reps[k] is the column y -> y * rep_k."""
+    classes = G.conjugacy_classes
+    cls_of = G.class_of
+    inverses = classes[G.class_powers[i][-1]].indices
+    s = len(classes)
+    mat = [[0] * s for _ in range(s)]
+    for k, times_rep in enumerate(times_reps):
+        for y in inverses:
+            mat[cls_of[times_rep[y]]][k] += 1
+    return mat
+
+
+def reference_split(G, p):
+    """Common eigenvectors of all class matrices over F_p, one per character."""
+    s = len(G.conjugacy_classes)
+    spaces = [_rref([[1 if i == j else 0 for j in range(s)] for i in range(s)], p)]
+    times_reps = [G.right(cls.indices[0]) for cls in G.conjugacy_classes]
+    for i in range(1, s):
+        if all(len(rows) == 1 for rows, _ in spaces):
+            break
+        sparse = [[(c, v % p) for c, v in enumerate(row) if v]
+                  for row in reference_class_matrix(G, i, times_reps)]
+        refined = []
+        for rows, pivots in spaces:
+            d = len(rows)
+            if d == 1:
+                refined.append((rows, pivots))
+                continue
+            images = [[sum(v * vec[c] for c, v in entries) % p for entries in sparse]
+                      for vec in rows]
+            restr_cols = [_coords_in_basis(img, rows, pivots, p) for img in images]
+            # restriction matrix: columns are images of basis vectors
+            restr = [[restr_cols[j][i2] for j in range(d)] for i2 in range(d)]
+            for lam in sorted(_poly_roots_modp(_charpoly_modp(restr, p), p)):
+                shifted = [
+                    [(restr[a][b] - (lam if a == b else 0)) % p for b in range(d)]
+                    for a in range(d)
+                ]
+                null = _nullspace(shifted, p)
+                if not null:
+                    continue
+                ambient = [
+                    [sum(cv * rows[j][c] for j, cv in enumerate(coords)) % p
+                     for c in range(s)]
+                    for coords in null
+                ]
+                refined.append(_rref(ambient, p))
+        spaces = refined
+    if not all(len(rows) == 1 for rows, _ in spaces):
+        raise InternalCheckError("class matrices failed to split the class algebra")
+    if len(spaces) != s:
+        raise InternalCheckError("wrong number of common eigenvectors")
+    return [rows[0] for rows, _ in spaces]
+
+
+def _normalized(vectors, p):
+    """The vectors scaled to 1 on the identity class, sorted."""
+    return sorted(tuple(v * pow(w[0], -1, p) % p for v in w) for w in vectors)
+
+
+def reference_rows(G):
+    """(degree, integer row) of every character, sorted, from the reference
+    split and an inverse DFT on every class, summed by `reduce_integral`."""
+    classes, class_powers = G.conjugacy_classes, G.class_powers
+    s, e = len(classes), G.exponent
+    p = _choose_prime(G.order, e)
+    zeta_e = pow(_primitive_root(p), (p - 1) // e, p)
+    inverse_class = [powers[-1] for powers in class_powers]
+    out = []
+    for w in _normalized(reference_split(G, p), p):
+        norm = sum(w[j] * w[inverse_class[j]] * pow(classes[j].size, -1, p)
+                   for j in range(s)) % p
+        degree = next(d for d in range(1, G.order + 1) if d * d * norm % p == G.order % p)
+        tvals = [degree * w[j] * pow(classes[j].size, -1, p) % p for j in range(s)]
+        row = []
+        for powers in class_powers:
+            m = len(powers)
+            zeta_m = pow(zeta_e, e // m, p)
+            poly = [0] * e
+            for k in range(m):
+                a = sum(tvals[c] * pow(zeta_m, -k * u, p) for u, c in enumerate(powers))
+                poly[k * e // m] = a * pow(m, -1, p) % p
+            row.append(reduce_integral(poly, e))
+        out.append((degree, tuple(row)))
+    return sorted(out)
 
 
 def brute_charpoly(mat, p):
@@ -82,6 +288,102 @@ def test_charpoly_roots_are_eigenvalues():
     poly = _charpoly_modp(mat, p)
     roots = [x for x in range(p) if not _eval_poly(poly, x, p)]
     assert roots == [2, 5]
+
+
+SPLIT_GROUPS = CATALOG_SMALL + ["symmetric(5)", "symmetric(6)", "alternating(5)",
+                                "cyclic(15)", "dihedral(16)", "cyclic(24)", "dihedral(15)"]
+
+
+@pytest.mark.parametrize("name", ["symmetric(4)", "wc3", "alternating(5)", "dihedral(15)",
+                                  "cyclic(12)"])
+def test_class_matrices_match_the_per_representative_count(name):
+    # one column z -> z * y0 over every class gives the count over each
+    # class representative
+    G = catalog(name)
+    times_reps = [G.right(cls.indices[0]) for cls in G.conjugacy_classes]
+    for i in range(len(G.conjugacy_classes)):
+        assert _class_matrix(G, i) == reference_class_matrix(G, i, times_reps), i
+
+
+@pytest.mark.parametrize("name", SPLIT_GROUPS)
+def test_projection_split_matches_the_reference_split(name):
+    # the two splits find the same eigenvectors, up to scale and order
+    G = catalog(name)
+    p = _choose_prime(G.order, G.exponent)
+    assert _normalized(_split_spaces(G, p), p) == _normalized(reference_split(G, p), p)
+
+
+@pytest.mark.parametrize("rows", [
+    [[(0, 1), (1, 1)], [(1, 1)]],  # a Jordan block: f = (x - 1)^2
+    [[(1, 6)], [(0, 1)]],  # a rotation: f = x^2 + 1, with no root mod 7
+], ids=["repeated-root", "no-root"])
+def test_minimal_polynomial_without_distinct_roots_is_a_defect(rows):
+    with pytest.raises(InternalCheckError, match="does not have 2 distinct roots mod 7"):
+        chartable._split_leaf([0, 1], rows, 7)
+
+
+def test_split_vectors_are_checked_against_the_matrices_read(monkeypatch):
+    # symmetric(5) is split by one class matrix; a leaf that mixes two of its
+    # eigenvectors has the right count and must fail the eigenvector check
+    split_leaf = chartable._split_leaf
+
+    def mixed(u, sparse, p):
+        parts = split_leaf(u, sparse, p)
+        if len(parts) > 1:
+            parts[0] = [(a + b) % p for a, b in zip(parts[0], parts[1])]
+        return parts
+
+    monkeypatch.setattr(chartable, "_split_leaf", mixed)
+    G = catalog("symmetric(5)")
+    with pytest.raises(InternalCheckError, match="not an eigenvector of class matrix 1$"):
+        _split_spaces(G, _choose_prime(G.order, G.exponent))
+
+
+@pytest.mark.parametrize("name", ["quaternion8", "symmetric(4)", "wc3", "alternating(5)",
+                                  "cyclic(15)", "dihedral(16)", "cyclic(24)",
+                                  "dihedral(15)", "cyclic(30)"])
+def test_lifted_rows_match_a_per_class_dft(name):
+    # one inverse DFT per rational class, moved to the other classes, gives
+    # the rows of an inverse DFT on every class
+    G = catalog(name)
+    T = compute_table(G)
+    assert [(chi.degree, chi.row) for chi in T.characters] == reference_rows(G)
+
+
+@pytest.mark.parametrize("name", ["cyclic(15)", "cyclic(30)", "dihedral(30)", "symmetric(6)",
+                                  "alternating(5)", "quaternion8", "wc3", "w_d5"])
+def test_row_and_column_norms_hold(name):
+    G = group_by_name(name)
+    _check_norms(G, [chi.row for chi in compute_table(G).characters])
+
+
+def _s4_rows_with(degree2_values):
+    """The rows of the symmetric(4) table with the degree-2 row replaced by
+    values keyed by (element order, class size)."""
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    phi = len(T.characters[0].row[0])
+    doctored = tuple((degree2_values[cls.element_order, cls.size],) + (0,) * (phi - 1)
+                     for cls in G.conjugacy_classes)
+    return G, [doctored if chi.degree == 2 else chi.row for chi in T.characters]
+
+
+def test_doctored_rows_fail_the_column_norms():
+    # in class order, (2, 0, 1, 1, -1) keeps the row norm 4 + 0 + 6 + 8 + 6 = 24,
+    # but the column of the double transpositions (class 1) sums to 4, not 24/3
+    G, rows = _s4_rows_with({(1, 1): 2, (2, 6): 1, (2, 3): 0, (3, 8): 1, (4, 6): -1})
+    with pytest.raises(InternalCheckError,
+                       match=r"class 1 fails column orthogonality: .* is 4, expected 8$"):
+        _check_norms(G, rows)
+    G, rows = _s4_rows_with({(1, 1): 2, (2, 6): 0, (2, 3): 2, (3, 8): -1, (4, 6): 0})
+    _check_norms(G, rows)  # the true row
+
+
+def test_doctored_rows_fail_the_row_norms():
+    # (2, 2, 0, 0, 0) has the row norm 4 + 12 = 16
+    G, rows = _s4_rows_with({(1, 1): 2, (2, 6): 0, (2, 3): 2, (3, 8): 0, (4, 6): 0})
+    with pytest.raises(InternalCheckError, match="character 2 fails self-orthogonality"):
+        _check_norms(G, rows)
 
 
 def test_cyclic4_table():

@@ -3,7 +3,10 @@
 Each `.json` file in tests/golden/ is the exact `--format json` standard
 output of one command: every README example, `lattice --cross-check` plus
 `decompose` on three larger cases, and `chartab` on a spread of catalog
-groups (symmetric, alternating, wreath, cyclic and dihedral).  Each `.txt`
+groups (symmetric, alternating, wreath, cyclic and dihedral); cyclic(15),
+with Galois classes of sizes 1, 2, 4 and 8, and dihedral(16), with sizes up
+to 4 on characters of degrees 1 and 2, cover the lift of the values from
+one class of each rational class to the rest.  Each `.txt`
 file is the `--format text` output of one of the TEXT_CASES: the README
 examples, `decompose` on symmetric(6), and `chartab` on cyclic(6), whose
 table has irrational values.  A refactor of the engine must leave all of
@@ -61,7 +64,7 @@ for _tag, (_group, _signature) in LARGER.items():
     CASES[f"decompose_{_tag}"] = ["decompose", "--group", _group,
                                   "--signature", _signature]
 for _group in ("symmetric(5)", "symmetric(6)", "alternating(5)", "alternating(6)",
-               "wc3", "cyclic(6)", "dihedral(6)"):
+               "wc3", "cyclic(6)", "dihedral(6)", "cyclic(15)", "dihedral(16)"):
     _tag = re.sub(r"\W", "", _group)
     CASES[f"chartab_{_tag}"] = ["chartab", "--group", _group]
 README_CASES = sorted(name for name in CASES if name.startswith("readme_"))

@@ -8,7 +8,9 @@ class counts and the class power map, a subgroup's normalizer and conjugates
 come from one conjugation walk; each must agree with the fully
 validated, separately computed, element-by-element or definitional result.
 On drawn spherical generating vectors, the closed-form covers must agree
-with the coset-action oracle.  The integer Riemann-Hurwitz genus must agree
+with the coset-action oracle.  Every vector of the character table's
+projection split must be an eigenvector of all the class matrices, on
+catalog groups and on drawn permutation groups.  The integer Riemann-Hurwitz genus must agree
 with the rational formula, errors included.
 hypothesis is a test-only dependency: the module is skipped when it is
 missing, and runs derandomized so that every run draws the same examples.
@@ -23,7 +25,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from corpus import CORPUS, group as corpus_group, materialize  # noqa: E402
-from geosig.chartable import Character, CharacterTable, compute_table  # noqa: E402
+from geosig.chartable import (  # noqa: E402
+    Character,
+    CharacterTable,
+    _choose_prime,
+    _split_spaces,
+    compute_table,
+)
 from geosig.covers import (  # noqa: E402
     cover_report,
     cycle_structure,
@@ -37,7 +45,7 @@ from geosig.errors import (  # noqa: E402
     InvalidSignatureError,
     NotRationalError,
 )
-from geosig.groups import Perm, Subgroup, catalog, conj  # noqa: E402
+from geosig.groups import FiniteGroup, Perm, Subgroup, catalog, conj  # noqa: E402
 from geosig.monodromy import oracle_summary  # noqa: E402
 from geosig.signature import (  # noqa: E402
     BranchEntry,
@@ -46,6 +54,7 @@ from geosig.signature import (  # noqa: E402
     riemann_hurwitz_genus,
     verify_generating_vector,
 )
+from test_chartable import group_by_name, reference_class_matrix  # noqa: E402
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=150)
 
@@ -196,6 +205,52 @@ def test_frobenius_schur_matches_cyclo_average(case):
     G = T.group
     squares = (g * g for g in G.elements)
     assert T.frobenius_schur_indicator(chi) == _cyclo_average(chi, G, squares, G.order)
+
+
+def _assert_common_eigenvectors(G):
+    """Every vector of the projection split is an eigenvector of all s class
+    matrices, not only of those the split read; the matrices are counted
+    over each class representative, as the reference split counts them."""
+    p = _choose_prime(G.order, G.exponent)
+    vectors = _split_spaces(G, p)
+    s = len(G.conjugacy_classes)
+    assert len(vectors) == s
+    times_reps = [G.right(cls.indices[0]) for cls in G.conjugacy_classes]
+    for i in range(s):
+        sparse = [[(c, v) for c, v in enumerate(row) if v]
+                  for row in reference_class_matrix(G, i, times_reps)]
+        for w in vectors:
+            image = [sum(v * w[c] for c, v in entries) % p for entries in sparse]
+            j = next(j for j, a in enumerate(w) if a)
+            lam = image[j] * pow(w[j], -1, p) % p
+            assert image == [lam * a % p for a in w], (G.name, i)
+
+
+# every catalog family up to order 200, at a spread of parameters; a cyclic
+# group checks s^3 products, so the cyclic ones stop at 120
+SPLIT_CATALOG = ("quaternion8", "wc3", *(f"symmetric({n})" for n in range(1, 6)),
+                 *(f"alternating({n})" for n in range(3, 6)),
+                 *(f"cyclic({n})" for n in (1, 2, 7, 12, 15, 30, 60, 64, 97, 120)),
+                 *(f"dihedral({n})" for n in (3, 8, 15, 16, 30, 50, 64, 100)))
+
+
+@pytest.mark.parametrize("name", SPLIT_CATALOG + ("w_d5",))
+def test_split_vectors_are_common_eigenvectors(name):
+    _assert_common_eigenvectors(group_by_name(name))
+
+
+@st.composite
+def permutation_groups(draw):
+    """The group generated by one to three permutations of degree up to 6."""
+    n = draw(st.integers(1, 6))
+    images = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return FiniteGroup(n, {f"g{i}": Perm(img) for i, img in enumerate(images)})
+
+
+@settings(DERANDOMIZED, max_examples=40)
+@given(permutation_groups())
+def test_split_vectors_are_common_eigenvectors_on_drawn_groups(G):
+    _assert_common_eigenvectors(G)
 
 
 def test_non_integral_coefficient_is_a_defect():

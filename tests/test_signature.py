@@ -295,6 +295,8 @@ def _foreign_cases():
             S5, table5(), geometric_signature(S4, 1, ("b", "b"))),
         "table_of_another_group": lambda: jacobian.complex_multiplicities(
             S5, compute_table(S4), sig5),
+        "omega_table_of_another_group": lambda: jacobian.solve_omega_system(
+            S5, compute_table(S4), [0] * len(S5.cyclic_subgroup_classes)),
         "fixed_dim": lambda: table5().fixed_dim(table5().characters[1], H4),
         "find_generating_vector": lambda: find_generating_vector(S5, sig4),
         "verify_generating_vector": lambda: verify_generating_vector(S5, sig4, vec5),
