@@ -23,7 +23,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import (
     GroupInputError,
@@ -133,9 +133,11 @@ class _OutputError(Exception):
     """Writing stdout failed; carries the OSError."""
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the report in the format asked for, building only that one, so
+    a text report reads no group hash and builds no JSON."""
     try:
-        print(json.dumps(payload, indent=2) if args.format == "json" else text)
+        print(json.dumps(payload(), indent=2) if args.format == "json" else text())
         sys.stdout.flush()
     except OSError as exc:
         raise _OutputError(exc) from None
@@ -151,9 +153,7 @@ def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, Genera
     if sig.is_geometric:
         vec = find_generating_vector(G, sig, args.budget)
         if vec is None:
-            raise InvalidSignatureError(
-                "no generating vector exists for this geometric signature"
-            )
+            raise InvalidSignatureError("no generating vector exists for this geometric signature")
         return sig, vec
     found = []
     for refined in refinements(G, sig):
@@ -180,38 +180,36 @@ def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, Genera
 def cmd_exists(args, G: FiniteGroup) -> int:
     from .signature import find_generating_vector, signature_genus
     sig = load_signature(G, args.signature)
-    payload = {
-        "group": _group_header(G),
-        "signature": sig.to_json(),
-        "verdict": None,
-        "genus": None,
-        "witness": None,
-    }
+    verdict = {"verdict": None, "genus": None, "witness": None}
+
+    def emit(text: str, vec: Optional[GeneratingVector] = None) -> None:
+        _emit(args, lambda: {"group": _group_header(G), "signature": sig.to_json(), **verdict,
+                             "witness": vec.to_json() if vec else None}, lambda: text)
+
     try:
-        payload["genus"] = signature_genus(G, sig)
+        verdict["genus"] = signature_genus(G, sig)
     except InvalidSignatureError as exc:
-        payload["verdict"] = "not-exists"
-        payload["failed_condition"] = f"genus arithmetic: {exc}"
-        _emit(args, payload, f"not-exists ({exc})")
+        verdict["verdict"] = "not-exists"
+        verdict["failed_condition"] = f"genus arithmetic: {exc}"
+        emit(f"not-exists ({exc})")
         return EX_NOT_EXISTS
     try:
         vec = find_generating_vector(G, sig, args.budget)
     except SearchBudgetExceeded:
-        payload["verdict"] = "budget-exhausted"
-        _emit(args, payload, f"budget-exhausted after {args.budget} nodes")
+        verdict["verdict"] = "budget-exhausted"
+        emit(f"budget-exhausted after {args.budget} nodes")
         return EX_BUDGET
     if vec is None:
-        payload["verdict"] = "not-exists"
-        payload["failed_condition"] = "no generating vector with the required classes"
-        _emit(args, payload, "not-exists (exhaustive search)")
+        verdict["verdict"] = "not-exists"
+        verdict["failed_condition"] = "no generating vector with the required classes"
+        emit("not-exists (exhaustive search)")
         return EX_NOT_EXISTS
-    payload["verdict"] = "exists"
-    payload["witness"] = vec.to_json()
-    text = [f"exists; genus {payload['genus']}"]
+    verdict["verdict"] = "exists"
+    text = [f"exists; genus {verdict['genus']}"]
     for tag, items in (("a", vec.a), ("b", vec.b), ("c", vec.c)):
         for i, g in enumerate(items, start=1):
             text.append(f"  {tag}{i} = {g}")
-    _emit(args, payload, "\n".join(text))
+    emit("\n".join(text), vec)
     return EX_OK
 
 
@@ -230,26 +228,22 @@ def cmd_lattice(args, G: FiniteGroup) -> int:
                     f"oracle disagrees with the closed form on {rep.subgroup!r}"
                 )
             rep.oracle = oracle
-    payload = {
-        "group": _group_header(G),
-        "signature": sig.to_json(),
-        "genus": signature_genus(G, sig),
-        "cross_checked": bool(args.cross_check),
-        "reports": [rep.to_json() for rep in reports],
-    }
-    lines = [f"genus {payload['genus']}, signature {sig}"]
-    for rep in reports:
-        label = rep.subgroup.label or str(rep.subgroup.order)
-        cycles = "  ".join(
-            f"q{c.branch_index}:" + ",".join(map(str, c.entries))
-            for c in rep.cycle_structures
-        )
-        suffix = " [oracle ok]" if rep.oracle is not None else ""
-        lines.append(
-            f"  <{label}> order {rep.subgroup.order:>3}  degree {rep.degree:>3}  "
-            f"genus {rep.genus:>2}  {cycles}{suffix}"
-        )
-    _emit(args, payload, "\n".join(lines))
+    genus = signature_genus(G, sig)
+
+    def text() -> str:
+        lines = [f"genus {genus}, signature {sig}"]
+        for rep in reports:
+            label = rep.subgroup.label or str(rep.subgroup.order)
+            cycles = "  ".join(f"q{c.branch_index}:" + ",".join(map(str, c.entries))
+                               for c in rep.cycle_structures)
+            suffix = " [oracle ok]" if rep.oracle is not None else ""
+            lines.append(f"  <{label}> order {rep.subgroup.order:>3}  degree {rep.degree:>3}  "
+                         f"genus {rep.genus:>2}  {cycles}{suffix}")
+        return "\n".join(lines)
+
+    _emit(args, lambda: {"group": _group_header(G), "signature": sig.to_json(), "genus": genus,
+                         "cross_checked": bool(args.cross_check),
+                         "reports": [rep.to_json() for rep in reports]}, text)
     return EX_OK
 
 
@@ -259,30 +253,33 @@ def cmd_decompose(args, G: FiniteGroup) -> int:
     sig, _ = _resolve_geometric(args, G)
     table = compute_table(G, _parse_overrides(args.schur_override))
     report = jacobian.factor_dimensions(G, table, sig)
-    payload = {
-        "group": _group_header(G),
-        "signature": sig.to_json(),
-        "schur_bound_verified_group": schur_bound_is_verified(table),
-        "decomposition": report.to_json(),
-    }
-    text = [f"signature {sig}; total genus {report.total_genus}", report.render_text()]
-    if sig.quotient_genus == 1:
-        conditions = jacobian.gamma1_analysis(G, table, sig)
-        payload["gamma1_conditions"] = [c.to_json() for c in conditions]
-        vanished = [f"chi{c.galois_representative}" for c in conditions if c.all_true]
-        text.append(
-            "torus-quotient factors of dimension zero: " + (", ".join(vanished) or "none")
-        )
-    _emit(args, payload, "\n".join(text))
+    gamma1 = jacobian.gamma1_analysis(G, table, sig) if sig.quotient_genus == 1 else None
+
+    def payload() -> dict:
+        out = {"group": _group_header(G), "signature": sig.to_json(),
+               "schur_bound_verified_group": schur_bound_is_verified(table),
+               "decomposition": report.to_json()}
+        if gamma1 is not None:
+            out["gamma1_conditions"] = [c.to_json() for c in gamma1]
+        return out
+
+    def text() -> str:
+        lines = [f"signature {sig}; total genus {report.total_genus}", report.render_text()]
+        if gamma1 is not None:
+            vanished = ", ".join(f"chi{c.galois_representative}" for c in gamma1 if c.all_true)
+            lines.append(f"torus-quotient factors of dimension zero: {vanished or 'none'}")
+        return "\n".join(lines)
+
+    _emit(args, payload, text)
     return EX_OK
 
 
 def cmd_chartab(args, G: FiniteGroup) -> int:
     from .chartable import compute_table, schur_bound_is_verified
     table = compute_table(G, _parse_overrides(args.schur_override))
-    payload = table.to_json()
-    payload["schur_bound_verified_group"] = schur_bound_is_verified(table)
-    _emit(args, payload, table.render_text())
+    _emit(args, lambda: {**table.to_json(),
+                         "schur_bound_verified_group": schur_bound_is_verified(table)},
+          table.render_text)
     return EX_OK
 
 

@@ -138,8 +138,11 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
         raise InternalCheckError(f"quotient genus is not admissible: 2g = {by_ramification}")
     cycles = []
     for j, entry in enumerate(sig.entries):
-        entries = sorted(entry.order // m.mark
-                         for m in marks if m.branch_index == j for _ in range(m.count))
+        entries = []
+        for m in marks:
+            if m.branch_index == j:
+                entries += [entry.order // m.mark] * m.count
+        entries.sort()
         if sum(entries) != idx:
             raise InternalCheckError(
                 f"cycle structure over branch value {j} does not cover all sheets"
@@ -149,9 +152,7 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
         subgroup=H,
         degree=idx,
         genus=by_ramification // 2,
-        branch_types=tuple(
-            e.label or e.cls.representative.label or "?" for e in sig.entries
-        ),
+        branch_types=tuple(e.label or e.cls.representative.label or "?" for e in sig.entries),
         marked_points=marks,
         cycle_structures=tuple(cycles),
     )

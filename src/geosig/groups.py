@@ -21,14 +21,13 @@ column is walked on each call and never kept (`left_cosets` and the class
 matrices read them once); every other kept value is a cached property.
 Only `FiniteGroup.product` composes image tuples: the search and the power
 walks call it, and a subgroup closure reads the right columns of its
-generators.  There is one power walk per cyclic subgroup, from its least
-generator; the class power map reads the walk of each class
-representative's subgroup and walks nothing itself.  Member sets are int
-bitmasks, so
-a meet is `(a & b).bit_count()`.  `Perm` objects appear only at the
-boundary: input, witnesses and output.  `Record` and `FrozenRecord` are the
-slotted bases of every module's result records, here because every module
-imports this one.
+generators.  Powers are walked once per class of cyclic subgroups; each
+conjugate subgroup's walk is that walk read through the conjugation
+columns, and the class power map reads the walks and walks nothing itself.
+Member sets are int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm`
+objects appear only at the boundary: input, witnesses and output.
+`Record` and `FrozenRecord` are the slotted bases of every module's result
+records, here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -141,9 +140,7 @@ class Perm:
             for i, p in enumerate(cyc):
                 q = cyc[(i + 1) % len(cyc)]
                 if not (1 <= p <= degree and 1 <= q <= degree):
-                    raise GroupInputError(
-                        f"cycle point out of range 1..{degree}: {tuple(cyc)}"
-                    )
+                    raise GroupInputError(f"cycle point out of range 1..{degree}: {tuple(cyc)}")
                 step[p - 1] = q - 1
             img = [step[v] for v in img]
         return cls(img)
@@ -172,7 +169,7 @@ class Perm:
         o = other.image
         if len(self.image) != len(o):
             raise GroupInputError("cannot compose permutations of different degree")
-        return Perm._trusted(_compose(self.image, o))
+        return Perm._trusted(tuple(map(o.__getitem__, self.image)))  # self first, then o
 
     def inverse(self) -> "Perm":
         return Perm._trusted(tuple(sorted(range(len(self.image)), key=self.image.__getitem__)))
@@ -233,11 +230,6 @@ class Perm:
 def conj(t: Perm, g: Perm) -> Perm:
     """g conjugated by t, i.e. t * g * t^-1."""
     return t * g * t.inverse()
-
-
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """The image tuple of a * b: a first, then b."""
-    return tuple(map(b.__getitem__, a))
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -315,18 +307,22 @@ class FiniteGroup:
         # once: at[b] is b's place in the walk, and after[i*k + j] the place
         # of walk[i]*s_j; in element order they become the columns x -> x*s.
         # after is one list, not k: k lists growing side by side fragment the
-        # heap (peak RSS 73 MB against 55 MB for 20 generators of degree 2000)
+        # heap (peak RSS 73 MB against 55 MB for 20 generators of degree 2000).
+        # No Python function is called per product: n counts the walk
         identity = tuple(range(degree))
         distinct = [g for g in dict.fromkeys(g.image for g in gens) if g != identity]
-        walk, at, after = [identity], {identity: 0}, []
+        steps = [s.__getitem__ for s in distinct]
+        walk, at, after, n = [identity], {identity: 0}, [], 1
         for a in walk:
-            for s in distinct:
-                b = _compose(a, s)
-                place = at.setdefault(b, len(walk))  # one hash per product
-                if place == len(walk):
+            for step in steps:
+                b = tuple(map(step, a))
+                place = at.setdefault(b, n)  # one hash per product
+                if place == n:
                     walk.append(b)
-                    _check_cap("group order", len(walk), MAX_GROUP_ORDER, "elements")
+                    n += 1
                 after.append(place)
+            if n > MAX_GROUP_ORDER:
+                _check_cap("group order", n, MAX_GROUP_ORDER, "elements")
         self._images = tuple(sorted(walk))
         self._index = idx = {img: i for i, img in enumerate(self._images)}
         self.elements: tuple[Perm, ...] = tuple(map(Perm._trusted, self._images))
@@ -472,9 +468,10 @@ class FiniteGroup:
     def class_powers(self) -> tuple[tuple[int, ...], ...]:
         """For each class, the class indices of rep^0, rep^1, ..., rep^(m-1), m the
         element order: the one power map, the class of g^k for g in class j being
-        class_powers[j][k % m].  It reads the power walk of <rep>: rep is
-        walk[a] = walk[1]^a, so rep^k is walk[a*k % m]."""
-        cyclic_of, _, walks = self._cyclic_subgroups
+        class_powers[j][k % m].  It reads the power walk of <rep>, which may
+        start at any generator: rep is walk[a] = walk[1]^a, so rep^k is
+        walk[a*k % m]."""
+        cyclic_of, _, walks, _ = self._cyclic_subgroups
         class_of, out = self.class_of, []
         for cls in self.conjugacy_classes:
             g = cls.indices[0]
@@ -493,42 +490,55 @@ class FiniteGroup:
 
     @cached_property
     def _cyclic_subgroups(self) -> tuple[list[int], dict[int, tuple[int, ...]],
-                                         dict[int, list[int]]]:
-        """The mask of the cyclic subgroup <g> by element index g, and by mask
-        the sorted members and the power walk of each cyclic subgroup: one
-        walk per subgroup, from its least generator, files its generators
-        g^k, gcd(k, m) = 1."""
+                                         dict[int, list[int]], list[list[int]]]:
+        """The mask of the cyclic subgroup <g> by element index g; by mask the
+        sorted members and a power walk of each cyclic subgroup; and the masks
+        of each class of cyclic subgroups.  Powers are walked once per element
+        class whose representative g is not yet filed.  The generators'
+        conjugation columns carry that walk to each conjugate t<g>t^-1, since
+        t g^k t^-1 = (t g t^-1)^k, and each conjugate is filed with its
+        generators walk[k], gcd(k, m) = 1, when first reached."""
         cyclic_of = [0] * self.order
         members: dict[int, tuple[int, ...]] = {}
         walks: dict[int, list[int]] = {}
-        for g in range(self.order):
-            if cyclic_of[g]:
+        orbits, filed = [], 0
+        for cls in self.conjugacy_classes:
+            if cyclic_of[cls.indices[0]]:
                 continue
-            powers = self._powers(g)
-            s = _mask(powers)
-            members[s], walks[s] = tuple(sorted(powers)), powers
-            for k in range(len(powers)):
-                if math.gcd(k, len(powers)) == 1:
-                    cyclic_of[powers[k]] = s
-        return cyclic_of, members, walks
+            conjugates, masks = [self._powers(cls.indices[0])], []
+            m = len(conjugates[0])
+            units = [k for k in range(m) if math.gcd(k, m) == 1]
+            for walk in conjugates:
+                s = _mask(walk)
+                masks.append(s)
+                members[s], walks[s] = tuple(sorted(walk)), walk
+                for k in units:
+                    cyclic_of[walk[k]] = s
+                for conj in self._conjugators:
+                    if not cyclic_of[conj[walk[-1]]]:  # walk[-1] generates <walk>
+                        image = [conj[x] for x in walk]
+                        for k in units:
+                            cyclic_of[image[k]] = -1  # reached; filed when walked
+                        conjugates.append(image)
+            filed += len(units) * len(conjugates)
+            orbits.append(masks)
+        if filed != self.order or not all(c > 0 for c in cyclic_of):
+            raise InternalCheckError(f"the cyclic subgroups file {filed} generators for "
+                                     f"{self.order} elements, {cyclic_of.count(0)} unfiled")
+        return cyclic_of, members, walks, orbits
 
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
-        """All cyclic subgroups up to conjugacy, trivial subgroup included."""
-        cyclic_of, members, _ = self._cyclic_subgroups
-        assigned: set[int] = set()
+        """All cyclic subgroups up to conjugacy, trivial subgroup included: the
+        orbits of the conjugation walk, each held by its least member."""
+        cyclic_of, members, _, orbits = self._cyclic_subgroups
         classes = []
-        for g in range(self.order):
-            if cyclic_of[g] in assigned:
-                continue
-            # the conjugates of <g> are the <x>, x in the class of g
-            orbit = {cyclic_of[x] for x in self.conjugacy_classes[self.class_of[g]].indices}
+        for orbit in orbits:
             rep_set = min(orbit, key=members.__getitem__)
             gen = next(x for x in members[rep_set] if cyclic_of[x] == rep_set)
             gen = self.elements[gen]
             rep = Subgroup._trusted(self, members[rep_set], (gen,), str(gen))
             classes.append(ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit)))
-            assigned |= orbit
         classes.sort(key=lambda c: (c.order, c.class_size, c.representative.indices))
         return tuple(classes)
 
@@ -599,9 +609,7 @@ class FiniteGroup:
                     i += len(nm)
                     break
             else:
-                raise GroupInputError(
-                    f"cannot read {text!r}: no generator name at ...{s[i:]!r}"
-                )
+                raise GroupInputError(f"cannot read {text!r}: no generator name at ...{s[i:]!r}")
             exp = 1
             if i < len(s) and s[i] == "^":
                 m = re.match(r"\^(-?\d+)", s[i:])
@@ -889,9 +897,7 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
     # class over the cached class counts of H and K
     classes = G.conjugacy_classes
     in_k = dict(K.class_counts)
-    total = sum(
-        n * (G.order // classes[i].size) * in_k.get(i, 0) for i, n in H.class_counts
-    )
+    total = sum(n * (G.order // classes[i].size) * in_k.get(i, 0) for i, n in H.class_counts)
     by_classes, rest = divmod(total, K.order * H.order)
     if rest:
         raise InternalCheckError("class-sum double-coset formula is not integral")

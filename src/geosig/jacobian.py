@@ -152,8 +152,10 @@ def complex_multiplicities(G: FiniteGroup, table: CharacterTable,
 
 def _solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
     """The exact solution of matrix · x = rhs: Bareiss's fraction-free
-    elimination to upper-triangular form, in integers, then back-substitution
-    in Fractions.  Each division by the previous pivot is exact (Bareiss 1968)."""
+    elimination to upper-triangular form, then back-substitution, both in
+    integers.  Each division by the previous pivot is exact (Bareiss 1968); the
+    last pivot d is ±det, so d·x is integral (Cramer) and each row's division
+    in X_r = (d·b_r − Σ U[r][c]·X_c) / U[r][r] is exact too."""
     n = len(matrix)
     work = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     prev = 1
@@ -168,16 +170,16 @@ def _solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fr
             for c in range(col + 1, n + 1):
                 row[c], rest = divmod(top[col] * row[c] - lead * top[c], prev)
                 if rest:
-                    raise InternalCheckError(
-                        f"Bareiss division by the pivot {prev} is not exact"
-                    )
+                    raise InternalCheckError(f"Bareiss division by the pivot {prev} is not exact")
         prev = top[col]
-    solution = [Fraction(0)] * n
+    scaled = [0] * n  # d·x
     for r in reversed(range(n)):
         row = work[r]
-        known = sum(row[c] * solution[c] for c in range(r + 1, n))
-        solution[r] = (row[n] - known) / Fraction(row[r])
-    return solution
+        known = sum(row[c] * scaled[c] for c in range(r + 1, n))
+        scaled[r], rest = divmod(prev * row[n] - known, row[r])
+        if rest:
+            raise InternalCheckError(f"back-substitution of {prev}·x is not exact in row {r}")
+    return [Fraction(x, prev) for x in scaled]
 
 
 def solve_omega_system(G: FiniteGroup, table: CharacterTable,
@@ -198,9 +200,7 @@ def solve_omega_system(G: FiniteGroup, table: CharacterTable,
     solution = _solve_exact(matrix, rhs)
     for v in solution:
         if v.denominator != 1 or v < 0:
-            raise InternalCheckError(
-                f"linear system produced a non-admissible multiplicity {v}"
-            )
+            raise InternalCheckError(f"linear system produced a non-admissible multiplicity {v}")
     return OmegaSystem(
         matrix=tuple(matrix),
         rhs=rhs,
@@ -243,14 +243,10 @@ def factor_dimensions(G: FiniteGroup, table: CharacterTable,
     # sum rule over all complex irreducibles, Galois conjugates included
     doubled = sum(rec.galois_class.field_degree * rec.degree * rec.n for rec in records)
     if doubled != 2 * g:
-        raise InternalCheckError(
-            f"multiplicities weigh to {doubled}, expected {2 * g}"
-        )
+        raise InternalCheckError(f"multiplicities weigh to {doubled}, expected {2 * g}")
     accounted = sum(rec.dim_B * rec.exponent for rec in records)
     if accounted != g:
-        raise InternalCheckError(
-            f"factor dimensions account for genus {accounted}, expected {g}"
-        )
+        raise InternalCheckError(f"factor dimensions account for genus {accounted}, expected {g}")
 
     # independent route: solve the linear system over the quotient genera
     genera = [

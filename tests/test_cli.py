@@ -285,6 +285,44 @@ def test_chartab_text_and_json(capsys):
     assert "chi0" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [
+    ["exists", "--group", "dihedral(4)", "--signature", D4_FIRST],
+    ["lattice", "--group", "wc3", "--signature", WC3_FIRST],
+    ["decompose", "--group", "wc3", "--signature", WC3_FIRST],
+    ["chartab", "--group", "quaternion8"],
+], ids=["exists", "lattice", "decompose", "chartab"])
+def test_each_format_builds_only_its_own_output(capsys, monkeypatch, argv, fmt):
+    # a text report renders no JSON and reads no group hash; a JSON report
+    # renders no text table
+    from geosig.chartable import CharacterTable
+
+    calls = {}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return wrapper
+
+    for cls in (CharacterTable, jacobian.DecompositionReport):
+        for method in ("to_json", "render_text"):
+            name = f"{cls.__name__}.{method}"
+            monkeypatch.setattr(cls, method, counted(name, getattr(cls, method)))
+    monkeypatch.setattr(FiniteGroup, "digest",
+                        property(counted("digest", FiniteGroup.digest.func)))
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0 and out
+    built = {name.split(".")[-1] for name in calls}
+    if fmt == "json":
+        assert "render_text" not in built and "digest" in built, calls
+    else:
+        assert not built & {"to_json", "digest"}, calls
+    if argv[0] in ("decompose", "chartab"):
+        assert built & {"to_json", "render_text"} == {"to_json" if fmt == "json"
+                                                      else "render_text"}
+
+
 S6_GENERATORS = {"a": "(1,2,3,4,5,6)", "b": "(1,2)"}
 
 

@@ -95,6 +95,21 @@ def test_group_order_cap(monkeypatch):
             catalog(name)
 
 
+def test_group_order_cap_of_the_build():
+    # the build's own walk refuses the 2001st element: a cyclic group of
+    # order 2000 = 16 * 125 builds, one of order 2001 = 3 * 23 * 29 does not
+    def cyclic_group(lengths):
+        cycles, start = [], 1
+        for n in lengths:
+            cycles.append(tuple(range(start, start + n)))
+            start += n
+        return FiniteGroup(start - 1, {"g": Perm.from_cycles(start - 1, cycles)})
+
+    assert cyclic_group([16, 125]).order == 2000
+    with pytest.raises(GroupInputError, match="group order exceeds the supported cap of 2000"):
+        cyclic_group([3, 23, 29])
+
+
 def test_group_degree_cap(monkeypatch):
     # the degree is refused before Perm.parse builds an image of that length
     monkeypatch.setattr(Perm, "parse", lambda *args: pytest.fail("parsed a generator"))
@@ -423,6 +438,113 @@ def test_derived_columns_on_w_d5():
     _check_columns(G, range(0, G.order, 193))
     for K in G.cyclic_subgroup_classes[1::10]:
         _check_subgroup(G, K.representative)
+
+
+# -- cyclic subgroups against per-subgroup power walks --------------------------
+
+
+def reference_cyclic_subgroups(G):
+    """The per-subgroup walks that one conjugation walk per class replaced:
+    one power walk per cyclic subgroup from its least generator, by Perm
+    products, and each class of cyclic subgroups read off the element class
+    of a generator.  Returns cyclic_of, members and walks by mask, and the
+    classes as (order, class size, members, least generator, member masks)."""
+    E, index = G.elements, G.index
+    cyclic_of, members, walks = [0] * G.order, {}, {}
+    for g in range(G.order):
+        if cyclic_of[g]:
+            continue
+        walk, h = [0], E[g]
+        while h != G.identity:
+            walk.append(index(h))
+            h = h * E[g]
+        s = sum(1 << x for x in walk)
+        members[s], walks[s] = tuple(sorted(walk)), walk
+        for k in range(len(walk)):
+            if math.gcd(k, len(walk)) == 1:
+                cyclic_of[walk[k]] = s
+    classes, assigned = [], set()
+    for g in range(G.order):
+        if cyclic_of[g] in assigned:
+            continue
+        orbit = frozenset(cyclic_of[x] for x in G.conjugacy_classes[G.class_of[g]].indices)
+        rep = min(orbit, key=members.__getitem__)
+        gen = next(x for x in members[rep] if cyclic_of[x] == rep)
+        classes.append((len(members[rep]), len(orbit), members[rep], gen, orbit))
+        assigned |= orbit
+    classes.sort(key=lambda c: c[:3])
+    return cyclic_of, members, walks, classes
+
+
+def assert_cyclic_subgroups_match_reference(G):
+    ref_of, ref_members, ref_walks, ref_classes = reference_cyclic_subgroups(G)
+    cyclic_of, members, walks, _ = G._cyclic_subgroups
+    assert cyclic_of == ref_of
+    assert members == ref_members
+    # a walk may start at any generator walk[1] = g^a of the reference's g
+    assert walks.keys() == ref_walks.keys()
+    for s, walk in walks.items():
+        ref, m = ref_walks[s], len(walk)
+        a = ref.index(walk[1 % m])
+        assert math.gcd(a, m) == 1 and walk == [ref[a * k % m] for k in range(m)]
+    assert [(c.order, c.class_size, c.representative.indices, c.representative.generators,
+             c.representative.label, c.member_masks) for c in G.cyclic_subgroup_classes] == [
+        (m, size, mem, (G.elements[gen],), str(G.elements[gen]), orbit)
+        for m, size, mem, gen, orbit in ref_classes]
+    assert [(c.indices, c.element_order) for c in G.merged_element_classes] == [
+        (tuple(x for x in range(G.order) if ref_of[x] in orbit), m)
+        for m, _, _, _, orbit in ref_classes]
+    want = []
+    for cls in G.conjugacy_classes:
+        ref = ref_walks[ref_of[cls.indices[0]]]
+        m, a = len(ref), ref.index(cls.indices[0])
+        want.append(tuple(G.class_of[ref[a * k % m]] for k in range(m)))
+    assert G.class_powers == tuple(want)
+
+
+# every catalog group up to order 120, and the larger ones up to order 720
+WALK_CATALOG = ("quaternion8", "wc3", *(f"symmetric({n})" for n in range(1, 7)),
+                *(f"alternating({n})" for n in range(3, 7)),
+                *(f"cyclic({n})" for n in (*range(1, 121), 240, 360, 720)),
+                *(f"dihedral({n})" for n in (*range(3, 61), 120, 180, 360)))
+
+
+@pytest.mark.parametrize("name", WALK_CATALOG)
+def test_cyclic_subgroups_match_per_subgroup_walks(name):
+    assert_cyclic_subgroups_match_reference(catalog(name))
+
+
+def test_cyclic_subgroups_match_per_subgroup_walks_on_w_d5():
+    assert_cyclic_subgroups_match_reference(group_from_payload(W_D5))
+
+
+def test_cyclic_class_data_walks_powers_once_per_class(monkeypatch):
+    # symmetric(6) has 362 cyclic subgroups in 11 classes; the per-subgroup
+    # walks made 1,169 products, the conjugation walk one power walk per
+    # class (27 products), and every conjugate is read off a column
+    G = catalog("symmetric(6)")
+    G.conjugacy_classes
+    calls = []
+    real = FiniteGroup.product
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "product", counted)
+    G.cyclic_subgroup_classes, G.merged_element_classes, G.class_powers
+    assert len(G._cyclic_subgroups[1]) == 362 and len(G.cyclic_subgroup_classes) == 11
+    assert len(calls) <= 40
+
+
+def test_unfiled_cyclic_subgroups_are_a_defect():
+    # without b's conjugation column the orbit of <(1,2)> under <a> misses
+    # (1,3) and (2,4), so their generators are left unfiled
+    G = catalog("symmetric(4)")
+    G.conjugacy_classes
+    G._conjugators = G._conjugators[:1]
+    with pytest.raises(InternalCheckError, match="unfiled"):
+        G._cyclic_subgroups
 
 
 def test_columns_read_once_are_not_kept():

@@ -8,7 +8,10 @@ Each loop is compared with a reference that shares none of its code:
   (`monodromy._cycle_type`) against `Perm.cycles()`;
 - the table lift through the zeta-power table (`chartable._zeta_sum` over
   `chartable._zeta_powers`) against `reduce_integral` of the e-length
-  polynomial, and the power table itself against `Cyclo.zeta`.
+  polynomial, and the power table itself against `Cyclo.zeta`;
+- the cyclic subgroups of one conjugation walk per class
+  (`FiniteGroup._cyclic_subgroups`) against one power walk per subgroup by
+  `Perm` products, on drawn `group_from_payload` groups.
 hypothesis is a test-only dependency: the module is skipped when it is
 missing, and runs derandomized so that every run draws the same examples.
 """
@@ -22,8 +25,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from geosig.chartable import _zeta_powers, _zeta_sum  # noqa: E402
 from geosig.cyclotomic import Cyclo, reduce_integral  # noqa: E402
-from geosig.groups import Perm, catalog  # noqa: E402
+from geosig.groups import Perm, catalog, group_from_payload  # noqa: E402
 from geosig.monodromy import _cycle_type  # noqa: E402
+from test_groups import assert_cyclic_subgroups_match_reference  # noqa: E402
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=100)
 GROUPS = ("cyclic(12)", "dihedral(6)", "quaternion8", "symmetric(4)", "wc3",
@@ -109,3 +113,18 @@ def test_zeta_sum_matches_reduce_integral(case):
     for k, a in enumerate(mults):
         poly[k * (e // len(mults))] = a
     assert _zeta_sum(mults, _zeta_powers(e)) == reduce_integral(poly, e)
+
+
+@st.composite
+def group_payloads(draw):
+    """A JSON group spec of one to three generators of degree up to 6, each
+    in cycle notation."""
+    n = draw(st.integers(1, 6))
+    images = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return {"degree": n, "generators": {f"g{i}": str(Perm(img)) for i, img in enumerate(images)}}
+
+
+@settings(DERANDOMIZED, max_examples=60)
+@given(group_payloads())
+def test_cyclic_subgroups_match_per_subgroup_walks_on_drawn_groups(payload):
+    assert_cyclic_subgroups_match_reference(group_from_payload(payload))

@@ -382,3 +382,14 @@ def test_solve_exact_divisions_are_exact(monkeypatch):
     monkeypatch.setattr(jacobian, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(InternalCheckError, match="not exact"):
         jacobian._solve_exact([[2, 1], [1, 3]], [1, 1])
+
+
+def test_solve_exact_back_substitution_is_exact(monkeypatch):
+    # a 1x1 system has no elimination step, so its one division is the
+    # back-substitution of d·x, which must leave no remainder either
+    from fractions import Fraction
+
+    assert jacobian._solve_exact([[2]], [3]) == [Fraction(3, 2)]
+    monkeypatch.setattr(jacobian, "divmod", lambda a, b: (a // b, 1), raising=False)
+    with pytest.raises(InternalCheckError, match="back-substitution of 2·x is not exact"):
+        jacobian._solve_exact([[2]], [3])

@@ -63,11 +63,11 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 # stdlib modules a call loads only where it reads them: the records are
 # plain slotted classes, the genus is integer arithmetic, Fraction is built
-# only by the table and the Jacobian, and only an output reads the group hash
-UNREAD = {name: {"dataclasses", "inspect"} for name in LOADED}
+# only by the table and the Jacobian, and only a JSON output reads the group
+# hash, so no case here, each a text-mode call, loads hashlib
+UNREAD = {name: {"dataclasses", "inspect", "hashlib"} for name in LOADED}
 for name in ("readme_exists_dihedral4", "readme_lattice_wc3", "bad_group_name"):
     UNREAD[name] |= {"fractions", "decimal"}
-UNREAD["bad_group_name"] |= {"hashlib"}
 
 
 def _child(*argv) -> str:
