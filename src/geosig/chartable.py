@@ -43,6 +43,7 @@ multiplicities and the omega system.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cached_property
 from operator import mul
 from typing import Mapping, Optional, Sequence
@@ -65,13 +66,6 @@ class Character(FrozenRecord):
 
     __slots__ = ("index", "row", "conductor", "degree", "__dict__")
 
-    def __init__(self, index: int, row: tuple[tuple[int, ...], ...], conductor: int,
-                 degree: int):
-        self._init("index", index)
-        self._init("row", row)
-        self._init("conductor", conductor)
-        self._init("degree", degree)
-
     @cached_property
     def values(self) -> tuple[Cyclo, ...]:
         return tuple(Cyclo(self.conductor, v) for v in self.row)
@@ -86,16 +80,6 @@ class GaloisClass(FrozenRecord):
 
     __slots__ = ("members", "representative", "field_degree", "schur_bound", "indicator",
                  "schur_index", "schur_index_source")
-
-    def __init__(self, members: tuple[int, ...], representative: int, field_degree: int,
-                 schur_bound: int, indicator: int, schur_index: int, schur_index_source: str):
-        self._init("members", members)
-        self._init("representative", representative)
-        self._init("field_degree", field_degree)
-        self._init("schur_bound", schur_bound)
-        self._init("indicator", indicator)
-        self._init("schur_index", schur_index)
-        self._init("schur_index_source", schur_index_source)
 
 
 def _admissible_schur_index(index: int, bound: int, indicator: int) -> bool:
@@ -401,27 +385,26 @@ def _eval_poly(poly: list[int], x: int, p: int) -> int:
 # -- table computation ---------------------------------------------------------
 
 
-def _class_matrix(G: FiniteGroup, i: int) -> list[list[int]]:
-    """Entry (j, k): the number of y in the inverse class C_i' of class i with
-    y * rep_k in class j.  Conjugation moves y over C_i' and rep_k over C_k
-    alike, so that count is |C_i'| / |C_k| times the number of z in C_k with
-    y0 * z in class j, for one y0 of C_i'; y0 * z is conjugate to z * y0, so
-    the one column z -> z * y0 serves the whole matrix."""
+def _class_matrix(G: FiniteGroup, i: int) -> list[list[tuple[int, int]]]:
+    """The nonzero entries (k, n) of each row j, by column k: n is the number
+    of y in the inverse class C_i' of class i with y * rep_k in class j.
+    Conjugation moves y over C_i' and rep_k over C_k alike, so that count is
+    |C_i'| / |C_k| times the number of z in C_k with y0 * z in class j, for
+    one y0 of C_i'; y0 * z is conjugate to z * y0, so the one column
+    z -> z * y0 serves the whole matrix, counted once per column."""
     classes = G.conjugacy_classes
     cls_of = G.class_of
     inverse = classes[G.class_powers[i][-1]]
     times_y0 = G.right(inverse.indices[0])
-    s = len(classes)
-    mat = [[0] * s for _ in range(s)]
+    rows: list[list[tuple[int, int]]] = [[] for _ in classes]
     for k, cls in enumerate(classes):
-        for z in cls.indices:
-            mat[cls_of[times_y0[z]]][k] += 1
-        for row in mat:
-            if row[k]:
-                row[k], rest = divmod(row[k] * inverse.size, cls.size)
-                if rest:
-                    raise InternalCheckError(f"class matrix {i} has a fractional entry")
-    return mat
+        counts = Counter(map(cls_of.__getitem__, map(times_y0.__getitem__, cls.indices)))
+        for j, count in counts.items():
+            n, rest = divmod(count * inverse.size, cls.size)
+            if rest:
+                raise InternalCheckError(f"class matrix {i} has a fractional entry")
+            rows[j].append((k, n))
+    return rows
 
 
 def _apply(sparse: list[list[tuple[int, int]]], vec: list[int], p: int) -> list[int]:
@@ -500,8 +483,7 @@ def _split_spaces(G: FiniteGroup, p: int) -> list[list[int]]:
     for i in range(1, s):
         if len(leaves) >= s:
             break
-        sparse = [[(c, v % p) for c, v in enumerate(row) if v]
-                  for row in _class_matrix(G, i)]
+        sparse = _class_matrix(G, i)
         read.append(sparse)
         split = []
         for u, made in leaves:

@@ -15,7 +15,7 @@ raised, never rounded.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, FrozenRecord, Perm, Record, Subgroup, double_coset_count,
@@ -24,15 +24,11 @@ from .signature import GeometricSignature, branch_stabilizers
 
 
 class TransversalPartition(FrozenRecord):
-    """Transversal of N(G_j) split by the size of the conjugate's meet with H."""
+    """Transversal of N(G_j) split by the size of the conjugate's meet with H:
+    `sets` are the L_k, in first-appearance order, and `intersection_sizes`
+    the common |G_j^(l^-1) ∩ H| of each set."""
 
     __slots__ = ("branch_index", "sets", "intersection_sizes")
-
-    def __init__(self, branch_index: int, sets: tuple[tuple, ...],
-                 intersection_sizes: tuple[int, ...]):
-        self._init("branch_index", branch_index)
-        self._init("sets", sets)  # the L_k, in first-appearance order
-        self._init("intersection_sizes", intersection_sizes)  # common |G_j^(l^-1) ∩ H| per set
 
     @property
     def nu(self) -> int:
@@ -44,20 +40,12 @@ class MarkedPointSet(FrozenRecord):
 
     __slots__ = ("branch_index", "mark", "count")
 
-    def __init__(self, branch_index: int, mark: int, count: int):
-        self._init("branch_index", branch_index)
-        self._init("mark", mark)
-        self._init("count", count)
-
 
 class CycleStructure(FrozenRecord):
-    """Cycle structure of the covering S/H -> S/G over one branch value."""
+    """Cycle structure of the covering S/H -> S/G over one branch value:
+    `entries` are the ramification indices, one per point, sorted."""
 
     __slots__ = ("branch_index", "entries")
-
-    def __init__(self, branch_index: int, entries: tuple[int, ...]):
-        self._init("branch_index", branch_index)
-        self._init("entries", entries)  # ramification indices, one per point, sorted
 
 
 class CoverReport(Record):
@@ -65,17 +53,6 @@ class CoverReport(Record):
 
     __slots__ = ("subgroup", "degree", "genus", "branch_types", "marked_points",
                  "cycle_structures", "oracle")
-
-    def __init__(self, subgroup: Subgroup, degree: int, genus: int,
-                 branch_types: tuple[str, ...], marked_points: tuple[MarkedPointSet, ...],
-                 cycle_structures: tuple[CycleStructure, ...], oracle: Optional[dict] = None):
-        self.subgroup = subgroup
-        self.degree = degree
-        self.genus = genus
-        self.branch_types = branch_types
-        self.marked_points = marked_points
-        self.cycle_structures = cycle_structures
-        self.oracle = oracle
 
     def to_json(self) -> dict:
         G = self.subgroup.parent
@@ -155,6 +132,7 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
         branch_types=tuple(e.label or e.cls.representative.label or "?" for e in sig.entries),
         marked_points=marks,
         cycle_structures=tuple(cycles),
+        oracle=None,
     )
 
 

@@ -27,7 +27,9 @@ columns, and the class power map reads the walks and walks nothing itself.
 Member sets are int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm`
 objects appear only at the boundary: input, witnesses and output.
 `Record` and `FrozenRecord` are the slotted bases of every module's result
-records, here because every module imports this one.
+records, here because every module imports this one: a record's fields are
+its slots, and its constructor is generated in slot order unless the class
+writes its own.
 """
 
 from __future__ import annotations
@@ -53,9 +55,10 @@ def _check_cap(what: str, value: int, cap: int, unit: str) -> None:
 
 class Record:
     """A plain record: its fields are its slots, minus those named with a
-    leading underscore.  Two records are equal when they are of the same
-    class with equal fields, so a record never equals a tuple; the repr is
-    `Name(field=value, ...)`.  A mutable record is unhashable."""
+    leading underscore.  Its constructor is generated in slot order unless the
+    class writes its own `__init__`.  Two records are equal when they are of
+    the same class with equal fields, so a record never equals a tuple; the
+    repr is `Name(field=value, ...)`.  A mutable record is unhashable."""
 
     __slots__ = ()
     __hash__ = None
@@ -65,6 +68,8 @@ class Record:
         cls._fields = tuple(s for s in cls.__slots__ if not s.startswith("_"))
         if cls._fields:
             cls._key = attrgetter(*cls._fields)
+            if "__init__" not in cls.__dict__:
+                cls.__init__ = _generated_init(cls)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -76,9 +81,22 @@ class Record:
         return f"{type(self).__qualname__}({body})"
 
 
+def _generated_init(cls):
+    """`__init__(_self, f1, f2, ...)` over cls._fields, each set with
+    `object.__setattr__`; compiled from the names, as `collections.namedtuple`
+    builds its `__new__`, so calls and their `TypeError`s are a plain function's."""
+    args = ", ".join(cls._fields)
+    body = "".join(f"\n    _setattr(_self, {f!r}, {f})" for f in cls._fields)
+    namespace = {"_setattr": object.__setattr__, "__builtins__": {}, "__name__": cls.__module__}
+    exec(f"def __init__(_self, {args}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
 class FrozenRecord(Record):
-    """An immutable, hashable record; its `__init__` sets each field with
-    `self._init(name, value)`."""
+    """An immutable, hashable record.  A class that writes its own `__init__`
+    sets each field with `self._init(name, value)`."""
 
     __slots__ = ()
     _init = object.__setattr__
@@ -823,14 +841,11 @@ class ElementClass:
         return f"ElementClass({self.representative}, size={self.size})"
 
 
-class ConjugacyClassOfSubgroups:
-    """A conjugacy class of subgroups, held by a canonical representative."""
+class ConjugacyClassOfSubgroups(FrozenRecord):
+    """A conjugacy class of subgroups, held by a canonical representative, its
+    least member; `member_masks` are the member masks of all its subgroups."""
 
-    def __init__(self, representative: Subgroup, class_size: int,
-                 member_masks: frozenset[int]):
-        self.representative = representative
-        self.class_size = class_size
-        self.member_masks = member_masks
+    __slots__ = ("representative", "class_size", "member_masks")
 
     @property
     def order(self) -> int:
@@ -840,14 +855,7 @@ class ConjugacyClassOfSubgroups:
         require_subgroups(self.representative.parent, sub)
         return sub.mask in self.member_masks
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ConjugacyClassOfSubgroups)
-                and self.member_masks == other.member_masks)
-
-    def __hash__(self) -> int:
-        return hash(self.member_masks)
-
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # the record repr would print every member mask
         tag = self.representative.label or "?"
         return f"SubgroupClass(<{tag}>, order={self.order}, size={self.class_size})"
 

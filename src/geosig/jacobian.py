@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .chartable import SCHUR_COMPUTED, CharacterTable, GaloisClass
+from .chartable import SCHUR_COMPUTED, CharacterTable
 from .covers import cover_report, quotient_genus
 from .errors import GroupInputError, InternalCheckError
 from .groups import FiniteGroup, FrozenRecord, require_subgroups
@@ -21,19 +21,13 @@ from .signature import GeometricSignature, branch_stabilizers, signature_genus
 
 
 class MultiplicityRecord(FrozenRecord):
-    """Multiplicities and factor data for one Galois class of characters."""
+    """Multiplicities and factor data for one Galois class of characters: `n`
+    is the multiplicity of each class member in the homology action, `e` that
+    of the rational irreducible (n / schur_index), `dim_B` the dimension of
+    the isogeny factor, `exponent` its power (degree / schur_index) and `k`
+    is schur_index * field_degree."""
 
     __slots__ = ("galois_class", "degree", "n", "e", "dim_B", "exponent", "k")
-
-    def __init__(self, galois_class: GaloisClass, degree: int, n: int, e: int, dim_B: int,
-                 exponent: int, k: int):
-        self._init("galois_class", galois_class)
-        self._init("degree", degree)
-        self._init("n", n)  # multiplicity of each class member in the homology action
-        self._init("e", e)  # multiplicity of the rational irreducible, n / schur_index
-        self._init("dim_B", dim_B)  # dimension of the isogeny factor
-        self._init("exponent", exponent)  # power of the factor, degree / schur_index
-        self._init("k", k)  # schur_index * field_degree
 
     @property
     def representative(self) -> int:
@@ -55,28 +49,17 @@ class MultiplicityRecord(FrozenRecord):
 
 
 class OmegaSystem(FrozenRecord):
-    """The exactly solved linear system tying fixed dimensions to quotient genera."""
+    """The exactly solved linear system tying fixed dimensions to quotient genera:
+    `matrix` has a row per cyclic class and a column per Galois class, `rhs`
+    holds 2 * genus of each S/H_j, `solution` one multiplicity per Galois class."""
 
     __slots__ = ("matrix", "rhs", "solution")
-
-    def __init__(self, matrix: tuple[tuple[int, ...], ...], rhs: tuple[int, ...],
-                 solution: tuple[int, ...]):
-        self._init("matrix", matrix)  # rows: cyclic classes, cols: Galois classes
-        self._init("rhs", rhs)  # 2 * genus of S/H_j
-        self._init("solution", solution)  # one multiplicity per Galois class
 
 
 class DecompositionReport(FrozenRecord):
     """Full isogeny decomposition data for one group action."""
 
     __slots__ = ("records", "total_genus", "quotient_genus", "omega")
-
-    def __init__(self, records: tuple[MultiplicityRecord, ...], total_genus: int,
-                 quotient_genus: int, omega: OmegaSystem):
-        self._init("records", records)
-        self._init("total_genus", total_genus)
-        self._init("quotient_genus", quotient_genus)
-        self._init("omega", omega)
 
     def summary(self) -> str:
         factors = []
@@ -273,16 +256,6 @@ class TorusCaseConditions(FrozenRecord):
 
     __slots__ = ("galois_representative", "degree", "dim_is_zero", "stabilizers_in_kernel",
                  "kernel_cover_unramified", "kernel_quotient_is_torus")
-
-    def __init__(self, galois_representative: int, degree: int, dim_is_zero: bool,
-                 stabilizers_in_kernel: bool, kernel_cover_unramified: bool,
-                 kernel_quotient_is_torus: bool):
-        self._init("galois_representative", galois_representative)
-        self._init("degree", degree)
-        self._init("dim_is_zero", dim_is_zero)
-        self._init("stabilizers_in_kernel", stabilizers_in_kernel)
-        self._init("kernel_cover_unramified", kernel_cover_unramified)
-        self._init("kernel_quotient_is_torus", kernel_quotient_is_torus)
 
     @property
     def all_true(self) -> bool:

@@ -22,17 +22,10 @@ from .signature import GeneratingVector
 
 
 class CosetAction(FrozenRecord):
-    """The permutation action of a generating vector on the cosets of H."""
+    """The permutation action of a generating vector on the cosets of H;
+    `cosets` holds the least representative of each coset."""
 
     __slots__ = ("subgroup", "cosets", "a_images", "b_images", "c_images")
-
-    def __init__(self, subgroup: Subgroup, cosets: tuple[Perm, ...], a_images: tuple[Perm, ...],
-                 b_images: tuple[Perm, ...], c_images: tuple[Perm, ...]):
-        self._init("subgroup", subgroup)
-        self._init("cosets", cosets)  # least representative per coset
-        self._init("a_images", a_images)
-        self._init("b_images", b_images)
-        self._init("c_images", c_images)
 
     @property
     def degree(self) -> int:

@@ -183,11 +183,6 @@ class GeneratingVector(FrozenRecord):
 
     __slots__ = ("a", "b", "c")
 
-    def __init__(self, a: tuple[Perm, ...], b: tuple[Perm, ...], c: tuple[Perm, ...]):
-        self._init("a", a)
-        self._init("b", b)
-        self._init("c", c)
-
     def elements(self) -> tuple[Perm, ...]:
         return self.a + self.b + self.c
 
@@ -203,12 +198,6 @@ class VectorCheck(Record):
     """Per-condition verdicts for a candidate generating vector."""
 
     __slots__ = ("orders_ok", "classes_ok", "product_ok", "generates")
-
-    def __init__(self, orders_ok: bool, classes_ok: bool, product_ok: bool, generates: bool):
-        self.orders_ok = orders_ok
-        self.classes_ok = classes_ok
-        self.product_ok = product_ok
-        self.generates = generates
 
     @property
     def ok(self) -> bool:

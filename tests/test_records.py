@@ -4,8 +4,12 @@ Each record compares equal to a record of the same class with equal
 fields, and to nothing else (not to the tuple of its fields); a frozen
 record hashes by its fields and refuses assignment, and its repr is
 `Name(field=value, ...)`.  The records are built by the real pipeline on
-small groups, so the fields hold the values the engine produces.
+small groups, so the fields hold the values the engine produces.  The
+fields are the slots; a record class that writes no `__init__` gets one
+generated from them, in slot order.
 """
+
+import sys
 
 import pytest
 
@@ -20,7 +24,7 @@ from geosig.covers import (
     transversal_partition,
 )
 from geosig.errors import GroupInputError
-from geosig.groups import MAX_QUOTIENT_GENUS, ConjugacyClassOfSubgroups, catalog
+from geosig.groups import MAX_QUOTIENT_GENUS, ConjugacyClassOfSubgroups, Record, catalog
 from geosig.jacobian import (
     DecompositionReport,
     MultiplicityRecord,
@@ -41,6 +45,7 @@ from geosig.signature import (
 
 # the fields of each record, in constructor order
 FIELDS = {
+    ConjugacyClassOfSubgroups: ("representative", "class_size", "member_masks"),
     BranchEntry: ("order", "cls", "label"),
     GeometricSignature: ("quotient_genus", "entries"),
     GeneratingVector: ("a", "b", "c"),
@@ -62,6 +67,7 @@ FIELDS = {
                           "kernel_quotient_is_torus"),
 }
 MUTABLE = {VectorCheck, CoverReport}
+OWN_INIT = {BranchEntry, GeometricSignature}  # they check their input and have defaults
 
 
 def _records():
@@ -74,6 +80,7 @@ def _records():
     decomposition = factor_dimensions(G, table, sig)
     torus = gamma1_analysis(G, table, geometric_signature(G, 1, ("y", "x^2*y")))
     return {
+        ConjugacyClassOfSubgroups: sig.entries[0].cls,
         BranchEntry: sig.entries[0],
         GeometricSignature: sig,
         GeneratingVector: vec,
@@ -170,6 +177,9 @@ def test_mutable_records_take_assignment():
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
 def test_repr_names_each_field(cls):
     rec = RECORDS[cls]
+    if cls is ConjugacyClassOfSubgroups:  # a short repr, not every member mask
+        assert repr(rec) == "SubgroupClass(<(1,2,3,4)>, order=4, size=1)"
+        return
     body = ", ".join(f"{f}={getattr(rec, f)!r}" for f in FIELDS[cls])
     assert repr(rec) == f"{cls.__name__}({body})"
 
@@ -184,6 +194,50 @@ def test_keyword_construction_matches_positional():
     assert MarkedPointSet(branch_index=0, mark=2, count=4) == MarkedPointSet(0, 2, 4)
     assert BranchEntry(2) == BranchEntry(2, None, None) == BranchEntry(order=2)
     assert GeometricSignature(3) == GeometricSignature(3, ())
+
+
+def _record_classes(base=Record):
+    for sub in base.__subclasses__():
+        if sub._fields:
+            yield sub
+        yield from _record_classes(sub)
+
+
+def test_every_record_class_is_listed_with_its_slot_fields():
+    assert set(_record_classes()) == set(FIELDS)
+    for cls, fields in FIELDS.items():
+        assert cls._fields == fields, cls.__name__
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_a_keyword_call_builds_the_positional_record(cls):
+    values = _fields(RECORDS[cls])
+    by_keyword = cls(**dict(zip(FIELDS[cls], values)))
+    by_position = cls(*values)
+    assert by_keyword == by_position == RECORDS[cls]
+    assert _fields(by_keyword) == _fields(by_position) == values
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda cls: cls.__name__)
+def test_a_bad_call_raises_type_error(cls):
+    values = _fields(RECORDS[cls])
+    first, *rest = FIELDS[cls]
+    keywords = dict(zip(FIELDS[cls], values))
+    with pytest.raises(TypeError, match=rf"{cls.__name__}\.__init__\(\) missing .*'{first}'"):
+        cls(**{f: keywords[f] for f in rest})
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(**keywords, extra=1)
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*values, None)
+
+
+def test_only_the_checked_records_write_their_own_constructor():
+    def own(cls):
+        return cls.__init__.__code__.co_filename == sys.modules[cls.__module__].__file__
+
+    assert {cls for cls in _record_classes() if own(cls)} == OWN_INIT
 
 
 def test_character_values_are_cached_outside_the_fields():
