@@ -129,7 +129,7 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
         subgroup=H,
         degree=idx,
         genus=by_ramification // 2,
-        branch_types=tuple(e.label or e.cls.representative.label or "?" for e in sig.entries),
+        branch_types=tuple(e.tag for e in sig.entries),
         marked_points=marks,
         cycle_structures=tuple(cycles),
         oracle=None,

@@ -17,13 +17,14 @@ conjugates are the stabilizer and the orbit of one action, G on the
 conjugates of K, walked once: t K t^-1 is numbered for every t along t = s*p.
 What the group keeps follows one rule: a `left(g)` column is kept once
 walked, a generator's right column is the build's own, and any other right
-column is walked on each call and never kept (`left_cosets` and the class
-matrices read them once); every other kept value is a cached property.
-Only `FiniteGroup.product` composes image tuples: the search and the power
-walks call it, and a subgroup closure reads the right columns of its
-generators.  Powers are walked once per class of cyclic subgroups; each
-conjugate subgroup's walk is that walk read through the conjugation
-columns, and the class power map reads the walks and walks nothing itself.
+column is walked on each call and never kept (`left_cosets`, the power
+walks and the class matrices read them once); every other kept value is a
+cached property.  Only `FiniteGroup.product` composes image tuples, for the
+search alone.  One orbit partition, `_orbits`, gives the element classes,
+the left cosets and double-coset route 1.  Powers are walked along a right
+column from the least member of each conjugation orbit not yet filed, once
+per class of cyclic subgroups, and the conjugation columns carry each walk
+to the conjugate subgroups; a class's element order is its walk's length.
 Member sets are int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm`
 objects appear only at the boundary: input, witnesses and output.
 `Record` and `FrozenRecord` are the slotted bases of every module's result
@@ -284,18 +285,21 @@ def _tree_walk(start: int, tree: list[tuple[int, int, int]],
     return out
 
 
-def _closure(start, steps, limit: int) -> set:
-    """What the step maps reach from start, or the first limit of it found."""
-    found, queue = {start}, [start]
-    for a in queue:
-        for step in steps:
-            b = step(a)
-            if b not in found:
-                found.add(b)
-                if len(found) == limit:
-                    return found
-                queue.append(b)
-    return found
+def _orbits(n: int, columns: Sequence[Sequence[int]]) -> tuple[list[int], tuple[int, ...]]:
+    """The orbits of 0..n-1 under the permutations x -> col[x]: each point's
+    orbit number, and the least point of each orbit, numbered in that order."""
+    orbit_of, least = [-1] * n, []
+    for start in range(n):
+        if orbit_of[start] < 0:
+            orbit_of[start], orbit = len(least), [start]
+            for x in orbit:
+                for col in columns:
+                    y = col[x]
+                    if orbit_of[y] < 0:
+                        orbit_of[y] = len(least)
+                        orbit.append(y)
+            least.append(start)
+    return orbit_of, tuple(least)
 
 
 class FiniteGroup:
@@ -414,8 +418,17 @@ class FiniteGroup:
         """The subgroup that element indices generate, closed over the right
         columns of the distinct generators; the closure stops at |G|.  It keeps
         no column: those of the search's many candidates would fill a table."""
-        steps = [self.right(g).__getitem__ for g in dict.fromkeys(gens) if g]
-        return _closure(0, steps, self.order)
+        cols = [self.right(g) for g in dict.fromkeys(gens) if g]
+        found, queue = {0}, [0]
+        for a in queue:
+            for col in cols:
+                b = col[a]
+                if b not in found:
+                    found.add(b)
+                    if len(found) == self.order:
+                        return found
+                    queue.append(b)
+        return found
 
     @cached_property
     def exponent(self) -> int:
@@ -454,18 +467,21 @@ class FiniteGroup:
     # -- conjugacy structure -----------------------------------------------
 
     @cached_property
+    def _conjugation_orbits(self) -> tuple[list[int], tuple[int, ...]]:
+        """The orbits of G under its generators' conjugation columns: each
+        element's orbit number and each orbit's least member."""
+        return _orbits(self.order, self._conjugators)
+
+    @cached_property
     def conjugacy_classes(self) -> tuple["ElementClass", ...]:
         """Element classes ordered by (element order, class size, representative);
-        the orbits of G under conjugation are those of its generators."""
-        steps = [col.__getitem__ for col in self._conjugators]
-        raw, seen = [], set()
-        for g in range(self.order):
-            if g not in seen:
-                orbit = _closure(g, steps, self.order)
-                seen |= orbit
-                mem = sorted(orbit)
-                raw.append((self.elements[mem[0]].order(), len(mem), mem))
-        raw.sort()
+        each element order is the length of its cyclic subgroup's power walk."""
+        orbit_of, least = self._conjugation_orbits
+        cyclic_of, _, walks, _ = self._cyclic_subgroups
+        members: list[list[int]] = [[] for _ in least]
+        for g, n in enumerate(orbit_of):
+            members[n].append(g)
+        raw = sorted((len(walks[cyclic_of[g]]), len(mem), mem) for g, mem in zip(least, members))
         return tuple(ElementClass(self, tuple(mem), m) for m, _, mem in raw)
 
     @cached_property
@@ -499,11 +515,11 @@ class FiniteGroup:
         return tuple(out)
 
     def _powers(self, g: int) -> list[int]:
-        """g^0, g^1, ..., g^(m-1), for g of order m: the one power walk."""
-        powers, h = [0], g
+        """g^0, g^1, ..., g^(m-1), for g of order m, along g's right column."""
+        times_g, powers, h = self.right(g), [0], g
         while h:
             powers.append(h)
-            h = self.product(h, g)
+            h = times_g[h]
         return powers
 
     @cached_property
@@ -511,19 +527,18 @@ class FiniteGroup:
                                          dict[int, list[int]], list[list[int]]]:
         """The mask of the cyclic subgroup <g> by element index g; by mask the
         sorted members and a power walk of each cyclic subgroup; and the masks
-        of each class of cyclic subgroups.  Powers are walked once per element
-        class whose representative g is not yet filed.  The generators'
-        conjugation columns carry that walk to each conjugate t<g>t^-1, since
-        t g^k t^-1 = (t g t^-1)^k, and each conjugate is filed with its
-        generators walk[k], gcd(k, m) = 1, when first reached."""
+        of each class of cyclic subgroups.  Powers are walked once per
+        conjugation orbit whose least member g is not yet filed; the
+        conjugation columns carry that walk to each t<g>t^-1 = <t g t^-1>,
+        filed with its generators walk[k], gcd(k, m) = 1, when first reached."""
         cyclic_of = [0] * self.order
         members: dict[int, tuple[int, ...]] = {}
         walks: dict[int, list[int]] = {}
         orbits, filed = [], 0
-        for cls in self.conjugacy_classes:
-            if cyclic_of[cls.indices[0]]:
+        for g in self._conjugation_orbits[1]:
+            if cyclic_of[g]:
                 continue
-            conjugates, masks = [self._powers(cls.indices[0])], []
+            conjugates, masks = [self._powers(g)], []
             m = len(conjugates[0])
             units = [k for k in range(m) if math.gcd(k, m) == 1]
             for walk in conjugates:
@@ -792,23 +807,10 @@ class Subgroup:
 
     @cached_property
     def left_cosets(self) -> tuple[list[int], tuple[int, ...]]:
-        """The left cosets gH: each element's coset number, and the least
-        element of each coset, numbered in element order.  The coset of g is
-        its orbit under right multiplication by the generating set."""
+        """The left cosets gH, the orbits of right multiplication by the
+        generating set: each element's coset number, and each coset's least."""
         G = self.parent
-        cols = [G.right(h) for h in self.generating_set]
-        coset_of, reps = [-1] * G.order, []
-        for g in range(G.order):
-            if coset_of[g] < 0:
-                coset_of[g] = len(reps)
-                orbit = [g]
-                for x in orbit:
-                    for col in cols:
-                        if coset_of[col[x]] < 0:
-                            coset_of[col[x]] = len(reps)
-                            orbit.append(col[x])
-                reps.append(g)
-        return coset_of, tuple(reps)
+        return _orbits(G.order, [G.right(h) for h in self.generating_set])
 
     @cached_property
     def transversal(self) -> tuple[int, ...]:
@@ -873,24 +875,12 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
     """|H\\G/K| computed three independent ways; they must agree exactly."""
     require_subgroups(G, H, K)
 
-    # (1) orbits of H on the left cosets gK under left multiplication; the
-    # orbits of a finite group are those of any generating set.  K's coset
-    # map is built once and cached on K; routes 2 and 3 do not use it
+    # (1) orbits of H on the coset numbers of gK under left multiplication by
+    # a generating set.  K's coset map is built once and cached on K; routes
+    # 2 and 3 do not use it
     coset_of, reps = K.left_cosets
-    cols = [G.left(h) for h in H.generating_set]
-    seen = [False] * len(reps)
-    direct = 0
-    for cid in range(len(reps)):
-        if not seen[cid]:
-            direct += 1
-            seen[cid] = True
-            orbit = [cid]
-            for c in orbit:
-                for col in cols:
-                    c2 = coset_of[col[reps[c]]]
-                    if not seen[c2]:
-                        seen[c2] = True
-                        orbit.append(c2)
+    acts = [[coset_of[col[r]] for r in reps] for col in map(G.left, H.generating_set)]
+    direct = len(_orbits(len(reps), acts)[1])
 
     # (2) transversal formula over the normalizer of K: sum over the
     # conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|

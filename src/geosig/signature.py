@@ -44,11 +44,13 @@ class BranchEntry(FrozenRecord):
         self._init("cls", cls)
         self._init("label", label)
 
+    @property
+    def tag(self) -> str:
+        """A classed entry's name for its class: its label, else its representative's, else "?"."""
+        return self.label or self.cls.representative.label or "?"
+
     def display(self) -> str:
-        if self.cls is None:
-            return str(self.order)
-        tag = self.label or self.cls.representative.label or "?"
-        return f"[{self.order},<{tag}>]"
+        return str(self.order) if self.cls is None else f"[{self.order},<{self.tag}>]"
 
 
 class GeometricSignature(FrozenRecord):
@@ -83,7 +85,7 @@ class GeometricSignature(FrozenRecord):
         for e in self.entries:
             item: dict = {"order": e.order}
             if e.cls is not None:
-                item["class_rep"] = e.label or e.cls.representative.label or "?"
+                item["class_rep"] = e.tag
             branches.append(item)
         return {"genus": self.quotient_genus, "branches": branches}
 
@@ -292,21 +294,29 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
         a, b, c = (tuple(G.elements[i] for i in part) for part in (ab[:gamma], ab[gamma:], cs))
         return GeneratingVector(a, b, c) if G.is_generated_by(a + b + c) else None
 
-    def search_c(ab: tuple[int, ...], acc: int, depth: int = 0,
-                 chosen: tuple[int, ...] = ()) -> Optional[GeneratingVector]:
-        """Backtrack over c_1..c_{t-1}; acc is commutators * chosen c's so far."""
-        if depth >= t - 1:  # no free choice left: t = 0, or c_t is forced
+    def search_c(ab: tuple[int, ...], acc: int) -> Optional[GeneratingVector]:
+        """Backtrack over c_1..c_{t-1} depth first on a stack, not by recursion:
+        levels[d] iterates c_{d+1}'s pool, chosen[d] is its current choice and
+        accs[d] is acc (the commutators' product) times chosen[:d]."""
+        levels, chosen, accs = [], [0] * (t - 1), [acc] * max(t, 1)
+        while True:
+            if len(levels) < t - 1:
+                levels.append(iter(pools[len(levels)]))
+            else:  # no free choice left: t = 0, or c_t is forced
+                spend()
+                if t == 0:
+                    return vector(ab, ()) if acc == 0 else None
+                last = inverses[accs[-1]]
+                out = vector(ab, (*chosen, last)) if last in pool_sets[t - 1] else None
+                if out is not None:
+                    return out
+            while levels and (cand := next(levels[-1], None)) is None:
+                levels.pop()
+            if not levels:
+                return None
             spend()
-            if t == 0:
-                return vector(ab, ()) if acc == 0 else None
-            last = inverses[acc]
-            return vector(ab, chosen + (last,)) if last in pool_sets[t - 1] else None
-        for cand in pools[depth]:
-            spend()
-            out = search_c(ab, mul(acc, cand), depth + 1, chosen + (cand,))
-            if out is not None:
-                return out
-        return None
+            depth = len(levels) - 1
+            chosen[depth], accs[depth + 1] = cand, mul(accs[depth], cand)
 
     if gamma == 0:
         return search_c((), 0)

@@ -80,6 +80,14 @@ def test_exists_budget(capsys):
     assert "budget" in out
 
 
+def test_exists_on_a_long_signature(capsys):
+    # 1,200 branch values: the search keeps its choices on a stack, not
+    # one Python frame each
+    sig = json.dumps({"genus": 0, "branches": [{"order": 2, "class_rep": "b"}] * 1200})
+    code, out, _ = run(capsys, "exists", "--group", "symmetric(3)", "--signature", sig)
+    assert code == 0 and out.startswith("exists; genus 1795\n")
+
+
 def test_exists_json_roundtrip(capsys):
     code, out, _ = run(capsys, "exists", "--group", "dihedral(4)",
                        "--signature", D4_FIRST, "--format", "json")

@@ -306,7 +306,7 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     # conjugation walk, so no generating set of a normalizer is closed and
     # the pass makes no scalar product (328 while they were, 10,110 before
     # the tree walks); a closure reads generator columns and makes none
-    # either, and a power walk afterwards shows that the counter counts
+    # either, and a product afterwards shows that the counter counts
     from geosig import jacobian, monodromy
     from geosig.chartable import compute_table
     from geosig.groups import FiniteGroup
@@ -326,7 +326,7 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     pipeline = len(calls)
     assert G.is_generated_by(vec.elements())
     closure = len(calls)
-    G._powers(G.index(vec.c[-1]))
+    G.product(G.index(vec.c[-1]), G.index(vec.c[0]))
     monkeypatch.undo()
     assert pipeline == closure == 0 < len(calls)
     # the marks and double-coset route 2 read each normalizer for its order only

@@ -518,30 +518,81 @@ def test_cyclic_subgroups_match_per_subgroup_walks_on_w_d5():
     assert_cyclic_subgroups_match_reference(group_from_payload(W_D5))
 
 
+def _counting(monkeypatch, owner, name):
+    # every call of owner.name from now on, by its arguments
+    calls, real = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_cyclic_class_data_walks_powers_once_per_class(monkeypatch):
     # symmetric(6) has 362 cyclic subgroups in 11 classes; the per-subgroup
     # walks made 1,169 products, the conjugation walk one power walk per
-    # class (27 products), and every conjugate is read off a column
+    # class along a right column, and every conjugate is read off a column
     G = catalog("symmetric(6)")
-    G.conjugacy_classes
-    calls = []
-    real = FiniteGroup.product
-
-    def counted(self, a, b):
-        calls.append((a, b))
-        return real(self, a, b)
-
-    monkeypatch.setattr(FiniteGroup, "product", counted)
-    G.cyclic_subgroup_classes, G.merged_element_classes, G.class_powers
+    walks = _counting(monkeypatch, FiniteGroup, "_powers")
+    products = _counting(monkeypatch, FiniteGroup, "product")
+    G.conjugacy_classes, G.cyclic_subgroup_classes, G.merged_element_classes, G.class_powers
     assert len(G._cyclic_subgroups[1]) == 362 and len(G.cyclic_subgroup_classes) == 11
-    assert len(calls) <= 40
+    cyclic_of = G._cyclic_subgroups[0]
+    assert sorted(G.cyclic_subgroup_masks[cyclic_of[g]] for (g,) in walks) == list(range(11))
+    assert products == []
+
+
+@pytest.mark.parametrize("name", ["symmetric(6)", "cyclic(720)", "dihedral(360)"])
+def test_class_data_reads_integer_columns_only(monkeypatch, name):
+    # the element classes, their orders, the power map and the exponent come
+    # from the conjugation orbits and the power walks: no image tuple is
+    # composed and no Perm is asked for its order or cycles; the cyclic
+    # classes' labels are cycle notation, one Perm.cycles call each
+    G = catalog(name)
+    products = _counting(monkeypatch, FiniteGroup, "product")
+    orders = _counting(monkeypatch, Perm, "order")
+    cycles = _counting(monkeypatch, Perm, "cycles")
+    G.conjugacy_classes, G.class_of, G.class_powers, G.exponent
+    assert products == orders == cycles == []
+    G.cyclic_subgroup_classes, G.merged_element_classes
+    assert products == orders == [] and len(cycles) == len(G.cyclic_subgroup_classes)
+    G.product(1, 1), G.elements[1].order()  # the counters count
+    assert len(products) == len(orders) == 1
+
+
+def assert_classes_match_perm_conjugation(G):
+    # each class is the orbit of its representative under conjugation by
+    # the generators, by Perm products, and each member has the class's order
+    pairs = [(t, t.inverse()) for t in G.generators]
+    for cls in G.conjugacy_classes:
+        orbit = {cls.representative}
+        queue = [cls.representative]
+        for g in queue:
+            for t, t_inv in pairs:
+                h = t * g * t_inv
+                if h not in orbit:
+                    orbit.add(h)
+                    queue.append(h)
+        assert set(cls.members) == orbit and len(cls.members) == cls.size
+        assert {g.order() for g in cls.members} == {cls.element_order}
+
+
+@pytest.mark.parametrize("name", WALK_CATALOG)
+def test_classes_and_element_orders_match_perms(name):
+    assert_classes_match_perm_conjugation(catalog(name))
+
+
+def test_classes_and_element_orders_match_perms_on_w_d5():
+    assert_classes_match_perm_conjugation(group_from_payload(W_D5))
 
 
 def test_unfiled_cyclic_subgroups_are_a_defect():
     # without b's conjugation column the orbit of <(1,2)> under <a> misses
     # (1,3) and (2,4), so their generators are left unfiled
     G = catalog("symmetric(4)")
-    G.conjugacy_classes
+    G._conjugation_orbits
     G._conjugators = G._conjugators[:1]
     with pytest.raises(InternalCheckError, match="unfiled"):
         G._cyclic_subgroups

@@ -176,6 +176,50 @@ def test_budget_exhaustion_is_distinct():
         find_generating_vector(G, sig, budget=10)
 
 
+def test_long_signature_needs_no_deep_recursion():
+    # a search that recursed once per branch value raised RecursionError
+    # from about 990 branch values; 1,200 transpositions of S3 are realizable
+    G = catalog("symmetric(3)")
+    sig = signature_from_payload(
+        G, {"genus": 0, "branches": [{"order": 2, "class_rep": "b"}] * 1200})
+    vec = find_generating_vector(G, sig)
+    assert vec is not None and verify_generating_vector(G, sig, vec).ok
+
+
+@pytest.mark.parametrize("gamma, words, nodes, witness", [
+    (1, ("b", "b"), 48, {"a": ["()"], "b": ["(2,3,4)"], "c": ["(1,2)", "(1,2)"]}),
+    (0, ("(1,2)(3,4)", "(3,4)", "(1,2)(3,4)", "(2,3,4)"), 129, None),
+])
+def test_search_spends_the_recursive_node_count(gamma, words, nodes, witness):
+    # the nodes a whole search spends on symmetric(4), as the recursive
+    # backtrack over c_1..c_{t-1} spent them: one budget short runs out
+    G = catalog("symmetric(4)")
+    sig = geometric_signature(G, gamma, words)
+    with pytest.raises(SearchBudgetExceeded):
+        find_generating_vector(G, sig, budget=nodes - 1)
+    vec = find_generating_vector(G, sig, budget=nodes)
+    assert (vec and vec.to_json()) == witness
+
+
+def test_branch_tag_is_the_one_name_of_a_class():
+    # the text form, the JSON form and the cover reports all name a classed
+    # entry by its tag: its label, else its class representative's
+    from geosig.covers import cover_report
+
+    G = catalog("symmetric(4)")
+    labelled = geometric_signature(G, 0, ("b", "ab", "a"))
+    refined = refinements(G, plain(0, 2, 3, 4))[0]
+    assert [e.tag for e in labelled.entries] == ["b", "ab", "a"]
+    assert [e.tag for e in refined.entries] == [
+        str(e.cls.representative.generators[0]) for e in refined.entries]
+    for sig in (labelled, refined):
+        tags = [e.tag for e in sig.entries]
+        assert str(sig) == "(0; " + ", ".join(
+            f"[{e.order},<{tag}>]" for e, tag in zip(sig.entries, tags)) + ")"
+        assert [b["class_rep"] for b in sig.to_json()["branches"]] == tags
+        assert list(cover_report(G, sig, G.full_subgroup).branch_types) == tags
+
+
 def test_conjugated_vector_stays_valid():
     G = catalog("dihedral(4)")
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
