@@ -15,18 +15,18 @@ walk of list lookups over a spanning tree of the Cayley graph: `left(g)`
 and the generators' conjugation columns.  A subgroup K's normalizer and
 conjugates are the stabilizer and the orbit of one action, G on the
 conjugates of K, walked once: t K t^-1 is numbered for every t along t = s*p.
-What the group keeps follows one rule: a `left(g)` column is kept once
-walked, a generator's right column is the build's own, and any other right
-column is walked on each call and never kept (`left_cosets`, the power
-walks and the class matrices read them once); every other kept value is a
-cached property.  Only `FiniteGroup.product` composes image tuples, for the
-search alone.  One orbit partition, `_orbits`, gives the element classes,
-the left cosets and double-coset route 1.  Powers are walked along a right
-column from the least member of each conjugation orbit not yet filed, once
-per class of cyclic subgroups, and the conjugation columns carry each walk
-to the conjugate subgroups; a class's element order is its walk's length.
-Member sets are int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm`
-objects appear only at the boundary: input, witnesses and output.
+What the group keeps follows one rule: each `left(g)` and `right(g)` column
+is walked at most once and then kept, at most |G| per side (2*|G|^2*8 bytes
+of list slots, about 64 MB at |G| = 2000), and every other kept value is a
+cached property.  Every product in a group, `product` too, is a lookup in a
+kept column; only the build and `Perm` at the boundary compose image
+tuples.  One orbit partition, `_orbits`, gives the element classes, the left
+cosets and double-coset route 1.  Powers are walked along a right column from
+the least member of each conjugation orbit not yet filed, once per class of
+cyclic subgroups, and the conjugation columns carry each walk to the
+conjugate subgroups; a class's element order is its walk's length.  Member
+sets are int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm` objects
+appear only at the boundary: input, witnesses and output.
 `Record` and `FrozenRecord` are the slotted bases of every module's result
 records, here because every module imports this one: a record's fields are
 its slots, and its constructor is generated in slot order unless the class
@@ -83,12 +83,13 @@ class Record:
 
 
 def _generated_init(cls):
-    """`__init__(_self, f1, f2, ...)` over cls._fields, each set with
-    `object.__setattr__`; compiled from the names, as `collections.namedtuple`
+    """`__init__(_self, f1, f2, ...)` over cls._fields, each set through its
+    slot's member descriptor; compiled from the names, as `collections.namedtuple`
     builds its `__new__`, so calls and their `TypeError`s are a plain function's."""
     args = ", ".join(cls._fields)
-    body = "".join(f"\n    _setattr(_self, {f!r}, {f})" for f in cls._fields)
-    namespace = {"_setattr": object.__setattr__, "__builtins__": {}, "__name__": cls.__module__}
+    body = "".join(f"\n    _set_{f}(_self, {f})" for f in cls._fields)
+    namespace = {f"_set_{f}": cls.__dict__[f].__set__ for f in cls._fields}
+    namespace.update(__builtins__={}, __name__=cls.__module__)
     exec(f"def __init__(_self, {args}):{body}", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"
@@ -357,7 +358,7 @@ class FiniteGroup:
             for i, b in enumerate(after[j::k]):
                 times_s[rank[i]] = rank[b]
         self._right_tree = _spanning_tree(self.order, self._times)
-        self._right: dict[int, list[int]] = dict(zip(self._gens, self._times))  # never grows
+        self._right: dict[int, list[int]] = dict(zip(self._gens, self._times))
         self._left: dict[int, list[int]] = {}
 
     def __contains__(self, g: Perm) -> bool:
@@ -374,16 +375,17 @@ class FiniteGroup:
         return self._index[g.image]
 
     def product(self, a: int, b: int) -> int:
-        """The index of a * b."""
-        return self._index[tuple(map(self._images[b].__getitem__, self._images[a]))]
+        """The index of a * b, read from b's kept right column (see `right`)."""
+        return self.right(b)[a]
 
     def right(self, g: int) -> list[int]:
-        """The column x -> x * g over all element indices.  A generator's is
-        the build's own; any other is walked on each call and not kept: for
-        x = s*p on the left tree, x*g = s*(p*g)."""
-        if g in self._right:
-            return self._right[g]
-        return _tree_walk(g, *self._left_tree)
+        """The column x -> x * g over all element indices, built once per g
+        and kept: for x = s*p on the left tree, x*g = s*(p*g).  A generator's
+        is the build's own.  At most |G| kept columns per side: 2*|G|^2*8
+        bytes of list slots, about 64 MB at |G| = 2000."""
+        if g not in self._right:
+            self._right[g] = _tree_walk(g, *self._left_tree)
+        return self._right[g]
 
     def left(self, g: int) -> list[int]:
         """The column x -> g * x over all element indices, built once per g: for
@@ -416,8 +418,8 @@ class FiniteGroup:
 
     def _generated(self, gens: Sequence[int]) -> set[int]:
         """The subgroup that element indices generate, closed over the right
-        columns of the distinct generators; the closure stops at |G|.  It keeps
-        no column: those of the search's many candidates would fill a table."""
+        columns of the distinct generators, each walked once and kept within
+        the 64 MB bound of `right`; the closure stops at |G|."""
         cols = [self.right(g) for g in dict.fromkeys(gens) if g]
         found, queue = {0}, [0]
         for a in queue:

@@ -55,13 +55,9 @@ def _coset_images(G: FiniteGroup, H: Subgroup, vec: GeneratingVector
                         orbit.append(col[x])
             reps.append(g)
 
-    # r*g = (g^-1 * r^-1)^-1 reads the kept left column of g^-1
-    inv = G.inverses
-    inv_reps = [inv[r] for r in reps]
-
     def image(g: Perm) -> tuple[int, ...]:
-        g_inv_times = G.left(inv[G.index(g)])
-        img = tuple([coset_of[inv[g_inv_times[r]]] for r in inv_reps])
+        times_g = G.right(G.index(g))
+        img = tuple([coset_of[times_g[r]] for r in reps])
         if len(set(img)) != len(reps):
             raise InternalCheckError(
                 f"vector element {g} does not permute the {len(reps)} right cosets "

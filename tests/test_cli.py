@@ -755,7 +755,7 @@ def test_oracle_defect_exits_70(capsys, monkeypatch):
 
     def then_break_columns(G, *args):
         reports = real(G, *args)
-        monkeypatch.setattr(FiniteGroup, "left", lambda self, g: [0] * self.order)
+        monkeypatch.setattr(FiniteGroup, "right", lambda self, g: [0] * self.order)
         return reports
     monkeypatch.setattr(covers, "lattice_report", then_break_columns)
     code, out, err = run(capsys, "lattice", "--group", "wc3", "--signature", WC3_FIRST,

@@ -333,6 +333,7 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     for cls in G.cyclic_subgroup_classes:
         N = cls.representative.normalizer()
         assert not {"left_cosets", "transversal", "generating_set"} & set(vars(N))
-    # the oracle reads kept left columns, and the group keeps no right
-    # column beyond the build's own
-    assert set(G._right) == set(G._gens)
+    # the oracle reads each vector element's right column, kept once walked
+    assert {G.index(g) for g in vec.elements()} <= set(G._right)
+    g = G.index(vec.c[0])
+    assert G.right(g) is G.right(g)

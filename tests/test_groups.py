@@ -598,19 +598,49 @@ def test_unfiled_cyclic_subgroups_are_a_defect():
         G._cyclic_subgroups
 
 
-def test_columns_read_once_are_not_kept():
-    # the class matrices and the left cosets walk right columns and keep
-    # none; the normalizers and the conjugate masks walk the left tree, whose
-    # generator columns are the only left columns kept
+def test_no_column_is_walked_twice(monkeypatch):
+    # a walk is its tree, its start and the columns it reads: the class
+    # matrices, the left cosets, the normalizers and the conjugate masks read
+    # each left and right column from the one walk that built it, a second
+    # table and a second subgroup object over the same members walk nothing
+    # again, and a generator's right column is the build's own
+    from collections import Counter
+
+    from geosig import groups
     from geosig.chartable import compute_table
 
+    real, walks, held = groups._tree_walk, Counter(), []
+
+    def counted(start, tree, columns):
+        held.append((tree, columns))  # no id is reused while counted
+        walks[start, id(tree), id(columns)] += 1
+        return real(start, tree, columns)
+    monkeypatch.setattr(groups, "_tree_walk", counted)
     G = catalog("symmetric(5)")
-    compute_table(G)
-    for K in _subgroups(G):
-        assert K.left_cosets and K.conjugate_masks
-    assert set(G._left) == set(G._gens)
-    assert set(G._right) == set(G._gens)
+    for _ in range(2):
+        compute_table(G)
+        for K in _subgroups(G):
+            again = Subgroup._trusted(G, K.indices, None, None)
+            assert K.left_cosets == again.left_cosets
+            assert K.conjugate_masks == again.conjugate_masks
+    assert len(G._right) > len(G._gens) and G._left
+    assert max(walks.values()) == 1
+    kept = [(g, id(G._right_tree), id(G._times)) for g in G._left]
+    kept += [(g, *map(id, G._left_tree)) for g in G._right if g not in G._gens]
+    assert {walks[k] for k in kept} == {1}
     assert all(G.right(s) is col for s, col in zip(G._gens, G._times))
+
+
+def test_exhaustive_search_keeps_at_most_one_column_per_element():
+    # kept columns are bounded by |G| per side, 2*|G|^2*8 bytes of list
+    # slots: a search that exhausts symmetric(4) (2; [2,b]) reads a right
+    # column for each product and each generation test, and keeps no more
+    from corpus import geometric_signature
+    from geosig.signature import find_generating_vector
+
+    G = catalog("symmetric(4)")
+    assert find_generating_vector(G, geometric_signature(G, 2, ("b",))) is None
+    assert len(G._right) <= G.order and len(G._left) <= G.order
 
 
 def test_build_keeps_no_copy_of_each_product():
