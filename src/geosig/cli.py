@@ -155,14 +155,8 @@ def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, Genera
         if vec is None:
             raise InvalidSignatureError("no generating vector exists for this geometric signature")
         return sig, vec
-    found = []
-    for refined in refinements(G, sig):
-        try:
-            vec = find_generating_vector(G, refined, args.budget)
-        except InvalidSignatureError:
-            break  # genus arithmetic is shared by all refinements
-        if vec is not None:
-            found.append((refined, vec))
+    found = [(refined, vec) for refined in refinements(G, sig)
+             if (vec := find_generating_vector(G, refined, args.budget)) is not None]
     if len(found) == 1:
         return found[0]
     if not found:

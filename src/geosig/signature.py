@@ -267,68 +267,57 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
                            budget: int = DEFAULT_SEARCH_BUDGET) -> Optional[GeneratingVector]:
     """First generating vector in canonical order, or None after exhaustive search.
 
-    The free choices are iterated in canonical element order: the 2*gamma
-    handle elements over the whole group, then c_1..c_{t-1} over their
-    candidate pools; c_t is forced by the product relation and membership-
-    tested.  Every candidate considered costs one node against the budget.
-    The search runs on element indices; the vector it returns holds `Perm`s.
+    One backtrack over one explicit stack of free positions, each iterated
+    in canonical element order: a_1..a_gamma and b_1..b_gamma over the
+    whole group, then c_1..c_{t-1} over their candidate pools.  Element
+    indices only: the running product of each depth extends its parent's
+    by right-column reads, four for the commutator [a_i, b_i] that b_i
+    closes and one per c_j.  At a leaf, c_t is forced to be the inverse of
+    the running product and tested against its pool (for t = 0 the product
+    must be the identity).  Charges against the budget: one node per
+    complete handle tuple (on the b_gamma choice), one per c candidate and
+    one per leaf.  The generation test runs only where the product
+    relation holds, on the free elements alone, since c_t lies in the
+    subgroup they generate; `Perm`s are built only for the vector returned.
     """
     check_branch_classes(G, sig)
     signature_genus(G, sig)  # condition (i); raises InvalidSignatureError
     gamma, t = sig.quotient_genus, len(sig.entries)
     pools = [_candidate_pool(G, e) for e in sig.entries]
-    if t and any(not pool for pool in pools):
+    if any(not pool for pool in pools):
         return None
-    pool_sets = [frozenset(pool) for pool in pools]
-    mul, inverses = G.product, G.inverses
-    nodes = 0
-
-    def spend(n: int = 1):
-        nonlocal nodes
-        nodes += n
-        if nodes > budget:
-            raise SearchBudgetExceeded(budget)
-
-    def vector(ab: tuple[int, ...], cs: tuple[int, ...]) -> Optional[GeneratingVector]:
-        """The vector of these indices, or None if they do not generate G."""
-        a, b, c = (tuple(G.elements[i] for i in part) for part in (ab[:gamma], ab[gamma:], cs))
-        return GeneratingVector(a, b, c) if G.is_generated_by(a + b + c) else None
-
-    def search_c(ab: tuple[int, ...], acc: int) -> Optional[GeneratingVector]:
-        """Backtrack over c_1..c_{t-1} depth first on a stack, not by recursion:
-        levels[d] iterates c_{d+1}'s pool, chosen[d] is its current choice and
-        accs[d] is acc (the commutators' product) times chosen[:d]."""
-        levels, chosen, accs = [], [0] * (t - 1), [acc] * max(t, 1)
-        while True:
-            if len(levels) < t - 1:
-                levels.append(iter(pools[len(levels)]))
-            else:  # no free choice left: t = 0, or c_t is forced
-                spend()
-                if t == 0:
-                    return vector(ab, ()) if acc == 0 else None
-                last = inverses[accs[-1]]
-                out = vector(ab, (*chosen, last)) if last in pool_sets[t - 1] else None
-                if out is not None:
-                    return out
-            while levels and (cand := next(levels[-1], None)) is None:
-                levels.pop()
-            if not levels:
-                return None
-            spend()
-            depth = len(levels) - 1
-            chosen[depth], accs[depth + 1] = cand, mul(accs[depth], cand)
-
-    if gamma == 0:
-        return search_c((), 0)
-    for ab in product(range(G.order), repeat=2 * gamma):
-        spend()
-        prefix = 0
-        for x, y in zip(ab[:gamma], ab[gamma:]):
-            prefix = mul(prefix, mul(mul(x, y), mul(inverses[x], inverses[y])))
-        found = search_c(ab, prefix)
-        if found is not None:
-            return found
-    return None
+    free = [range(G.order)] * (2 * gamma) + pools[:-1]
+    last_pool = frozenset(pools[-1]) if t else {0}
+    n, right, inverses = len(free), G.right, G.inverses
+    levels, chosen, accs, nodes = [], [0] * n, [0] * (n + 1), 0
+    while True:
+        if len(levels) < n:
+            levels.append(iter(free[len(levels)]))
+        else:  # a leaf: every free position chosen, c_t forced
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(budget)
+            last = inverses[accs[n]]
+            if last in last_pool and G.is_generated_by(G.elements[i] for i in chosen):
+                vec = [G.elements[i] for i in chosen + [last]]
+                return GeneratingVector(tuple(vec[:gamma]), tuple(vec[gamma:2 * gamma]),
+                                        tuple(vec[2 * gamma:2 * gamma + t]))
+        while levels and (x := next(levels[-1], None)) is None:
+            levels.pop()
+        if not levels:
+            return None
+        d = len(levels) - 1
+        chosen[d], acc = x, accs[d]
+        if d >= 2 * gamma:  # c_{d - 2 gamma + 1}
+            acc = right(x)[acc]
+        elif d >= gamma:  # b_i closes [a_i, b_i] = a_i b_i a_i^-1 b_i^-1
+            a = chosen[d - gamma]
+            acc = right(inverses[x])[right(inverses[a])[right(x)[right(a)[acc]]]]
+        accs[d + 1] = acc
+        if d >= 2 * gamma - 1:  # a complete handle tuple, or a c candidate
+            nodes += 1
+            if nodes > budget:
+                raise SearchBudgetExceeded(budget)
 
 
 def orbit_packages(G: FiniteGroup, stabilizer: Subgroup) -> tuple[int, int]:

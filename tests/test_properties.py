@@ -11,7 +11,9 @@ On drawn spherical generating vectors, the closed-form covers must agree
 with the coset-action oracle.  Every vector of the character table's
 projection split must be an eigenvector of all the class matrices, on
 catalog groups and on drawn permutation groups.  The integer Riemann-Hurwitz genus must agree
-with the rational formula, errors included.
+with the rational formula, errors included.  The existence search must give
+the outcome, witness and budget verdict of a recursive reference over `Perm`
+products.
 hypothesis is a test-only dependency: the module is skipped when it is
 missing, and runs derandomized so that every run draws the same examples.
 """
@@ -44,6 +46,7 @@ from geosig.errors import (  # noqa: E402
     InternalCheckError,
     InvalidSignatureError,
     NotRationalError,
+    SearchBudgetExceeded,
 )
 from geosig.groups import FiniteGroup, Perm, Subgroup, catalog, conj  # noqa: E402
 from geosig.monodromy import oracle_summary  # noqa: E402
@@ -51,7 +54,9 @@ from geosig.signature import (  # noqa: E402
     BranchEntry,
     GeneratingVector,
     GeometricSignature,
+    find_generating_vector,
     riemann_hurwitz_genus,
+    signature_from_payload,
     verify_generating_vector,
 )
 from test_chartable import group_by_name, reference_class_matrix  # noqa: E402
@@ -390,3 +395,112 @@ def test_genus_comparison_meets_every_kind():
              for order in (1, 2, 3, 8, 24, 48) for gamma in (0, 1, 2)
              for orders in ([], [2], [3, 3], [2, 2, 2], [4, 2, 2], [6, 4, 2], [7, 5])}
     assert kinds == {"integral", "non-integral", "negative"}
+
+
+SEARCH_GROUPS = ("symmetric(3)", "dihedral(4)", "quaternion8", "alternating(4)", "symmetric(4)")
+
+
+@st.composite
+def search_cases(draw):
+    """A catalog group, a quotient genus (2 only for |G| <= 8), up to four
+    branch entries, each a plain order or a class representative, and a
+    budget."""
+    G = corpus_group(draw(st.sampled_from(SEARCH_GROUPS)))
+    gamma = draw(st.integers(0, 2 if G.order <= 8 else 1))
+    plain = st.builds(lambda m: {"order": m}, st.integers(2, 6))
+    classed = st.integers(1, G.order - 1).map(
+        lambda i: {"order": G.elements[i].order(), "class_rep": str(G.elements[i])})
+    branches = draw(st.lists(st.one_of(plain, classed), max_size=4))
+    sig = signature_from_payload(G, {"genus": gamma, "branches": branches})
+    return G, sig, draw(st.integers(1, 2000))
+
+
+def _cyclic(g):
+    members, x = {g}, g
+    while not x.is_identity():
+        x = x * g
+        members.add(x)
+    return frozenset(members)
+
+
+def _reference_search(G, sig, budget, spent):
+    """The documented search, recursive and on `Perm`s: a_1..a_gamma and
+    b_1..b_gamma over G.elements, then c_1..c_{t-1} over their pools, c_t
+    forced; one node per complete handle tuple, per c candidate and per
+    leaf.  A finished search appends the nodes it spent to `spent`."""
+    _rational_genus(G.order, sig.quotient_genus, sig.orders)
+    gamma, t = sig.quotient_genus, len(sig.entries)
+    pools = []
+    for e in sig.entries:
+        pool = [g for g in G.elements if g.order() == e.order]
+        if e.cls is not None:
+            rep = _cyclic(e.cls.representative.generators[0])
+            conjugates = {frozenset(conj(s, h) for h in rep) for s in G.elements}
+            pool = [g for g in pool if _cyclic(g) in conjugates]
+        pools.append(pool)
+    if any(not pool for pool in pools):
+        return None
+    nodes = 0
+
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise SearchBudgetExceeded(budget)
+
+    def generates(gens):
+        found = [G.identity]
+        for x in found:
+            for s in gens:
+                if x * s not in found:
+                    found.append(x * s)
+        return len(found) == G.order
+
+    def walk(chosen, prod):
+        d = len(chosen)
+        if d == 2 * gamma + max(t - 1, 0):
+            spend()
+            vec = chosen + [prod.inverse()] if t else chosen
+            if (vec[-1] in pools[-1] if t else prod.is_identity()) and generates(vec):
+                return GeneratingVector(tuple(vec[:gamma]), tuple(vec[gamma:2 * gamma]),
+                                        tuple(vec[2 * gamma:]))
+            return None
+        for g in (G.elements if d < 2 * gamma else pools[d - 2 * gamma]):
+            step = prod
+            if d >= 2 * gamma:
+                step = prod * g
+            elif d >= gamma:
+                a = chosen[d - gamma]
+                step = prod * a * g * a.inverse() * g.inverse()
+            if d >= 2 * gamma - 1:
+                spend()
+            found = walk(chosen + [g], step)
+            if found is not None:
+                return found
+        return None
+
+    found = walk([], G.identity)
+    spent.append(nodes)
+    return found
+
+
+def _outcome(search, *args):
+    try:
+        vec = search(*args)
+    except (SearchBudgetExceeded, InvalidSignatureError) as exc:
+        return type(exc).__name__
+    return vec and vec.to_json()
+
+
+@settings(DERANDOMIZED, max_examples=300)
+@given(search_cases())
+def test_search_matches_the_recursive_reference(case):
+    # the same verdict, witness and budget exhaustion; where the reference
+    # finishes, the search needs exactly its node count
+    G, sig, budget = case
+    spent = []
+    want = _outcome(_reference_search, G, sig, budget, spent)
+    assert _outcome(find_generating_vector, G, sig, budget) == want
+    if spent and spent[0]:
+        assert _outcome(find_generating_vector, G, sig, spent[0]) == want
+        assert _outcome(find_generating_vector, G, sig, spent[0] - 1) == "SearchBudgetExceeded"

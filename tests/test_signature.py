@@ -8,7 +8,7 @@ from geosig.errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from geosig.groups import MAX_QUOTIENT_GENUS, catalog, conj
+from geosig.groups import MAX_QUOTIENT_GENUS, FiniteGroup, catalog, conj
 from geosig.signature import (
     BranchEntry,
     GeneratingVector,
@@ -186,19 +186,54 @@ def test_long_signature_needs_no_deep_recursion():
     assert vec is not None and verify_generating_vector(G, sig, vec).ok
 
 
-@pytest.mark.parametrize("gamma, words, nodes, witness", [
-    (1, ("b", "b"), 48, {"a": ["()"], "b": ["(2,3,4)"], "c": ["(1,2)", "(1,2)"]}),
-    (0, ("(1,2)(3,4)", "(3,4)", "(1,2)(3,4)", "(2,3,4)"), 129, None),
+@pytest.mark.parametrize("name, gamma, words, nodes, witness", [
+    ("symmetric(4)", 1, ("b", "b"), 48,
+     {"a": ["()"], "b": ["(2,3,4)"], "c": ["(1,2)", "(1,2)"]}),
+    ("symmetric(4)", 0, ("(1,2)(3,4)", "(3,4)", "(1,2)(3,4)", "(2,3,4)"), 129, None),
+    ("symmetric(3)", 1, (), 72, None),
+    ("quaternion8", 2, (), 26,
+     {"a": ["()", "()"], "b": ["(1,2,3,4)(5,6,7,8)", "(1,5,3,7)(2,8,4,6)"], "c": []}),
+    ("dihedral(4)", 1, ("y", "y"), 13,
+     {"a": ["()"], "b": ["(1,2)(3,4)"], "c": ["(2,4)", "(2,4)"]}),
+    ("symmetric(3)", 1, ("a",), 18, {"a": ["(2,3)"], "b": ["(1,2)"], "c": ["(1,2,3)"]}),
+    ("symmetric(4)", 0, ("b",) * 4, 474, None),
 ])
-def test_search_spends_the_recursive_node_count(gamma, words, nodes, witness):
-    # the nodes a whole search spends on symmetric(4), as the recursive
-    # backtrack over c_1..c_{t-1} spent them: one budget short runs out
-    G = catalog("symmetric(4)")
+def test_search_spends_the_recursive_node_count(name, gamma, words, nodes, witness):
+    # the nodes a whole search spends: one per complete handle tuple, one
+    # per c candidate and one per leaf, as the recursive backtrack spent
+    # them; one budget short runs out
+    G = catalog(name)
     sig = geometric_signature(G, gamma, words)
     with pytest.raises(SearchBudgetExceeded):
         find_generating_vector(G, sig, budget=nodes - 1)
     vec = find_generating_vector(G, sig, budget=nodes)
     assert (vec and vec.to_json()) == witness
+
+
+@pytest.mark.parametrize("gamma, words, built", [(1, ("b", "b"), 1), (0, ("b",) * 4, 0)])
+def test_search_reads_columns_and_builds_only_the_returned_vector(monkeypatch, gamma, words,
+                                                                 built):
+    # products are column reads, not FiniteGroup.product calls, and a
+    # GeneratingVector is built for the returned vector alone
+    import geosig.signature as signature
+
+    calls = {"product": 0, "vector": 0}
+    product, vector = FiniteGroup.product, signature.GeneratingVector
+
+    def counted_product(self, a, b):
+        calls["product"] += 1
+        return product(self, a, b)
+
+    def counted_vector(*args):
+        calls["vector"] += 1
+        return vector(*args)
+
+    monkeypatch.setattr(FiniteGroup, "product", counted_product)
+    monkeypatch.setattr(signature, "GeneratingVector", counted_vector)
+    G = catalog("symmetric(4)")
+    found = find_generating_vector(G, geometric_signature(G, gamma, words))
+    assert (found is not None) == bool(built)
+    assert calls == {"product": 0, "vector": built}
 
 
 def test_branch_tag_is_the_one_name_of_a_class():
