@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": ("GroupInputError", "InternalCheckError", "InvalidSignatureError",
                "NotRationalError", "SearchBudgetExceeded"),
     "groups": ("ConjugacyClassOfSubgroups", "FiniteGroup", "Perm", "Subgroup", "catalog",
-               "conj", "double_coset_count", "group_from_payload"),
+               "double_coset_count", "group_from_payload"),
     "jacobian": ("DecompositionReport", "complex_multiplicities", "factor_dimensions",
                  "gamma1_analysis", "solve_omega_system"),
     "monodromy": ("CosetAction", "coset_action", "oracle_summary"),

@@ -165,7 +165,7 @@ def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
     conjugate's meet with H, the sets L_k in first-appearance order."""
     Gj = branch_stabilizers(G, sig)[j]
     require_subgroups(G, H)
-    omega = Gj.normalizer().transversal
+    omega = Gj.normalizer.transversal
     blocks: dict[int, list[Perm]] = {}
     for ell, conj_gj in zip(omega, _conjugates(j, Gj, len(omega))):
         blocks.setdefault((conj_gj & H.mask).bit_count(), []).append(G.elements[ell])
@@ -184,7 +184,7 @@ def marked_points(G: FiniteGroup, sig: GeometricSignature,
     require_subgroups(G, H)
     out = []
     for j, Gj in enumerate(stabilizers):
-        N = Gj.normalizer()
+        N = Gj.normalizer
         meets: dict[int, int] = {}
         for conj_gj in _conjugates(j, Gj, N.index):
             k = (conj_gj & H.mask).bit_count()

@@ -18,10 +18,11 @@ conjugates of K, walked once: t K t^-1 is numbered for every t along t = s*p.
 What the group keeps follows one rule: each `left(g)` and `right(g)` column
 is walked at most once and then kept, at most |G| per side (2*|G|^2*8 bytes
 of list slots, about 64 MB at |G| = 2000), and every other kept value is a
-cached property.  Every product in a group, `product` too, is a lookup in a
-kept column; only the build and `Perm` at the boundary compose image
-tuples.  One orbit partition, `_orbits`, gives the element classes, the left
-cosets and double-coset route 1.  Powers are walked along a right column from
+cached property.  Every product in a group is a lookup in a kept column,
+and `generates`, the generation test, is a closure over such columns; only
+the build and `Perm` at the boundary compose image tuples.  One orbit
+partition, `_orbits`, gives the element classes, the left cosets and
+double-coset route 1.  Powers are walked along a right column from
 the least member of each conjugation orbit not yet filed, once per class of
 cyclic subgroups, and the conjugation columns carry each walk to the
 conjugate subgroups; a class's element order is its walk's length.  Member
@@ -247,11 +248,6 @@ class Perm:
         return hash(self.image)
 
 
-def conj(t: Perm, g: Perm) -> Perm:
-    """g conjugated by t, i.e. t * g * t^-1."""
-    return t * g * t.inverse()
-
-
 def _mask(indices: Iterable[int]) -> int:
     """The member bitmask of distinct element indices."""
     return sum(1 << i for i in indices)
@@ -374,10 +370,6 @@ class FiniteGroup:
         """The index of g, an element of the group, in the canonical order."""
         return self._index[g.image]
 
-    def product(self, a: int, b: int) -> int:
-        """The index of a * b, read from b's kept right column (see `right`)."""
-        return self.right(b)[a]
-
     def right(self, g: int) -> list[int]:
         """The column x -> x * g over all element indices, built once per g
         and kept: for x = s*p on the left tree, x*g = s*(p*g).  A generator's
@@ -416,7 +408,7 @@ class FiniteGroup:
         """For each generator t, the column x -> t x t^-1."""
         return [[back[y] for y in self.left(t)] for t, back in zip(self._gens, self._undo)]
 
-    def _generated(self, gens: Sequence[int]) -> set[int]:
+    def _generated(self, gens: Iterable[int]) -> set[int]:
         """The subgroup that element indices generate, closed over the right
         columns of the distinct generators, each walked once and kept within
         the 64 MB bound of `right`; the closure stops at |G|."""
@@ -432,16 +424,17 @@ class FiniteGroup:
                     queue.append(b)
         return found
 
+    def generates(self, indices: Iterable[int]) -> bool:
+        """Whether the elements with these indices generate the whole group:
+        the existence search's generation test, on indices alone."""
+        return len(self._generated(indices)) == self.order
+
     @cached_property
     def exponent(self) -> int:
         exp = math.lcm(*(c.element_order for c in self.conjugacy_classes))
         if self.order % exp:
             raise InternalCheckError("group exponent does not divide the order")
         return exp
-
-    def is_generated_by(self, generators: Iterable[Perm]) -> bool:
-        """Whether the generators generate the whole group."""
-        return len(self._generated([self.index(g) for g in generators])) == self.order
 
     @cached_property
     def digest(self) -> str:
@@ -457,14 +450,6 @@ class FiniteGroup:
     def subgroup_from_words(self, words: Sequence[str], label: Optional[str] = None) -> "Subgroup":
         gens = [self.element(w) for w in words]
         return Subgroup.generated(self, gens, label=label or ",".join(words))
-
-    @cached_property
-    def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup.generated(self, (), label="e")
-
-    @cached_property
-    def full_subgroup(self) -> "Subgroup":
-        return Subgroup._trusted(self, range(self.order), self.generators, "G")
 
     # -- conjugacy structure -----------------------------------------------
 
@@ -610,10 +595,6 @@ class FiniteGroup:
         rep = sub if sub.mask == rep_set else Subgroup._trusted(self, _bits(rep_set), None, None)
         return ConjugacyClassOfSubgroups(rep, len(orbit), orbit)
 
-    def are_conjugate_subgroups(self, a: "Subgroup", b: "Subgroup") -> bool:
-        require_subgroups(self, a, b)
-        return a.order == b.order and b.mask in self.subgroup_class(a).member_masks
-
     # -- element input -----------------------------------------------------
 
     def element(self, text: str) -> Perm:
@@ -663,8 +644,8 @@ class FiniteGroup:
 class Subgroup:
     """A subgroup given by its members, element indices held sorted (`indices`)
     and as a bitmask (`mask`).  What depends on the subgroup alone is computed
-    once and kept on it: a generating set, the left transversal, the class
-    counts, the left-coset map, and the normalizer and the member masks of the
+    once and kept on it: a generating set, the class counts, the left-coset
+    map and its transversal, and the normalizer and the member masks of the
     conjugates (`conjugate_masks`), both from one conjugation walk.  The marks
     and double-coset route 2 meet those masks with each H and read no coset map.
     """
@@ -778,11 +759,8 @@ class Subgroup:
                                      f"order {self.order} have sizes {sorted(set(sizes))}")
         return number, list(numbered)
 
-    def normalizer(self) -> "Subgroup":
-        return self._normalizer
-
     @cached_property
-    def _normalizer(self) -> "Subgroup":
+    def normalizer(self) -> "Subgroup":
         # the stabilizer of K under conjugation: the t with t K t^-1 = K
         mem = [t for t, n in enumerate(self._conjugation[0]) if not n]
         tag = f"N({self.label})" if self.label else None
@@ -821,10 +799,6 @@ class Subgroup:
         if len(reps) != self.index:
             raise InternalCheckError("left transversal has the wrong size")
         return reps
-
-    def left_transversal(self) -> tuple[Perm, ...]:
-        """One representative per left coset gH, each the least element of its coset."""
-        return tuple(map(self.parent.elements.__getitem__, self.transversal))
 
 
 class ElementClass:
@@ -886,7 +860,7 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
 
     # (2) transversal formula over the normalizer of K: sum over the
     # conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|
-    ratio = K.normalizer().order // K.order
+    ratio = K.normalizer.order // K.order
     total = ratio * sum((conj_k & H.mask).bit_count() for conj_k in K.conjugate_masks)
     by_transversal, rest = divmod(total, H.order)
     if rest:

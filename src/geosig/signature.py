@@ -222,9 +222,36 @@ def _commutator(a: Perm, b: Perm) -> Perm:
     return a * b * a.inverse() * b.inverse()
 
 
+def _cyclic_mask(G: FiniteGroup, c: Perm) -> int:
+    """The member mask of <c>, its powers walked by `Perm` products."""
+    mask, h = 1 << G.index(G.identity), c
+    while h != G.identity:
+        mask |= 1 << G.index(h)
+        h = h * c
+    return mask
+
+
+def _generate_whole_group(G: FiniteGroup, elements: Sequence[Perm]) -> bool:
+    """Whether elements generate G: a closure of their image tuples, composed
+    directly and not read from the group's columns, that stops at |G|."""
+    steps = [image.__getitem__ for image in {g.image for g in elements}]
+    found, queue = {G.identity.image}, [G.identity.image]
+    for a in queue:
+        for step in steps:
+            b = tuple(map(step, a))  # a * g
+            if b not in found:
+                found.add(b)
+                if len(found) == G.order:
+                    return True
+                queue.append(b)
+    return len(found) == G.order
+
+
 def verify_generating_vector(G: FiniteGroup, sig: GeometricSignature,
                              vec: GeneratingVector) -> VectorCheck:
-    """Check the three existence conditions independently."""
+    """Check the three existence conditions independently of the search: the
+    product relation and each <c_j> by `Perm` products, generation by a
+    closure of its own over image tuples."""
     check_branch_classes(G, sig)
     gamma, t = sig.quotient_genus, len(sig.entries)
     if len(vec.a) != gamma or len(vec.b) != gamma or len(vec.c) != t:
@@ -237,20 +264,15 @@ def verify_generating_vector(G: FiniteGroup, sig: GeometricSignature,
             raise GroupInputError(f"vector element {g} is not in the group")
 
     orders_ok = all(c.order() == e.order for c, e in zip(vec.c, sig.entries))
-    classes_ok = True
-    for c, entry in zip(vec.c, sig.entries):
-        if entry.cls is None:
-            continue
-        sub = Subgroup.generated(G, [c])
-        if not entry.cls.contains_subgroup(sub):
-            classes_ok = False
+    classes_ok = all(entry.cls is None or _cyclic_mask(G, c) in entry.cls.member_masks
+                     for c, entry in zip(vec.c, sig.entries))
     prod = G.identity
     for x, y in zip(vec.a, vec.b):
         prod = prod * _commutator(x, y)
     for c in vec.c:
         prod = prod * c
     product_ok = prod.is_identity()
-    generates = G.is_generated_by(vec.elements())
+    generates = _generate_whole_group(G, vec.elements())
     return VectorCheck(orders_ok, classes_ok, product_ok, generates)
 
 
@@ -278,7 +300,8 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
     complete handle tuple (on the b_gamma choice), one per c candidate and
     one per leaf.  The generation test runs only where the product
     relation holds, on the free elements alone, since c_t lies in the
-    subgroup they generate; `Perm`s are built only for the vector returned.
+    subgroup they generate, and is `G.generates` on their indices; `Perm`s
+    are built only for the vector returned.
     """
     check_branch_classes(G, sig)
     signature_genus(G, sig)  # condition (i); raises InvalidSignatureError
@@ -298,7 +321,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
             if nodes > budget:
                 raise SearchBudgetExceeded(budget)
             last = inverses[accs[n]]
-            if last in last_pool and G.is_generated_by(G.elements[i] for i in chosen):
+            if last in last_pool and G.generates(chosen):
                 vec = [G.elements[i] for i in chosen + [last]]
                 return GeneratingVector(tuple(vec[:gamma]), tuple(vec[gamma:2 * gamma]),
                                         tuple(vec[2 * gamma:2 * gamma + t]))
@@ -327,5 +350,5 @@ def orbit_packages(G: FiniteGroup, stabilizer: Subgroup) -> tuple[int, int]:
         raise GroupInputError("orbit packages need a nontrivial stabilizer")
     if not stabilizer.is_cyclic:
         raise GroupInputError("point stabilizers are cyclic; got a non-cyclic subgroup")
-    n = stabilizer.normalizer()
+    n = stabilizer.normalizer
     return G.order // n.order, n.order // stabilizer.order

@@ -9,7 +9,7 @@ generating vector.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from geosig.groups import FiniteGroup, Subgroup, catalog
+from geosig.groups import FiniteGroup, Perm, Subgroup, catalog
 from geosig.signature import BranchEntry, GeometricSignature
 
 
@@ -65,6 +65,11 @@ def geometric_signature(G: FiniteGroup, gamma: int,
         cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
         entries.append(BranchEntry(g.order(), cls, label=w))
     return GeometricSignature(gamma, tuple(entries))
+
+
+def conj(t: Perm, g: Perm) -> Perm:
+    """g conjugated by t, t * g * t^-1, by `Perm` products."""
+    return t * g * t.inverse()
 
 
 def materialize(case: CorpusCase):

@@ -775,7 +775,7 @@ def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):
     G = catalog("wc3")
     sig = signature_from_payload(G, json.loads(WC3_FIRST))
     with pytest.raises(InternalCheckError) as err:
-        covers.transversal_partition(G, sig, G.trivial_subgroup, 0)
+        covers.transversal_partition(G, sig, G.subgroup([]), 0)
     message = str(err.value)
     assert "G_0 = <(1,5,3,4,2,6)> of order 6" in message
     assert "has 4 elements, its cached conjugates 3" in message

@@ -29,16 +29,16 @@ def test_trivial_subgroup_recovers_total_genus():
     ]:
         G = catalog(name)
         sig = geometric_signature(G, gamma, words)
-        assert quotient_genus(G, sig, G.trivial_subgroup) == signature_genus(G, sig)
+        assert quotient_genus(G, sig, G.subgroup([])) == signature_genus(G, sig)
 
 
 def test_full_subgroup_recovers_quotient_genus():
     G = catalog("wc3")
     sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
-    assert quotient_genus(G, sig, G.full_subgroup) == 0
+    assert quotient_genus(G, sig, G.subgroup(G.generators)) == 0
     G2 = catalog("cyclic(4)")
     sig2 = geometric_signature(G2, 1, ("x^2", "x^2"))
-    assert quotient_genus(G2, sig2, G2.full_subgroup) == 1
+    assert quotient_genus(G2, sig2, G2.subgroup(G2.generators)) == 1
 
 
 def test_wc3_named_subgroup_quotient_genera():
@@ -70,7 +70,7 @@ def test_marked_points_trivial_subgroup():
     # identity cover: |G|/m_j points over branch value j, stabilizer trivial
     G = catalog("dihedral(4)")
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
-    marks = marked_points(G, sig, G.trivial_subgroup)
+    marks = marked_points(G, sig, G.subgroup([]))
     per_branch = {}
     for m in marks:
         per_branch.setdefault(m.branch_index, []).append((m.mark, m.count))
@@ -79,7 +79,7 @@ def test_marked_points_trivial_subgroup():
         1: [(1, 4)],   # 8/2 points
         2: [(1, 4)],
     }
-    cycles = cycle_structure(G, sig, G.trivial_subgroup)
+    cycles = cycle_structure(G, sig, G.subgroup([]))
     assert cycles[0].entries == (4, 4)
     assert cycles[1].entries == (2, 2, 2, 2)
     assert cycles[2].entries == (2, 2, 2, 2)
@@ -88,11 +88,11 @@ def test_marked_points_trivial_subgroup():
 def test_marked_points_full_subgroup():
     G = catalog("dihedral(4)")
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
-    marks = marked_points(G, sig, G.full_subgroup)
+    marks = marked_points(G, sig, G.subgroup(G.generators))
     assert [(m.branch_index, m.mark, m.count) for m in marks] == [
         (0, 4, 1), (1, 2, 1), (2, 2, 1),
     ]
-    cycles = cycle_structure(G, sig, G.full_subgroup)
+    cycles = cycle_structure(G, sig, G.subgroup(G.generators))
     assert all(c.entries == (1,) for c in cycles)
 
 
@@ -100,7 +100,7 @@ def test_transversal_partition_examples():
     G = catalog("dihedral(4)")
     # normal G_j: single set of size 1
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
-    part = transversal_partition(G, sig, G.trivial_subgroup, 0)
+    part = transversal_partition(G, sig, G.subgroup([]), 0)
     assert part.nu == 1 and part.sets[0] == (G.identity,)
     # [2,<y>] against H = <x^2>: both conjugates of <y> meet H trivially
     H = G.subgroup_from_words(["x^2"])
@@ -112,7 +112,7 @@ def test_transversal_partition_examples():
     for j in range(3):
         part = transversal_partition(G, sig, H, j)
         Gj = sig.entries[j].cls.representative
-        assert sum(len(s) for s in part.sets) == G.order // Gj.normalizer().order
+        assert sum(len(s) for s in part.sets) == G.order // Gj.normalizer.order
 
 
 def test_cycle_structure_accounts_for_all_sheets():
@@ -175,7 +175,7 @@ def test_plain_signature_rejected():
     G = catalog("dihedral(4)")
     sig = GeometricSignature(0, (BranchEntry(4), BranchEntry(2), BranchEntry(2)))
     with pytest.raises(GroupInputError):
-        quotient_genus(G, sig, G.trivial_subgroup)
+        quotient_genus(G, sig, G.subgroup([]))
 
 
 def test_geometric_signature_separation_wc3():
@@ -304,12 +304,13 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     # past the class data, columns come from walks over a Cayley-graph
     # spanning tree, and each normalizer and its conjugates from one
     # conjugation walk, so no generating set of a normalizer is closed and
-    # the pass makes no scalar product (328 while they were, 10,110 before
-    # the tree walks); a closure reads generator columns and makes none
-    # either, and a product afterwards shows that the counter counts
+    # the pass composes no image tuple (328 scalar products while they
+    # were, 10,110 before the tree walks); a closure reads generator columns
+    # and composes none either, and a product afterwards shows that the
+    # counter counts
     from geosig import jacobian, monodromy
     from geosig.chartable import compute_table
-    from geosig.groups import FiniteGroup
+    from geosig.groups import Perm
     from geosig.signature import find_generating_vector
 
     G = catalog("symmetric(6)")
@@ -317,21 +318,20 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     vec = find_generating_vector(G, sig)
     G.class_powers, G.merged_element_classes
     calls = []
-    real = FiniteGroup.product
-    monkeypatch.setattr(FiniteGroup, "product",
-                        lambda self, a, b: (calls.append(1), real(self, a, b))[1])
+    real = Perm.__mul__
+    monkeypatch.setattr(Perm, "__mul__", lambda self, g: (calls.append(1), real(self, g))[1])
     for report in lattice_report(G, sig, []):
         monodromy.oracle_summary(G, report.subgroup, vec, 0)
     jacobian.factor_dimensions(G, compute_table(G), sig)
     pipeline = len(calls)
-    assert G.is_generated_by(vec.elements())
+    assert G.generates([G.index(g) for g in vec.elements()])
     closure = len(calls)
-    G.product(G.index(vec.c[-1]), G.index(vec.c[0]))
+    vec.c[-1] * vec.c[0]
     monkeypatch.undo()
     assert pipeline == closure == 0 < len(calls)
     # the marks and double-coset route 2 read each normalizer for its order only
     for cls in G.cyclic_subgroup_classes:
-        N = cls.representative.normalizer()
+        N = cls.representative.normalizer
         assert not {"left_cosets", "transversal", "generating_set"} & set(vars(N))
     # the oracle reads each vector element's right column, kept once walked
     assert {G.index(g) for g in vec.elements()} <= set(G._right)

@@ -69,7 +69,7 @@ def test_generated_matches_perm_closure(case):
     members = G._generated(gens)
     expected = _perm_closure(G, [G.elements[i] for i in gens])
     assert {G.elements[i] for i in members} == expected
-    assert G.is_generated_by(G.elements[i] for i in gens) == (len(expected) == G.order)
+    assert G.generates(gens) == (len(expected) == G.order)
 
 
 def test_generated_handles_identity_and_repeats():

@@ -23,9 +23,9 @@ def test_coset_action_shapes():
     # x^2 lies in H, so both branch images fix every coset
     assert all(img.is_identity() for img in action.c_images)
 
-    full = coset_action(G, G.full_subgroup, vec)
+    full = coset_action(G, G.subgroup(G.generators), vec)
     assert full.degree == 1
-    regular = coset_action(G, G.trivial_subgroup, vec)
+    regular = coset_action(G, G.subgroup([]), vec)
     assert regular.degree == 4
 
 
@@ -64,7 +64,7 @@ def test_coset_action_matches_perm_products(name):
     G = catalog(name)
     every = GeneratingVector((), (), G.elements)
     cyclic = [c.representative for c in G.cyclic_subgroup_classes]
-    for H in [*cyclic, G.trivial_subgroup, G.full_subgroup]:
+    for H in [*cyclic, G.subgroup([]), G.subgroup(G.generators)]:
         coset = {g: frozenset(h * g for h in H.members) for g in G.elements}
         cosets = sorted(set(coset.values()), key=min)
         number = {c: i for i, c in enumerate(cosets)}
@@ -88,7 +88,7 @@ def test_oracle_matches_d4_sphere():
     G = catalog("dihedral(4)")
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
     vec = find_generating_vector(G, sig)
-    data = oracle_summary(G, G.trivial_subgroup, vec, 0)
+    data = oracle_summary(G, G.subgroup([]), vec, 0)
     assert data["genus"] == 0
     # regular action of c_j: |G|/m_j cycles of length m_j
     cts = data["cycle_structures"]
@@ -103,7 +103,7 @@ def test_oracle_trivial_cases():
     for cls in G.cyclic_subgroup_classes:
         H = cls.representative
         assert oracle_summary(G, H, vec, 2)["genus"] == H.index * (2 - 1) + 1
-    full = coset_action(G, G.full_subgroup, vec)
+    full = coset_action(G, G.subgroup(G.generators), vec)
     assert all(img.is_identity() for img in full.a_images + full.b_images)
 
 

@@ -26,7 +26,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from corpus import CORPUS, group as corpus_group, materialize  # noqa: E402
+from corpus import CORPUS, conj, group as corpus_group, materialize  # noqa: E402
 from geosig.chartable import (  # noqa: E402
     Character,
     CharacterTable,
@@ -48,7 +48,7 @@ from geosig.errors import (  # noqa: E402
     NotRationalError,
     SearchBudgetExceeded,
 )
-from geosig.groups import FiniteGroup, Perm, Subgroup, catalog, conj  # noqa: E402
+from geosig.groups import FiniteGroup, Perm, Subgroup, catalog  # noqa: E402
 from geosig.monodromy import oracle_summary  # noqa: E402
 from geosig.signature import (  # noqa: E402
     BranchEntry,
@@ -149,7 +149,7 @@ def _perms(G, mask):
 @given(subgroup_pairs())
 def test_conjugate_sets_are_the_conjugates_in_transversal_order(case):
     G, K, H = case
-    omega = K.normalizer().left_transversal()
+    omega = [G.elements[i] for i in K.normalizer.transversal]
     sets = [_perms(G, mask) for mask in K.conjugate_masks]
     assert len(sets) == len(omega) == len(set(sets))
     assert set(sets) == {_perms(G, m) for m in G.subgroup_class(K).member_masks} == {
@@ -165,7 +165,7 @@ def test_conjugate_sets_are_the_conjugates_in_transversal_order(case):
 @given(subgroup_pairs())
 def test_normalizer_matches_its_definition(case):
     G, K, _ = case
-    assert K.normalizer().members == frozenset(
+    assert K.normalizer.members == frozenset(
         t for t in G.elements if all(conj(t, k) in K.members for k in K.members)
     )
 
@@ -299,7 +299,7 @@ def corpus_element_pairs(draw):
 def test_columns_and_products_match_perm_products(case):
     G, a, b = case
     els = G.elements
-    assert G.product(a, b) == G.index(els[a] * els[b])
+    assert G.right(b)[a] == G.index(els[a] * els[b])
     assert G.inverses[a] == G.index(els[a].inverse())
     assert G.right(b) == [G.index(x * els[b]) for x in els]
     assert G.left(a) == [G.index(els[a] * x) for x in els]
@@ -329,7 +329,7 @@ def spherical_vectors(draw):
     free = draw(st.lists(st.integers(1, G.order - 1), min_size=2, max_size=3))
     acc = 0
     for c in free:
-        acc = G.product(acc, c)
+        acc = G.right(c)[acc]
     return G, tuple(G.elements[c] for c in free + [G.inverses[acc]])
 
 
@@ -340,7 +340,8 @@ def test_closed_form_covers_match_the_oracle_on_drawn_vectors(case):
     # realizes it; every cyclic-class quotient must then agree with the
     # coset action of the same vector
     G, cs = case
-    hypothesis.assume(all(not c.is_identity() for c in cs) and G.is_generated_by(cs))
+    hypothesis.assume(all(not c.is_identity() for c in cs)
+                      and G.generates([G.index(c) for c in cs]))
     subs = [Subgroup.generated(G, [c]) for c in cs]
     sig = GeometricSignature(0, tuple(
         BranchEntry(H.order, G.cyclic_subgroup_classes[G.cyclic_class_index(H)]) for H in subs

@@ -8,11 +8,12 @@ from geosig.errors import (
     InvalidSignatureError,
     SearchBudgetExceeded,
 )
-from geosig.groups import MAX_QUOTIENT_GENUS, FiniteGroup, catalog, conj
+from geosig.groups import MAX_QUOTIENT_GENUS, FiniteGroup, Perm, catalog
 from geosig.signature import (
     BranchEntry,
     GeneratingVector,
     GeometricSignature,
+    VectorCheck,
     _candidate_pool,
     find_generating_vector,
     orbit_packages,
@@ -23,7 +24,7 @@ from geosig.signature import (
     verify_generating_vector,
 )
 
-from corpus import geometric_signature
+from corpus import conj, geometric_signature
 
 
 def plain(gamma, *orders):
@@ -213,27 +214,31 @@ def test_search_spends_the_recursive_node_count(name, gamma, words, nodes, witne
 @pytest.mark.parametrize("gamma, words, built", [(1, ("b", "b"), 1), (0, ("b",) * 4, 0)])
 def test_search_reads_columns_and_builds_only_the_returned_vector(monkeypatch, gamma, words,
                                                                  built):
-    # products are column reads, not FiniteGroup.product calls, and a
-    # GeneratingVector is built for the returned vector alone
+    # products are column reads, so no image tuple is composed; the
+    # generation test reads indices, so no element is looked up by its
+    # permutation; and a GeneratingVector is built for the returned vector
+    # alone.  Calls afterwards show that the counters count
     import geosig.signature as signature
 
-    calls = {"product": 0, "vector": 0}
-    product, vector = FiniteGroup.product, signature.GeneratingVector
-
-    def counted_product(self, a, b):
-        calls["product"] += 1
-        return product(self, a, b)
-
-    def counted_vector(*args):
-        calls["vector"] += 1
-        return vector(*args)
-
-    monkeypatch.setattr(FiniteGroup, "product", counted_product)
-    monkeypatch.setattr(signature, "GeneratingVector", counted_vector)
     G = catalog("symmetric(4)")
-    found = find_generating_vector(G, geometric_signature(G, gamma, words))
+    sig = geometric_signature(G, gamma, words)
+    calls = {"product": 0, "index": 0, "vector": 0}
+
+    def counted(key, real):
+        def call(*args):
+            calls[key] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(Perm, "__mul__", counted("product", Perm.__mul__))
+    monkeypatch.setattr(FiniteGroup, "index", counted("index", FiniteGroup.index))
+    monkeypatch.setattr(signature, "GeneratingVector",
+                        counted("vector", signature.GeneratingVector))
+    found = find_generating_vector(G, sig)
     assert (found is not None) == bool(built)
-    assert calls == {"product": 0, "vector": built}
+    assert calls == {"product": 0, "index": 0, "vector": built}
+    G.index(G.elements[1] * G.elements[1])
+    assert calls == {"product": 1, "index": 1, "vector": built}
 
 
 def test_branch_tag_is_the_one_name_of_a_class():
@@ -252,7 +257,7 @@ def test_branch_tag_is_the_one_name_of_a_class():
         assert str(sig) == "(0; " + ", ".join(
             f"[{e.order},<{tag}>]" for e, tag in zip(sig.entries, tags)) + ")"
         assert [b["class_rep"] for b in sig.to_json()["branches"]] == tags
-        assert list(cover_report(G, sig, G.full_subgroup).branch_types) == tags
+        assert list(cover_report(G, sig, G.subgroup(G.generators)).branch_types) == tags
 
 
 def test_conjugated_vector_stays_valid():
@@ -266,6 +271,27 @@ def test_conjugated_vector_stays_valid():
             tuple(conj(t, g) for g in vec.c),
         )
         assert verify_generating_vector(G, sig, moved).ok
+
+
+def test_witness_check_shares_no_closure_with_the_search(monkeypatch):
+    # the witness check tests generation by a closure of its own and <c_j>
+    # by Perm powers: with the kernel's closure and generation test out of
+    # reach, it still passes the search's witness and refuses a vector
+    # that generates a proper subgroup
+    G = catalog("dihedral(4)")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
+    vec = find_generating_vector(G, sig)
+    x = G.element("x")
+    cyclic = geometric_signature(G, 0, ("x", "x", "x^2"))
+    proper = GeneratingVector((), (), (x, x, x * x))
+
+    def shared(*args):
+        raise AssertionError("the witness check ran the search's closure")
+
+    monkeypatch.setattr(FiniteGroup, "_generated", shared)
+    monkeypatch.setattr(FiniteGroup, "generates", shared)
+    assert verify_generating_vector(G, sig, vec).ok
+    assert verify_generating_vector(G, cyclic, proper) == VectorCheck(True, True, True, False)
 
 
 def test_plain_entry_pool_is_every_element_of_that_order():
@@ -284,7 +310,7 @@ def test_orbit_packages():
     X = G.subgroup([G.element("x")])  # normal
     assert orbit_packages(G, X) == (1, 2)
     with pytest.raises(GroupInputError):
-        orbit_packages(G, G.trivial_subgroup)
+        orbit_packages(G, G.subgroup([]))
 
     W = catalog("wc3")
     P = W.subgroup([W.element("xyzb")])
@@ -355,7 +381,7 @@ def _foreign_cases():
     S5, S4 = catalog("symmetric(5)"), catalog("symmetric(4)")
     sig4 = geometric_signature(S4, 0, ("b", "a", "a"))
     sig5 = geometric_signature(S5, 0, ("b", "a", "a"))
-    H4, e5 = S4.subgroup_from_words(["b"]), S5.trivial_subgroup
+    H4, e5 = S4.subgroup_from_words(["b"]), S5.subgroup([])
     vec5 = GeneratingVector((), (), tuple(S5.element(w) for w in ("b", "a", "a")))
     table5 = lambda: compute_table(S5)  # noqa: E731
     return {
@@ -383,7 +409,6 @@ def _foreign_cases():
         "coset_action": lambda: monodromy.coset_action(S5, H4, vec5),
         "cyclic_class_index": lambda: S5.cyclic_class_index(H4),
         "subgroup_class": lambda: S5.subgroup_class(H4),
-        "are_conjugate_subgroups": lambda: S5.are_conjugate_subgroups(e5, H4),
         "contains_subgroup": lambda: S5.cyclic_subgroup_classes[1].contains_subgroup(H4),
     }
 
