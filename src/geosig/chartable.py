@@ -299,16 +299,11 @@ class CharacterTable:
         }
 
     def render_text(self) -> str:
-        headers = ["", *(str(c.representative) for c in self.classes)]
-        rows = [headers, ["size", *(str(c.size) for c in self.classes)],
-                ["order", *(str(c.element_order) for c in self.classes)]]
-        for chi in self.characters:
-            rows.append([f"chi{chi.index}", *(str(v) for v in chi.values)])
-        widths = [max(len(r[i]) for r in rows) for i in range(len(headers))]
-        lines = [
-            "  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows
-        ]
-        lines.insert(3, "-" * len(lines[0]))
+        rows = [["", *(str(c.representative) for c in self.classes)],
+                ["size", *(str(c.size) for c in self.classes)],
+                ["order", *(str(c.element_order) for c in self.classes)],
+                *([f"chi{chi.index}", *map(str, chi.values)] for chi in self.characters)]
+        lines = text_table(rows, 3)
         lines.append("")
         for gc in self.galois_classes:
             members = ", ".join(f"chi{i}" for i in gc.members)
@@ -317,6 +312,15 @@ class CharacterTable:
                 f"schur index {gc.schur_index} ({gc.schur_index_source})"
             )
         return "\n".join(lines)
+
+
+def text_table(rows: Sequence[Sequence[str]], head: int) -> list[str]:
+    """The lines of a right-justified table whose columns are joined by two
+    spaces, with a rule of dashes under its first `head` rows."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    lines = ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
+    lines.insert(head, "-" * len(lines[0]))
+    return lines
 
 
 def schur_bound_is_verified(table: CharacterTable) -> bool:

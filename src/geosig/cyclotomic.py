@@ -1,36 +1,37 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_e).
 
 Values are polynomials in zeta_e over the power basis 1, zeta, ...,
-zeta^(phi(e)-1), with arbitrary-precision rational coefficients, always
-reduced modulo the e-th cyclotomic polynomial.  The reduced form is unique,
-so equality is a coefficient comparison.  No floating point is involved
-anywhere.
+zeta^(phi(e)-1), with exact rational coefficients, always reduced modulo
+the e-th cyclotomic polynomial.  The reduced form is unique, so equality is
+a coefficient comparison.  No floating point is involved anywhere.  An
+integer coefficient is an `int`, any other a `Fraction`, and only division
+by a scalar can leave Z: a value built from integers builds no Fraction.
 
 Character values are algebraic integers, and the power basis is an
 integral basis of Z[zeta_e], so the character table stores each value only
 as a plain integer coefficient tuple (`reduce_integral` reduces products
-modulo the monic Phi_e without leaving Z).  `Cyclo`, the Fraction-backed
-value type, is the output and reference type: the table builds it for
-JSON and text output, and the tests use it to recompute table quantities
-independently.  It is a ring with division by scalars; nothing in the
-engine inverts a cyclotomic number.
+modulo the monic Phi_e without leaving Z).  `Cyclo` is the output and
+reference type: the table builds it for JSON and text output, and the tests
+use it to recompute table quantities independently.  It is a ring with
+division by scalars; nothing in the engine inverts a cyclotomic number.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Sequence, Union
 
 from .errors import GroupInputError, NotRationalError
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Scalar = Union[int, "Fraction"]
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @lru_cache(maxsize=None)
@@ -73,10 +74,10 @@ class Cyclo:
 
     def __init__(self, conductor: int, coeffs: Iterable[Scalar]):
         phi = euler_phi(conductor)
-        work = [Fraction(c) for c in coeffs]
+        work = [_exact(c) for c in coeffs]
         if len(work) > phi:
-            work = _reduce(work, conductor)
-        work += [Fraction(0)] * (phi - len(work))
+            work = [_exact(c) for c in _reduce(work, conductor)]
+        work += [0] * (phi - len(work))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(work))
 
@@ -85,7 +86,7 @@ class Cyclo:
 
     @staticmethod
     def rational(value: Scalar, conductor: int = 1) -> "Cyclo":
-        return Cyclo(conductor, [Fraction(value)])
+        return Cyclo(conductor, [value])
 
     @staticmethod
     def zeta(conductor: int, power: int = 1) -> "Cyclo":
@@ -107,7 +108,7 @@ class Cyclo:
                 f"cannot embed conductor {self.conductor} into {conductor}"
             )
         step = conductor // self.conductor
-        out = [Fraction(0)] * (euler_phi(self.conductor) * step + 1)
+        out = [0] * (euler_phi(self.conductor) * step + 1)
         for i, c in enumerate(self.coeffs):
             out[i * step] += c
         return Cyclo(conductor, out)
@@ -119,7 +120,8 @@ class Cyclo:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def rational_value(self) -> Fraction:
+    def rational_value(self) -> Scalar:
+        """The value as an `int` when it is an integer, else as a `Fraction`."""
         if not self.is_rational():
             raise NotRationalError(f"value is not rational: {self}")
         return self.coeffs[0]
@@ -149,10 +151,11 @@ class Cyclo:
         return _coerce(other) - self
 
     def __mul__(self, other) -> "Cyclo":
-        if isinstance(other, (int, Fraction)):
-            return Cyclo(self.conductor, [c * other for c in self.coeffs])
-        a, b = self._pair(_coerce(other))
-        out = [Fraction(0)] * (2 * len(a.coeffs))
+        if not isinstance(other, Cyclo):
+            k = _coerce(other).coeffs[0]  # a scalar scales each coefficient
+            return Cyclo(self.conductor, [c * k for c in self.coeffs])
+        a, b = self._pair(other)
+        out = [0] * (2 * len(a.coeffs))
         for i, x in enumerate(a.coeffs):
             if not x:
                 continue
@@ -164,7 +167,8 @@ class Cyclo:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "Cyclo":
-        return Cyclo(self.conductor, [c / other for c in self.coeffs])
+        from fractions import Fraction  # the one operation that can leave Z
+        return Cyclo(self.conductor, [Fraction(c) / other for c in self.coeffs])
 
     def __pow__(self, k: int) -> "Cyclo":
         if k < 0:
@@ -190,7 +194,7 @@ class Cyclo:
         k %= e
         if math.gcd(k, e) != 1:
             raise GroupInputError(f"{k} is not coprime to the conductor {e}")
-        out = [Fraction(0)] * e
+        out = [0] * e
         for i, c in enumerate(self.coeffs):
             out[(i * k) % e] += c
         return Cyclo(e, out)
@@ -198,11 +202,10 @@ class Cyclo:
     # -- comparison and display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Cyclo.rational(other)
-        if not isinstance(other, Cyclo):
+        try:
+            a, b = self._pair(_coerce(other))
+        except TypeError:
             return NotImplemented
-        a, b = self._pair(other)
         return a.coeffs == b.coeffs
 
     __hash__ = None  # mutable-free but compared across conductors; not hashable
@@ -212,23 +215,11 @@ class Cyclo:
             return str(self.coeffs[0])
         parts = []
         for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
+            if c:
                 z = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-                if c == 1:
-                    term = z
-                elif c == -1:
-                    term = f"-{z}"
-                else:
-                    term = f"{c}*{z}"
-                parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+                term = str(c) if i == 0 else z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}"
+                parts.append(term if not parts or term.startswith("-") else "+" + term)
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Cyclo({self})"
@@ -240,12 +231,24 @@ class Cyclo:
         }
 
 
+def _exact(value) -> Scalar:
+    """A coefficient as an int when it is an integer, else as a Fraction."""
+    if isinstance(value, int):
+        return int(value)  # a bool too
+    from fractions import Fraction  # read only for a coefficient that is no int
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _coerce(value) -> Cyclo:
+    """A Cyclo, or an exact scalar (an int, a bool or a Fraction) as a Cyclo."""
     if isinstance(value, Cyclo):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Cyclo.rational(value)
-    raise TypeError(f"cannot treat {value!r} as a cyclotomic number")
+    if not isinstance(value, int):
+        from fractions import Fraction  # loaded already wherever a Fraction exists
+        if not isinstance(value, Fraction):
+            raise TypeError(f"cannot treat {value!r} as a cyclotomic number")
+    return Cyclo.rational(value)
 
 
 def reduce_integral(coeffs: Sequence[int], conductor: int) -> tuple[int, ...]:
@@ -257,7 +260,7 @@ def reduce_integral(coeffs: Sequence[int], conductor: int) -> tuple[int, ...]:
 
 
 def _reduce(coeffs: list, conductor: int) -> list:
-    """Reduce modulo Phi_e; integer input stays integer, Fraction input Fraction."""
+    """Reduce modulo Phi_e; integer input stays integer."""
     phi = cyclotomic_polynomial(conductor)
     deg = len(phi) - 1
     work = list(coeffs)

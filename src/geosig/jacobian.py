@@ -10,10 +10,9 @@ compared, so a defect in either route cannot pass silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .chartable import SCHUR_COMPUTED, CharacterTable
+from .chartable import SCHUR_COMPUTED, CharacterTable, text_table
 from .covers import cover_report, quotient_genus
 from .errors import GroupInputError, InternalCheckError
 from .groups import FiniteGroup, FrozenRecord, require_subgroups
@@ -84,25 +83,15 @@ class DecompositionReport(FrozenRecord):
         }
 
     def render_text(self) -> str:
-        head = ["class", "degree", "field", "schur", "n", "e", "dim B", "exponent"]
-        rows = [head]
-        for i, rec in enumerate(self.records):
-            star = "*" if rec.galois_class.schur_index_source != SCHUR_COMPUTED else ""
-            rows.append([
-                f"chi{rec.representative}{star}",
-                str(rec.degree),
-                str(rec.galois_class.field_degree),
-                str(rec.galois_class.schur_index),
-                str(rec.n),
-                str(rec.e),
-                str(rec.dim_B),
-                str(rec.exponent),
-            ])
-        widths = [max(len(r[i]) for r in rows) for i in range(len(head))]
-        lines = ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
-        lines.insert(1, "-" * len(lines[0]))
-        if any(rec.galois_class.schur_index_source != SCHUR_COMPUTED
-               for rec in self.records):
+        rows = [["class", "degree", "field", "schur", "n", "e", "dim B", "exponent"]]
+        for rec in self.records:
+            gc = rec.galois_class
+            star = "*" if gc.schur_index_source != SCHUR_COMPUTED else ""
+            rows.append([f"chi{rec.representative}{star}", *map(str, (
+                rec.degree, gc.field_degree, gc.schur_index, rec.n, rec.e, rec.dim_B,
+                rec.exponent))])
+        lines = text_table(rows, 1)
+        if any(row[0].endswith("*") for row in rows):
             lines.append("(* = user-supplied Schur index)")
         lines.append("")
         lines.append(f"genus {self.total_genus} = sum of dim * exponent; {self.summary()}")
@@ -133,12 +122,12 @@ def complex_multiplicities(G: FiniteGroup, table: CharacterTable,
     return tuple(out)
 
 
-def _solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fraction]:
-    """The exact solution of matrix · x = rhs: Bareiss's fraction-free
-    elimination to upper-triangular form, then back-substitution, both in
-    integers.  Each division by the previous pivot is exact (Bareiss 1968); the
-    last pivot d is ±det, so d·x is integral (Cramer) and each row's division
-    in X_r = (d·b_r − Σ U[r][c]·X_c) / U[r][r] is exact too."""
+def _solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[int, list[int]]:
+    """The exact solution of matrix · x = rhs as the integers (d, d·x), no
+    Fraction: Bareiss's fraction-free elimination to upper-triangular form,
+    then back-substitution.  Each division by the previous pivot is exact
+    (Bareiss 1968); the last pivot d is ±det, so d·x is integral (Cramer) and
+    each row's division in X_r = (d·b_r − Σ U[r][c]·X_c) / U[r][r] is exact."""
     n = len(matrix)
     work = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
     prev = 1
@@ -162,12 +151,13 @@ def _solve_exact(matrix: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[Fr
         scaled[r], rest = divmod(prev * row[n] - known, row[r])
         if rest:
             raise InternalCheckError(f"back-substitution of {prev}·x is not exact in row {r}")
-    return [Fraction(x, prev) for x in scaled]
+    return prev, scaled
 
 
 def solve_omega_system(G: FiniteGroup, table: CharacterTable,
                        genera: Sequence[int]) -> OmegaSystem:
-    """Solve for the multiplicities from the cyclic-subgroup quotient genera."""
+    """Solve for the multiplicities from the cyclic-subgroup quotient genera:
+    each is the int d·x_i // d, refused unless nonnegative with no remainder."""
     cyclic = G.cyclic_subgroup_classes
     if len(genera) != len(cyclic):
         raise GroupInputError(
@@ -180,15 +170,14 @@ def solve_omega_system(G: FiniteGroup, table: CharacterTable,
         for c in range(len(cyclic))
     ]
     rhs = tuple(2 * g for g in genera)
-    solution = _solve_exact(matrix, rhs)
-    for v in solution:
-        if v.denominator != 1 or v < 0:
-            raise InternalCheckError(f"linear system produced a non-admissible multiplicity {v}")
-    return OmegaSystem(
-        matrix=tuple(matrix),
-        rhs=rhs,
-        solution=tuple(int(v) for v in solution),
-    )
+    d, scaled = _solve_exact(matrix, rhs)
+    solution = []
+    for x in scaled:
+        v, rest = divmod(x, d)
+        if rest or v < 0:
+            raise InternalCheckError(f"linear system gives a non-admissible multiplicity {x}/{d}")
+        solution.append(v)
+    return OmegaSystem(matrix=tuple(matrix), rhs=rhs, solution=tuple(solution))
 
 
 def factor_dimensions(G: FiniteGroup, table: CharacterTable,

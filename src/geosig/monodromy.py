@@ -32,11 +32,12 @@ class CosetAction(FrozenRecord):
         return len(self.cosets)
 
 
-def _coset_images(G: FiniteGroup, H: Subgroup, vec: GeneratingVector
+def _coset_images(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
+                  parts: tuple[tuple[Perm, ...], ...]
                   ) -> tuple[list[int], tuple[tuple[tuple[int, ...], ...], ...]]:
-    """The least representative of each right coset of H, and the image of
-    each vector element on the cosets, part by part (a, b, c), as integer
-    tuples checked to be permutations."""
+    """The least representative of each right coset of H, and the image on
+    the cosets of each element of the given parts of the vector (each in G),
+    part by part, as integer tuples checked to be permutations."""
     require_subgroups(G, H)
     for g in vec.elements():
         if g not in G:
@@ -65,12 +66,12 @@ def _coset_images(G: FiniteGroup, H: Subgroup, vec: GeneratingVector
             )
         return img
 
-    return reps, tuple(tuple(map(image, part)) for part in (vec.a, vec.b, vec.c))
+    return reps, tuple(tuple(map(image, part)) for part in parts)
 
 
 def coset_action(G: FiniteGroup, H: Subgroup, vec: GeneratingVector) -> CosetAction:
     """Permutations induced by the vector's elements on the cosets of H."""
-    reps, parts = _coset_images(G, H, vec)
+    reps, parts = _coset_images(G, H, vec, (vec.a, vec.b, vec.c))
     images = (tuple(map(Perm._trusted, part)) for part in parts)
     return CosetAction(H, tuple(G.elements[r] for r in reps), *images)
 
@@ -94,7 +95,7 @@ def oracle_summary(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
                    quotient_genus: int) -> dict:
     """Genus of S/H, by Riemann-Hurwitz over the coset action, and the cycle
     type of each branch element acting on the cosets of H."""
-    reps, (_, _, c_images) = _coset_images(G, H, vec)
+    reps, (c_images,) = _coset_images(G, H, vec, (vec.c,))
     types = [_cycle_type(img) for img in c_images]
     ramification = sum(length - 1 for ct in types for length in ct)
     euler = len(reps) * (2 - 2 * quotient_genus) - ramification

@@ -116,6 +116,30 @@ def test_scalar_operations():
     assert 1 + v - 1 == v
 
 
+def test_integers_stay_int():
+    # an integer coefficient is an int whatever scalar it came as; only a
+    # division that leaves Z builds a Fraction
+    v = Cyclo.zeta(12) * 3 + Cyclo(12, [Fraction(4, 2), True, 0, -1, 1])
+    assert all(type(c) is int for c in v.coeffs)
+    assert all(type(c) is int for c in (v.galois(5) * v).promoted(24).coeffs)
+    assert type(Cyclo.rational(Fraction(6, 3)).rational_value()) is int
+    assert type(((Cyclo.rational(1) / 2) * 2).rational_value()) is int
+    half = (Cyclo.rational(1) / 2).rational_value()
+    assert type(half) is Fraction and half == Fraction(1, 2)
+
+
+def test_exact_scalars_only():
+    for scalar in (2, True, Fraction(3, 2)):
+        assert Cyclo(3, [1]) * scalar == Cyclo(3, [scalar])
+    with pytest.raises(TypeError):
+        Cyclo(3, [1]) * 1.5
+    with pytest.raises(TypeError):
+        1.5 * Cyclo(3, [1])
+    with pytest.raises(TypeError):
+        Cyclo(3, [1]) + "1"
+    assert Cyclo(3, [1]) != 1.0 and Cyclo(3, [1]) != None  # noqa: E711
+
+
 def test_json_roundtrip():
     v = Cyclo(12, [Fraction(1, 2), 0, Fraction(-3), 1])
     payload = v.to_json()

@@ -338,17 +338,19 @@ def test_solve_exact_refuses_a_singular_matrix():
         jacobian._solve_exact([[0]], [5])
 
 
-def test_solve_exact_returns_fractions():
-    from fractions import Fraction
-
-    for matrix, rhs, expected in [([[2]], [3], Fraction(3, 2)), ([[-3]], [6], Fraction(-2)),
-                                  ([[1]], [0], Fraction(0))]:
-        (value,) = jacobian._solve_exact(matrix, rhs)
-        assert type(value) is Fraction and value == expected
-    assert all(type(v) is Fraction for v in jacobian._solve_exact([[0, 2], [3, 1]], [4, 5]))
+def test_solve_exact_returns_integers():
+    # the pair (d, d·x): the last Bareiss pivot and the scaled solution, all ints
+    for matrix, rhs, expected in [([[2]], [3], (2, [3])), ([[-3]], [6], (-3, [6])),
+                                  ([[1]], [0], (1, [0]))]:
+        assert jacobian._solve_exact(matrix, rhs) == expected
+    d, scaled = jacobian._solve_exact([[0, 2], [3, 1]], [4, 5])
+    assert abs(d) == 6 and scaled == [d, 2 * d]
+    assert all(type(v) is int for v in (d, *scaled))
 
 
 def test_solve_exact_matches_fraction_gauss_jordan():
+    from fractions import Fraction
+
     solved = 0
     for matrix, rhs in _random_systems(300):
         try:
@@ -357,7 +359,8 @@ def test_solve_exact_matches_fraction_gauss_jordan():
             with pytest.raises(InternalCheckError, match="singular"):
                 jacobian._solve_exact(matrix, rhs)
             continue
-        assert jacobian._solve_exact(matrix, rhs) == expected
+        d, scaled = jacobian._solve_exact(matrix, rhs)
+        assert [Fraction(x, d) for x in scaled] == expected
         solved += 1
     assert solved > 200
 
@@ -387,9 +390,7 @@ def test_solve_exact_divisions_are_exact(monkeypatch):
 def test_solve_exact_back_substitution_is_exact(monkeypatch):
     # a 1x1 system has no elimination step, so its one division is the
     # back-substitution of d·x, which must leave no remainder either
-    from fractions import Fraction
-
-    assert jacobian._solve_exact([[2]], [3]) == [Fraction(3, 2)]
+    assert jacobian._solve_exact([[2]], [3]) == (2, [3])
     monkeypatch.setattr(jacobian, "divmod", lambda a, b: (a // b, 1), raising=False)
     with pytest.raises(InternalCheckError, match="back-substitution of 2·x is not exact"):
         jacobian._solve_exact([[2]], [3])

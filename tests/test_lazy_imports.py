@@ -62,12 +62,13 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([code, sorted(sys.modules)]))
 """
 # stdlib modules a call loads only where it reads them: the records are
-# plain slotted classes, the genus is integer arithmetic, Fraction is built
-# only by the table and the Jacobian, and only a JSON output reads the group
-# hash, so no case here, each a text-mode call, loads hashlib
-UNREAD = {name: {"dataclasses", "inspect", "hashlib"} for name in LOADED}
-for name in ("readme_exists_dihedral4", "readme_lattice_wc3", "bad_group_name"):
-    UNREAD[name] |= {"fractions", "decimal"}
+# plain slotted classes; the genus, the table's values and the omega solve
+# are integer arithmetic, so a Fraction is built only by Cyclo division and
+# by error messages, and no command here loads fractions (or decimal, which
+# fractions imports); and only a JSON output reads the group hash, so no
+# case here, each a text-mode call, loads hashlib
+UNREAD = {name: {"dataclasses", "inspect", "hashlib", "fractions", "decimal"}
+          for name in LOADED}
 
 
 def _child(*argv) -> str:
@@ -97,6 +98,45 @@ def test_each_command_skips_the_stdlib_modules_it_does_not_read(name):
     code, modules = _run(name)
     assert code == LOADED[name][0]
     assert not modules & UNREAD[name], sorted(modules & UNREAD[name])
+
+
+@pytest.mark.parametrize("name", sorted(n for n in LOADED if n.startswith("readme_")))
+def test_json_output_loads_no_fractions(name):
+    # the JSON output adds the group hash and every coefficient's string,
+    # all of them ints
+    code, modules = json.loads(_child("-c", CHILD, json.dumps([*ARGV[name], "--format", "json"])))
+    assert code == 0
+    assert not set(modules) & {"fractions", "decimal"}
+
+
+def test_integer_outputs_build_no_fraction(monkeypatch):
+    # the same rule in process: the table, its outputs, the decomposition
+    # with its omega solve, and the gamma = 1 analysis hold only ints
+    from fractions import Fraction
+
+    from corpus import CORPUS, materialize
+    from geosig.chartable import compute_table
+    from geosig.jacobian import factor_dimensions, gamma1_analysis
+
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    assert Fraction(1, 2) and built == [(1, 2)]  # the counter counts
+    built.clear()
+    for case in CORPUS:
+        G, sig, _ = materialize(case)
+        table = compute_table(G)
+        table.to_json()
+        table.render_text()
+        factor_dimensions(G, table, sig).to_json()
+        if case.gamma == 1:
+            gamma1_analysis(G, table, sig)
+    assert not built, built[:5]
 
 
 def test_importing_the_package_loads_no_module():
