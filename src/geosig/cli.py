@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import (
@@ -71,13 +70,13 @@ def _read_source(source: str, what: str, alternative: str) -> dict:
     text = source.strip()
     if text.startswith("{"):
         return _parse_json(text, what)
-    path = Path(text)
     try:
-        if path.is_file():
-            return _parse_json(path.read_text(encoding="utf-8"), f"{what} file {source}")
+        if os.path.isfile(text):
+            with open(text, encoding="utf-8") as handle:
+                return _parse_json(handle.read(), f"{what} file {source}")
     except UnicodeDecodeError as exc:
         raise GroupInputError(f"{what} file {source} is not UTF-8 text: {exc}") from None
-    except OSError:  # unreadable, or a name too long for the file system
+    except OSError:  # unreadable, though a file
         pass
     raise GroupInputError(f"{what} source {source!r} is neither {alternative} nor a readable file")
 

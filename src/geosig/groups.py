@@ -438,9 +438,23 @@ class FiniteGroup:
 
     @cached_property
     def digest(self) -> str:
-        import hashlib  # only this property reads it
+        """The group hash: the first 16 hex digits of the SHA-256 of the
+        degree and the element images in canonical order.
+
+        It takes sha256 from the interpreter's built-in module, the one
+        hashlib itself falls back to (_sha2 on 3.12+, _sha256 before):
+        hashlib would map OpenSSL's libcrypto for this one short hash, the
+        largest memory cost of a JSON call.  Only a build that has neither
+        built-in module imports hashlib.  The hash is the same either way."""
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256
+            except ImportError:
+                from hashlib import sha256
         blob = f"{self.degree}|" + ";".join(",".join(map(str, x)) for x in self._images)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
     # -- subgroups ---------------------------------------------------------
 

@@ -1,5 +1,8 @@
+import hashlib
+import importlib.util
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -13,7 +16,7 @@ from geosig.groups import (
     group_from_payload,
 )
 
-from corpus import conj
+from corpus import CORPUS, conj
 
 
 def test_perm_basics():
@@ -343,6 +346,37 @@ def test_group_from_payload_roundtrip():
         group_from_payload({"name": 5, "degree": 2, "generators": {"a": "(1,2)"}})
     with pytest.raises(GroupInputError, match="group spec has unknown key 'nmae';"):
         group_from_payload({"nmae": "d4", "degree": 4, "generators": payload["generators"]})
+
+
+@pytest.mark.parametrize("route", ["built-in", "hashlib"])
+def test_digest_is_the_sha256_of_the_images(monkeypatch, route):
+    # the group hash is the first 16 hex digits of the SHA-256 of the degree
+    # and the element images in canonical order, whichever module computes
+    # it: the interpreter's built-in one, which must not need hashlib, or
+    # hashlib on a build that has no built-in one
+    names = sorted({case.group_name for case in CORPUS})
+    expected = {}
+    for name in names:
+        G = catalog(name)
+        blob = f"{G.degree}|" + ";".join(",".join(map(str, p.image)) for p in G.elements)
+        expected[name] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+    hashed = []
+    if route == "built-in":
+        if not any(map(importlib.util.find_spec, ["_sha2", "_sha256"])):
+            pytest.skip("this interpreter has no built-in SHA-256")
+        monkeypatch.setitem(sys.modules, "hashlib", None)
+    else:
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        sha256 = hashlib.sha256
+
+        def counted(data):
+            hashed.append(data)
+            return sha256(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+    assert {name: catalog(name).digest for name in names} == expected
+    assert len(hashed) == (len(names) if route == "hashlib" else 0)
 
 
 def test_wc3_named_subgroups_are_nonconjugate():

@@ -9,6 +9,7 @@ changed; these tests are what notices.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -52,6 +53,7 @@ LOADED = {
     "readme_chartab_quaternion8": (0, CLI | {"geosig.chartable", "geosig.cyclotomic"}),
     "bad_group_name": (64, CLI),
 }
+README = sorted(n for n in LOADED if n.startswith("readme_"))
 ARGV = dict(CASES, bad_group_name=["chartab", "--group", "nosuchgroup(3)"])
 
 CHILD = """
@@ -65,8 +67,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 # plain slotted classes; the genus, the table's values and the omega solve
 # are integer arithmetic, so a Fraction is built only by Cyclo division and
 # by error messages, and no command here loads fractions (or decimal, which
-# fractions imports); and only a JSON output reads the group hash, so no
-# case here, each a text-mode call, loads hashlib
+# fractions imports); and no case here, each a text-mode call, reads the
+# group hash, so none loads hashlib (a JSON call, which reads it, skips
+# hashlib too where the interpreter has a built-in SHA-256)
 UNREAD = {name: {"dataclasses", "inspect", "hashlib", "fractions", "decimal"}
           for name in LOADED}
 
@@ -100,13 +103,36 @@ def test_each_command_skips_the_stdlib_modules_it_does_not_read(name):
     assert not modules & UNREAD[name], sorted(modules & UNREAD[name])
 
 
-@pytest.mark.parametrize("name", sorted(n for n in LOADED if n.startswith("readme_")))
+@pytest.mark.parametrize("name", README)
 def test_json_output_loads_no_fractions(name):
     # the JSON output adds the group hash and every coefficient's string,
     # all of them ints
     code, modules = json.loads(_child("-c", CHILD, json.dumps([*ARGV[name], "--format", "json"])))
     assert code == 0
     assert not set(modules) & {"fractions", "decimal"}
+
+
+@pytest.mark.parametrize("name", README)
+def test_json_output_loads_no_openssl(name):
+    # the group hash takes sha256 from the interpreter's built-in module, so
+    # hashlib, which maps OpenSSL's libcrypto (_hashlib) and _blake2, stays
+    # unloaded wherever that module exists
+    if not any(map(importlib.util.find_spec, ["_sha2", "_sha256"])):
+        pytest.skip("this interpreter has no built-in SHA-256")
+    code, modules = json.loads(_child("-c", CHILD, json.dumps([*ARGV[name], "--format", "json"])))
+    assert code == 0
+    assert not set(modules) & {"hashlib", "_hashlib", "_blake2"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", README)
+def test_readme_calls_load_no_pathlib(name, fmt):
+    # without site (-S), whose .pth hooks may import pathlib themselves, a
+    # call reads its sources with os.path and open alone
+    code, modules = json.loads(_child("-S", "-c", CHILD,
+                                      json.dumps([*ARGV[name], "--format", fmt])))
+    assert code == 0
+    assert "pathlib" not in modules
 
 
 def test_integer_outputs_build_no_fraction(monkeypatch):
