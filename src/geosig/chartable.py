@@ -17,12 +17,13 @@ use seeded random combinations of all class matrices: building all s of
 them costs |G|*s lookups, more than the whole split of symmetric(6), and
 the output would hang on a seed.
 
-The lift runs the inverse DFT once per rational class, on its least class;
-a class whose representative is conjugate to the leader's u-th power takes
-the leader's multiplicities moved from k to k*u mod m.  At run time the
-table checks the eigenvectors against every class matrix the split read,
-the multiplicity sum of each DFT, sum chi(1)^2 = |G|, and the row and the
-column norms of the integer rows.  The prime is the smallest qualifying
+The lift runs the inverse DFT once per class of cyclic subgroups, over the
+classes along its power walk w_c^0, ..., w_c^(m-1); a class whose
+representative is conjugate to w_c^a takes those multiplicities moved from
+k to k*a mod m, one index list per class built once per table.  At run
+time the table checks the eigenvectors against every class matrix the split
+read, the multiplicity sum of each DFT, sum chi(1)^2 = |G|, and the row and
+the column norms of the integer rows.  The prime is the smallest qualifying
 one and the finished rows are sorted by (degree, value sequence), so the
 table is deterministic.
 
@@ -34,11 +35,11 @@ dimensions and the Frobenius-Schur indicators are integer sums over these
 rows, and rationals appear only at the final exact division.
 `Character.values`, the same values as `Cyclo` numbers, is built from the
 row on first read, for the JSON and text output and for API callers.
-Powers of class representatives come from the group's one class power map,
-`FiniteGroup.class_powers`.  `CharacterTable.fixed_dims`, the fixed-space
-dimension of every character on every cyclic-class representative, is
-computed once per table and read by the Schur bounds, the closed-form
-multiplicities and the omega system.
+Walks, inverses, squares and Galois actions come from the group's one power
+map, `FiniteGroup.power_walks` and `walk_places`.  `CharacterTable.fixed_dims`,
+the fixed-space dimension of every character on every cyclic-class
+representative, is computed once per table and read by the Schur bounds,
+the closed-form multiplicities and the omega system.
 """
 from __future__ import annotations
 
@@ -164,10 +165,9 @@ class CharacterTable:
     @cached_property
     def _square_weights(self) -> tuple[tuple[int, int], ...]:
         """(class of g^2, number of such g) over the group, from the power map."""
-        weights: dict[int, int] = {}
-        for cls, powers in zip(self.classes, self.group.class_powers):
-            sq = powers[2 % len(powers)]
-            weights[sq] = weights.get(sq, 0) + cls.size
+        weights = Counter()
+        for j, cls in enumerate(self.classes):
+            weights[self.group.class_power(j, 2)] += cls.size
         return tuple(weights.items())
 
     def frobenius_schur_indicator(self, chi: Character) -> int:
@@ -205,10 +205,10 @@ class CharacterTable:
                     f"Schur override for character {i}: the characters are "
                     f"0..{len(self.characters) - 1}"
                 )
-        e = self.group.exponent
+        G, e = self.group, self.group.exponent
         # the Galois conjugate zeta -> zeta^k of chi is g -> chi(g^k): a
         # permutation of the classes, the same for many units k
-        actions = {tuple(powers[k % len(powers)] for powers in self.group.class_powers)
+        actions = {tuple(G.class_power(j, k) for j in range(len(self.classes)))
                    for k in range(1, e + 1) if math.gcd(k, e) == 1}
         seen: set[int] = set()
         out = []
@@ -398,7 +398,7 @@ def _class_matrix(G: FiniteGroup, i: int) -> list[list[tuple[int, int]]]:
     z -> z * y0 serves the whole matrix, counted once per column."""
     classes = G.conjugacy_classes
     cls_of = G.class_of
-    inverse = classes[G.class_powers[i][-1]]
+    inverse = classes[G.class_power(i, -1)]
     times_y0 = G.right(inverse.indices[0])
     rows: list[list[tuple[int, int]]] = [[] for _ in classes]
     for k, cls in enumerate(classes):
@@ -536,24 +536,6 @@ def _zeta_sum(mults: Sequence[int], zeta_rows: list[tuple[int, ...]]) -> tuple[i
     return tuple(value)
 
 
-def _rational_classes(class_powers: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
-    """For each class j: the least class L of its rational class, and the
-    index list src with mults_j[k] = mults_L[src[k]].  The classes of g_L^u,
-    u prime to m = |g_L|, form the rational class; g_j conjugate to g_L^u has
-    the eigenvalue zeta_m^(k*u) wherever g_L has zeta_m^k, so src[k] is
-    k * u^-1 mod m."""
-    moved: dict[int, tuple[int, list[int]]] = {}
-    for lead, powers in enumerate(class_powers):
-        if lead in moved:
-            continue
-        m = len(powers)
-        for u in range(m):
-            if math.gcd(u, m) == 1 and powers[u] not in moved:
-                inv = pow(u, -1, m)
-                moved[powers[u]] = (lead, [k * inv % m for k in range(m)])
-    return [moved[j] for j in range(len(class_powers))]
-
-
 def _check_norms(G: FiniteGroup, rows: Sequence[Sequence[tuple[int, ...]]]) -> None:
     """Row and column norms of the integer rows, from one set of products.
 
@@ -563,7 +545,7 @@ def _check_norms(G: FiniteGroup, rows: Sequence[Sequence[tuple[int, ...]]]) -> N
     sum_chi P(chi, j) is |G|/|C_j| for every class j.
     """
     classes = G.conjugacy_classes
-    inverse_class = [powers[-1] for powers in G.class_powers]
+    inverse = [G.class_power(j, -1) for j in range(len(classes))]
     e = G.exponent
     phi = euler_phi(e)
     width = 2 * phi - 1
@@ -572,7 +554,7 @@ def _check_norms(G: FiniteGroup, rows: Sequence[Sequence[tuple[int, ...]]]) -> N
     for i, row in enumerate(rows):
         norm = [0] * width
         for j, cls in enumerate(classes):
-            conj_row, column, size = row[inverse_class[j]], columns[j], cls.size
+            conj_row, column, size = row[inverse[j]], columns[j], cls.size
             for a_pos, a in enumerate(row[j]):
                 if a:
                     for b_pos, b in enumerate(conj_row, a_pos):
@@ -596,22 +578,25 @@ def compute_table(G: FiniteGroup,
                   schur_overrides: Optional[Mapping[int, int]] = None) -> CharacterTable:
     """Compute the exact character table of a group of order at most 2000."""
     classes = G.conjugacy_classes
-    class_powers = G.class_powers
+    walks = G.power_walks
     s = len(classes)
     e = G.exponent
     p = _choose_prime(G.order, e)
     inv_sizes = [pow(cls.size, p - 2, p) for cls in classes]
-    inverse_class = [powers[-1] for powers in class_powers]
+    inverse = [G.class_power(j, -1) for j in range(s)]
     omegas = _split_spaces(G, p)
-    moved = _rational_classes(class_powers)
-    leaders = [j for j, (lead, _) in enumerate(moved) if lead == j]
+    moved = []  # mults_j[k] = mults_c[k * a^-1 mod m], rep_j conjugate to w_c^a
+    for c, a in G.walk_places:
+        m = len(walks[c])
+        inv = pow(a, -1, m)
+        moved.append((c, [k * inv % m for k in range(m)]))
 
     zeta_rows = _zeta_powers(e)
     root = pow(_primitive_root(p), (p - 1) // e, p)  # fixed image of zeta_e in F_p
     # per element order m: the rows k < m of images of zeta_m^(-k*u), u < m,
     # and the image of 1/m in F_p
     dft = {}
-    for m in {len(class_powers[j]) for j in leaders}:
+    for m in set(map(len, walks)):
         zeta_m = pow(root, e // m, p)
         zeta_inv = [pow(zeta_m, -t % m, p) for t in range(m)]
         dft[m] = ([[zeta_inv[k * u % m] for u in range(m)] for k in range(m)],
@@ -624,7 +609,7 @@ def compute_table(G: FiniteGroup,
             raise InternalCheckError("eigenvector vanishes on the identity class")
         scale = pow(w[0], p - 2, p)
         w = [v * scale % p for v in w]
-        norm = sum(w[j] * w[inverse_class[j]] * inv_sizes[j] for j in range(s)) % p
+        norm = sum(w[j] * w[inverse[j]] * inv_sizes[j] for j in range(s)) % p
         d2 = G.order * pow(norm, p - 2, p) % p
         # p > 2*sqrt(|G|), so at most one d in 1..sqrt(|G|) squares to d2
         degree = next(
@@ -634,24 +619,19 @@ def compute_table(G: FiniteGroup,
             raise InternalCheckError("lifted degree out of range")
         degrees_sq += degree * degree
         tvals = [degree * w[j] * inv_sizes[j] % p for j in range(s)]
-        lead_mults = {}
-        for j in leaders:
-            # chi(g) = sum over k of a_k zeta_m^k, where a_k, the multiplicity
-            # of the eigenvalue zeta_m^k of g, is an inverse DFT over g^u
-            powers = class_powers[j]
-            dft_rows, inv_m = dft[len(powers)]
-            samples = [tvals[c] for c in powers]
+        walk_mults = []
+        for c, walk in enumerate(walks):
+            # chi(w) = sum over k of a_k zeta_m^k, where a_k, the multiplicity
+            # of the eigenvalue zeta_m^k of w, is an inverse DFT over w^u
+            dft_rows, inv_m = dft[len(walk)]
+            samples = [tvals[j] for j in walk]
             mults = [sum(map(mul, samples, dft_row)) * inv_m % p for dft_row in dft_rows]
             if sum(mults) != degree:
-                raise InternalCheckError(
-                    f"eigenvalue multiplicities on class {j} do not sum to degree"
-                )
-            lead_mults[j] = mults
-        row = []
-        for lead, src in moved:
-            mults = lead_mults[lead]
-            row.append(_zeta_sum([mults[k] for k in src], zeta_rows))
-        characters.append((degree, tuple(row)))
+                raise InternalCheckError(f"eigenvalue multiplicities on the power walk of "
+                                         f"cyclic class {c} do not sum to degree")
+            walk_mults.append(mults)
+        row = tuple(_zeta_sum([walk_mults[c][k] for k in src], zeta_rows) for c, src in moved)
+        characters.append((degree, row))
     if degrees_sq != G.order:
         raise InternalCheckError("sum of squared degrees does not match the group order")
 

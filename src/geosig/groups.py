@@ -25,9 +25,12 @@ partition, `_orbits`, gives the element classes, the left cosets and
 double-coset route 1.  Powers are walked along a right column from
 the least member of each conjugation orbit not yet filed, once per class of
 cyclic subgroups, and the conjugation columns carry each walk to the
-conjugate subgroups; a class's element order is its walk's length.  Member
-sets are int bitmasks, so a meet is `(a & b).bit_count()`.  `Perm` objects
-appear only at the boundary: input, witnesses and output.
+conjugate subgroups; a class's element order is its walk's length.  The
+power map is the class numbers along one walk w_c per class c of cyclic
+subgroups and each element class's place (c, a), rep ~ w_c^a; the classes
+that share c form one rational class.  Member sets are int bitmasks, so a
+meet is `(a & b).bit_count()`.  `Perm` objects appear only at the boundary:
+input, witnesses and output.
 `Record` and `FrozenRecord` are the slotted bases of every module's result
 records, here because every module imports this one: a record's fields are
 its slots, and its constructor is generated in slot order unless the class
@@ -500,20 +503,31 @@ class FiniteGroup:
         return dict(zip(self.elements, self.class_of))
 
     @cached_property
-    def class_powers(self) -> tuple[tuple[int, ...], ...]:
-        """For each class, the class indices of rep^0, rep^1, ..., rep^(m-1), m the
-        element order: the one power map, the class of g^k for g in class j being
-        class_powers[j][k % m].  It reads the power walk of <rep>, which may
-        start at any generator: rep is walk[a] = walk[1]^a, so rep^k is
-        walk[a*k % m]."""
+    def power_walks(self) -> tuple[tuple[int, ...], ...]:
+        """For each class c of cyclic subgroups, in `cyclic_subgroup_classes`
+        order, the class numbers of w^0, w^1, ..., w^(m-1) along the power walk
+        of one generator w of a subgroup in the class: with `walk_places`, the
+        one power map."""
+        class_of = self.class_of
+        _, _, walks, orbits = self._cyclic_subgroups
+        return tuple(tuple(map(class_of.__getitem__, walks[orbit[0]])) for orbit in orbits)
+
+    @cached_property
+    def walk_places(self) -> tuple[tuple[int, int], ...]:
+        """For each conjugacy class j, the pair (c, a) with rep_j conjugate to
+        w_c^a, gcd(a, m) = 1: each conjugate of w_c's walk is that walk read
+        through the conjugation columns, so rep_j is walk[a] on the walk of
+        <rep_j>.  The classes that share c form one rational class."""
         cyclic_of, _, walks, _ = self._cyclic_subgroups
-        class_of, out = self.class_of, []
-        for cls in self.conjugacy_classes:
-            g = cls.indices[0]
-            walk = walks[cyclic_of[g]]
-            m, a = len(walk), walk.index(g)
-            out.append(tuple(class_of[walk[a * k % m]] for k in range(m)))
-        return tuple(out)
+        number = self.cyclic_subgroup_masks
+        return tuple((number[cyclic_of[g]], walks[cyclic_of[g]].index(g))
+                     for g in (cls.indices[0] for cls in self.conjugacy_classes))
+
+    def class_power(self, j: int, k: int) -> int:
+        """The class of g^k for g in class j and any integer k."""
+        c, a = self.walk_places[j]
+        walk = self.power_walks[c]
+        return walk[a * k % len(walk)]
 
     def _powers(self, g: int) -> list[int]:
         """g^0, g^1, ..., g^(m-1), for g of order m, along g's right column."""
@@ -528,7 +542,8 @@ class FiniteGroup:
                                          dict[int, list[int]], list[list[int]]]:
         """The mask of the cyclic subgroup <g> by element index g; by mask the
         sorted members and a power walk of each cyclic subgroup; and the masks
-        of each class of cyclic subgroups.  Powers are walked once per
+        of each class of cyclic subgroups, the walked one first, in class
+        order (order, class size, least members).  Powers are walked once per
         conjugation orbit whose least member g is not yet filed; the
         conjugation columns carry that walk to each t<g>t^-1 = <t g t^-1>,
         filed with its generators walk[k], gcd(k, m) = 1, when first reached."""
@@ -559,6 +574,8 @@ class FiniteGroup:
         if filed != self.order or not all(c > 0 for c in cyclic_of):
             raise InternalCheckError(f"the cyclic subgroups file {filed} generators for "
                                      f"{self.order} elements, {cyclic_of.count(0)} unfiled")
+        orbits.sort(key=lambda masks: (len(walks[masks[0]]), len(masks),
+                                       min(map(members.__getitem__, masks))))
         return cyclic_of, members, walks, orbits
 
     @cached_property
@@ -573,13 +590,12 @@ class FiniteGroup:
             gen = self.elements[gen]
             rep = Subgroup._trusted(self, members[rep_set], (gen,), str(gen))
             classes.append(ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit)))
-        classes.sort(key=lambda c: (c.order, c.class_size, c.representative.indices))
         return tuple(classes)
 
     @cached_property
     def cyclic_subgroup_masks(self) -> dict[int, int]:
         """The member mask of every cyclic subgroup -> the index of its class."""
-        return {s: i for i, c in enumerate(self.cyclic_subgroup_classes) for s in c.member_masks}
+        return {s: c for c, orbit in enumerate(self._cyclic_subgroups[3]) for s in orbit}
 
     def cyclic_class_index(self, sub: "Subgroup") -> int:
         """Index of the cyclic-subgroup class containing sub."""

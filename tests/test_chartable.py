@@ -145,10 +145,11 @@ def _charpoly_modp(mat, p):
 
 def reference_class_matrix(G, i, times_reps):
     """Entry (j, k): the x in class i with x^-1 rep_k in class j; x^-1 spans the
-    inverse class.  times_reps[k] is the column y -> y * rep_k."""
+    inverse class, the class of the Perm inverse of rep_i.  times_reps[k] is
+    the column y -> y * rep_k."""
     classes = G.conjugacy_classes
     cls_of = G.class_of
-    inverses = classes[G.class_powers[i][-1]].indices
+    inverses = classes[G.class_index[classes[i].representative.inverse()]].indices
     s = len(classes)
     mat = [[0] * s for _ in range(s)]
     for k, times_rep in enumerate(times_reps):
@@ -205,14 +206,25 @@ def _normalized(vectors, p):
     return sorted(tuple(v * pow(w[0], -1, p) % p for v in w) for w in vectors)
 
 
+def perm_powers(G, g):
+    """The classes of g^0, g^1, ..., g^(m-1), m the order of g, by Perm products."""
+    out, power = [G.class_index[G.identity]], g
+    while power != G.identity:
+        out.append(G.class_index[power])
+        power = power * g
+    return out
+
+
 def reference_rows(G):
     """(degree, integer row) of every character, sorted, from the reference
-    split and an inverse DFT on every class, summed by `reduce_integral`."""
-    classes, class_powers = G.conjugacy_classes, G.class_powers
+    split and an inverse DFT on every class over the classes of its
+    representative's Perm powers, summed by `reduce_integral`."""
+    classes = G.conjugacy_classes
     s, e = len(classes), G.exponent
     p = _choose_prime(G.order, e)
     zeta_e = pow(_primitive_root(p), (p - 1) // e, p)
-    inverse_class = [powers[-1] for powers in class_powers]
+    class_powers = [perm_powers(G, cls.representative) for cls in classes]
+    inverse_class = [G.class_index[cls.representative.inverse()] for cls in classes]
     out = []
     for w in _normalized(reference_split(G, p), p):
         norm = sum(w[j] * w[inverse_class[j]] * pow(classes[j].size, -1, p)

@@ -316,7 +316,7 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     G = catalog("symmetric(6)")
     sig = geometric_signature(G, 0, ("b", "a", "(1,2,3,4,5)"))
     vec = find_generating_vector(G, sig)
-    G.class_powers, G.merged_element_classes
+    G.walk_places, G.merged_element_classes
     calls = []
     real = Perm.__mul__
     monkeypatch.setattr(Perm, "__mul__", lambda self, g: (calls.append(1), real(self, g))[1])

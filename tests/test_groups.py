@@ -161,16 +161,6 @@ def test_conjugacy_classes_partition_brute_force():
             assert set(cls.members) == expected
 
 
-def test_class_powers_match_perm_powers():
-    for name in ("dihedral(6)", "quaternion8", "wc3", "symmetric(5)"):
-        G = catalog(name)
-        for cls, powers in zip(G.conjugacy_classes, G.class_powers):
-            m = cls.element_order
-            assert len(powers) == m
-            for k in range(-m, 2 * m):
-                assert powers[k % m] == G.class_index[cls.representative ** k]
-
-
 def test_cyclic_subgroup_classes_d4():
     G = catalog("dihedral(4)")
     classes = G.cyclic_subgroup_classes
@@ -530,12 +520,28 @@ def assert_cyclic_subgroups_match_reference(G):
     assert [(c.indices, c.element_order) for c in G.merged_element_classes] == [
         (tuple(x for x in range(G.order) if ref_of[x] in orbit), m)
         for m, _, _, _, orbit in ref_classes]
-    want = []
-    for cls in G.conjugacy_classes:
-        ref = ref_walks[ref_of[cls.indices[0]]]
-        m, a = len(ref), ref.index(cls.indices[0])
-        want.append(tuple(G.class_of[ref[a * k % m]] for k in range(m)))
-    assert G.class_powers == tuple(want)
+
+
+def assert_power_map_matches_perm_powers(G):
+    # the class of rep^k for every k in range(-m, 2m) against the class of
+    # the power composed from rep's image tuple; each walk position a is a
+    # unit mod m, and the classes that share a walk c are the classes of
+    # merged_element_classes[c]
+    class_by_image = {g.image: j for g, j in G.class_index.items()}
+    identity = G.identity.image
+    for j, cls in enumerate(G.conjugacy_classes):
+        rep, m = cls.representative.image, cls.element_order
+        want, power = [class_by_image[identity]], rep
+        while power != identity:
+            want.append(class_by_image[power])
+            power = tuple([rep[x] for x in power])
+        assert len(want) == m
+        assert [G.class_power(j, k) for k in range(-m, 2 * m)] == want * 3
+        c, a = G.walk_places[j]
+        assert len(G.power_walks[c]) == m and math.gcd(a, m) == 1
+    for c, merged in enumerate(G.merged_element_classes):
+        assert {j for j, (d, _) in enumerate(G.walk_places) if d == c} == {
+            G.class_of[g] for g in merged.indices}
 
 
 # every catalog group up to order 120, and the larger ones up to order 720
@@ -552,6 +558,19 @@ def test_cyclic_subgroups_match_per_subgroup_walks(name):
 
 def test_cyclic_subgroups_match_per_subgroup_walks_on_w_d5():
     assert_cyclic_subgroups_match_reference(group_from_payload(W_D5))
+
+
+@pytest.mark.parametrize("name", WALK_CATALOG)
+def test_class_powers_match_perm_powers(name):
+    assert_power_map_matches_perm_powers(catalog(name))
+
+
+def test_power_map_of_cyclic_2000_holds_one_walk_per_cyclic_class():
+    # one walk of length d per divisor d of 2000, sigma(2000) = 4,836
+    # entries, and one (c, a) pair per conjugacy class
+    G = catalog("cyclic(2000)")
+    assert len(G.power_walks) == len(G.cyclic_subgroup_classes) == 20
+    assert sum(map(len, G.power_walks)) == 4836 and len(G.walk_places) == 2000
 
 
 def _counting(monkeypatch, owner, name):
@@ -575,7 +594,7 @@ def test_cyclic_class_data_walks_powers_once_per_class(monkeypatch):
     G = catalog("symmetric(6)")
     walks = _counting(monkeypatch, FiniteGroup, "_powers")
     products = _counting(monkeypatch, Perm, "__mul__")
-    G.conjugacy_classes, G.cyclic_subgroup_classes, G.merged_element_classes, G.class_powers
+    G.conjugacy_classes, G.cyclic_subgroup_classes, G.merged_element_classes, G.walk_places
     assert len(G._cyclic_subgroups[1]) == 362 and len(G.cyclic_subgroup_classes) == 11
     cyclic_of = G._cyclic_subgroups[0]
     assert sorted(G.cyclic_subgroup_masks[cyclic_of[g]] for (g,) in walks) == list(range(11))
@@ -594,7 +613,7 @@ def test_class_data_reads_integer_columns_only(monkeypatch, name):
     products = _counting(monkeypatch, Perm, "__mul__")
     orders = _counting(monkeypatch, Perm, "order")
     cycles = _counting(monkeypatch, Perm, "cycles")
-    G.conjugacy_classes, G.class_of, G.class_powers, G.exponent
+    G.conjugacy_classes, G.class_of, G.power_walks, G.walk_places, G.exponent
     assert products == orders == cycles == []
     G.cyclic_subgroup_classes, G.merged_element_classes
     assert products == orders == [] and len(cycles) == len(G.cyclic_subgroup_classes)

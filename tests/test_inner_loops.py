@@ -11,7 +11,8 @@ Each loop is compared with a reference that shares none of its code:
   polynomial, and the power table itself against `Cyclo.zeta`;
 - the cyclic subgroups of one conjugation walk per class
   (`FiniteGroup._cyclic_subgroups`) against one power walk per subgroup by
-  `Perm` products, on drawn `group_from_payload` groups.
+  `Perm` products, and the power map read off those walks against `Perm`
+  powers, on drawn `group_from_payload` groups.
 hypothesis is a test-only dependency: the module is skipped when it is
 missing, and runs derandomized so that every run draws the same examples.
 """
@@ -27,7 +28,10 @@ from geosig.chartable import _zeta_powers, _zeta_sum  # noqa: E402
 from geosig.cyclotomic import Cyclo, reduce_integral  # noqa: E402
 from geosig.groups import Perm, catalog, group_from_payload  # noqa: E402
 from geosig.monodromy import _cycle_type  # noqa: E402
-from test_groups import assert_cyclic_subgroups_match_reference  # noqa: E402
+from test_groups import (  # noqa: E402
+    assert_cyclic_subgroups_match_reference,
+    assert_power_map_matches_perm_powers,
+)
 
 DERANDOMIZED = settings(derandomize=True, deadline=None, max_examples=100)
 GROUPS = ("cyclic(12)", "dihedral(6)", "quaternion8", "symmetric(4)", "wc3",
@@ -127,4 +131,6 @@ def group_payloads(draw):
 @settings(DERANDOMIZED, max_examples=60)
 @given(group_payloads())
 def test_cyclic_subgroups_match_per_subgroup_walks_on_drawn_groups(payload):
-    assert_cyclic_subgroups_match_reference(group_from_payload(payload))
+    G = group_from_payload(payload)
+    assert_cyclic_subgroups_match_reference(G)
+    assert_power_map_matches_perm_powers(G)
