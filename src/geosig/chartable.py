@@ -189,12 +189,6 @@ class CharacterTable:
         members = [g for g, j in enumerate(self.group.class_of) if j in at_degree]
         return Subgroup._trusted(self.group, members, None, f"ker(chi{chi.index})")
 
-    def galois_class_of(self, char_index: int) -> GaloisClass:
-        for gc in self.galois_classes:
-            if char_index in gc.members:
-                return gc
-        raise GroupInputError(f"no character with index {char_index}")
-
     # -- construction ------------------------------------------------------
 
     def _build_galois_classes(self, overrides: Mapping[int, int]) -> tuple[GaloisClass, ...]:

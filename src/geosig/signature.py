@@ -110,7 +110,7 @@ def signature_from_payload(G: FiniteGroup, payload: Mapping) -> GeometricSignatu
             raise GroupInputError(
                 f"class_rep {word!r} has order {g.order()}, branch order is {order}"
             )
-        sub = Subgroup.generated(G, [g], label=str(word))
+        sub = G.subgroup([g], label=str(word))
         cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
         entries.append(BranchEntry(order, cls, label=str(word)))
     return GeometricSignature(genus, tuple(entries))
@@ -205,18 +205,6 @@ class VectorCheck(Record):
     def ok(self) -> bool:
         return self.orders_ok and self.classes_ok and self.product_ok and self.generates
 
-    def failures(self) -> list[str]:
-        out = []
-        if not self.orders_ok:
-            out.append("an element c_j does not have the required order m_j")
-        if not self.classes_ok:
-            out.append("a subgroup <c_j> lies outside the required conjugacy class")
-        if not self.product_ok:
-            out.append("the product of commutators and branch elements is not the identity")
-        if not self.generates:
-            out.append("the vector generates a proper subgroup")
-        return out
-
 
 def _commutator(a: Perm, b: Perm) -> Perm:
     return a * b * a.inverse() * b.inverse()
@@ -234,11 +222,11 @@ def _cyclic_mask(G: FiniteGroup, c: Perm) -> int:
 def _generate_whole_group(G: FiniteGroup, elements: Sequence[Perm]) -> bool:
     """Whether elements generate G: a closure of their image tuples, composed
     directly and not read from the group's columns, that stops at |G|."""
-    steps = [image.__getitem__ for image in {g.image for g in elements}]
+    images = {g.image for g in elements}
     found, queue = {G.identity.image}, [G.identity.image]
     for a in queue:
-        for step in steps:
-            b = tuple(map(step, a))  # a * g
+        for s in images:
+            b = tuple([s[i] for i in a])  # a * g
             if b not in found:
                 found.add(b)
                 if len(found) == G.order:

@@ -9,7 +9,7 @@ generating vector.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from geosig.groups import FiniteGroup, Perm, Subgroup, catalog
+from geosig.groups import FiniteGroup, Perm, catalog
 from geosig.signature import BranchEntry, GeometricSignature
 
 
@@ -61,7 +61,7 @@ def geometric_signature(G: FiniteGroup, gamma: int,
     entries = []
     for w in words:
         g = G.element(w)
-        sub = Subgroup.generated(G, [g], label=w)
+        sub = G.subgroup([g], label=w)
         cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
         entries.append(BranchEntry(g.order(), cls, label=w))
     return GeometricSignature(gamma, tuple(entries))

@@ -554,7 +554,7 @@ def test_schur_override():
     with pytest.raises(GroupInputError, match="computed bound 2 and be even"):
         compute_table(G, schur_overrides={idx: 1})
     T2 = compute_table(G, schur_overrides={idx: 2})
-    gc = T2.galois_class_of(idx)
+    gc = next(gc for gc in T2.galois_classes if idx in gc.members)
     assert gc.schur_index == 2
     assert gc.schur_index_source == SCHUR_OVERRIDE
 

@@ -11,7 +11,7 @@ from geosig.covers import (
     transversal_partition,
 )
 from geosig.errors import GroupInputError, InternalCheckError
-from geosig.groups import Perm, Subgroup, catalog
+from geosig.groups import Perm, catalog
 from geosig.signature import (
     BranchEntry,
     GeometricSignature,
@@ -235,7 +235,7 @@ def test_doctored_marks_fail_the_genus_check(monkeypatch):
     # double-coset genus
     G = catalog("wc3")
     sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
-    H = Subgroup.generated(G, [G.element("(2,5)(3,6)")])
+    H = G.subgroup([G.element("(2,5)(3,6)")])
     marks = marked_points(G, sig, H)
     assert [(m.mark, m.count) for m in marks if m.branch_index == 1] == [(2, 4), (1, 4)]
     doctored = {2: 2, 1: 5}

@@ -158,7 +158,7 @@ def test_conjugacy_classes_partition_brute_force():
         G = catalog(name)
         for cls in G.conjugacy_classes:
             expected = {conj(t, cls.representative) for t in G.elements}
-            assert set(cls.members) == expected
+            assert {G.elements[i] for i in cls.indices} == expected
 
 
 def test_cyclic_subgroup_classes_d4():
@@ -194,10 +194,9 @@ def test_merged_classes_align_with_cyclic_classes():
         for m, c in zip(merged, classes):
             # every member generates a subgroup of the class, so has its order
             assert m.element_order == c.order
-            for g in m.members:
+            for g in map(G.elements.__getitem__, m.indices):
                 assert g.order() == c.order
-                sub = Subgroup.generated(G, [g])
-                assert c.contains_subgroup(sub)
+                assert G.subgroup([g]).mask in c.member_masks
 
 
 def test_normalizer_d4():
@@ -231,10 +230,8 @@ def test_subgroup_validation():
     G = catalog("dihedral(4)")
     x = G.named_generators["x"]
     with pytest.raises(GroupInputError):
-        Subgroup.from_members(G, [G.identity, x])  # not closed
-    with pytest.raises(GroupInputError):
         G.subgroup([Perm.parse(4, "(1,2)")])  # not in D4
-    H = Subgroup.from_members(G, [G.identity, x, x ** 2, x ** 3])
+    H = G.subgroup([G.identity, x, x ** 2, x ** 3])
     assert H.order == 4 and H.is_cyclic
 
 
@@ -404,7 +401,21 @@ def test_generating_set_of_a_subgroup_without_generators():
     # a subgroup built from generators moves by those generators
     K = G.subgroup_from_words(["a", "b"])
     assert K.generating_set == tuple(G.index(g) for g in K.generators)
-    assert Subgroup.from_members(G, H.members).generating_set == gens
+
+
+def test_subgroup_maps_each_generator_to_its_index_once(monkeypatch):
+    # the subgroup keeps its generators as indices: building it and reading
+    # its generating set look each generator up once, and reading its
+    # generators builds them from the indices
+    from geosig.groups import FiniteGroup
+
+    G = catalog("symmetric(5)")
+    gens = [G.element("a"), G.element("b"), G.element("ab"), G.identity]
+    indices = tuple(map(G.index, gens))
+    lookups = _counting(monkeypatch, FiniteGroup, "index")
+    K = G.subgroup(gens)
+    assert K.generating_set == indices and K.generators == tuple(gens)
+    assert lookups == [(g,) for g in gens]
 
 
 # -- derived columns against direct Perm composition ---------------------------
@@ -634,8 +645,9 @@ def assert_classes_match_perm_conjugation(G):
                 if h not in orbit:
                     orbit.add(h)
                     queue.append(h)
-        assert set(cls.members) == orbit and len(cls.members) == cls.size
-        assert {g.order() for g in cls.members} == {cls.element_order}
+        members = [G.elements[i] for i in cls.indices]
+        assert set(members) == orbit and len(members) == cls.size
+        assert {g.order() for g in members} == {cls.element_order}
 
 
 @pytest.mark.parametrize("name", WALK_CATALOG)

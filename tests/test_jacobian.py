@@ -4,7 +4,7 @@ from geosig import jacobian
 from geosig.chartable import compute_table
 from geosig.covers import quotient_genus
 from geosig.errors import GroupInputError, InternalCheckError
-from geosig.groups import Subgroup, catalog
+from geosig.groups import catalog
 from geosig.jacobian import (
     complex_multiplicities,
     factor_dimensions,
@@ -201,7 +201,7 @@ def test_galois_invariance_of_multiplicities():
     G = catalog("cyclic(6)")
     T = compute_table(G)
     x = G.named_generators["x"]
-    sub = Subgroup.generated(G, [x * x], label="x^2")
+    sub = G.subgroup([x * x], label="x^2")
     cls = G.cyclic_subgroup_classes[G.cyclic_class_index(sub)]
     sig = GeometricSignature(1, (BranchEntry(3, cls), BranchEntry(3, cls)))
     n = complex_multiplicities(G, T, sig)

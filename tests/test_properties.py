@@ -106,7 +106,7 @@ def corpus_subgroups(draw):
     i = draw(st.integers(0, len(CORPUS) - 1))
     G, sig = _case(i)
     picks = draw(st.lists(st.integers(0, G.order - 1), max_size=2))
-    H = Subgroup.generated(G, [G.elements[j] for j in picks])
+    H = G.subgroup([G.elements[j] for j in picks])
     return G, sig, H
 
 
@@ -131,12 +131,12 @@ def subgroup_pairs(draw):
     groups with non-normal subgroups."""
     G = corpus_group(draw(st.sampled_from(CORPUS_GROUPS)))
     K, H = (
-        Subgroup.generated(G, [G.elements[j] for j in draw(
+        G.subgroup([G.elements[j] for j in draw(
             st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2))])
         for _ in range(2)
     )
     if draw(st.booleans()):
-        K = Subgroup.from_members(G, K.members)
+        K = Subgroup._trusted(G, K.indices, None, None)
     return G, K, H
 
 
@@ -199,7 +199,7 @@ def _cyclo_average(chi, G, elements, divisor):
 def test_fixed_dim_matches_cyclo_average(case, picks):
     T, chi = case
     G = T.group
-    H = Subgroup.generated(G, [G.elements[j % G.order] for j in picks])
+    H = G.subgroup([G.elements[j % G.order] for j in picks])
     assert T.fixed_dim(chi, H) == _cyclo_average(chi, G, H.members, H.order)
 
 
@@ -342,7 +342,7 @@ def test_closed_form_covers_match_the_oracle_on_drawn_vectors(case):
     G, cs = case
     hypothesis.assume(all(not c.is_identity() for c in cs)
                       and G.generates([G.index(c) for c in cs]))
-    subs = [Subgroup.generated(G, [c]) for c in cs]
+    subs = [G.subgroup([c]) for c in cs]
     sig = GeometricSignature(0, tuple(
         BranchEntry(H.order, G.cyclic_subgroup_classes[G.cyclic_class_index(H)]) for H in subs
     ))
