@@ -7,8 +7,9 @@ by two formulas that must agree: Riemann–Hurwitz for S/H -> S/G over the
 marked points, and the double-coset count of the points of S/H over each
 branch value.  The marked points, and route 2 of the double-coset count,
 read how the conjugates l G_j l^-1 of a branch stabilizer G_j meet H: the
-conjugates and N(G_j) come from one conjugation walk cached on G_j, so each
-meet with a new H is a bitwise and, and no coset map of N(G_j) is read.
+conjugates, keyed by the transversal of N(G_j), come from one conjugation
+walk cached on G_j, so each meet with a new H is a bitwise and, |N(G_j)| is
+|G| over their number, and N(G_j) itself is never built.
 Counts that theory proves integral are asserted integral; a failure is
 raised, never rounded.
 """
@@ -147,30 +148,16 @@ def cycle_structure(G: FiniteGroup, sig: GeometricSignature,
     return cover_report(G, sig, H).cycle_structures
 
 
-def _conjugates(j: int, Gj: Subgroup, expected: int) -> tuple[int, ...]:
-    """The member masks of the conjugates of G_j, cached on G_j, checked to
-    number the elements of a transversal of N(G_j)."""
-    conjugates = Gj.conjugate_masks
-    if len(conjugates) != expected:
-        raise InternalCheckError(
-            f"G_{j} = <{Gj.label}> of order {Gj.order}: the transversal of its "
-            f"normalizer has {expected} elements, its cached conjugates {len(conjugates)}"
-        )
-    return conjugates
-
-
 def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
                           j: int) -> TransversalPartition:
-    """Split the transversal of N(G_j) by the size |l G_j l^-1 ∩ H| of each
-    conjugate's meet with H, the sets L_k in first-appearance order."""
+    """Split the transversal of N(G_j), the keys of G_j's cached conjugates,
+    by the size |l G_j l^-1 ∩ H| of each conjugate's meet with H, the sets
+    L_k in first-appearance order."""
     Gj = branch_stabilizers(G, sig)[j]
     require_subgroups(G, H)
-    omega = Gj.normalizer.transversal
     blocks: dict[int, list[Perm]] = {}
-    for ell, conj_gj in zip(omega, _conjugates(j, Gj, len(omega))):
+    for ell, conj_gj in Gj.conjugate_masks.items():
         blocks.setdefault((conj_gj & H.mask).bit_count(), []).append(G.elements[ell])
-    if sum(map(len, blocks.values())) != len(omega):
-        raise InternalCheckError("transversal partition lost elements")
     return TransversalPartition(j, tuple(map(tuple, blocks.values())), tuple(blocks))
 
 
@@ -179,18 +166,20 @@ def marked_points(G: FiniteGroup, sig: GeometricSignature,
     """Marked points of S/H over each branch value, with their stabilizer orders.
 
     The c conjugates of G_j that meet H in k elements give c·|N(G_j):G_j|·k/|H|
-    points marked k over branch value j; each meet is one bitwise and."""
+    points marked k over branch value j, where |N(G_j)| is |G| over the
+    number of conjugates; each meet is one bitwise and."""
     stabilizers = branch_stabilizers(G, sig)
     require_subgroups(G, H)
     out = []
     for j, Gj in enumerate(stabilizers):
-        N = Gj.normalizer
+        conjugates = Gj.conjugate_masks
+        ratio = G.order // (len(conjugates) * Gj.order)
         meets: dict[int, int] = {}
-        for conj_gj in _conjugates(j, Gj, N.index):
+        for conj_gj in conjugates.values():
             k = (conj_gj & H.mask).bit_count()
             meets[k] = meets.get(k, 0) + 1
         for mark, c in meets.items():
-            count, rest = divmod(c * (N.order // Gj.order) * mark, H.order)
+            count, rest = divmod(c * ratio * mark, H.order)
             if rest or count <= 0:
                 raise InternalCheckError(
                     f"marked-point count is not a positive integer: {count} + {rest}/{H.order}"

@@ -12,9 +12,10 @@ The walk that builds G composes each element with each generator s once
 and keeps the results as integer columns x -> x*s.  Every other column is a
 walk of list lookups over a spanning tree of the Cayley graph: `left(g)`
 (x -> g*x) along x = p*s, `right(g)` (x -> x*g) along x = s*p, the inverses
-and the generators' conjugation columns.  A subgroup K's normalizer and
-conjugates are the stabilizer and the orbit of one action, G on the
-conjugates of K, walked once: t K t^-1 is numbered for every t along t = s*p.
+and the generators' conjugation columns.  A subgroup K's conjugates are the
+orbit of one action, G on the conjugates of K, walked once: t K t^-1 is
+numbered for every t along t = s*p, and the least t with each number form
+the left transversal of N(K) that keys them.
 What the group keeps follows one rule: each `left(g)` and `right(g)` column
 is walked at most once and then kept, at most |G| per side (2*|G|^2*8 bytes
 of list slots, about 64 MB at |G| = 2000), and every other kept value is a
@@ -538,7 +539,10 @@ class FiniteGroup:
         return walk[a * k % len(walk)]
 
     def _powers(self, g: int) -> list[int]:
-        """g^0, g^1, ..., g^(m-1), for g of order m, along g's right column."""
+        """g^0, g^1, ..., g^(m-1), for g of order m, along g's right column;
+        the identity's are [0], with no column walked."""
+        if not g:
+            return [0]
         times_g, powers, h = self.right(g), [0], g
         while h:
             powers.append(h)
@@ -627,7 +631,7 @@ class FiniteGroup:
         require_subgroups(self, sub)
         if sub.is_cyclic:
             return self.cyclic_subgroup_classes[self.cyclic_class_index(sub)]
-        orbit = frozenset(sub.conjugate_masks)
+        orbit = frozenset(sub.conjugate_masks.values())
         rep_set = min(orbit, key=_bits)
         rep = sub if sub.mask == rep_set else Subgroup._trusted(self, _bits(rep_set), None, None)
         return ConjugacyClassOfSubgroups(rep, len(orbit), orbit)
@@ -682,9 +686,11 @@ class Subgroup:
     """A subgroup given by its members, element indices held sorted (`indices`)
     and as a bitmask (`mask`).  What depends on the subgroup alone is computed
     once and kept on it: a generating set, the class counts, the left-coset
-    map and its transversal, and the normalizer and the member masks of the
-    conjugates (`conjugate_masks`), both from one conjugation walk.  The marks
-    and double-coset route 2 meet those masks with each H and read no coset map.
+    map, and the member masks of the conjugates keyed by the transversal of
+    the normalizer (`conjugate_masks`), from one conjugation walk.  The marks,
+    double-coset route 2 and the orbit packages meet those masks with each H
+    and take |N(K)| = |G| / (number of conjugates): no engine path builds N(K),
+    which `normalizer` keeps for API callers.
     """
 
     def __init__(self, *_args, **_kwargs):
@@ -717,10 +723,12 @@ class Subgroup:
 
     @cached_property
     def generating_set(self) -> tuple[int, ...]:
-        """Indices generating H: its generators, or else, greedily, the least
-        member not yet generated; each pick at least doubles the subgroup (Lagrange)."""
+        """Indices generating H: its distinct non-identity generators, or else,
+        greedily, the least member not yet generated; each pick at least
+        doubles the subgroup (Lagrange).  No identity is kept, so no column of
+        the identity is walked for it."""
         if self._generators:
-            return self._generators
+            return tuple(g for g in dict.fromkeys(self._generators) if g)
         gens: list[int] = []
         reached = {0}
         for g in self.indices:
@@ -797,28 +805,24 @@ class Subgroup:
         return tuple(sorted(counts.items()))
 
     @cached_property
-    def conjugate_masks(self) -> tuple[int, ...]:
-        """The member masks of l K l^-1, one for each l of the left transversal
-        of N(K), in transversal order; each conjugate of K appears once.  They
-        are the orbit of the conjugation walk, listed in the order of the least
-        t with each number, which is the least element of its coset t N(K)."""
+    def conjugate_masks(self) -> dict[int, int]:
+        """The member mask of l K l^-1 for each l of the left transversal of
+        N(K), keyed by l in ascending order: l is the least t with its walk
+        number, which is the least element of its coset t N(K).  Each conjugate
+        of K appears once, so |N(K)| = |G| / len(conjugate_masks)."""
         number, masks = self._conjugation
-        return tuple(masks[n] for n in dict.fromkeys(number))
+        least: dict[int, int] = {}
+        for t, n in enumerate(number):
+            least.setdefault(n, t)
+        return {t: masks[n] for n, t in least.items()}
 
     @cached_property
     def left_cosets(self) -> tuple[list[int], tuple[int, ...]]:
         """The left cosets gH, the orbits of right multiplication by the
-        generating set: each element's coset number, and each coset's least."""
+        generating set: each element's coset number, and each coset's least,
+        a left transversal of H."""
         G = self.parent
         return _orbits(G.order, [G.right(h) for h in self.generating_set])
-
-    @cached_property
-    def transversal(self) -> tuple[int, ...]:
-        """One element index per left coset gH, each the least of its coset."""
-        reps = self.left_cosets[1]
-        if len(reps) != self.index:
-            raise InternalCheckError("left transversal has the wrong size")
-        return reps
 
 
 class ElementClass:
@@ -874,9 +878,11 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
     direct = len(_orbits(len(reps), acts)[1])
 
     # (2) transversal formula over the normalizer of K: sum over the
-    # conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|
-    ratio = K.normalizer.order // K.order
-    total = ratio * sum((conj_k & H.mask).bit_count() for conj_k in K.conjugate_masks)
+    # conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|, with |N(K)| read off
+    # the number of conjugates
+    conjugates = K.conjugate_masks
+    ratio = G.order // (len(conjugates) * K.order)
+    total = ratio * sum((conj_k & H.mask).bit_count() for conj_k in conjugates.values())
     by_transversal, rest = divmod(total, H.order)
     if rest:
         raise InternalCheckError("transversal double-coset formula is not integral")

@@ -274,7 +274,7 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
     reps = branch_stabilizers(G, sig)
     signature_genus(G, sig)  # a non-integral genus is refused before any arithmetic
     multiplicities = complex_multiplicities(G, table, sig)
-    out = []
+    out, by_kernel = [], {}  # one cover report per distinct kernel, by member mask
     for gc in table.galois_classes:
         chi = table.characters[gc.representative]
         if chi.index == table.trivial_character_index:
@@ -282,7 +282,9 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
         ker = table.kernel(chi)
         c1 = multiplicities[chi.index] == 0
         c2 = not any(stab.mask & ~ker.mask for stab in reps)
-        cover = cover_report(G, sig, ker)
+        if ker.mask not in by_kernel:
+            by_kernel[ker.mask] = cover_report(G, sig, ker)
+        cover = by_kernel[ker.mask]
         c3 = all(all(e == 1 for e in cs.entries) for cs in cover.cycle_structures)
         c4 = cover.genus == 1
         if not c1 == c2 == c3 == c4:

@@ -338,5 +338,6 @@ def orbit_packages(G: FiniteGroup, stabilizer: Subgroup) -> tuple[int, int]:
         raise GroupInputError("orbit packages need a nontrivial stabilizer")
     if not stabilizer.is_cyclic:
         raise GroupInputError("point stabilizers are cyclic; got a non-cyclic subgroup")
-    n = stabilizer.normalizer
-    return G.order // n.order, n.order // stabilizer.order
+    # one package per conjugate of the stabilizer, |N(K)| / |K| points each
+    packages = len(stabilizer.conjugate_masks)
+    return packages, G.order // (packages * stabilizer.order)

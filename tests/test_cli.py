@@ -768,19 +768,15 @@ def test_oracle_defect_exits_70(capsys, monkeypatch):
 
 
 def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):
-    # a conjugate cache shorter than the transversal of N(G_j) is a defect
-    # that names G_j and both lengths, never a bare zip() error
+    # a conjugate cache that drops a conjugate of each subgroup is a defect:
+    # the three double-coset routes disagree and the run exits 70 with a
+    # named InternalCheckError, never a bare TypeError or ValueError
     real = Subgroup.conjugate_masks.func
-    monkeypatch.setattr(Subgroup, "conjugate_masks", property(lambda K: real(K)[:-1]))
-    G = catalog("wc3")
-    sig = signature_from_payload(G, json.loads(WC3_FIRST))
-    with pytest.raises(InternalCheckError) as err:
-        covers.transversal_partition(G, sig, G.subgroup([]), 0)
-    message = str(err.value)
-    assert "G_0 = <(1,5,3,4,2,6)> of order 6" in message
-    assert "has 4 elements, its cached conjugates 3" in message
+    monkeypatch.setattr(Subgroup, "conjugate_masks",
+                        property(lambda K: dict(list(real(K).items())[:-1])))
     code, out, err = run(capsys, "lattice", "--group", "wc3", "--signature", WC3_FIRST,
                          "--cross-check", "--format", "json")
     assert code == 70
     assert out == ""
-    assert message in err
+    assert "internal defect: InternalCheckError: double-coset methods disagree" in err
+    assert "TypeError" not in err and "ValueError" not in err

@@ -302,12 +302,12 @@ def test_pipeline_after_parsing_makes_no_perm_arithmetic(monkeypatch, name, gamm
 
 def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     # past the class data, columns come from walks over a Cayley-graph
-    # spanning tree, and each normalizer and its conjugates from one
-    # conjugation walk, so no generating set of a normalizer is closed and
-    # the pass composes no image tuple (328 scalar products while they
-    # were, 10,110 before the tree walks); a closure reads generator columns
-    # and composes none either, and a product afterwards shows that the
-    # counter counts
+    # spanning tree, and each stabilizer's conjugates, keyed by the
+    # transversal of its normalizer, from one conjugation walk, so no
+    # normalizer is built and the pass composes no image tuple (328 scalar
+    # products while it composed them, 10,110 before the tree walks); a
+    # closure reads generator columns and composes none either, and a
+    # product afterwards shows that the counter counts
     from geosig import jacobian, monodromy
     from geosig.chartable import compute_table
     from geosig.groups import Perm
@@ -329,10 +329,12 @@ def test_lattice_pass_products_stay_in_the_closures(monkeypatch):
     vec.c[-1] * vec.c[0]
     monkeypatch.undo()
     assert pipeline == closure == 0 < len(calls)
-    # the marks and double-coset route 2 read each normalizer for its order only
-    for cls in G.cyclic_subgroup_classes:
-        N = cls.representative.normalizer
-        assert not {"left_cosets", "transversal", "generating_set"} & set(vars(N))
+    # the marks and double-coset route 2 take |N(K)| from the conjugates and
+    # build no normalizer
+    assert not any("normalizer" in vars(cls.representative)
+                   for cls in G.cyclic_subgroup_classes)
+    # no generating set holds the identity, so no identity column is walked
+    assert 0 not in G._left and 0 not in G._right
     # the oracle reads each vector element's right column, kept once walked
     assert {G.index(g) for g in vec.elements()} <= set(G._right)
     g = G.index(vec.c[0])

@@ -214,7 +214,7 @@ def test_left_transversal_partitions_group():
     G = catalog("dihedral(4)")
     for gens in ([], [G.named_generators["x"]], [G.named_generators["y"]]):
         H = G.subgroup(gens)
-        reps = [G.elements[i] for i in H.transversal]
+        reps = [G.elements[i] for i in H.left_cosets[1]]
         assert len(reps) == G.order // H.order
         cosets = [frozenset(r * h for h in H.members) for r in reps]
         assert len(set(cosets)) == len(cosets)
@@ -222,8 +222,8 @@ def test_left_transversal_partitions_group():
         # each representative is the least element of its coset
         for r, cs in zip(reps, cosets):
             assert r == min(cs)
-    assert G.subgroup([]).transversal == tuple(range(G.order))
-    assert G.subgroup(G.generators).transversal == (0,)
+    assert G.subgroup([]).left_cosets[1] == tuple(range(G.order))
+    assert G.subgroup(G.generators).left_cosets[1] == (0,)
 
 
 def test_subgroup_validation():
@@ -406,15 +406,16 @@ def test_generating_set_of_a_subgroup_without_generators():
 def test_subgroup_maps_each_generator_to_its_index_once(monkeypatch):
     # the subgroup keeps its generators as indices: building it and reading
     # its generating set look each generator up once, and reading its
-    # generators builds them from the indices
+    # generators builds them from the indices; the generating set drops the
+    # identity and repeats, the generators keep them as given
     from geosig.groups import FiniteGroup
 
     G = catalog("symmetric(5)")
-    gens = [G.element("a"), G.element("b"), G.element("ab"), G.identity]
+    gens = [G.element("a"), G.element("b"), G.element("ab"), G.identity, G.element("a")]
     indices = tuple(map(G.index, gens))
     lookups = _counting(monkeypatch, FiniteGroup, "index")
     K = G.subgroup(gens)
-    assert K.generating_set == indices and K.generators == tuple(gens)
+    assert K.generating_set == indices[:3] and K.generators == tuple(gens)
     assert lookups == [(g,) for g in gens]
 
 
@@ -438,19 +439,21 @@ def _check_columns(G, sample):
 
 
 def _check_subgroup(G, K):
-    # the normalizer, the left cosets, the transversal and the conjugates of
-    # K against their definitions
+    # the normalizer, the left cosets and the conjugates of K against their
+    # definitions: the conjugates are keyed by the least element of each
+    # coset t N(K), ascending, and each holds the mask of t K t^-1
     E, index, members = G.elements, G.index, K.members
-    N = K.normalizer
-    assert N.members == frozenset(
-        t for t in E if frozenset(conj(t, k) for k in members) == members)
+    N = K.normalizer.members
+    assert N == frozenset(t for t in E if frozenset(conj(t, k) for k in members) == members)
     least = {g: min(g * k for k in members) for g in E}
     reps = sorted(set(least.values()))
     coset_of, coset_reps = K.left_cosets
-    assert coset_reps == K.transversal == tuple(map(index, reps))
+    assert coset_reps == tuple(map(index, reps))
     assert coset_of == [reps.index(least[g]) for g in E]
-    assert K.conjugate_masks == tuple(
-        sum(1 << index(conj(E[ell], k)) for k in members) for ell in N.transversal)
+    ells = sorted({min(t * n for n in N) for t in E})
+    assert list(K.conjugate_masks) == list(map(index, ells))
+    for ell, mask in K.conjugate_masks.items():
+        assert mask == sum(1 << index(conj(E[ell], k)) for k in members)
 
 
 def _subgroups(G):
@@ -600,8 +603,9 @@ def test_cyclic_class_data_walks_powers_once_per_class(monkeypatch):
     # symmetric(6) has 362 cyclic subgroups in 11 classes; the per-subgroup
     # walks made 1,169 products, the conjugation walk one power walk per
     # class along a right column, and every conjugate is read off a column,
-    # so no image tuple is composed; a product afterwards shows that the
-    # counter counts
+    # so no image tuple is composed; the identity's walk is [0], read off no
+    # column, so no identity column is kept; a product afterwards shows that
+    # the counter counts
     G = catalog("symmetric(6)")
     walks = _counting(monkeypatch, FiniteGroup, "_powers")
     products = _counting(monkeypatch, Perm, "__mul__")
@@ -609,6 +613,7 @@ def test_cyclic_class_data_walks_powers_once_per_class(monkeypatch):
     assert len(G._cyclic_subgroups[1]) == 362 and len(G.cyclic_subgroup_classes) == 11
     cyclic_of = G._cyclic_subgroups[0]
     assert sorted(G.cyclic_subgroup_masks[cyclic_of[g]] for (g,) in walks) == list(range(11))
+    assert G._powers(0) == [0] and 0 not in G._right and 0 not in G._left
     assert products == []
     G.elements[1] * G.elements[1]
     assert len(products) == 1

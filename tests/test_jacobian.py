@@ -247,6 +247,21 @@ def test_gamma1_analysis_runs_no_decomposition(monkeypatch):
     assert all(c.dim_is_zero == (dims[c.galois_representative] == 0) for c in conditions)
 
 
+def test_gamma1_analysis_builds_one_cover_report_per_kernel(monkeypatch):
+    # symmetric(4) (1; [2,b], [2,b]): four nontrivial Galois classes, and
+    # both faithful degree-3 classes have the trivial kernel, so three kernels
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    sig = geometric_signature(G, 1, ("b", "b"))
+    kernels = []
+    real = jacobian.cover_report
+    monkeypatch.setattr(jacobian, "cover_report",
+                        lambda G, sig, H: kernels.append(H.mask) or real(G, sig, H))
+    conditions = gamma1_analysis(G, T, sig)
+    assert len(conditions) == 4
+    assert len(kernels) == len(set(kernels)) == 3
+
+
 def test_gamma1_analysis_unramified():
     # realizable on a 2-generated abelian group: every nontrivial factor vanishes
     G = catalog("cyclic(6)")

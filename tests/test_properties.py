@@ -148,14 +148,17 @@ def _perms(G, mask):
 @settings(DERANDOMIZED, max_examples=80)
 @given(subgroup_pairs())
 def test_conjugate_sets_are_the_conjugates_in_transversal_order(case):
+    # t N(K) is the set of s with s K s^-1 = t K t^-1: each key is the least
+    # element of its coset, ascending, and holds t K t^-1 by Perm conjugation
     G, K, H = case
-    omega = [G.elements[i] for i in K.normalizer.transversal]
-    sets = [_perms(G, mask) for mask in K.conjugate_masks]
-    assert len(sets) == len(omega) == len(set(sets))
-    assert set(sets) == {_perms(G, m) for m in G.subgroup_class(K).member_masks} == {
-        frozenset(conj(t, k) for k in K.members) for t in G.elements
-    }
-    for ell, conj_k in zip(omega, sets):
+    least = {}
+    for t in G.elements:
+        least.setdefault(frozenset(conj(t, k) for k in K.members), t)
+    assert list(K.conjugate_masks) == [G.index(ell) for ell in least.values()]
+    sets = [_perms(G, mask) for mask in K.conjugate_masks.values()]
+    assert sets == list(least)
+    assert set(sets) == {_perms(G, m) for m in G.subgroup_class(K).member_masks}
+    for conj_k, ell in least.items():
         assert len(conj_k & H.members) == sum(
             1 for k in K.members if conj(ell, k) in H.members
         )
