@@ -23,8 +23,10 @@ cached property.  Every product in a group is a lookup in a kept column,
 and `generates`, the generation test, is a closure over such columns; only
 the build and `Perm` at the boundary compose image tuples.  One orbit
 partition, `_orbits`, gives the element classes, the left cosets and
-double-coset route 1.  Powers are walked along a right column from
-the least member of each conjugation orbit not yet filed, once per class of
+double-coset route 1; a single permutation's orbits are walked as its
+cycles, with no queue, so route 1 counts the cycles of a one-generator H
+on K's left cosets.  Powers are walked along a right column from the
+least member of each conjugation orbit not yet filed, once per class of
 cyclic subgroups, and the conjugation columns carry each walk to the
 conjugate subgroups; a class's element order is its walk's length.  The
 power map is the class numbers along one walk w_c per class c of cyclic
@@ -288,8 +290,20 @@ def _tree_walk(start: int, tree: list[tuple[int, int, int]],
 
 def _orbits(n: int, columns: Sequence[Sequence[int]]) -> tuple[list[int], tuple[int, ...]]:
     """The orbits of 0..n-1 under the permutations x -> col[x]: each point's
-    orbit number, and the least point of each orbit, numbered in that order."""
+    orbit number, and the least point of each orbit, numbered in that order.
+    A single column's orbits are its cycles, walked in place with no queue;
+    any other number of columns is searched breadth first."""
     orbit_of, least = [-1] * n, []
+    if len(columns) == 1:
+        col = columns[0]
+        for start in range(n):
+            if orbit_of[start] < 0:
+                k, x = len(least), start
+                while orbit_of[x] < 0:
+                    orbit_of[x] = k
+                    x = col[x]
+                least.append(start)
+        return orbit_of, tuple(least)
     for start in range(n):
         if orbit_of[start] < 0:
             orbit_of[start], orbit = len(least), [start]
@@ -872,7 +886,8 @@ def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
 
     # (1) orbits of H on the coset numbers of gK under left multiplication by
     # a generating set.  K's coset map is built once and cached on K; routes
-    # 2 and 3 do not use it
+    # 2 and 3 do not use it.  For a single generator h, `_orbits` walks the
+    # cycles of its one column
     coset_of, reps = K.left_cosets
     acts = [[coset_of[col[r]] for r in reps] for col in map(G.left, H.generating_set)]
     direct = len(_orbits(len(reps), acts)[1])

@@ -9,9 +9,13 @@ must agree, and the acceptance suite checks that they do.
 Orientation: sheets are the right cosets Hg (canonically ordered by least
 representative) and a vector element acts by right multiplication, which
 makes the sheet map a homomorphism under this package's left-to-right
-composition.  Cycle types are unaffected by this choice.  The images are
-integer tuples over the coset numbers, each checked to be a permutation;
-only `coset_action` wraps them as `Perm`s, for API callers.
+composition.  Cycle types are unaffected by this choice.  The cosets Hg
+are the orbits of left multiplication by H's generators; for an H with a
+single generator h they are the cycles of x -> h * x, walked in place by
+this module's own loop, which shares no code with the covers' routes.
+The images are integer tuples over the coset numbers, each checked to be
+a permutation; only `coset_action` wraps them as `Perm`s, for API
+callers.
 """
 
 from __future__ import annotations
@@ -42,19 +46,30 @@ def _coset_images(G: FiniteGroup, H: Subgroup, vec: GeneratingVector,
     for g in vec.elements():
         if g not in G:
             raise GroupInputError(f"vector element {g} is not in the group")
-    # a right coset Hg is the orbit of g under left multiplication by H's generators
+    # a right coset Hg is the orbit of g under left multiplication by H's
+    # generators: for a single generator h, the cycle of g under x -> h * x
     cols = [G.left(h) for h in H.generating_set]
     coset_of, reps = [-1] * G.order, []
-    for g in range(G.order):
-        if coset_of[g] < 0:
-            coset_of[g] = len(reps)
-            orbit = [g]
-            for x in orbit:
-                for col in cols:
-                    if coset_of[col[x]] < 0:
-                        coset_of[col[x]] = len(reps)
-                        orbit.append(col[x])
-            reps.append(g)
+    if len(cols) == 1:
+        times_h = cols[0]
+        for g in range(G.order):
+            if coset_of[g] < 0:
+                n, x = len(reps), g
+                while coset_of[x] < 0:
+                    coset_of[x] = n
+                    x = times_h[x]
+                reps.append(g)
+    else:
+        for g in range(G.order):
+            if coset_of[g] < 0:
+                coset_of[g] = len(reps)
+                orbit = [g]
+                for x in orbit:
+                    for col in cols:
+                        if coset_of[col[x]] < 0:
+                            coset_of[col[x]] = len(reps)
+                            orbit.append(col[x])
+                reps.append(g)
 
     def image(g: Perm) -> tuple[int, ...]:
         times_g = G.right(G.index(g))

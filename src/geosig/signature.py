@@ -282,14 +282,14 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
     whole group, then c_1..c_{t-1} over their candidate pools.  Element
     indices only: the running product of each depth extends its parent's
     by right-column reads, four for the commutator [a_i, b_i] that b_i
-    closes and one per c_j.  At a leaf, c_t is forced to be the inverse of
-    the running product and tested against its pool (for t = 0 the product
-    must be the identity).  Charges against the budget: one node per
-    complete handle tuple (on the b_gamma choice), one per c candidate and
-    one per leaf.  The generation test runs only where the product
-    relation holds, on the free elements alone, since c_t lies in the
-    subgroup they generate, and is `G.generates` on their indices; `Perm`s
-    are built only for the vector returned.
+    closes (none when a_i or b_i is the identity) and one per c_j.  At a
+    leaf, c_t is forced to be the inverse of the running product and tested
+    against its pool (for t = 0 the product must be the identity).  Charges
+    against the budget: one node per complete handle tuple (on the b_gamma
+    choice), one per c candidate and one per leaf.  The generation test
+    runs only where the product relation holds, on the free elements alone,
+    since c_t lies in the subgroup they generate, and is `G.generates` on
+    their indices; `Perm`s are built only for the vector returned.
     """
     check_branch_classes(G, sig)
     signature_genus(G, sig)  # condition (i); raises InvalidSignatureError
@@ -323,7 +323,8 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
             acc = right(x)[acc]
         elif d >= gamma:  # b_i closes [a_i, b_i] = a_i b_i a_i^-1 b_i^-1
             a = chosen[d - gamma]
-            acc = right(inverses[x])[right(inverses[a])[right(x)[right(a)[acc]]]]
+            if a and x:  # else the commutator is the identity: no column is read
+                acc = right(inverses[x])[right(inverses[a])[right(x)[right(a)[acc]]]]
         accs[d + 1] = acc
         if d >= 2 * gamma - 1:  # a complete handle tuple, or a c candidate
             nodes += 1

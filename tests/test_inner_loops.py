@@ -9,6 +9,13 @@ Each loop is compared with a reference that shares none of its code:
 - the table lift through the zeta-power table (`chartable._zeta_sum` over
   `chartable._zeta_powers`) against `reduce_integral` of the e-length
   polynomial, and the power table itself against `Cyclo.zeta`;
+- the orbits of a single column, walked as its cycles (`groups._orbits`),
+  against `Perm.cycles()` and against the breadth-first search that the
+  same column given twice takes;
+- each one-generator walk against the several-generator one: a cyclic
+  subgroup given as [h] and as [h, h^-1] has the same left cosets, the
+  same `double_coset_count` against every branch stabilizer of a corpus
+  signature, and the same `coset_action` cosets and images;
 - the cyclic subgroups of one conjugation walk per class
   (`FiniteGroup._cyclic_subgroups`) against one power walk per subgroup by
   `Perm` products, and the power map read off those walks against `Perm`
@@ -26,8 +33,12 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from geosig.chartable import _zeta_powers, _zeta_sum  # noqa: E402
 from geosig.cyclotomic import Cyclo, reduce_integral  # noqa: E402
-from geosig.groups import Perm, catalog, group_from_payload  # noqa: E402
-from geosig.monodromy import _cycle_type  # noqa: E402
+from geosig.groups import (  # noqa: E402
+    Perm, _orbits, catalog, double_coset_count, group_from_payload,
+)
+from geosig.monodromy import _cycle_type, coset_action  # noqa: E402
+from geosig.signature import branch_stabilizers, find_generating_vector  # noqa: E402
+from corpus import CORPUS, materialize  # noqa: E402
 from test_groups import (  # noqa: E402
     assert_cyclic_subgroups_match_reference,
     assert_power_map_matches_perm_powers,
@@ -92,6 +103,54 @@ def test_cycle_type_matches_perm_cycles(image):
     lengths = [len(c) for c in Perm(image).cycles()]
     expected = sorted(lengths + [1] * (len(image) - sum(lengths)))
     assert _cycle_type(tuple(image)) == tuple(expected)
+
+
+@DERANDOMIZED
+@given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_orbits_of_one_column_are_its_cycles(image):
+    n, col = len(image), list(image)
+    cycles = [tuple(q - 1 for q in c) for c in Perm(image).cycles()]
+    cycles += [(x,) for x in range(n) if image[x] == x]
+    cycles.sort()  # each cycle starts at its least point
+    orbit_of, least = _orbits(n, [col])
+    assert least == tuple(c[0] for c in cycles)
+    assert orbit_of == [next(k for k, c in enumerate(cycles) if x in c) for x in range(n)]
+    assert _orbits(n, [col, col]) == (orbit_of, least)  # the breadth-first search
+    assert _orbits(n, []) == (list(range(n)), tuple(range(n)))
+
+
+@lru_cache(maxsize=None)
+def corpus_vector(i):
+    G, sig, _ = materialize(CORPUS[i])
+    return G, find_generating_vector(G, sig), branch_stabilizers(G, sig)
+
+
+@st.composite
+def one_generator_subgroups(draw):
+    """A corpus case's group, generating vector and branch stabilizers, and
+    an element h of order at least 3, so that [h, h^-1] is two generators."""
+    G, vec, stabilizers = corpus_vector(draw(st.integers(0, len(CORPUS) - 1)))
+    candidates = [g for g in range(1, G.order) if G.inverses[g] != g]
+    hypothesis.assume(candidates)
+    return G, vec, stabilizers, draw(st.sampled_from(candidates))
+
+
+@DERANDOMIZED
+@given(one_generator_subgroups())
+def test_one_generator_walks_match_the_breadth_first_search(case):
+    G, vec, stabilizers, h = case
+    h_perm = G.elements[h]
+    one = G.subgroup([h_perm])
+    two = G.subgroup([h_perm, h_perm.inverse()])
+    assert len(one.generating_set) == 1 and len(two.generating_set) == 2
+    assert one.left_cosets == two.left_cosets
+    for K in stabilizers:
+        assert double_coset_count(G, one, K) == double_coset_count(G, two, K)
+        assert double_coset_count(G, K, one) == double_coset_count(G, K, two)
+    action_one, action_two = coset_action(G, one, vec), coset_action(G, two, vec)
+    assert action_one.cosets == action_two.cosets
+    for images in ("a_images", "b_images", "c_images"):
+        assert getattr(action_one, images) == getattr(action_two, images)
 
 
 @pytest.mark.parametrize("e", CONDUCTORS)

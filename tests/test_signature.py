@@ -212,6 +212,16 @@ def test_search_spends_the_recursive_node_count(name, gamma, words, nodes, witne
     assert (vec and vec.to_json()) == witness
 
 
+def test_search_reads_no_identity_column():
+    # a handle with a_i or b_i the identity has the identity for its
+    # commutator, so the search leaves the running product as it is and
+    # neither walks nor keeps the identity's column; the witness has a_1 = ()
+    G = catalog("symmetric(4)")
+    vec = find_generating_vector(G, geometric_signature(G, 1, ("b", "b")))
+    assert vec.a == (G.identity,)
+    assert 0 not in G._right and 0 not in G._left
+
+
 @pytest.mark.parametrize("gamma, words, built", [(1, ("b", "b"), 1), (0, ("b",) * 4, 0)])
 def test_search_reads_columns_and_builds_only_the_returned_vector(monkeypatch, gamma, words,
                                                                  built):
