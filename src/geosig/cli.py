@@ -209,13 +209,13 @@ def cmd_exists(args, G: FiniteGroup) -> int:
 def cmd_lattice(args, G: FiniteGroup) -> int:
     from . import covers, monodromy
     from .signature import signature_genus
-    sig, vec = _resolve_geometric(args, G)
     subgroups = _parse_subgroups(G, args.subgroups)
+    sig, vec = _resolve_geometric(args, G)
     reports = covers.lattice_report(G, sig, subgroups)
     if args.cross_check:
         for rep in reports:
             oracle = monodromy.oracle_summary(G, rep.subgroup, vec, sig.quotient_genus)
-            want = [list(c.entries) for c in rep.cycle_structures]
+            want = [list(c) for c in rep.cycle_structures]
             if oracle["genus"] != rep.genus or oracle["cycle_structures"] != want:
                 raise InternalCheckError(
                     f"oracle disagrees with the closed form on {rep.subgroup!r}"
@@ -227,8 +227,8 @@ def cmd_lattice(args, G: FiniteGroup) -> int:
         lines = [f"genus {genus}, signature {sig}"]
         for rep in reports:
             label = rep.subgroup.label or str(rep.subgroup.order)
-            cycles = "  ".join(f"q{c.branch_index}:" + ",".join(map(str, c.entries))
-                               for c in rep.cycle_structures)
+            cycles = "  ".join(f"q{j}:" + ",".join(map(str, c))
+                               for j, c in enumerate(rep.cycle_structures))
             suffix = " [oracle ok]" if rep.oracle is not None else ""
             lines.append(f"  <{label}> order {rep.subgroup.order:>3}  degree {rep.degree:>3}  "
                          f"genus {rep.genus:>2}  {cycles}{suffix}")
@@ -243,8 +243,9 @@ def cmd_lattice(args, G: FiniteGroup) -> int:
 def cmd_decompose(args, G: FiniteGroup) -> int:
     from . import jacobian
     from .chartable import compute_table, schur_bound_is_verified
+    overrides = _parse_overrides(args.schur_override)
     sig, _ = _resolve_geometric(args, G)
-    table = compute_table(G, _parse_overrides(args.schur_override))
+    table = compute_table(G, overrides)
     report = jacobian.factor_dimensions(G, table, sig)
     gamma1 = jacobian.gamma1_analysis(G, table, sig) if sig.quotient_genus == 1 else None
 

@@ -1,8 +1,8 @@
 """Closed-form geometric structure of the intermediate covers S/H.
 
 For a geometric signature and any subgroup H, `cover_report` computes the
-marked points of S/H over each branch value, the cycle structure of the
-non-Galois covering from S/H down to S/G, and the genus of S/H twice,
+marked points of S/H and the cycle structure of the non-Galois covering
+S/H -> S/G, each at index j for branch value j, and the genus of S/H twice,
 by two formulas that must agree: Riemann–Hurwitz for S/H -> S/G over the
 marked points, and the double-coset count of the points of S/H over each
 branch value.  The marked points, and route 2 of the double-coset count,
@@ -29,7 +29,7 @@ class TransversalPartition(FrozenRecord):
     `sets` are the L_k, in first-appearance order, and `intersection_sizes`
     the common |G_j^(l^-1) ∩ H| of each set."""
 
-    __slots__ = ("branch_index", "sets", "intersection_sizes")
+    __slots__ = ("sets", "intersection_sizes")
 
     @property
     def nu(self) -> int:
@@ -37,20 +37,14 @@ class TransversalPartition(FrozenRecord):
 
 
 class MarkedPointSet(FrozenRecord):
-    """c points of S/H over branch value j, each marked with the same number."""
+    """`count` points of S/H over one branch value, each marked `mark`."""
 
-    __slots__ = ("branch_index", "mark", "count")
-
-
-class CycleStructure(FrozenRecord):
-    """Cycle structure of the covering S/H -> S/G over one branch value:
-    `entries` are the ramification indices, one per point, sorted."""
-
-    __slots__ = ("branch_index", "entries")
+    __slots__ = ("mark", "count")
 
 
 class CoverReport(Record):
-    """Everything the signature determines about one intermediate quotient."""
+    """Everything the signature determines about one intermediate quotient,
+    per branch value j: `marked_points[j]` and `cycle_structures[j]`."""
 
     __slots__ = ("subgroup", "degree", "genus", "branch_types", "marked_points",
                  "cycle_structures", "oracle")
@@ -63,19 +57,13 @@ class CoverReport(Record):
             "generators": [str(g) for g in self.subgroup.generators or ()],
         }
         sub["cyclic_class_index"] = G.cyclic_subgroup_masks.get(self.subgroup.mask)
-        branch_values = []
-        for j in range(len(self.cycle_structures)):
-            marked = [
-                {"mark": m.mark, "count": m.count}
-                for m in self.marked_points
-                if m.branch_index == j
-            ]
-            branch_values.append({
-                "index": j,
-                "type_rep": self.branch_types[j],
-                "marked_points": marked,
-                "cycle_structure": list(self.cycle_structures[j].entries),
-            })
+        branch_values = [{
+            "index": j,
+            "type_rep": tag,
+            "marked_points": [{"mark": m.mark, "count": m.count} for m in marks],
+            "cycle_structure": list(cycles),
+        } for j, (tag, marks, cycles) in enumerate(
+            zip(self.branch_types, self.marked_points, self.cycle_structures))]
         out = {
             "subgroup": sub,
             "degree": self.degree,
@@ -100,11 +88,11 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
     |H\\G/G_j| points over branch value j.
     """
     marks = marked_points(G, sig, H)
+    # the points over each branch value as (ramification index, count) pairs
+    indices = [[(e.order // m.mark, m.count) for m in over] for e, over in zip(sig.entries, marks)]
     idx = H.index
     base = 2 * idx * (sig.quotient_genus - 1) + 2
-    by_ramification = base + sum(
-        m.count * (sig.entries[m.branch_index].order // m.mark - 1) for m in marks
-    )
+    by_ramification = base + sum(c * (r - 1) for over in indices for r, c in over)
     by_double_cosets = base + sum(
         idx - double_coset_count(G, H, Gj) for Gj in branch_stabilizers(G, sig)
     )
@@ -115,17 +103,15 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
     if by_ramification % 2 or by_ramification < 0:
         raise InternalCheckError(f"quotient genus is not admissible: 2g = {by_ramification}")
     cycles = []
-    for j, entry in enumerate(sig.entries):
-        entries = []
-        for m in marks:
-            if m.branch_index == j:
-                entries += [entry.order // m.mark] * m.count
-        entries.sort()
-        if sum(entries) != idx:
+    for j, over in enumerate(indices):
+        if sum(r * c for r, c in over) != idx:
             raise InternalCheckError(
                 f"cycle structure over branch value {j} does not cover all sheets"
             )
-        cycles.append(CycleStructure(branch_index=j, entries=tuple(entries)))
+        entries = []
+        for r, c in sorted(over):
+            entries += [r] * c
+        cycles.append(tuple(entries))
     return CoverReport(
         subgroup=H,
         degree=idx,
@@ -143,8 +129,9 @@ def quotient_genus(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> int:
 
 
 def cycle_structure(G: FiniteGroup, sig: GeometricSignature,
-                    H: Subgroup) -> tuple[CycleStructure, ...]:
-    """Cycle structure of S/H -> S/G over each branch value."""
+                    H: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """Cycle structure of S/H -> S/G over each branch value: item j is the
+    sorted tuple of ramification indices over branch value j, one per point."""
     return cover_report(G, sig, H).cycle_structures
 
 
@@ -158,12 +145,13 @@ def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
     blocks: dict[int, list[Perm]] = {}
     for ell, conj_gj in Gj.conjugate_masks.items():
         blocks.setdefault((conj_gj & H.mask).bit_count(), []).append(G.elements[ell])
-    return TransversalPartition(j, tuple(map(tuple, blocks.values())), tuple(blocks))
+    return TransversalPartition(tuple(map(tuple, blocks.values())), tuple(blocks))
 
 
 def marked_points(G: FiniteGroup, sig: GeometricSignature,
-                  H: Subgroup) -> tuple[MarkedPointSet, ...]:
-    """Marked points of S/H over each branch value, with their stabilizer orders.
+                  H: Subgroup) -> tuple[tuple[MarkedPointSet, ...], ...]:
+    """Marked points of S/H over each branch value, with their stabilizer
+    orders: item j is the tuple of MarkedPointSets over branch value j.
 
     The c conjugates of G_j that meet H in k elements give c·|N(G_j):G_j|·k/|H|
     points marked k over branch value j, where |N(G_j)| is |G| over the
@@ -171,22 +159,24 @@ def marked_points(G: FiniteGroup, sig: GeometricSignature,
     stabilizers = branch_stabilizers(G, sig)
     require_subgroups(G, H)
     out = []
-    for j, Gj in enumerate(stabilizers):
+    for entry, Gj in zip(sig.entries, stabilizers):
         conjugates = Gj.conjugate_masks
         ratio = G.order // (len(conjugates) * Gj.order)
         meets: dict[int, int] = {}
         for conj_gj in conjugates.values():
             k = (conj_gj & H.mask).bit_count()
             meets[k] = meets.get(k, 0) + 1
+        over = []
         for mark, c in meets.items():
             count, rest = divmod(c * ratio * mark, H.order)
             if rest or count <= 0:
                 raise InternalCheckError(
                     f"marked-point count is not a positive integer: {count} + {rest}/{H.order}"
                 )
-            if sig.entries[j].order % mark:
+            if entry.order % mark:
                 raise InternalCheckError("stabilizer order does not divide branch order")
-            out.append(MarkedPointSet(branch_index=j, mark=mark, count=count))
+            over.append(MarkedPointSet(mark, count))
+        out.append(tuple(over))
     return tuple(out)
 
 

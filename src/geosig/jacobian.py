@@ -285,7 +285,7 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
         if ker.mask not in by_kernel:
             by_kernel[ker.mask] = cover_report(G, sig, ker)
         cover = by_kernel[ker.mask]
-        c3 = all(all(e == 1 for e in cs.entries) for cs in cover.cycle_structures)
+        c3 = all(all(e == 1 for e in cs) for cs in cover.cycle_structures)
         c4 = cover.genus == 1
         if not c1 == c2 == c3 == c4:
             raise InternalCheckError(

@@ -515,6 +515,25 @@ def test_bad_schur_override_exits_64(capsys):
         assert err.startswith("error:"), err
 
 
+@pytest.mark.parametrize("signature", [D4_SECOND, D4_FIRST], ids=["unrealizable", "realizable"])
+@pytest.mark.parametrize("option", [
+    ("lattice", "--subgroups", "q"),
+    ("decompose", "--schur-override", "bad"),
+], ids=["subgroups", "schur-override"])
+def test_malformed_option_exits_64_before_the_search(capsys, monkeypatch, signature, option):
+    # every option is read before the search: a malformed one exits 64,
+    # whether or not the signature is realizable, and nothing is searched
+    searched = []
+    monkeypatch.setattr("geosig.signature.find_generating_vector",
+                        lambda *args: searched.append(args))
+    command, *rest = option
+    code, out, err = run(capsys, command, "--group", "dihedral(4)", "--signature", signature,
+                         *rest)
+    assert (code, out) == (64, "")
+    assert err.startswith("error:"), err
+    assert searched == []
+
+
 @pytest.mark.parametrize("argv", [
     ["exists", "--group", "wc3"],
     ["exists", "--group", "wc3", "--signature", WC3_FIRST, "--budget", "x"],

@@ -18,7 +18,7 @@ from geosig.signature import (
     signature_genus,
 )
 
-from corpus import geometric_signature
+from corpus import CORPUS, geometric_signature, materialize
 
 
 def test_trivial_subgroup_recovers_total_genus():
@@ -59,11 +59,11 @@ def test_cyclic4_degree_two_unramified_cover():
     H = G.subgroup_from_words(["x^2"])
     assert quotient_genus(G, sig, H) == 1
     marks = marked_points(G, sig, H)
-    assert [(m.branch_index, m.mark, m.count) for m in marks] == [
-        (0, 2, 2), (1, 2, 2),
+    assert [[(m.mark, m.count) for m in over] for over in marks] == [
+        [(2, 2)], [(2, 2)],
     ]
     cycles = cycle_structure(G, sig, H)
-    assert [c.entries for c in cycles] == [(1, 1), (1, 1)]
+    assert cycles == ((1, 1), (1, 1))
 
 
 def test_marked_points_trivial_subgroup():
@@ -71,29 +71,26 @@ def test_marked_points_trivial_subgroup():
     G = catalog("dihedral(4)")
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
     marks = marked_points(G, sig, G.subgroup([]))
-    per_branch = {}
-    for m in marks:
-        per_branch.setdefault(m.branch_index, []).append((m.mark, m.count))
-    assert per_branch == {
-        0: [(1, 2)],   # 8/4 points
-        1: [(1, 4)],   # 8/2 points
-        2: [(1, 4)],
-    }
+    assert [[(m.mark, m.count) for m in over] for over in marks] == [
+        [(1, 2)],   # 8/4 points
+        [(1, 4)],   # 8/2 points
+        [(1, 4)],
+    ]
     cycles = cycle_structure(G, sig, G.subgroup([]))
-    assert cycles[0].entries == (4, 4)
-    assert cycles[1].entries == (2, 2, 2, 2)
-    assert cycles[2].entries == (2, 2, 2, 2)
+    assert cycles[0] == (4, 4)
+    assert cycles[1] == (2, 2, 2, 2)
+    assert cycles[2] == (2, 2, 2, 2)
 
 
 def test_marked_points_full_subgroup():
     G = catalog("dihedral(4)")
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
     marks = marked_points(G, sig, G.subgroup(G.generators))
-    assert [(m.branch_index, m.mark, m.count) for m in marks] == [
-        (0, 4, 1), (1, 2, 1), (2, 2, 1),
+    assert [[(m.mark, m.count) for m in over] for over in marks] == [
+        [(4, 1)], [(2, 1)], [(2, 1)],
     ]
     cycles = cycle_structure(G, sig, G.subgroup(G.generators))
-    assert all(c.entries == (1,) for c in cycles)
+    assert cycles == ((1,), (1,), (1,))
 
 
 def test_transversal_partition_examples():
@@ -115,13 +112,35 @@ def test_transversal_partition_examples():
         assert sum(len(s) for s in part.sets) == G.order // Gj.normalizer.order
 
 
+def test_marks_follow_from_the_transversal_partition():
+    # the L_k whose conjugates meet H in k elements give
+    # |L_k|·|N(G_j):G_j|·k/|H| points marked k over branch value j, in the
+    # order of the partition; N(G_j) is built here, never by the engine
+    pairs = 0
+    for case in CORPUS:
+        G, sig, subs = materialize(case)
+        for report in lattice_report(G, sig, subs):
+            H = report.subgroup
+            marks = marked_points(G, sig, H)
+            assert len(marks) == len(sig.entries)
+            for j, entry in enumerate(sig.entries):
+                Gj = entry.cls.representative
+                ratio = Gj.normalizer.order // Gj.order
+                part = transversal_partition(G, sig, H, j)
+                want = [(k, len(L) * ratio * k // H.order)
+                        for L, k in zip(part.sets, part.intersection_sizes)]
+                assert [(m.mark, m.count) for m in marks[j]] == want, (case, H.label, j)
+                pairs += 1
+    assert pairs >= 279
+
+
 def test_cycle_structure_accounts_for_all_sheets():
     G = catalog("wc3")
     sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
     for cls in G.cyclic_subgroup_classes:
         H = cls.representative
         for c in cycle_structure(G, sig, H):
-            assert sum(c.entries) == H.index
+            assert sum(c) == H.index
 
 
 def test_genus_satisfies_riemann_hurwitz_from_cycles():
@@ -137,7 +156,7 @@ def test_genus_satisfies_riemann_hurwitz_from_cycles():
             H = cls.representative
             idx = H.index
             b = sum(
-                sum(e - 1 for e in c.entries)
+                sum(e - 1 for e in c)
                 for c in cycle_structure(G, sig, H)
             )
             expected = idx * (gamma - 1) + 1 + b // 2
@@ -237,12 +256,10 @@ def test_doctored_marks_fail_the_genus_check(monkeypatch):
     sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
     H = G.subgroup([G.element("(2,5)(3,6)")])
     marks = marked_points(G, sig, H)
-    assert [(m.mark, m.count) for m in marks if m.branch_index == 1] == [(2, 4), (1, 4)]
+    assert [(m.mark, m.count) for m in marks[1]] == [(2, 4), (1, 4)]
     doctored = {2: 2, 1: 5}
-    fake = tuple(
-        MarkedPointSet(m.branch_index, m.mark, doctored[m.mark]) if m.branch_index == 1 else m
-        for m in marks
-    )
+    fake = (marks[0], tuple(MarkedPointSet(m.mark, doctored[m.mark]) for m in marks[1]),
+            *marks[2:])
     monkeypatch.setattr(covers, "marked_points", lambda *_args: fake)
     with pytest.raises(InternalCheckError, match="genus formulas disagree"):
         cover_report(G, sig, H)

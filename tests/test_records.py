@@ -17,7 +17,6 @@ from corpus import geometric_signature
 from geosig.chartable import Character, GaloisClass, compute_table
 from geosig.covers import (
     CoverReport,
-    CycleStructure,
     MarkedPointSet,
     TransversalPartition,
     lattice_report,
@@ -50,9 +49,8 @@ FIELDS = {
     GeometricSignature: ("quotient_genus", "entries"),
     GeneratingVector: ("a", "b", "c"),
     VectorCheck: ("orders_ok", "classes_ok", "product_ok", "generates"),
-    TransversalPartition: ("branch_index", "sets", "intersection_sizes"),
-    MarkedPointSet: ("branch_index", "mark", "count"),
-    CycleStructure: ("branch_index", "entries"),
+    TransversalPartition: ("sets", "intersection_sizes"),
+    MarkedPointSet: ("mark", "count"),
     CoverReport: ("subgroup", "degree", "genus", "branch_types", "marked_points",
                   "cycle_structures", "oracle"),
     CosetAction: ("subgroup", "cosets", "a_images", "b_images", "c_images"),
@@ -86,8 +84,7 @@ def _records():
         GeneratingVector: vec,
         VectorCheck: verify_generating_vector(G, sig, vec),
         TransversalPartition: transversal_partition(G, sig, report.subgroup, 0),
-        MarkedPointSet: report.marked_points[0],
-        CycleStructure: report.cycle_structures[0],
+        MarkedPointSet: report.marked_points[0][0],
         CoverReport: report,
         CosetAction: coset_action(G, report.subgroup, vec),
         Character: table.characters[1],
@@ -185,13 +182,11 @@ def test_repr_names_each_field(cls):
 
 
 def test_repr_of_a_plain_record():
-    assert repr(MarkedPointSet(0, 2, 4)) == "MarkedPointSet(branch_index=0, mark=2, count=4)"
-    assert repr(CycleStructure(branch_index=1, entries=(2, 2))) == \
-        "CycleStructure(branch_index=1, entries=(2, 2))"
+    assert repr(MarkedPointSet(2, 4)) == "MarkedPointSet(mark=2, count=4)"
 
 
 def test_keyword_construction_matches_positional():
-    assert MarkedPointSet(branch_index=0, mark=2, count=4) == MarkedPointSet(0, 2, 4)
+    assert MarkedPointSet(mark=2, count=4) == MarkedPointSet(2, 4)
     assert BranchEntry(2) == BranchEntry(2, None, None) == BranchEntry(order=2)
     assert GeometricSignature(3) == GeometricSignature(3, ())
 
