@@ -19,13 +19,13 @@ the output would hang on a seed.
 
 The lift runs the inverse DFT once per class of cyclic subgroups, over the
 classes along its power walk w_c^0, ..., w_c^(m-1); a class whose
-representative is conjugate to w_c^a takes those multiplicities moved from
-k to k*a mod m, one index list per class built once per table.  At run
-time the table checks the eigenvectors against every class matrix the split
-read, the multiplicity sum of each DFT, sum chi(1)^2 = |G|, and the row and
-the column norms of the integer rows.  The prime is the smallest qualifying
-one and the finished rows are sorted by (degree, value sequence), so the
-table is deterministic.
+representative is conjugate to w_c^a reads those multiplicities in place,
+the one at k weighting zeta_m^(k*a).  At run time the table checks the
+eigenvectors against every class matrix the split read, the multiplicity
+sum of each DFT, sum chi(1)^2 = |G|, and the row and the column norms of
+the integer rows.  The prime is the smallest qualifying one and the
+finished rows are sorted by (degree, value sequence), so the table is
+deterministic.
 
 Character values are algebraic integers, and a character stores them in
 one form only, its integer row `Character.row`: for each class, the phi(e)
@@ -519,14 +519,15 @@ def _zeta_powers(e: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _zeta_sum(mults: Sequence[int], zeta_rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """sum of mults[k] * zeta_m^k, m = len(mults) dividing e = len(zeta_rows),
-    in the power basis of Z[zeta_e]: zeta_m^k is the row of zeta_e^(k*e/m)."""
-    step = len(zeta_rows) // len(mults)
+def _zeta_sum(mults: Sequence[int], zeta_rows: list[tuple[int, ...]], a: int) -> tuple[int, ...]:
+    """sum of mults[k] * zeta_m^(k*a), m = len(mults) dividing e = len(zeta_rows),
+    in the power basis of Z[zeta_e]: zeta_m^(k*a) is the row of zeta_e^(k*a*e/m)."""
+    e = len(zeta_rows)
+    step = a * e // len(mults)
     value = [0] * len(zeta_rows[0])
-    for k, a in enumerate(mults):
-        if a:
-            value = [v + a * z for v, z in zip(value, zeta_rows[k * step])]
+    for k, n in enumerate(mults):
+        if n:
+            value = [v + n * z for v, z in zip(value, zeta_rows[k * step % e])]
     return tuple(value)
 
 
@@ -579,12 +580,6 @@ def compute_table(G: FiniteGroup,
     inv_sizes = [pow(cls.size, p - 2, p) for cls in classes]
     inverse = [G.class_power(j, -1) for j in range(s)]
     omegas = _split_spaces(G, p)
-    moved = []  # mults_j[k] = mults_c[k * a^-1 mod m], rep_j conjugate to w_c^a
-    for c, a in G.walk_places:
-        m = len(walks[c])
-        inv = pow(a, -1, m)
-        moved.append((c, [k * inv % m for k in range(m)]))
-
     zeta_rows = _zeta_powers(e)
     root = pow(_primitive_root(p), (p - 1) // e, p)  # fixed image of zeta_e in F_p
     # per element order m: the rows k < m of images of zeta_m^(-k*u), u < m,
@@ -624,7 +619,8 @@ def compute_table(G: FiniteGroup,
                 raise InternalCheckError(f"eigenvalue multiplicities on the power walk of "
                                          f"cyclic class {c} do not sum to degree")
             walk_mults.append(mults)
-        row = tuple(_zeta_sum([walk_mults[c][k] for k in src], zeta_rows) for c, src in moved)
+        # rep_j conjugate to w_c^a: chi(rep_j) = sum over k of a_k zeta_m^(k*a)
+        row = tuple(_zeta_sum(walk_mults[c], zeta_rows, a) for c, a in G.walk_places)
         characters.append((degree, row))
     if degrees_sq != G.order:
         raise InternalCheckError("sum of squared degrees does not match the group order")

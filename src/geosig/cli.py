@@ -115,7 +115,7 @@ def _parse_subgroups(G: FiniteGroup, items: Sequence[str]) -> list[Subgroup]:
         words = [w.strip() for w in re.split(r",(?![^()]*\))", item) if w.strip()]
         if not words:
             raise GroupInputError(f"empty subgroup specification {item!r}")
-        subs.append(G.subgroup_from_words(words, label=",".join(words)))
+        subs.append(G.subgroup_from_words(words))
     return subs
 
 

@@ -25,10 +25,10 @@ the build and `Perm` at the boundary compose image tuples.  One orbit
 partition, `_orbits`, gives the element classes, the left cosets and
 double-coset route 1; a single permutation's orbits are walked as its
 cycles, with no queue, so route 1 counts the cycles of a one-generator H
-on K's left cosets.  Powers are walked along a right column from the
-least member of each conjugation orbit not yet filed, once per class of
-cyclic subgroups, and the conjugation columns carry each walk to the
-conjugate subgroups; a class's element order is its walk's length.  The
+on K's left cosets.  Powers are walked along a right column once per class
+of cyclic subgroups, from each element not yet filed, in ascending order
+(the least of its element class); the conjugation columns carry each walk
+to the conjugate subgroups, and a class's element order is its length.  The
 power map is the class numbers along one walk w_c per class c of cyclic
 subgroups and each element class's place (c, a), rep ~ w_c^a; the classes
 that share c form one rational class.  Member sets are int bitmasks, so a
@@ -361,9 +361,9 @@ class FiniteGroup:
                 after.append(place)
             if n > MAX_GROUP_ORDER:
                 _check_cap("group order", n, MAX_GROUP_ORDER, "elements")
-        self._images = tuple(sorted(walk))
-        self._index = idx = {img: i for i, img in enumerate(self._images)}
-        self.elements: tuple[Perm, ...] = tuple(map(Perm._trusted, self._images))
+        images = sorted(walk)
+        self._index = idx = {img: i for i, img in enumerate(images)}
+        self.elements: tuple[Perm, ...] = tuple(map(Perm._trusted, images))
         self.order = len(self.elements)
         self.identity = self.elements[0]
         self._gens = tuple(idx[s] for s in distinct)
@@ -472,7 +472,7 @@ class FiniteGroup:
                 from _sha256 import sha256
             except ImportError:
                 from hashlib import sha256
-        blob = f"{self.degree}|" + ";".join(",".join(map(str, x)) for x in self._images)
+        blob = f"{self.degree}|" + ";".join(",".join(map(str, g.image)) for g in self.elements)
         return sha256(blob.encode()).hexdigest()[:16]
 
     # -- subgroups ---------------------------------------------------------
@@ -504,7 +504,7 @@ class FiniteGroup:
         """Element classes ordered by (element order, class size, representative);
         each element order is the length of its cyclic subgroup's power walk."""
         orbit_of, least = self._conjugation_orbits
-        cyclic_of, _, walks, _ = self._cyclic_subgroups
+        cyclic_of, walks, _ = self._cyclic_subgroups
         members: list[list[int]] = [[] for _ in least]
         for g, n in enumerate(orbit_of):
             members[n].append(g)
@@ -532,7 +532,7 @@ class FiniteGroup:
         of one generator w of a subgroup in the class: with `walk_places`, the
         one power map."""
         class_of = self.class_of
-        _, _, walks, orbits = self._cyclic_subgroups
+        _, walks, orbits = self._cyclic_subgroups
         return tuple(tuple(map(class_of.__getitem__, walks[orbit[0]])) for orbit in orbits)
 
     @cached_property
@@ -541,7 +541,7 @@ class FiniteGroup:
         w_c^a, gcd(a, m) = 1: each conjugate of w_c's walk is that walk read
         through the conjugation columns, so rep_j is walk[a] on the walk of
         <rep_j>.  The classes that share c form one rational class."""
-        cyclic_of, _, walks, _ = self._cyclic_subgroups
+        cyclic_of, walks, _ = self._cyclic_subgroups
         number = self.cyclic_subgroup_masks
         return tuple((number[cyclic_of[g]], walks[cyclic_of[g]].index(g))
                      for g in (cls.indices[0] for cls in self.conjugacy_classes))
@@ -564,20 +564,19 @@ class FiniteGroup:
         return powers
 
     @cached_property
-    def _cyclic_subgroups(self) -> tuple[list[int], dict[int, tuple[int, ...]],
-                                         dict[int, list[int]], list[list[int]]]:
-        """The mask of the cyclic subgroup <g> by element index g; by mask the
-        sorted members and a power walk of each cyclic subgroup; and the masks
-        of each class of cyclic subgroups, the walked one first, in class
-        order (order, class size, least members).  Powers are walked once per
-        conjugation orbit whose least member g is not yet filed; the
-        conjugation columns carry that walk to each t<g>t^-1 = <t g t^-1>,
-        filed with its generators walk[k], gcd(k, m) = 1, when first reached."""
+    def _cyclic_subgroups(self) -> tuple[list[int], dict[int, list[int]], list[list[int]]]:
+        """The mask of the cyclic subgroup <g> by element index g; by mask a
+        power walk of each cyclic subgroup, its one record; and the masks of
+        each class of cyclic subgroups, the walked one first, in class order
+        (order, class size, least sorted members).  Powers are walked from
+        each element g not yet filed, in ascending order: no conjugate of g is
+        filed either, so g is least in its conjugacy class.  The conjugation
+        columns carry that walk to each t<g>t^-1 = <t g t^-1>, filed with its
+        generators walk[k], gcd(k, m) = 1, when first reached."""
         cyclic_of = [0] * self.order
-        members: dict[int, tuple[int, ...]] = {}
         walks: dict[int, list[int]] = {}
         orbits, filed = [], 0
-        for g in self._conjugation_orbits[1]:
+        for g in range(self.order):
             if cyclic_of[g]:
                 continue
             conjugates, masks = [self._powers(g)], []
@@ -586,7 +585,7 @@ class FiniteGroup:
             for walk in conjugates:
                 s = _mask(walk)
                 masks.append(s)
-                members[s], walks[s] = tuple(sorted(walk)), walk
+                walks[s] = walk
                 for k in units:
                     cyclic_of[walk[k]] = s
                 for conj in self._conjugators:
@@ -601,26 +600,26 @@ class FiniteGroup:
             raise InternalCheckError(f"the cyclic subgroups file {filed} generators for "
                                      f"{self.order} elements, {cyclic_of.count(0)} unfiled")
         orbits.sort(key=lambda masks: (len(walks[masks[0]]), len(masks),
-                                       min(map(members.__getitem__, masks))))
-        return cyclic_of, members, walks, orbits
+                                       min(sorted(walks[s]) for s in masks)))
+        return cyclic_of, walks, orbits
 
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
         """All cyclic subgroups up to conjugacy, trivial subgroup included: the
         orbits of the conjugation walk, each held by its least member."""
-        cyclic_of, members, _, orbits = self._cyclic_subgroups
+        cyclic_of, walks, orbits = self._cyclic_subgroups
         classes = []
         for orbit in orbits:
-            rep_set = min(orbit, key=members.__getitem__)
-            gen = next(x for x in members[rep_set] if cyclic_of[x] == rep_set)
-            rep = Subgroup._trusted(self, members[rep_set], (gen,), str(self.elements[gen]))
-            classes.append(ConjugacyClassOfSubgroups(rep, len(orbit), frozenset(orbit)))
+            rep_set = min(orbit, key=lambda s: sorted(walks[s]))
+            gen = min(x for x in walks[rep_set] if cyclic_of[x] == rep_set)
+            rep = Subgroup._trusted(self, walks[rep_set], (gen,), str(self.elements[gen]))
+            classes.append(ConjugacyClassOfSubgroups(rep, frozenset(orbit)))
         return tuple(classes)
 
     @cached_property
     def cyclic_subgroup_masks(self) -> dict[int, int]:
         """The member mask of every cyclic subgroup -> the index of its class."""
-        return {s: c for c, orbit in enumerate(self._cyclic_subgroups[3]) for s in orbit}
+        return {s: c for c, orbit in enumerate(self._cyclic_subgroups[2]) for s in orbit}
 
     def cyclic_class_index(self, sub: "Subgroup") -> int:
         """Index of the cyclic-subgroup class containing sub."""
@@ -633,12 +632,11 @@ class FiniteGroup:
     @cached_property
     def merged_element_classes(self) -> tuple["ElementClass", ...]:
         """Elements fused by conjugacy of generated cyclic subgroups, one per cyclic class."""
-        classes, cyclic_of = self.cyclic_subgroup_classes, self._cyclic_subgroups[0]
-        buckets: list[list[int]] = [[] for _ in classes]
-        for g in range(self.order):
-            buckets[self.cyclic_subgroup_masks[cyclic_of[g]]].append(g)
-        # every generator of a cyclic subgroup of order m has order m
-        return tuple(ElementClass(self, tuple(b), c.order) for b, c in zip(buckets, classes))
+        cyclic_of, walks, orbits = self._cyclic_subgroups
+        # the generators on its walks, each of order m, the walks' length
+        return tuple(ElementClass(self, tuple(sorted(x for s in orbit for x in walks[s]
+                                                     if cyclic_of[x] == s)),
+                                  len(walks[orbit[0]])) for orbit in orbits)
 
     def subgroup_class(self, sub: "Subgroup") -> "ConjugacyClassOfSubgroups":
         """Conjugacy class of an arbitrary subgroup (its cached conjugates unless cyclic)."""
@@ -648,7 +646,7 @@ class FiniteGroup:
         orbit = frozenset(sub.conjugate_masks.values())
         rep_set = min(orbit, key=_bits)
         rep = sub if sub.mask == rep_set else Subgroup._trusted(self, _bits(rep_set), None, None)
-        return ConjugacyClassOfSubgroups(rep, len(orbit), orbit)
+        return ConjugacyClassOfSubgroups(rep, orbit)
 
     # -- element input -----------------------------------------------------
 
@@ -858,9 +856,10 @@ class ElementClass:
 
 class ConjugacyClassOfSubgroups(FrozenRecord):
     """A conjugacy class of subgroups, held by a canonical representative, its
-    least member; `member_masks` are the member masks of all its subgroups."""
+    least member; `member_masks` are the member masks of all its subgroups,
+    so the class size is `len(member_masks)`."""
 
-    __slots__ = ("representative", "class_size", "member_masks")
+    __slots__ = ("representative", "member_masks")
 
     @property
     def order(self) -> int:
@@ -868,7 +867,7 @@ class ConjugacyClassOfSubgroups(FrozenRecord):
 
     def __repr__(self) -> str:  # the record repr would print every member mask
         tag = self.representative.label or "?"
-        return f"SubgroupClass(<{tag}>, order={self.order}, size={self.class_size})"
+        return f"SubgroupClass(<{tag}>, order={self.order}, size={len(self.member_masks)})"
 
 
 # -- double cosets ----------------------------------------------------------

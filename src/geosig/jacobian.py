@@ -23,10 +23,9 @@ class MultiplicityRecord(FrozenRecord):
     """Multiplicities and factor data for one Galois class of characters: `n`
     is the multiplicity of each class member in the homology action, `e` that
     of the rational irreducible (n / schur_index), `dim_B` the dimension of
-    the isogeny factor, `exponent` its power (degree / schur_index) and `k`
-    is schur_index * field_degree."""
+    the isogeny factor, and `exponent` its power (degree / schur_index)."""
 
-    __slots__ = ("galois_class", "degree", "n", "e", "dim_B", "exponent", "k")
+    __slots__ = ("galois_class", "degree", "n", "e", "dim_B", "exponent")
 
     @property
     def representative(self) -> int:
@@ -209,7 +208,7 @@ def factor_dimensions(G: FiniteGroup, table: CharacterTable,
             raise InternalCheckError(f"factor dimension {k * n}/2 is not an integer")
         records.append(MultiplicityRecord(
             galois_class=gc, degree=chi.degree, n=n, e=n // schur,
-            dim_B=dim, exponent=chi.degree // schur, k=k,
+            dim_B=dim, exponent=chi.degree // schur,
         ))
 
     # sum rule over all complex irreducibles, Galois conjugates included

@@ -9,9 +9,11 @@ import pytest
 
 from geosig import covers, jacobian
 from geosig.cli import main
-from geosig.errors import InternalCheckError
-from geosig.groups import FiniteGroup, Subgroup, catalog
-from geosig.signature import find_generating_vector, refinements, signature_from_payload
+from geosig.errors import GroupInputError, InternalCheckError
+from geosig.groups import FiniteGroup, Perm, Subgroup, catalog
+from geosig.monodromy import coset_action
+from geosig.signature import (GeneratingVector, find_generating_vector, orbit_packages,
+                              refinements, signature_from_payload, verify_generating_vector)
 
 D4_FIRST = json.dumps({
     "genus": 0,
@@ -799,3 +801,115 @@ def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):
     assert out == ""
     assert "internal defect: InternalCheckError: double-coset methods disagree" in err
     assert "TypeError" not in err and "ValueError" not in err
+
+
+def _array_group_file(tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text("[]")
+    return str(path)
+
+
+def _outside_vector(before):
+    # dihedral(4) with a transposition, outside it, in place of its first
+    # branch element; before is the signature or the subgroup of the call
+    G = catalog("dihedral(4)")
+    vec = GeneratingVector((), (), (Perm.parse(4, "(1,2)"), G.element("y"), G.element("xy")))
+    if before == "signature":
+        return G, signature_from_payload(G, json.loads(D4_FIRST)), vec
+    return G, G.subgroup_from_words(["x"]), vec
+
+
+def _klein():
+    G = catalog("dihedral(4)")
+    return G, G.subgroup_from_words(["x^2", "y"])
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("exists", "--group", "dihedral(4)", "--signature",
+      json.dumps({"genus": 0, "branches": {"order": 2}})), "'branches' must be a list"),
+    (("chartab", "--group", json.dumps({"degree": 3, "generators": {"a": "(1,2,1)"}})),
+     "repeated point in cycle (1, 2, 1)"),
+    (("exists", "--group", "cyclic(4)", "--signature",
+      json.dumps({"genus": 0, "branches": [{"order": 4, "class_rep": "x^"}]})),
+     "bad exponent in 'x^'"),
+    (("chartab", "--group", json.dumps({"degree": 2, "generators": {"1a": "(1,2)"}})),
+     "bad generator name '1a'"),
+    (("lattice", "--group", "dihedral(4)", "--signature", D4_FIRST, "--subgroups", ","),
+     "empty subgroup specification ','"),
+    (("chartab", "--group", _array_group_file), "must be a JSON object"),
+    (lambda: FiniteGroup.cyclic_class_index(*_klein()), "subgroup x^2,y is not cyclic"),
+    (lambda: orbit_packages(*_klein()), "point stabilizers are cyclic; got a non-cyclic subgroup"),
+    (lambda: verify_generating_vector(*_outside_vector("signature")),
+     "vector element (1,2) is not in the group"),
+    (lambda: coset_action(*_outside_vector("subgroup")),
+     "vector element (1,2) is not in the group"),
+], ids=["branches-object", "repeated-cycle-point", "bare-exponent", "generator-name",
+        "empty-subgroup", "group-file-array", "cyclic-class-index", "orbit-packages",
+        "verify-outside-element", "coset-action-outside-element"])
+def test_input_refusals(capsys, tmp_path, argv, message):
+    # each refusal is malformed input: through the CLI it exits 64 with
+    # its message and no output, through the API it raises GroupInputError
+    if callable(argv):
+        with pytest.raises(GroupInputError) as exc:
+            argv()
+        assert message in str(exc.value)
+        return
+    code, out, err = run(capsys, *(a(tmp_path) if callable(a) else a for a in argv))
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("command", ["lattice", "decompose"])
+def test_budget_exhausted_exits_2(capsys, command):
+    # one node is not enough for the first branch candidate and its leaf
+    code, out, err = run(capsys, command, "--group", "wc3", "--signature", WC3_FIRST,
+                         "--budget", "1")
+    assert (code, out) == (2, "")
+    assert err == "budget-exhausted: search budget of 1 nodes exhausted\n"
+
+
+@pytest.mark.parametrize("command", ["lattice", "decompose"])
+def test_plain_signature_with_no_realizable_refinement_exits_1(capsys, command):
+    # quaternion8's only involution is central, so four of them generate
+    # no more than the centre: the one refinement is not realizable
+    code, out, err = run(capsys, command, "--group", "quaternion8", "--signature",
+                         json.dumps({"genus": 0, "branches": [{"order": 2}] * 4}))
+    assert (code, out) == (1, "")
+    assert err == "signature not realizable: no realizable refinement of the plain signature\n"
+
+
+def test_non_integral_genus_is_a_failed_condition(capsys):
+    code, out, err = run(capsys, "exists", "--group", "cyclic(2)", "--signature",
+                         json.dumps({"genus": 0, "branches": [{"order": 2}]}),
+                         "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["verdict"] == "not-exists" and payload["genus"] is None
+    assert payload["failed_condition"] == \
+        "genus arithmetic: branching data gives non-integral genus -1/2"
+
+
+def test_refinement_keeps_the_classed_entries(capsys):
+    # (0; [6,xa^2], [4], [2,xyzb]) on wc3 refines its plain entry alone, to
+    # the class of xyab: the same reports and decomposition as the fully
+    # classed signature, and branch 1 is tagged with the class's own label
+    classed = json.loads(WC3_FIRST)
+    mixed = json.loads(WC3_FIRST)
+    del mixed["branches"][1]["class_rep"]
+    outputs = {}
+    for name, signature in (("classed", classed), ("mixed", mixed)):
+        for command, extra in (("lattice", ("--cross-check",)), ("decompose", ())):
+            code, out, _ = run(capsys, command, "--group", "wc3", "--signature",
+                               json.dumps(signature), "--format", "json", *extra)
+            assert code == 0
+            outputs[name, command] = json.loads(out)
+    reports = {name: outputs[name, "lattice"]["reports"] for name in ("classed", "mixed")}
+    assert len(reports["classed"]) == len(reports["mixed"]) == 10
+    for classed_report, mixed_report in zip(reports["classed"], reports["mixed"]):
+        assert [bv["type_rep"] for bv in mixed_report["branch_values"]] == [
+            "xa^2", "(1,4)(2,3,5,6)", "xyzb"]
+        assert classed_report["branch_values"][1]["type_rep"] == "xyab"
+        mixed_report["branch_values"][1]["type_rep"] = "xyab"
+        assert mixed_report == classed_report
+    assert outputs["mixed", "decompose"]["decomposition"] == \
+        outputs["classed", "decompose"]["decomposition"]

@@ -175,7 +175,7 @@ def test_zeta_sum_matches_reduce_integral(case):
     poly = [0] * e
     for k, a in enumerate(mults):
         poly[k * (e // len(mults))] = a
-    assert _zeta_sum(mults, _zeta_powers(e)) == reduce_integral(poly, e)
+    assert _zeta_sum(mults, _zeta_powers(e), 1) == reduce_integral(poly, e)
 
 
 @st.composite

@@ -96,7 +96,8 @@ def test_cyclic4_factor_dimensions():
     assert dims["trivial"].dim_B == 1 and dims["trivial"].exponent == 1
     assert dims["order2"].dim_B == 0
     assert dims["faithful"].dim_B == 2
-    assert dims["faithful"].k == 2
+    faithful = dims["faithful"].galois_class
+    assert faithful.schur_index * faithful.field_degree == 2
     assert dims["faithful"].exponent == 1
     assert sum(r.dim_B * r.exponent for r in report.records) == 3
 

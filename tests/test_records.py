@@ -44,7 +44,7 @@ from geosig.signature import (
 
 # the fields of each record, in constructor order
 FIELDS = {
-    ConjugacyClassOfSubgroups: ("representative", "class_size", "member_masks"),
+    ConjugacyClassOfSubgroups: ("representative", "member_masks"),
     BranchEntry: ("order", "cls", "label"),
     GeometricSignature: ("quotient_genus", "entries"),
     GeneratingVector: ("a", "b", "c"),
@@ -57,7 +57,7 @@ FIELDS = {
     Character: ("index", "row", "conductor", "degree"),
     GaloisClass: ("members", "representative", "field_degree", "schur_bound", "indicator",
                   "schur_index", "schur_index_source"),
-    MultiplicityRecord: ("galois_class", "degree", "n", "e", "dim_B", "exponent", "k"),
+    MultiplicityRecord: ("galois_class", "degree", "n", "e", "dim_B", "exponent"),
     OmegaSystem: ("matrix", "rhs", "solution"),
     DecompositionReport: ("records", "total_genus", "quotient_genus", "omega"),
     TorusCaseConditions: ("galois_representative", "degree", "dim_is_zero",
@@ -247,7 +247,7 @@ def test_bad_branch_entries_and_signatures_are_refused():
     G = catalog("dihedral(4)")
     cyclic4 = G.cyclic_subgroup_classes[G.cyclic_class_index(G.subgroup_from_words(["x"]))]
     klein = G.subgroup_from_words(["x^2", "y"])
-    not_cyclic = ConjugacyClassOfSubgroups(klein, 1, frozenset([klein.mask]))
+    not_cyclic = ConjugacyClassOfSubgroups(klein, frozenset([klein.mask]))
     with pytest.raises(GroupInputError, match="branch order must be at least 2, got 1"):
         BranchEntry(1)
     with pytest.raises(GroupInputError, match="branch order 2 does not match the class order 4"):
