@@ -18,7 +18,7 @@ _EXPORTS = {
     "chartable": ("CharacterTable", "compute_table", "schur_bound_is_verified"),
     "covers": ("CoverReport", "cover_report", "cycle_structure", "lattice_report",
                "marked_points", "quotient_genus", "transversal_partition"),
-    "cyclotomic": ("Cyclo", "cyclotomic_polynomial", "euler_phi"),
+    "cyclotomic": ("cyclotomic_polynomial", "euler_phi"),
     "errors": ("GroupInputError", "InternalCheckError", "InvalidSignatureError",
                "NotRationalError", "SearchBudgetExceeded"),
     "groups": ("ConjugacyClassOfSubgroups", "FiniteGroup", "Perm", "Subgroup", "catalog",

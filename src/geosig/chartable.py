@@ -32,9 +32,9 @@ one form only, its integer row `Character.row`: for each class, the phi(e)
 coefficients of the value in the power basis of Z[zeta_e], e the group
 exponent.  The lift, the norms, the Galois images, the fixed-space
 dimensions and the Frobenius-Schur indicators are integer sums over these
-rows, and rationals appear only at the final exact division.
-`Character.values`, the same values as `Cyclo` numbers, is built from the
-row on first read, for the JSON and text output and for API callers.
+rows, and rationals appear only at the final exact division.  The JSON
+and text output and the error messages print a value from its row entry
+(`cyclotomic.value_json`, `value_str`); the package builds no other form.
 Walks, inverses, squares and Galois actions come from the group's one power
 map, `FiniteGroup.power_walks` and `walk_places`.  `CharacterTable.fixed_dims`,
 the fixed-space dimension of every character on every cyclic-class
@@ -49,7 +49,8 @@ from functools import cached_property
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from .cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi, reduce_integral
+from .cyclotomic import (cyclotomic_polynomial, euler_phi, reduce_integral, value_json,
+                         value_str)
 from .errors import GroupInputError, InternalCheckError, NotRationalError
 from .groups import FiniteGroup, FrozenRecord, Subgroup, require_subgroups
 
@@ -61,15 +62,10 @@ class Character(FrozenRecord):
     """One irreducible complex character, with a value per conjugacy class.
 
     row[j] holds the phi(conductor) integer coefficients of the value on
-    class j in the power basis of Z[zeta_conductor].  The `__dict__` slot
-    holds the cached `values`.
+    class j in the power basis of Z[zeta_conductor].
     """
 
-    __slots__ = ("index", "row", "conductor", "degree", "__dict__")
-
-    @cached_property
-    def values(self) -> tuple[Cyclo, ...]:
-        return tuple(Cyclo(self.conductor, v) for v in self.row)
+    __slots__ = ("index", "row", "conductor", "degree")
 
 
 class GaloisClass(FrozenRecord):
@@ -136,7 +132,7 @@ class CharacterTable:
             row[j] if n == 1 else [n * c for c in row[j]] for j, n in weights])]
         if any(total[1:]):
             raise NotRationalError(
-                f"value is not rational: {Cyclo(self.group.exponent, total)}"
+                f"value is not rational: {value_str(self.group.exponent, total)}"
             )
         return total[0]
 
@@ -276,7 +272,7 @@ class CharacterTable:
                 {
                     "index": chi.index,
                     "degree": chi.degree,
-                    "values": [v.to_json() for v in chi.values],
+                    "values": [value_json(chi.conductor, v) for v in chi.row],
                     "frobenius_schur": indicator[chi.index],
                 }
                 for chi in self.characters
@@ -296,7 +292,8 @@ class CharacterTable:
         rows = [["", *(str(c.representative) for c in self.classes)],
                 ["size", *(str(c.size) for c in self.classes)],
                 ["order", *(str(c.element_order) for c in self.classes)],
-                *([f"chi{chi.index}", *map(str, chi.values)] for chi in self.characters)]
+                *([f"chi{chi.index}", *(value_str(chi.conductor, v) for v in chi.row)]
+                  for chi in self.characters)]
         lines = text_table(rows, 3)
         lines.append("")
         for gc in self.galois_classes:
@@ -565,7 +562,7 @@ def _check_norms(G: FiniteGroup, rows: Sequence[Sequence[tuple[int, ...]]]) -> N
         if got != want:
             raise InternalCheckError(
                 f"class {j} fails column orthogonality: the sum of chi(g) chi(g^-1) "
-                f"over the characters is {Cyclo(e, got)}, expected {want[0]}"
+                f"over the characters is {value_str(e, got)}, expected {want[0]}"
             )
 
 

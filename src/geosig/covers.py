@@ -31,10 +31,6 @@ class TransversalPartition(FrozenRecord):
 
     __slots__ = ("sets", "intersection_sizes")
 
-    @property
-    def nu(self) -> int:
-        return len(self.sets)
-
 
 class MarkedPointSet(FrozenRecord):
     """`count` points of S/H over one branch value, each marked `mark`."""

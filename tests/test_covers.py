@@ -98,11 +98,11 @@ def test_transversal_partition_examples():
     # normal G_j: single set of size 1
     sig = geometric_signature(G, 0, ("x", "y", "xy"))
     part = transversal_partition(G, sig, G.subgroup([]), 0)
-    assert part.nu == 1 and part.sets[0] == (G.identity,)
+    assert len(part.sets) == 1 and part.sets[0] == (G.identity,)
     # [2,<y>] against H = <x^2>: both conjugates of <y> meet H trivially
     H = G.subgroup_from_words(["x^2"])
     part = transversal_partition(G, sig, H, 1)
-    assert part.nu == 1
+    assert len(part.sets) == 1
     assert len(part.sets[0]) == 2
     assert part.intersection_sizes == (1,)
     # partition always covers the transversal of the normalizer

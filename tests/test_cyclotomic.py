@@ -1,10 +1,14 @@
+"""The package's cyclotomic helpers (Phi_e, phi(e), the printer) and the
+tests' reference field arithmetic, `Cyclo` of tests/cyclo_ref.py."""
+
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from geosig.cyclotomic import Cyclo, cyclotomic_polynomial, euler_phi
+from cyclo_ref import Cyclo
+from geosig.cyclotomic import cyclotomic_polynomial, euler_phi, value_json, value_str
 from geosig.errors import GroupInputError, NotRationalError
 
 
@@ -151,6 +155,17 @@ def test_str_forms():
     assert str(Cyclo.zeta(4)) == "z4"
     assert str(-Cyclo.zeta(4)) == "-z4"
     assert str(Cyclo(5, [1, 0, 2])) == "1+2*z5^2"
+
+
+def test_printer_reads_integer_rows():
+    # the output prints a row entry of phi(e) integer coefficients directly
+    assert value_str(5, (1, 0, 2, 0)) == "1+2*z5^2"
+    assert value_str(4, (0, -1)) == "-z4"
+    assert value_str(12, (3, 0, 0, 0)) == "3"
+    assert value_str(12, (0, 0, -2, 1)) == "-2*z12^2+z12^3"
+    assert value_json(4, (0, 1)) == {"conductor": 4, "coeffs": ["0", "1"]}
+    v = Cyclo(12, [0, 0, -2, 1])
+    assert (str(v), v.to_json()) == (value_str(12, v.coeffs), value_json(12, v.coeffs))
 
 
 def test_negative_power_is_refused():

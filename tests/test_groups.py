@@ -270,6 +270,36 @@ def test_double_coset_methods_agree_over_cyclic_classes():
             double_coset_count(G, H, K)  # raises InternalCheckError on disagreement
 
 
+def _s4_three_cycle_and_transposition():
+    G = catalog("symmetric(4)")
+    return G, G.subgroup([G.element("(1,2,3)")]), G.subgroup([G.element("(1,2)")])
+
+
+def test_non_integral_transversal_formula_is_a_defect(monkeypatch):
+    # route 2 sums |lKl^-1 ∩ H| over the 6 conjugates of a transposition
+    # subgroup; a conjugate mask that holds all of H adds 2 to the sum, and
+    # 2 * (6 + 2) = 16 is no multiple of |H| = 3
+    G, H, K = _s4_three_cycle_and_transposition()
+    masks = K.conjugate_masks
+    first = next(iter(masks))
+    monkeypatch.setitem(masks, first, masks[first] | H.mask)
+    with pytest.raises(InternalCheckError,
+                       match="transversal double-coset formula is not integral"):
+        double_coset_count(G, H, K)
+
+
+def test_non_integral_class_formula_is_a_defect(monkeypatch):
+    # route 3 weighs each class H meets by |C_G(a)| * |K ∩ class(a)|; one
+    # member of H counted in the transposition class adds 4 * 1 to the sum
+    # 24, and 28 is no multiple of |K| * |H| = 6
+    G, H, K = _s4_three_cycle_and_transposition()
+    transpositions = G.class_of[G.index(G.element("(1,2)"))]
+    monkeypatch.setitem(vars(H), "class_counts", H.class_counts + ((transpositions, 1),))
+    with pytest.raises(InternalCheckError,
+                       match="class-sum double-coset formula is not integral"):
+        double_coset_count(G, H, K)
+
+
 def test_catalog_quaternion8():
     G = catalog("quaternion8")
     assert G.order == 8

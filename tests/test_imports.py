@@ -1,5 +1,6 @@
 """No module of the package imports another module's private names, and
-none but groups.py reads another object's private attributes.
+none but groups.py reads another object's private attributes.  The package
+ships no reference arithmetic and imports nothing from the tests.
 
 Modules reach each other only through public names, so a helper that one
 module keeps private is never shared with another unseen.  The redundant
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "geosig"
+TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "geosig"
 
 
 def _private_imports(source: str) -> list[str]:
@@ -62,3 +64,33 @@ def test_private_read_is_caught():
     source = ("G._left_tree[0]\nself._times\nSubgroup._trusted(G, m, None, None)\n"
               "object.__setattr__(self, 'a', 1)\nH.parent._gens\n")
     assert _private_reads(source) == ["line 1: G._left_tree", "line 5: H.parent._gens"]
+
+
+def _test_imports(source: str) -> list[str]:
+    """The imports in source of the tests directory or of a module in it."""
+    local = {"tests"} | {p.stem for p in TESTS.glob("*.py")}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.split(".")[0] in local]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] in local:
+                found.append(f"from {node.module} import ...")
+    return found
+
+
+def test_the_package_ships_no_cyclotomic_field_arithmetic():
+    # the field arithmetic of Q(zeta_e), `Cyclo`, is the tests' reference
+    # (tests/cyclo_ref.py): the package keeps the integer rows, reduction
+    # modulo Phi_e and the printer, defines no Cyclo and never reads one
+    cyclotomic = ast.parse((PACKAGE / "cyclotomic.py").read_text())
+    assert [n.name for n in ast.walk(cyclotomic) if isinstance(n, ast.ClassDef)] == []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        names |= {n.name for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.alias))}
+        assert "Cyclo" not in names, path.name
+        assert _test_imports(path.read_text()) == [], path.name
+    assert _test_imports("import tests.corpus\nfrom cyclo_ref import Cyclo\nimport os\n") == [
+        "import tests.corpus", "from cyclo_ref import ..."]

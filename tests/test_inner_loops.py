@@ -8,7 +8,8 @@ Each loop is compared with a reference that shares none of its code:
   (`monodromy._cycle_type`) against `Perm.cycles()`;
 - the table lift through the zeta-power table (`chartable._zeta_sum` over
   `chartable._zeta_powers`) against `reduce_integral` of the e-length
-  polynomial, and the power table itself against `Cyclo.zeta`;
+  polynomial, and the power table itself against the reference `Cyclo.zeta`
+  of tests/cyclo_ref.py;
 - the orbits of a single column, walked as its cycles (`groups._orbits`),
   against `Perm.cycles()` and against the breadth-first search that the
   same column given twice takes;
@@ -31,8 +32,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from cyclo_ref import Cyclo  # noqa: E402
 from geosig.chartable import _zeta_powers, _zeta_sum  # noqa: E402
-from geosig.cyclotomic import Cyclo, reduce_integral  # noqa: E402
+from geosig.cyclotomic import reduce_integral  # noqa: E402
 from geosig.groups import (  # noqa: E402
     Perm, _orbits, catalog, double_coset_count, group_from_payload,
 )

@@ -1,5 +1,6 @@
 import pytest
 
+from cyclo_ref import character_values
 from geosig import jacobian
 from geosig.chartable import compute_table
 from geosig.covers import quotient_genus
@@ -46,7 +47,7 @@ def test_cyclic4_multiplicities():
     n = complex_multiplicities(G, T, sig)
     x = G.named_generators["x"]
     for chi in T.characters:
-        value_on_x = chi.values[G.class_index[x]]
+        value_on_x = character_values(chi)[G.class_index[x]]
         if chi.index == T.trivial_character_index:
             assert n[chi.index] == 2
         elif value_on_x == -1:

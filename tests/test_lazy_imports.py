@@ -28,7 +28,7 @@ EXPORTS = {
     "chartable": ["CharacterTable", "compute_table", "schur_bound_is_verified"],
     "covers": ["CoverReport", "cover_report", "cycle_structure", "lattice_report",
                "marked_points", "quotient_genus", "transversal_partition"],
-    "cyclotomic": ["Cyclo", "cyclotomic_polynomial", "euler_phi"],
+    "cyclotomic": ["cyclotomic_polynomial", "euler_phi"],
     "errors": ["GroupInputError", "InternalCheckError", "InvalidSignatureError",
                "NotRationalError", "SearchBudgetExceeded"],
     "groups": ["ConjugacyClassOfSubgroups", "FiniteGroup", "Perm", "Subgroup", "catalog",
@@ -65,11 +65,12 @@ print(json.dumps([code, sorted(sys.modules)]))
 """
 # stdlib modules a call loads only where it reads them: the records are
 # plain slotted classes; the genus, the table's values and the omega solve
-# are integer arithmetic, so a Fraction is built only by Cyclo division and
-# by error messages, and no command here loads fractions (or decimal, which
-# fractions imports); and no case here, each a text-mode call, reads the
-# group hash, so none loads hashlib (a JSON call, which reads it, skips
-# hashlib too where the interpreter has a built-in SHA-256)
+# are integer arithmetic, and the output prints each value from its integer
+# row, so a Fraction is built only by error messages, and no command here
+# loads fractions (or decimal, which fractions imports); and no case here,
+# each a text-mode call, reads the group hash, so none loads hashlib (a JSON
+# call, which reads it, skips hashlib too where the interpreter has a
+# built-in SHA-256)
 UNREAD = {name: {"dataclasses", "inspect", "hashlib", "fractions", "decimal"}
           for name in LOADED}
 

@@ -1,6 +1,7 @@
 import pytest
 
 from geosig.covers import cycle_structure, quotient_genus
+from geosig.errors import InternalCheckError
 from geosig.groups import Perm, catalog
 from geosig.monodromy import coset_action, oracle_summary
 from geosig.signature import (
@@ -153,3 +154,18 @@ def test_oracle_summary_payload():
     H = G.subgroup_from_words(["x^2"])
     data = oracle_summary(G, H, vec, 1)
     assert data == {"genus": 1, "cycle_structures": [[1, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize("element, message", [
+    # a transposition acts on the 6 cosets of the trivial subgroup as three
+    # 2-cycles: Euler characteristic 6 * 2 - 3 = 9
+    ("b", "odd Euler characteristic 9"),
+    # the identity ramifies nowhere: Euler characteristic 12, genus 1 - 6
+    ("()", "negative genus -5"),
+])
+def test_oracle_refuses_an_impossible_euler_characteristic(element, message):
+    # (c,) is no generating vector: the oracle's own checks catch its counts
+    G = catalog("symmetric(3)")
+    vec = GeneratingVector((), (), (G.element(element),))
+    with pytest.raises(InternalCheckError, match=message):
+        oracle_summary(G, G.subgroup([]), vec, 0)
