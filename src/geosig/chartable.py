@@ -22,10 +22,11 @@ classes along its power walk w_c^0, ..., w_c^(m-1); a class whose
 representative is conjugate to w_c^a reads those multiplicities in place,
 the one at k weighting zeta_m^(k*a).  At run time the table checks the
 eigenvectors against every class matrix the split read, the multiplicity
-sum of each DFT, sum chi(1)^2 = |G|, and the row and the column norms of
-the integer rows.  The prime is the smallest qualifying one and the
+sum of each DFT, and the row and the column norms of the integer rows; the
+identity's walk has the one multiplicity chi(1), so its column norm is
+sum chi(1)^2 = |G|.  The prime is the smallest qualifying one and the
 finished rows are sorted by (degree, value sequence), so the table is
-deterministic.
+deterministic.  `compute_table` is the one way in for a `CharacterTable`.
 
 Character values are algebraic integers, and a character stores them in
 one form only, its integer row `Character.row`: for each class, the phi(e)
@@ -88,28 +89,22 @@ def _admissible_schur_index(index: int, bound: int, indicator: int) -> bool:
 class CharacterTable:
     """The exact character table of a finite group, with Galois structure."""
 
-    def __init__(self, group: FiniteGroup, characters: Sequence[Character],
-                 schur_overrides: Optional[Mapping[int, int]] = None):
+    def __init__(self, *_args, **_kwargs):
+        raise TypeError("use compute_table")
+
+    @classmethod
+    def _trusted(cls, group, characters, schur_overrides) -> "CharacterTable":
+        self = object.__new__(cls)
         self.group = group
         self.classes = group.conjugacy_classes
-        self.characters = tuple(characters)
-        phi = euler_phi(group.exponent)
-        for chi in self.characters:
-            if chi.conductor != group.exponent or any(len(v) != phi for v in chi.row):
-                raise InternalCheckError(
-                    f"character {chi.index} is not a row over Z[zeta_{group.exponent}]"
-                )
-            bad = next((c for v in chi.row for c in v if not isinstance(c, int)), None)
-            if bad is not None:
-                raise InternalCheckError(
-                    f"character {chi.index} has a non-integral coefficient: {bad}"
-                )
-        self._row_index = {chi.row: chi.index for chi in self.characters}
-        self.galois_classes = self._build_galois_classes(schur_overrides or {})
+        self.characters = characters
+        self._row_index = {chi.row: chi.index for chi in characters}
+        self.galois_classes = self._build_galois_classes(schur_overrides)
         if len(self.galois_classes) != len(group.cyclic_subgroup_classes):
             raise InternalCheckError(
                 "Galois class count does not match cyclic subgroup classes"
             )
+        return self
 
     # -- queries ---------------------------------------------------------
 
@@ -589,7 +584,6 @@ def compute_table(G: FiniteGroup,
                   pow(m, p - 2, p))
 
     characters = []
-    degrees_sq = 0
     for w in omegas:
         if not w[0]:
             raise InternalCheckError("eigenvector vanishes on the identity class")
@@ -603,7 +597,6 @@ def compute_table(G: FiniteGroup,
         )
         if degree is None:
             raise InternalCheckError("lifted degree out of range")
-        degrees_sq += degree * degree
         tvals = [degree * w[j] * inv_sizes[j] % p for j in range(s)]
         walk_mults = []
         for c, walk in enumerate(walks):
@@ -619,8 +612,6 @@ def compute_table(G: FiniteGroup,
         # rep_j conjugate to w_c^a: chi(rep_j) = sum over k of a_k zeta_m^(k*a)
         row = tuple(_zeta_sum(walk_mults[c], zeta_rows, a) for c, a in G.walk_places)
         characters.append((degree, row))
-    if degrees_sq != G.order:
-        raise InternalCheckError("sum of squared degrees does not match the group order")
 
     characters.sort()
     if len({row for _, row in characters}) != s:
@@ -630,4 +621,4 @@ def compute_table(G: FiniteGroup,
         Character(index=i, row=row, conductor=e, degree=deg)
         for i, (deg, row) in enumerate(characters)
     )
-    return CharacterTable(G, chars, schur_overrides)
+    return CharacterTable._trusted(G, chars, schur_overrides or {})

@@ -142,20 +142,35 @@ def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
         raise _OutputError(exc) from None
 
 
+def _witness(G: FiniteGroup, sig: GeometricSignature, budget: int) -> Optional[GeneratingVector]:
+    """The search's vector for sig, or None; a vector that fails the witness
+    check, which shares no code with the search, is an internal defect."""
+    from .signature import find_generating_vector, verify_generating_vector
+    vec = find_generating_vector(G, sig, budget)
+    if vec is not None:
+        check = verify_generating_vector(G, sig, vec)
+        failed = [name for name, ok in (
+            ("orders_ok", check.orders_ok), ("classes_ok", check.classes_ok),
+            ("product_ok", check.product_ok), ("generates", check.generates)) if not ok]
+        if failed:
+            raise InternalCheckError(f"the vector fails the witness check: {', '.join(failed)}")
+    return vec
+
+
 def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, GeneratingVector]:
     """The lattice/decompose signature, realizable and geometric, and the
     generating vector found for it; a plain signature must have exactly one
     realizable refinement."""
-    from .signature import find_generating_vector, refinements, signature_genus
+    from .signature import refinements, signature_genus
     sig = load_signature(G, args.signature)
     signature_genus(G, sig)  # raises InvalidSignatureError -> exit 1
     if sig.is_geometric:
-        vec = find_generating_vector(G, sig, args.budget)
+        vec = _witness(G, sig, args.budget)
         if vec is None:
             raise InvalidSignatureError("no generating vector exists for this geometric signature")
         return sig, vec
     found = [(refined, vec) for refined in refinements(G, sig)
-             if (vec := find_generating_vector(G, refined, args.budget)) is not None]
+             if (vec := _witness(G, refined, args.budget)) is not None]
     if len(found) == 1:
         return found[0]
     if not found:
@@ -171,7 +186,7 @@ def _resolve_geometric(args, G: FiniteGroup) -> tuple[GeometricSignature, Genera
 
 
 def cmd_exists(args, G: FiniteGroup) -> int:
-    from .signature import find_generating_vector, signature_genus
+    from .signature import signature_genus
     sig = load_signature(G, args.signature)
     verdict = {"verdict": None, "genus": None, "witness": None}
 
@@ -187,7 +202,7 @@ def cmd_exists(args, G: FiniteGroup) -> int:
         emit(f"not-exists ({exc})")
         return EX_NOT_EXISTS
     try:
-        vec = find_generating_vector(G, sig, args.budget)
+        vec = _witness(G, sig, args.budget)
     except SearchBudgetExceeded:
         verdict["verdict"] = "budget-exhausted"
         emit(f"budget-exhausted after {args.budget} nodes")

@@ -15,7 +15,7 @@ walk of list lookups over a spanning tree of the Cayley graph: `left(g)`
 and the generators' conjugation columns.  A subgroup K's conjugates are the
 orbit of one action, G on the conjugates of K, walked once: t K t^-1 is
 numbered for every t along t = s*p, and the least t with each number form
-the left transversal of N(K) that keys them.
+the left transversal of N(K) that keys them; the numbering is not kept.
 What the group keeps follows one rule: each `left(g)` and `right(g)` column
 is walked at most once and then kept, at most |G| per side (2*|G|^2*8 bytes
 of list slots, about 64 MB at |G| = 2000), and every other kept value is a
@@ -494,16 +494,10 @@ class FiniteGroup:
     # -- conjugacy structure -----------------------------------------------
 
     @cached_property
-    def _conjugation_orbits(self) -> tuple[list[int], tuple[int, ...]]:
-        """The orbits of G under its generators' conjugation columns: each
-        element's orbit number and each orbit's least member."""
-        return _orbits(self.order, self._conjugators)
-
-    @cached_property
     def conjugacy_classes(self) -> tuple["ElementClass", ...]:
         """Element classes ordered by (element order, class size, representative);
         each element order is the length of its cyclic subgroup's power walk."""
-        orbit_of, least = self._conjugation_orbits
+        orbit_of, least = _orbits(self.order, self._conjugators)
         cyclic_of, walks, _ = self._cyclic_subgroups
         members: list[list[int]] = [[] for _ in least]
         for g, n in enumerate(orbit_of):
@@ -513,7 +507,8 @@ class FiniteGroup:
 
     @cached_property
     def class_of(self) -> list[int]:
-        """The class number of each element, by element index."""
+        """The class number of each element, by element index: the group's
+        one numbering of its element classes."""
         out = [0] * self.order
         for i, cls in enumerate(self.conjugacy_classes):
             for g in cls.indices:
@@ -699,10 +694,10 @@ class Subgroup:
     and as a bitmask (`mask`).  What depends on the subgroup alone is computed
     once and kept on it: a generating set, the class counts, the left-coset
     map, and the member masks of the conjugates keyed by the transversal of
-    the normalizer (`conjugate_masks`), from one conjugation walk.  The marks,
-    double-coset route 2 and the orbit packages meet those masks with each H
-    and take |N(K)| = |G| / (number of conjugates): no engine path builds N(K),
-    which `normalizer` keeps for API callers.
+    the normalizer (`conjugate_masks`), from one conjugation walk that is not
+    kept.  The marks, double-coset route 2 and the orbit packages meet those
+    masks with each H and take |N(K)| = |G| / (number of conjugates): no
+    engine path builds N(K), which `normalizer` walks again for API callers.
     """
 
     def __init__(self, *_args, **_kwargs):
@@ -768,9 +763,8 @@ class Subgroup:
         tag = self.label or "subgroup"
         return f"Subgroup(<{tag}>, order={self.order})"
 
-    @cached_property
     def _conjugation(self) -> tuple[list[int], list[int]]:
-        """G acting on the conjugates of K by conjugation, walked once: the
+        """G acting on the conjugates of K by conjugation, walked per call: the
         number of t K t^-1 for each element t, and the orbit's member masks by
         number.  The orbit is K's under the generators' conjugation columns,
         each generator's action on it kept as a list; then for t = s*p on the
@@ -802,7 +796,7 @@ class Subgroup:
     @cached_property
     def normalizer(self) -> "Subgroup":
         # the stabilizer of K under conjugation: the t with t K t^-1 = K
-        mem = [t for t, n in enumerate(self._conjugation[0]) if not n]
+        mem = [t for t, n in enumerate(self._conjugation()[0]) if not n]
         tag = f"N({self.label})" if self.label else None
         return Subgroup._trusted(self.parent, mem, None, tag)
 
@@ -822,7 +816,7 @@ class Subgroup:
         N(K), keyed by l in ascending order: l is the least t with its walk
         number, which is the least element of its coset t N(K).  Each conjugate
         of K appears once, so |N(K)| = |G| / len(conjugate_masks)."""
-        number, masks = self._conjugation
+        number, masks = self._conjugation()
         least: dict[int, int] = {}
         for t, n in enumerate(number):
             least.setdefault(n, t)

@@ -399,6 +399,27 @@ def test_doctored_rows_fail_the_row_norms():
         _check_norms(G, rows)
 
 
+def test_a_changed_degree_fails_the_norms():
+    # the table keeps no separate check of sum chi(1)^2 = |G|: the column norm
+    # of the identity class is that sum.  Raising the degree 2 to 4 alone fails
+    # that row's norm; with the double transpositions' value 2 set to 0 as
+    # well, (4, 0, 0, -1, 0) keeps the row norm 16 + 8 = 24, and only the
+    # identity's column, 1 + 1 + 16 + 9 + 9 = 36, is left to catch it
+    G, rows = _s4_rows_with({(1, 1): 4, (2, 6): 0, (2, 3): 2, (3, 8): -1, (4, 6): 0})
+    with pytest.raises(InternalCheckError, match="character 2 fails self-orthogonality"):
+        _check_norms(G, rows)
+    G, rows = _s4_rows_with({(1, 1): 4, (2, 6): 0, (2, 3): 0, (3, 8): -1, (4, 6): 0})
+    with pytest.raises(InternalCheckError,
+                       match=r"class 0 fails column orthogonality: .* is 36, expected 24$"):
+        _check_norms(G, rows)
+
+
+def test_compute_table_is_the_one_way_in():
+    T = compute_table(catalog("symmetric(4)"))
+    with pytest.raises(TypeError, match="use compute_table"):
+        CharacterTable(T.group, T.characters)
+
+
 def test_cyclic4_table():
     T = compute_table(catalog("cyclic(4)"))
     assert [chi.degree for chi in T.characters] == [1, 1, 1, 1]

@@ -280,6 +280,26 @@ def test_decompose_schur_override(capsys):
     assert "user-override" in sources.values()
 
 
+def test_decompose_text_marks_a_user_supplied_schur_index(capsys):
+    # alternating(5)'s chi3 has the computed bound 2; the override 3=1 is
+    # printed with a star and the footnote that explains it, and neither
+    # appears without the override
+    argv = ("decompose", "--group", "alternating(5)", "--signature", json.dumps(
+        {"genus": 0, "branches": [{"order": 2, "class_rep": "(1,2)(3,4)"},
+                                  {"order": 3, "class_rep": "a"},
+                                  {"order": 5, "class_rep": "b"}]}))
+    code, out, _ = run(capsys, *argv, "--schur-override", "3=1")
+    assert code == 0
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.strip()}
+    assert rows["chi3*"] == ["4", "1", "1", "0", "0", "0", "4"]
+    assert "(* = user-supplied Schur index)" in out.splitlines()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    rows = {line.split()[0]: line.split()[1:] for line in out.splitlines() if line.strip()}
+    assert rows["chi3"] == ["4", "1", "2", "0", "0", "0", "2"] and "chi3*" not in rows
+    assert "user-supplied" not in out
+
+
 def test_chartab_text_and_json(capsys):
     code, out, _ = run(capsys, "chartab", "--group", "quaternion8",
                        "--format", "json")
@@ -820,6 +840,26 @@ def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):
     assert out == ""
     assert "internal defect: InternalCheckError: double-coset methods disagree" in err
     assert "TypeError" not in err and "ValueError" not in err
+
+
+@pytest.mark.parametrize("command", ["exists", "lattice", "decompose"])
+def test_a_vector_that_fails_the_witness_check_exits_70(capsys, monkeypatch, command):
+    # every verdict that rests on a vector runs the witness check, which
+    # shares no code with the search: a search that returns (c2, c2, c3)
+    # for dihedral(4)'s (0; [4,x], [2,y], [2,xy]) is a defect (70), never
+    # "exists", and the report names the conditions the vector fails
+    real = find_generating_vector
+
+    def doctored(G, sig, *rest):
+        c = real(G, sig, *rest).c
+        return GeneratingVector((), (), (c[1], c[1], c[2]))
+    monkeypatch.setattr("geosig.signature.find_generating_vector", doctored)
+    code, out, err = run(capsys, command, "--group", "dihedral(4)", "--signature", D4_FIRST)
+    assert (code, out) == (70, "")
+    assert catalog("dihedral(4)").digest in err
+    assert D4_FIRST in err
+    assert ("internal defect: InternalCheckError: the vector fails the witness check: "
+            "orders_ok, classes_ok, product_ok\n") in err
 
 
 def _array_group_file(tmp_path):

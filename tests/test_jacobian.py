@@ -2,7 +2,7 @@ import pytest
 
 from cyclo_ref import character_values
 from geosig import jacobian
-from geosig.chartable import compute_table
+from geosig.chartable import GaloisClass, compute_table
 from geosig.covers import quotient_genus
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import catalog
@@ -312,6 +312,51 @@ def test_decomposition_rejects_wrong_quotient_genera(monkeypatch):
     monkeypatch.setattr(jacobian, "quotient_genus",
                         lambda *args: quotient_genus(*args) + 1)
     with pytest.raises(InternalCheckError):
+        factor_dimensions(G, T, sig)
+
+
+def _shift_fixed_dims(T, chi, steps):
+    """Keep on T its fixed dimensions with character chi's moved by steps,
+    {cyclic-class column: step}."""
+    dims = [list(row) for row in T.fixed_dims]
+    for c, step in steps.items():
+        dims[chi][c] += step
+    vars(T)["fixed_dims"] = tuple(map(tuple, dims))
+
+
+def _first_linear(T):
+    return next(chi.index for chi in T.characters
+                if chi.degree == 1 and chi.index != T.trivial_character_index)
+
+
+def _schur_index_3_on_chi7(T, _column):
+    T.galois_classes = tuple(
+        GaloisClass(gc.members, gc.representative, gc.field_degree, gc.schur_bound,
+                    gc.indicator, 3, gc.schur_index_source) if 7 in gc.members else gc
+        for gc in T.galois_classes)
+
+
+@pytest.mark.parametrize("doctor,message", [
+    (lambda T, column: _shift_fixed_dims(T, 6, {c: 3 for c in column.values()}),
+     "character 6 has negative multiplicity -9"),
+    (lambda T, column: _shift_fixed_dims(T, _first_linear(T), {column[2]: -1}),
+     "factor dimension 1/2 is not an integer"),
+    (lambda T, column: _shift_fixed_dims(T, _first_linear(T), {column[2]: -1, column[4]: -1}),
+     "multiplicities weigh to 8, expected 6"),
+    (_schur_index_3_on_chi7,
+     "multiplicity 2 is not divisible by the Schur index 3 of character 7"),
+], ids=["negative-multiplicity", "half-dimension", "sum-rule", "schur-divisibility"])
+def test_doctored_table_fails_the_closed_form_checks(doctor, message):
+    # the README action of wc3, (0; [6,xa^2], [4,xyab], [2,xyzb]), on a
+    # table doctored in one place; column[m] is the cyclic class of the
+    # order-m branch, and chi7 is the class with n = 2
+    G = catalog("wc3")
+    T = compute_table(G)
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    assert factor_dimensions(G, T, sig).summary() == "JS ~ E^3"
+    column = {e.order: G.cyclic_class_index(e.cls.representative) for e in sig.entries}
+    doctor(T, column)
+    with pytest.raises(InternalCheckError, match=f"^{message}"):
         factor_dimensions(G, T, sig)
 
 

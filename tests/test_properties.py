@@ -29,8 +29,6 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from corpus import CORPUS, conj, group as corpus_group, materialize  # noqa: E402
 from cyclo_ref import Cyclo, character_values  # noqa: E402
 from geosig.chartable import (  # noqa: E402
-    Character,
-    CharacterTable,
     _choose_prime,
     _split_spaces,
     compute_table,
@@ -43,7 +41,6 @@ from geosig.covers import (  # noqa: E402
     quotient_genus,
 )
 from geosig.errors import (  # noqa: E402
-    InternalCheckError,
     InvalidSignatureError,
     NotRationalError,
     SearchBudgetExceeded,
@@ -260,24 +257,6 @@ def permutation_groups(draw):
 @given(permutation_groups())
 def test_split_vectors_are_common_eigenvectors_on_drawn_groups(G):
     _assert_common_eigenvectors(G)
-
-
-def test_non_integral_coefficient_is_a_defect():
-    T = _table("symmetric(4)")
-    chi = T.characters[-1]
-    half = (Fraction(1, 2),) + chi.row[0][1:]
-    bad = Character(chi.index, (half,) + chi.row[1:], chi.conductor, chi.degree)
-    with pytest.raises(InternalCheckError, match="non-integral"):
-        CharacterTable(T.group, T.characters[:-1] + (bad,))
-
-
-def test_row_over_another_conductor_is_a_defect():
-    T = _table("symmetric(4)")
-    chi = T.characters[-1]
-    rational = tuple(v[:1] for v in chi.row)  # the same rational values in Z[zeta_1]
-    bad = Character(chi.index, rational, 1, chi.degree)
-    with pytest.raises(InternalCheckError, match="not a row over Z"):
-        CharacterTable(T.group, T.characters[:-1] + (bad,))
 
 
 def test_non_rational_weighted_sum_is_a_defect():

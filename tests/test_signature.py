@@ -432,10 +432,10 @@ def test_input_from_another_group_is_malformed(entry_point):
 def test_search_builds_no_element_classes():
     # the signature's classes, the candidate pools and the generation test
     # read the power walks of the cyclic subgroups alone: an existence
-    # search on a fresh group builds no conjugacy classes, nor the
-    # conjugation orbits that they are read from
+    # search on a fresh group builds no conjugacy classes, nor `class_of`,
+    # the one numbering of them
     G = catalog("symmetric(5)")
     sig = signature_from_payload(G, {"genus": 0, "branches": [
         {"order": 2, "class_rep": "b"}, {"order": 4}, {"order": 5, "class_rep": "a"}]})
     assert find_generating_vector(G, sig) is not None
-    assert "_conjugation_orbits" not in vars(G) and "conjugacy_classes" not in vars(G)
+    assert "conjugacy_classes" not in vars(G) and "class_of" not in vars(G)
