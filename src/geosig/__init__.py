@@ -20,7 +20,7 @@ _EXPORTS = {
                "marked_points", "quotient_genus", "transversal_partition"),
     "cyclotomic": ("cyclotomic_polynomial", "euler_phi"),
     "errors": ("GroupInputError", "InternalCheckError", "InvalidSignatureError",
-               "NotRationalError", "SearchBudgetExceeded"),
+               "SearchBudgetExceeded"),
     "groups": ("ConjugacyClassOfSubgroups", "FiniteGroup", "Perm", "Subgroup", "catalog",
                "double_coset_count", "group_from_payload"),
     "jacobian": ("DecompositionReport", "complex_multiplicities", "factor_dimensions",

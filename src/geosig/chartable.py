@@ -52,7 +52,7 @@ from typing import Mapping, Optional, Sequence
 
 from .cyclotomic import (cyclotomic_polynomial, euler_phi, reduce_integral, value_json,
                          value_str)
-from .errors import GroupInputError, InternalCheckError, NotRationalError
+from .errors import GroupInputError, InternalCheckError
 from .groups import FiniteGroup, FrozenRecord, Subgroup, require_subgroups
 
 SCHUR_COMPUTED = "computed-upper-bound"
@@ -62,11 +62,11 @@ SCHUR_OVERRIDE = "user-override"
 class Character(FrozenRecord):
     """One irreducible complex character, with a value per conjugacy class.
 
-    row[j] holds the phi(conductor) integer coefficients of the value on
-    class j in the power basis of Z[zeta_conductor].
+    row[j] holds the phi(e) integer coefficients of the value on class j
+    in the power basis of Z[zeta_e], e the group exponent.
     """
 
-    __slots__ = ("index", "row", "conductor", "degree")
+    __slots__ = ("index", "row", "degree")
 
 
 class GaloisClass(FrozenRecord):
@@ -126,7 +126,7 @@ class CharacterTable:
         total = [sum(column) for column in zip(*[
             row[j] if n == 1 else [n * c for c in row[j]] for j, n in weights])]
         if any(total[1:]):
-            raise NotRationalError(
+            raise InternalCheckError(
                 f"value is not rational: {value_str(self.group.exponent, total)}"
             )
         return total[0]
@@ -247,11 +247,12 @@ class CharacterTable:
 
     def to_json(self) -> dict:
         indicator = {i: gc.indicator for gc in self.galois_classes for i in gc.members}
+        e = self.group.exponent
         return {
             "group": {
                 "name": self.group.name,
                 "order": self.group.order,
-                "exponent": self.group.exponent,
+                "exponent": e,
                 "degree": self.group.degree,
                 "hash": self.group.digest,
             },
@@ -267,7 +268,7 @@ class CharacterTable:
                 {
                     "index": chi.index,
                     "degree": chi.degree,
-                    "values": [value_json(chi.conductor, v) for v in chi.row],
+                    "values": [value_json(e, v) for v in chi.row],
                     "frobenius_schur": indicator[chi.index],
                 }
                 for chi in self.characters
@@ -284,10 +285,11 @@ class CharacterTable:
         }
 
     def render_text(self) -> str:
+        e = self.group.exponent
         rows = [["", *(str(c.representative) for c in self.classes)],
                 ["size", *(str(c.size) for c in self.classes)],
                 ["order", *(str(c.element_order) for c in self.classes)],
-                *([f"chi{chi.index}", *(value_str(chi.conductor, v) for v in chi.row)]
+                *([f"chi{chi.index}", *(value_str(e, v) for v in chi.row)]
                   for chi in self.characters)]
         lines = text_table(rows, 3)
         lines.append("")
@@ -523,16 +525,17 @@ def _zeta_sum(mults: Sequence[int], zeta_rows: list[tuple[int, ...]], a: int) ->
     return tuple(value)
 
 
-def _check_norms(G: FiniteGroup, rows: Sequence[Sequence[tuple[int, ...]]]) -> None:
+def _check_norms(G: FiniteGroup, rows: Sequence[Sequence[tuple[int, ...]]],
+                 inverse: Sequence[int]) -> None:
     """Row and column norms of the integer rows, from one set of products.
 
-    With P(chi, j) = chi(g_j) chi(g_j^-1), where chi(g^-1) is the complex
-    conjugate of chi(g), as an unreduced product in Z[zeta_e]: the row norm
-    sum_j |C_j| P(chi, j) is |G| for every chi, and the column norm
-    sum_chi P(chi, j) is |G|/|C_j| for every class j.
+    With P(chi, j) = chi(g_j) chi(g_j^-1), where g_j^-1 lies in class
+    inverse[j] and chi(g^-1) is the complex conjugate of chi(g), as an
+    unreduced product in Z[zeta_e]: the row norm sum_j |C_j| P(chi, j) is
+    |G| for every chi, and the column norm sum_chi P(chi, j) is |G|/|C_j|
+    for every class j.
     """
     classes = G.conjugacy_classes
-    inverse = [G.class_power(j, -1) for j in range(len(classes))]
     e = G.exponent
     phi = euler_phi(e)
     width = 2 * phi - 1
@@ -616,9 +619,9 @@ def compute_table(G: FiniteGroup,
     characters.sort()
     if len({row for _, row in characters}) != s:
         raise InternalCheckError("duplicate character rows")
-    _check_norms(G, [row for _, row in characters])
+    _check_norms(G, [row for _, row in characters], inverse)
     chars = tuple(
-        Character(index=i, row=row, conductor=e, degree=deg)
+        Character(index=i, row=row, degree=deg)
         for i, (deg, row) in enumerate(characters)
     )
     return CharacterTable._trusted(G, chars, schur_overrides or {})

@@ -144,11 +144,15 @@ def _emit(args, payload: Callable[[], dict], text: Callable[[], str]) -> None:
 
 def _witness(G: FiniteGroup, sig: GeometricSignature, budget: int) -> Optional[GeneratingVector]:
     """The search's vector for sig, or None; a vector that fails the witness
-    check, which shares no code with the search, is an internal defect."""
+    check, which shares no code with the search, is an internal defect, its
+    shape or an element outside G included."""
     from .signature import find_generating_vector, verify_generating_vector
     vec = find_generating_vector(G, sig, budget)
     if vec is not None:
-        check = verify_generating_vector(G, sig, vec)
+        try:
+            check = verify_generating_vector(G, sig, vec)
+        except GroupInputError as exc:
+            raise InternalCheckError(f"the vector fails the witness check: {exc}") from None
         failed = [name for name, ok in (
             ("orders_ok", check.orders_ok), ("classes_ok", check.classes_ok),
             ("product_ok", check.product_ok), ("generates", check.generates)) if not ok]

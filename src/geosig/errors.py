@@ -1,33 +1,18 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, one per exit code of the CLI."""
 
 
 class GroupInputError(ValueError):
-    """Malformed user input: bad permutation, unknown generator, oversized group."""
+    """Malformed user input: bad permutation, unknown generator, oversized group (exit 64)."""
 
 
 class InternalCheckError(RuntimeError):
-    """A proven identity failed to hold; indicates a defect, never recoverable."""
-
-
-class NotRationalError(InternalCheckError):
-    """A cyclotomic value that must be rational has nonzero higher coefficients."""
+    """A proven identity failed to hold; indicates a defect, never recoverable (exit 70)."""
 
 
 class InvalidSignatureError(ValueError):
-    """Riemann-Hurwitz arithmetic produced no admissible genus.
-
-    Carries the offending value so callers can report why the signature
-    is inconsistent with the group order.
-    """
-
-    def __init__(self, message, value=None):
-        super().__init__(message)
-        self.value = value
+    """The signature admits no action of the group: no admissible genus, or no
+    generating vector (exit 1)."""
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """Generating-vector search ran out of nodes before deciding existence."""
-
-    def __init__(self, budget):
-        super().__init__(f"search budget of {budget} nodes exhausted")
-        self.budget = budget
+    """Generating-vector search ran out of nodes before deciding existence (exit 2)."""

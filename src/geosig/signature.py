@@ -168,11 +168,12 @@ def riemann_hurwitz_genus(group_order: int, quotient_genus: int,
     for m in orders:
         total += group_order * (m - 1) * (den // (2 * m))
     g, rest = divmod(total, den)
-    if rest or g < 0:
-        from fractions import Fraction  # the error's value is the exact genus
-        value = Fraction(total, den)
-        kind = "non-integral" if rest else "negative"
-        raise InvalidSignatureError(f"branching data gives {kind} genus {value}", value)
+    if rest:
+        k = math.gcd(total, den)
+        raise InvalidSignatureError(
+            f"branching data gives non-integral genus {total // k}/{den // k}")
+    if g < 0:
+        raise InvalidSignatureError(f"branching data gives negative genus {g}")
     return g
 
 
@@ -307,7 +308,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
         else:  # a leaf: every free position chosen, c_t forced
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(budget)
+                raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
             last = inverses[accs[n]]
             if last in last_pool and G.generates(chosen):
                 vec = [G.elements[i] for i in chosen + [last]]
@@ -329,7 +330,7 @@ def find_generating_vector(G: FiniteGroup, sig: GeometricSignature,
         if d >= 2 * gamma - 1:  # a complete handle tuple, or a c candidate
             nodes += 1
             if nodes > budget:
-                raise SearchBudgetExceeded(budget)
+                raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
 
 
 def orbit_packages(G: FiniteGroup, stabilizer: Subgroup) -> tuple[int, int]:

@@ -21,14 +21,19 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from geosig.cyclotomic import cyclotomic_polynomial, euler_phi, value_json, value_str
-from geosig.errors import GroupInputError, NotRationalError
+from geosig.errors import GroupInputError
 
 Scalar = Union[int, Fraction]
 
 
-def character_values(chi) -> tuple["Cyclo", ...]:
-    """The values of a character, one per class, built from its stored row."""
-    return tuple(Cyclo(chi.conductor, v) for v in chi.row)
+class NotRationalError(ArithmeticError):
+    """A value asked for as a rational (or an integer) is not one."""
+
+
+def character_values(chi, exponent: int) -> tuple["Cyclo", ...]:
+    """The values of a character of a group of that exponent, one per class,
+    built from its stored row."""
+    return tuple(Cyclo(exponent, v) for v in chi.row)
 
 
 class Cyclo:

@@ -122,7 +122,7 @@ def test_criterion_3_wc3_decomposition():
             chi = nontrivial_nonzero[0]
             assert mult[chi.index] == 2
             assert chi.degree == 3
-            values = tuple(character_values(chi)[c] for c in rep_classes)
+            values = tuple(character_values(chi, G.exponent)[c] for c in rep_classes)
             assert values == tuple(Cyclo.rational(v) for v in row)
 
             report = factor_dimensions(G, T, sig)
@@ -153,7 +153,7 @@ def test_criterion_4_cyclic4_example():
             chi = T.characters[rec.representative]
             if rec.representative == T.trivial_character_index:
                 dims["trivial"] = rec
-            elif character_values(chi)[G.class_index[x]] == -1:
+            elif character_values(chi, G.exponent)[G.class_index[x]] == -1:
                 dims["order2"] = rec
             else:
                 dims["faithful"] = rec
@@ -235,7 +235,7 @@ def test_criterion_8_character_table_exactness():
         for name in sorted({case.group_name for case in CORPUS}):
             G = group(name)
             T = table(name)
-            values = [character_values(chi) for chi in T.characters]
+            values = [character_values(chi, G.exponent) for chi in T.characters]
             for a in T.characters:
                 for b in T.characters:
                     total = Cyclo.zero(1)

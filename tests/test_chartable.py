@@ -367,7 +367,12 @@ def test_lifted_rows_match_a_per_class_dft(name):
                                   "alternating(5)", "quaternion8", "wc3", "w_d5"])
 def test_row_and_column_norms_hold(name):
     G = group_by_name(name)
-    _check_norms(G, [chi.row for chi in compute_table(G).characters])
+    _norms(G, [chi.row for chi in compute_table(G).characters])
+
+
+def _norms(G, rows):
+    """`_check_norms` on rows of G, with the inverse classes from the power map."""
+    _check_norms(G, rows, [G.class_power(j, -1) for j in range(len(G.conjugacy_classes))])
 
 
 def _s4_rows_with(degree2_values):
@@ -387,16 +392,16 @@ def test_doctored_rows_fail_the_column_norms():
     G, rows = _s4_rows_with({(1, 1): 2, (2, 6): 1, (2, 3): 0, (3, 8): 1, (4, 6): -1})
     with pytest.raises(InternalCheckError,
                        match=r"class 1 fails column orthogonality: .* is 4, expected 8$"):
-        _check_norms(G, rows)
+        _norms(G, rows)
     G, rows = _s4_rows_with({(1, 1): 2, (2, 6): 0, (2, 3): 2, (3, 8): -1, (4, 6): 0})
-    _check_norms(G, rows)  # the true row
+    _norms(G, rows)  # the true row
 
 
 def test_doctored_rows_fail_the_row_norms():
     # (2, 2, 0, 0, 0) has the row norm 4 + 12 = 16
     G, rows = _s4_rows_with({(1, 1): 2, (2, 6): 0, (2, 3): 2, (3, 8): 0, (4, 6): 0})
     with pytest.raises(InternalCheckError, match="character 2 fails self-orthogonality"):
-        _check_norms(G, rows)
+        _norms(G, rows)
 
 
 def test_a_changed_degree_fails_the_norms():
@@ -407,11 +412,11 @@ def test_a_changed_degree_fails_the_norms():
     # identity's column, 1 + 1 + 16 + 9 + 9 = 36, is left to catch it
     G, rows = _s4_rows_with({(1, 1): 4, (2, 6): 0, (2, 3): 2, (3, 8): -1, (4, 6): 0})
     with pytest.raises(InternalCheckError, match="character 2 fails self-orthogonality"):
-        _check_norms(G, rows)
+        _norms(G, rows)
     G, rows = _s4_rows_with({(1, 1): 4, (2, 6): 0, (2, 3): 0, (3, 8): -1, (4, 6): 0})
     with pytest.raises(InternalCheckError,
                        match=r"class 0 fails column orthogonality: .* is 36, expected 24$"):
-        _check_norms(G, rows)
+        _norms(G, rows)
 
 
 def test_compute_table_is_the_one_way_in():
@@ -427,7 +432,8 @@ def test_cyclic4_table():
     x_class = next(
         j for j, c in enumerate(T.classes) if c.element_order == 4
     )
-    vals = {str(character_values(chi)[x_class].promoted(4)) for chi in T.characters}
+    vals = {str(character_values(chi, T.group.exponent)[x_class].promoted(4))
+            for chi in T.characters}
     assert vals == {"1", "-1", "z4", "-z4"}
     assert len(T.galois_classes) == 3
     assert sorted(gc.field_degree for gc in T.galois_classes) == [1, 1, 2]
@@ -450,7 +456,8 @@ def test_cyclic3_galois_pairing():
 def test_wc3_table_is_rational_with_ten_rows():
     T = compute_table(catalog("wc3"))
     assert len(T.characters) == 10
-    assert all(v.is_rational() for chi in T.characters for v in character_values(chi))
+    assert all(v.is_rational()
+               for chi in T.characters for v in character_values(chi, T.group.exponent))
     assert all(gc.field_degree == 1 for gc in T.galois_classes)
     assert len(T.galois_classes) == 10
 
@@ -460,7 +467,7 @@ def test_orthogonality_both_relations():
         G = catalog(name)
         T = compute_table(G)
         s = len(T.classes)
-        values = [character_values(chi) for chi in T.characters]
+        values = [character_values(chi, G.exponent) for chi in T.characters]
         # first: row orthogonality
         for a in T.characters:
             for b in T.characters:
@@ -482,7 +489,7 @@ def test_regular_character_row():
     for name in ("dihedral(4)", "symmetric(4)", "wc3"):
         G = catalog(name)
         T = compute_table(G)
-        values = [character_values(chi) for chi in T.characters]
+        values = [character_values(chi, G.exponent) for chi in T.characters]
         for j in range(len(T.classes)):
             total = Cyclo.zero(1)
             for chi, row in zip(T.characters, values):
@@ -502,7 +509,7 @@ def test_fixed_dim_basics():
     # the character x -> i restricted to <x^2> averages to 0
     chi_i = next(
         chi for chi in T.characters
-        if not character_values(chi)[G.class_index[x]].is_rational()
+        if not character_values(chi, G.exponent)[G.class_index[x]].is_rational()
     )
     assert T.fixed_dim(chi_i, H) == 0
 
@@ -626,7 +633,7 @@ def test_frobenius_schur_values():
     triv = T.characters[T.trivial_character_index]
     assert T.frobenius_schur_indicator(triv) == 1
     chi_i = next(chi for chi in T.characters
-                 if not character_values(chi)[G.class_index[x]].is_rational())
+                 if not character_values(chi, G.exponent)[G.class_index[x]].is_rational())
     assert T.frobenius_schur_indicator(chi_i) == 0
 
 
@@ -637,7 +644,7 @@ def test_kernel_subgroup():
     # the order-2 character has kernel <x^2>
     chi = next(
         c for c in T.characters
-        if character_values(c)[G.class_index[x]] == -1
+        if character_values(c, G.exponent)[G.class_index[x]] == -1
     )
     ker = T.kernel(chi)
     assert ker.members == frozenset([G.identity, x * x])

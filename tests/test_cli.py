@@ -847,19 +847,25 @@ def test_a_vector_that_fails_the_witness_check_exits_70(capsys, monkeypatch, com
     # every verdict that rests on a vector runs the witness check, which
     # shares no code with the search: a search that returns (c2, c2, c3)
     # for dihedral(4)'s (0; [4,x], [2,y], [2,xy]) is a defect (70), never
-    # "exists", and the report names the conditions the vector fails
+    # "exists", and the report names the conditions the vector fails; so
+    # is one that returns too few elements, or an element outside G, never
+    # malformed input (64)
     real = find_generating_vector
-
-    def doctored(G, sig, *rest):
-        c = real(G, sig, *rest).c
-        return GeneratingVector((), (), (c[1], c[1], c[2]))
-    monkeypatch.setattr("geosig.signature.find_generating_vector", doctored)
-    code, out, err = run(capsys, command, "--group", "dihedral(4)", "--signature", D4_FIRST)
-    assert (code, out) == (70, "")
-    assert catalog("dihedral(4)").digest in err
-    assert D4_FIRST in err
-    assert ("internal defect: InternalCheckError: the vector fails the witness check: "
-            "orders_ok, classes_ok, product_ok\n") in err
+    for doctor, failed in (
+            (lambda c: (c[1], c[1], c[2]), "orders_ok, classes_ok, product_ok"),
+            (lambda c: c[:2], "vector shape (0,0,2) does not match signature shape (0,0,3)"),
+            (lambda c: _outside_vector("signature")[2].c,
+             "vector element (1,2) is not in the group")):
+        monkeypatch.setattr("geosig.signature.find_generating_vector",
+                            lambda G, sig, *rest: GeneratingVector(
+                                (), (), doctor(real(G, sig, *rest).c)))
+        code, out, err = run(capsys, command, "--group", "dihedral(4)", "--signature",
+                             D4_FIRST)
+        assert (code, out) == (70, ""), failed
+        assert catalog("dihedral(4)").digest in err
+        assert D4_FIRST in err
+        assert ("internal defect: InternalCheckError: the vector fails the witness check: "
+                f"{failed}\n") in err
 
 
 def _array_group_file(tmp_path):

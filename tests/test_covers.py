@@ -265,6 +265,19 @@ def test_doctored_marks_fail_the_genus_check(monkeypatch):
         cover_report(G, sig, H)
 
 
+def test_a_mark_that_does_not_divide_the_branch_order_is_a_defect(monkeypatch):
+    # one cached conjugate of the order-2 stabilizer doctored to three
+    # members of H meets H in 3 elements, and 3 does not divide 2
+    G = catalog("wc3")
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    H = G.cyclic_subgroup_classes[-1].representative
+    masks = sig.entries[2].cls.representative.conjugate_masks
+    monkeypatch.setitem(masks, next(iter(masks)), sum(1 << i for i in H.indices[:3]))
+    with pytest.raises(InternalCheckError,
+                       match="^stabilizer order does not divide branch order$"):
+        marked_points(G, sig, H)
+
+
 def test_new_subgroup_marks_make_no_products(monkeypatch):
     # the conjugates of each G_j are cached on G_j, so the marked points of
     # another H are set intersections only

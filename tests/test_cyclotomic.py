@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cyclo_ref import Cyclo
+from cyclo_ref import Cyclo, NotRationalError
 from geosig.cyclotomic import cyclotomic_polynomial, euler_phi, value_json, value_str
-from geosig.errors import GroupInputError, NotRationalError
+from geosig.errors import GroupInputError
 
 
 def test_cyclotomic_polynomials():

@@ -8,6 +8,7 @@ import pytest
 
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import (
+    ElementClass,
     FiniteGroup,
     Perm,
     Subgroup,
@@ -298,6 +299,40 @@ def test_non_integral_class_formula_is_a_defect(monkeypatch):
     with pytest.raises(InternalCheckError,
                        match="class-sum double-coset formula is not integral"):
         double_coset_count(G, H, K)
+
+
+def test_subgroup_order_that_does_not_divide_the_group_is_a_defect():
+    # three elements of dihedral(4), of order 8, are no subgroup
+    with pytest.raises(InternalCheckError,
+                       match="^subgroup order does not divide group order$"):
+        Subgroup._trusted(catalog("dihedral(4)"), [0, 1, 2], None, None)
+
+
+def test_exponent_that_does_not_divide_the_order_is_a_defect():
+    # a class of element order 3 in dihedral(4) makes the lcm of the
+    # element orders 12, no divisor of 8
+    G = catalog("dihedral(4)")
+    *kept, last = G.conjugacy_classes
+    vars(G)["conjugacy_classes"] = (*kept, ElementClass(G, last.indices, 3))
+    with pytest.raises(InternalCheckError,
+                       match="^group exponent does not divide the order$"):
+        G.exponent
+
+
+def test_unequal_normalizer_cosets_are_a_defect():
+    # with two entries of the first conjugation column swapped, the walk
+    # reaches the 4 conjugates of <y> from 2, 3, 1 and 2 elements: the
+    # orbit-stabilizer count 4 * 2 still reads 8, but no normalizer has
+    # cosets of unequal sizes
+    G = catalog("dihedral(4)")
+    K = G.subgroup_from_words(["y"])
+    columns = [list(c) for c in G._conjugators]
+    columns[0][1], columns[0][2] = columns[0][2], columns[0][1]
+    vars(G)["_conjugators"] = columns
+    with pytest.raises(InternalCheckError,
+                       match=r"^the left cosets of the normalizer of a subgroup of order 2 "
+                             r"have sizes \[1, 2, 3\]$"):
+        K.conjugate_masks
 
 
 def test_catalog_quaternion8():

@@ -3,7 +3,7 @@ import pytest
 from cyclo_ref import character_values
 from geosig import jacobian
 from geosig.chartable import GaloisClass, compute_table
-from geosig.covers import quotient_genus
+from geosig.covers import lattice_report, quotient_genus
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import catalog
 from geosig.jacobian import (
@@ -47,7 +47,7 @@ def test_cyclic4_multiplicities():
     n = complex_multiplicities(G, T, sig)
     x = G.named_generators["x"]
     for chi in T.characters:
-        value_on_x = character_values(chi)[G.class_index[x]]
+        value_on_x = character_values(chi, G.exponent)[G.class_index[x]]
         if chi.index == T.trivial_character_index:
             assert n[chi.index] == 2
         elif value_on_x == -1:
@@ -313,6 +313,19 @@ def test_decomposition_rejects_wrong_quotient_genera(monkeypatch):
                         lambda *args: quotient_genus(*args) + 1)
     with pytest.raises(InternalCheckError):
         factor_dimensions(G, T, sig)
+
+
+def test_non_admissible_omega_solution_is_a_defect():
+    # the genera of the README action of wc3 with the first one raised by 1
+    # solve to a multiplicity that is not a nonnegative integer
+    G = catalog("wc3")
+    T = compute_table(G)
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    genera = [report.genus for report in lattice_report(G, sig)]
+    genera[0] += 1
+    with pytest.raises(InternalCheckError,
+                       match="^linear system gives a non-admissible multiplicity -128/512$"):
+        solve_omega_system(G, T, genera)
 
 
 def _shift_fixed_dims(T, chi, steps):

@@ -30,7 +30,7 @@ EXPORTS = {
                "marked_points", "quotient_genus", "transversal_partition"],
     "cyclotomic": ["cyclotomic_polynomial", "euler_phi"],
     "errors": ["GroupInputError", "InternalCheckError", "InvalidSignatureError",
-               "NotRationalError", "SearchBudgetExceeded"],
+               "SearchBudgetExceeded"],
     "groups": ["ConjugacyClassOfSubgroups", "FiniteGroup", "Perm", "Subgroup", "catalog",
                "double_coset_count", "group_from_payload"],
     "jacobian": ["DecompositionReport", "complex_multiplicities", "factor_dimensions",
@@ -52,9 +52,12 @@ LOADED = {
                                        "geosig.jacobian"}),
     "readme_chartab_quaternion8": (0, CLI | {"geosig.chartable", "geosig.cyclotomic"}),
     "bad_group_name": (64, CLI),
+    "non_integral_genus": (1, CLI | {"geosig.signature"}),
 }
 README = sorted(n for n in LOADED if n.startswith("readme_"))
-ARGV = dict(CASES, bad_group_name=["chartab", "--group", "nosuchgroup(3)"])
+ARGV = dict(CASES, bad_group_name=["chartab", "--group", "nosuchgroup(3)"],
+            non_integral_genus=["exists", "--group", "dihedral(4)", "--signature",
+                                '{"genus":0,"branches":[{"order":3}]}'])
 
 CHILD = """
 import contextlib, io, json, sys
@@ -66,8 +69,9 @@ print(json.dumps([code, sorted(sys.modules)]))
 # stdlib modules a call loads only where it reads them: the records are
 # plain slotted classes; the genus, the table's values and the omega solve
 # are integer arithmetic, and the output prints each value from its integer
-# row, so a Fraction is built only by error messages, and no command here
-# loads fractions (or decimal, which fractions imports); and no case here,
+# row, so a Fraction is built only by the table's error messages, and no
+# command here loads fractions (or decimal, which fractions imports), not
+# even one that prints a non-integral genus; and no case here,
 # each a text-mode call, reads the group hash, so none loads hashlib (a JSON
 # call, which reads it, skips hashlib too where the interpreter has a
 # built-in SHA-256)

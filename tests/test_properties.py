@@ -41,8 +41,8 @@ from geosig.covers import (  # noqa: E402
     quotient_genus,
 )
 from geosig.errors import (  # noqa: E402
+    InternalCheckError,
     InvalidSignatureError,
-    NotRationalError,
     SearchBudgetExceeded,
 )
 from geosig.groups import FiniteGroup, Perm, Subgroup, catalog  # noqa: E402
@@ -188,7 +188,7 @@ def table_characters(draw):
 
 def _cyclo_average(chi, G, elements, divisor):
     """Reference: sum chi over the elements one by one in Cyclo, then divide."""
-    values = character_values(chi)
+    values = character_values(chi, G.exponent)
     total = Cyclo.zero(G.exponent)
     for g in elements:
         total = total + values[G.class_index[g]]
@@ -264,10 +264,10 @@ def test_non_rational_weighted_sum_is_a_defect():
     G = T.group
     x = G.element("x")
     chi = next(c for c in T.characters
-               if not character_values(c)[G.class_index[x]].is_rational())
+               if not character_values(c, G.exponent)[G.class_index[x]].is_rational())
     # {x} is not a subgroup, so the class sum of chi over it is not rational
     not_a_subgroup = Subgroup._trusted(G, [G.index(x)], None, None)
-    with pytest.raises(NotRationalError):
+    with pytest.raises(InternalCheckError, match="^value is not rational: z6$"):
         T.fixed_dim(chi, not_a_subgroup)
 
 
@@ -342,9 +342,9 @@ def _rational_genus(order, gamma, orders):
     """g = 1 + |G|(gamma - 1 + sum (m - 1)/2m), in Fractions."""
     g = 1 + order * (gamma - 1 + sum(Fraction(m - 1, 2 * m) for m in orders))
     if g.denominator != 1:
-        raise InvalidSignatureError(f"branching data gives non-integral genus {g}", g)
+        raise InvalidSignatureError(f"branching data gives non-integral genus {g}")
     if g < 0:
-        raise InvalidSignatureError(f"branching data gives negative genus {g}", g)
+        raise InvalidSignatureError(f"branching data gives negative genus {g}")
     return int(g)
 
 
@@ -356,8 +356,7 @@ def _genus_kind(order, gamma, orders):
         with pytest.raises(InvalidSignatureError) as got:
             riemann_hurwitz_genus(order, gamma, orders)
         assert str(got.value) == str(err)
-        assert type(got.value.value) is Fraction and got.value.value == err.value
-        return "negative" if err.value < 0 and err.value.denominator == 1 else "non-integral"
+        return "negative" if "negative" in str(err) else "non-integral"
     got = riemann_hurwitz_genus(order, gamma, orders)
     assert type(got) is int and got == want
     return "integral"
@@ -431,7 +430,7 @@ def _reference_search(G, sig, budget, spent):
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise SearchBudgetExceeded(budget)
+            raise SearchBudgetExceeded(f"search budget of {budget} nodes exhausted")
 
     def generates(gens):
         found = [G.identity]

@@ -54,7 +54,7 @@ FIELDS = {
     CoverReport: ("subgroup", "degree", "genus", "branch_types", "marked_points",
                   "cycle_structures", "oracle"),
     CosetAction: ("subgroup", "cosets", "a_images", "b_images", "c_images"),
-    Character: ("index", "row", "conductor", "degree"),
+    Character: ("index", "row", "degree"),
     GaloisClass: ("members", "representative", "field_degree", "schur_bound", "indicator",
                   "schur_index", "schur_index_source"),
     MultiplicityRecord: ("galois_class", "degree", "n", "e", "dim_B", "exponent"),

@@ -40,8 +40,11 @@ def test_riemann_hurwitz_values():
 
 def test_riemann_hurwitz_invalid():
     with pytest.raises(InvalidSignatureError) as err:
-        riemann_hurwitz_genus(8, 0, [2])  # g = -5/2... non-integral/negative
-    assert err.value.value is not None
+        riemann_hurwitz_genus(8, 0, [2])  # g = -8 + 1 + 2
+    assert str(err.value) == "branching data gives negative genus -5"
+    with pytest.raises(InvalidSignatureError, match="^branching data gives non-integral "
+                                                    "genus -13/3$"):
+        riemann_hurwitz_genus(8, 0, [3])  # g = -8 + 1 + 8/3, reduced by gcd(-26, 6)
     with pytest.raises(InvalidSignatureError):
         riemann_hurwitz_genus(8, 0, [])  # negative genus
     with pytest.raises(GroupInputError):
