@@ -781,13 +781,11 @@ class Subgroup:
                 act.append(n)
         number = _tree_walk(0, G._left_tree[0], acts)
         # orbit-stabilizer: each conjugate is t K t^-1 for the |N(K)| elements
-        # t of one left coset of N(K)
+        # t of one left coset of N(K); `number` has one entry per element, so
+        # equal sizes also give (number of conjugates) * |N(K)| = |G|
         sizes = [0] * len(members)
         for n in number:
             sizes[n] += 1
-        if len(members) * sizes[0] != G.order:
-            raise InternalCheckError(f"a subgroup of order {self.order} has {len(members)} "
-                                     f"conjugates and a normalizer of order {sizes[0]}")
         if len(set(sizes)) != 1:
             raise InternalCheckError(f"the left cosets of the normalizer of a subgroup of "
                                      f"order {self.order} have sizes {sorted(set(sizes))}")

@@ -331,7 +331,8 @@ def test_projection_split_matches_the_reference_split(name):
     [[(1, 6)], [(0, 1)]],  # a rotation: f = x^2 + 1, with no root mod 7
 ], ids=["repeated-root", "no-root"])
 def test_minimal_polynomial_without_distinct_roots_is_a_defect(rows):
-    with pytest.raises(InternalCheckError, match="does not have 2 distinct roots mod 7"):
+    with pytest.raises(InternalCheckError, match="^minimal polynomial .* of a class-algebra "
+                                                 "vector does not have 2 distinct roots mod 7$"):
         chartable._split_leaf([0, 1], rows, 7)
 
 
@@ -348,7 +349,8 @@ def test_split_vectors_are_checked_against_the_matrices_read(monkeypatch):
 
     monkeypatch.setattr(chartable, "_split_leaf", mixed)
     G = catalog("symmetric(5)")
-    with pytest.raises(InternalCheckError, match="not an eigenvector of class matrix 1$"):
+    with pytest.raises(InternalCheckError,
+                       match="^a split vector is not an eigenvector of class matrix 1$"):
         _split_spaces(G, _choose_prime(G.order, G.exponent))
 
 
@@ -423,6 +425,151 @@ def test_compute_table_is_the_one_way_in():
     T = compute_table(catalog("symmetric(4)"))
     with pytest.raises(TypeError, match="use compute_table"):
         CharacterTable(T.group, T.characters)
+
+
+# -- the table's run-time checks, each doctored in one place to fire ------------
+
+
+def _split_doctored(monkeypatch, change):
+    """Make compute_table read the common eigenvectors with change applied."""
+    split = chartable._split_spaces
+    monkeypatch.setattr(chartable, "_split_spaces", lambda G, p: change(split(G, p)))
+
+
+def test_eigenvector_zero_on_the_identity_fails_the_degree_check(monkeypatch):
+    # no separate check refuses w[0] = 0: the scale 1/w[0] is then 0 in F_p,
+    # so the norm and d2 are 0, and no d < p squares to 0 mod the prime p
+    _split_doctored(monkeypatch, lambda vectors: [[0, *vectors[1][1:]], *vectors[1:]])
+    with pytest.raises(InternalCheckError, match="^lifted degree out of range$"):
+        compute_table(catalog("symmetric(4)"))
+
+
+def test_a_repeated_eigenvector_fails_the_duplicate_row_check(monkeypatch):
+    # quaternion8's first eigenvector in place of its last lifts one row twice
+    _split_doctored(monkeypatch, lambda vectors: vectors[:1] + vectors[:-1])
+    with pytest.raises(InternalCheckError, match="^duplicate character rows$"):
+        compute_table(catalog("quaternion8"))
+
+
+def test_a_wrong_power_walk_fails_the_multiplicity_sum(monkeypatch):
+    # quaternion8's power walk of cyclic class 2 runs through the classes of
+    # 1, g, g^2 = -1 and g^3 for a g of order 4; read as 1, g, g, g, its
+    # inverse DFT gives residues mod p that are no multiplicities, and they
+    # do not sum to the degree
+    G = catalog("quaternion8")
+    walks = list(G.power_walks)
+    assert walks[2] == (0, 2, 1, 2)
+    walks[2] = (0, 2, 2, 2)
+    monkeypatch.setitem(vars(G), "power_walks", tuple(walks))
+    with pytest.raises(InternalCheckError,
+                       match="^eigenvalue multiplicities on the power walk of cyclic class 2 "
+                             "do not sum to degree$"):
+        compute_table(G)
+
+
+def _overshoot(split_leaf):
+    """A leaf split that returns its first part twice whenever it splits."""
+    def doctored(u, sparse, p):
+        parts = split_leaf(u, sparse, p)
+        return parts + parts[:1] if len(parts) > 1 else parts
+    return doctored
+
+
+@pytest.mark.parametrize("doctor,count", [
+    (lambda split_leaf: lambda u, sparse, p: [u], 1),
+    (_overshoot, 11),
+], ids=["too-few", "too-many"])
+def test_a_wrong_leaf_count_fails_the_split_count(monkeypatch, doctor, count):
+    # one check refuses both a split that stops short of the s = 5 classes of
+    # symmetric(4) and one that overshoots it, and names both counts
+    monkeypatch.setattr(chartable, "_split_leaf", doctor(chartable._split_leaf))
+    G = catalog("symmetric(4)")
+    with pytest.raises(InternalCheckError,
+                       match=f"^class matrices split the class algebra into {count} common "
+                             "eigenvectors, not 5$"):
+        _split_spaces(G, _choose_prime(G.order, G.exponent))
+
+
+def test_a_wrong_class_number_fails_the_class_matrix(monkeypatch):
+    # in symmetric(3), the two 3-cycles z times the transposition y0 land on
+    # two transpositions; one of them filed in the identity class makes the
+    # entry (1 * 3) / 2 of class matrix 1
+    G = catalog("symmetric(3)")
+    _class_matrix(G, 1)
+    transpositions, three_cycles = G.conjugacy_classes[1:]
+    assert (transpositions.size, three_cycles.size) == (3, 2)
+    hit = G.right(transpositions.indices[0])[three_cycles.indices[0]]
+    class_of = list(G.class_of)
+    class_of[hit] = 0
+    monkeypatch.setitem(vars(G), "class_of", class_of)
+    with pytest.raises(InternalCheckError, match="^class matrix 1 has a fractional entry$"):
+        _class_matrix(G, 1)
+
+
+def test_a_table_without_the_trivial_character_is_a_defect(monkeypatch):
+    T = compute_table(catalog("symmetric(4)"))
+    monkeypatch.setattr(T, "characters", tuple(chi for chi in T.characters if chi.degree > 1))
+    with pytest.raises(InternalCheckError, match="^no trivial character found$"):
+        T.trivial_character_index
+
+
+def test_a_fractional_fixed_dimension_is_a_defect(monkeypatch):
+    # one member too many in the identity class of <(1,2)>: the trivial
+    # character sums to 3 over 2 elements
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    H = G.subgroup([G.element("(1,2)")])
+    monkeypatch.setitem(vars(H), "class_counts", H.class_counts + ((0, 1),))
+    with pytest.raises(InternalCheckError,
+                       match="^fixed-space dimension is not a nonnegative integer: 3/2$"):
+        T.fixed_dim(T.characters[T.trivial_character_index], H)
+
+
+def test_an_indicator_out_of_range_is_a_defect(monkeypatch):
+    # every g squared to the identity, counted twice, averages the trivial
+    # character to 2
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    monkeypatch.setitem(vars(T), "_square_weights", ((0, 2 * G.order),))
+    with pytest.raises(InternalCheckError,
+                       match=r"^Frobenius-Schur indicator is not in -1\.\.1: 2$"):
+        T.frobenius_schur_indicator(T.characters[T.trivial_character_index])
+
+
+def test_a_missing_galois_conjugate_is_a_defect():
+    # cyclic(3)'s characters 0 and 1 are Galois conjugate; without 0, the
+    # image of 1 under zeta -> zeta^2 is no row of the table
+    G = catalog("cyclic(3)")
+    T = compute_table(G)
+    with pytest.raises(InternalCheckError,
+                       match="^power map left the character table; lifting is inconsistent$"):
+        CharacterTable._trusted(G, T.characters[1:], {})
+
+
+def test_an_odd_bound_under_indicator_minus_one_is_a_defect(monkeypatch):
+    # the bound is a gcd that includes chi(1) >= 1, so it is always a
+    # positive divisor of itself: the one check left is its parity under
+    # indicator -1.  A fixed dimension 1 on the last cyclic class makes the
+    # bound of quaternion8's quaternionic character gcd(2, 0, 0, 0, 1) = 1
+    T = compute_table(catalog("quaternion8"))
+    assert T.fixed_dims[4] == (2, 0, 0, 0, 0)
+    dims = list(T.fixed_dims)
+    dims[4] = (2, 0, 0, 0, 1)
+    monkeypatch.setitem(vars(T), "fixed_dims", tuple(dims))
+    with pytest.raises(InternalCheckError,
+                       match="^computed Schur bound 1 of character 4 is odd under indicator -1$"):
+        T._build_galois_classes({})
+
+
+def test_a_galois_class_count_off_the_cyclic_classes_is_a_defect(monkeypatch):
+    # with one class of cyclic subgroups dropped, symmetric(4)'s 5 rational
+    # characters still make 5 Galois classes, against 4 cyclic classes
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    monkeypatch.setitem(vars(G), "cyclic_subgroup_classes", G.cyclic_subgroup_classes[:-1])
+    with pytest.raises(InternalCheckError,
+                       match="^Galois class count does not match cyclic subgroup classes$"):
+        CharacterTable._trusted(G, T.characters, {})
 
 
 def test_cyclic4_table():

@@ -1,0 +1,343 @@
+"""The inventory of the package's run-time checks, and the independence of the
+routes they compare.
+
+An `InternalCheckError` is raised only where a proven identity fails, so a
+check that nothing can make fire shows nothing.  `FIRING_TESTS` and
+`UNREACHABLE` together list every `raise InternalCheckError` in src/geosig,
+each keyed by where it is (module and enclosing function) and the leading
+literal of its message, never by a line number: a check maps to the test
+that makes it fire, which asserts its message from the start, or to the
+reason no input reaches it.  A new check lands with its entry, or this
+suite fails.  A check deleted because another check decides it leaves the
+inventory with its code.
+
+Most checks compare two routes to one quantity, and a comparison proves
+something only while the routes share no code.  `test_compared_routes_share_no_code`
+runs each compared pair on the corpus under `sys.setprofile` and requires
+that the package functions the two sides call be disjoint, apart from the
+inputs they are meant to share.  The three double-coset routes are inline in
+`double_coset_count`, one function, so this test cannot tell them apart;
+only their agreement check, pinned above, separates them.
+"""
+
+import ast
+import os
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from corpus import CORPUS, geometric_signature
+from geosig.chartable import compute_table
+from geosig.covers import cover_report, marked_points, quotient_genus
+from geosig.groups import catalog, double_coset_count
+from geosig.jacobian import complex_multiplicities, solve_omega_system
+from geosig.monodromy import oracle_summary
+from geosig.signature import branch_stabilizers, find_generating_vector, verify_generating_vector
+
+TESTS = Path(__file__).parent
+PACKAGE = TESTS.parent / "src" / "geosig"
+
+# (where, leading literal of the message): the test, in tests/, that makes it fire
+FIRING_TESTS = {
+    ("chartable.CharacterTable._trusted",
+     "Galois class count does not match cyclic subgroup classes"):
+        "test_chartable.py::test_a_galois_class_count_off_the_cyclic_classes_is_a_defect",
+    ("chartable.CharacterTable.trivial_character_index", "no trivial character found"):
+        "test_chartable.py::test_a_table_without_the_trivial_character_is_a_defect",
+    ("chartable.CharacterTable._weighted_sum", "value is not rational: "):
+        "test_properties.py::test_non_rational_weighted_sum_is_a_defect",
+    ("chartable.CharacterTable.fixed_dim",
+     "fixed-space dimension is not a nonnegative integer: "):
+        "test_chartable.py::test_a_fractional_fixed_dimension_is_a_defect",
+    ("chartable.CharacterTable.frobenius_schur_indicator",
+     "Frobenius-Schur indicator is not in -1..1: "):
+        "test_chartable.py::test_an_indicator_out_of_range_is_a_defect",
+    ("chartable.CharacterTable._build_galois_classes",
+     "power map left the character table; lifting is inconsistent"):
+        "test_chartable.py::test_a_missing_galois_conjugate_is_a_defect",
+    ("chartable.CharacterTable._build_galois_classes", "computed Schur bound "):
+        "test_chartable.py::test_an_odd_bound_under_indicator_minus_one_is_a_defect",
+    ("chartable._class_matrix", "class matrix "):
+        "test_chartable.py::test_a_wrong_class_number_fails_the_class_matrix",
+    ("chartable._split_leaf", "minimal polynomial "):
+        "test_chartable.py::test_minimal_polynomial_without_distinct_roots_is_a_defect",
+    ("chartable._split_spaces", "class matrices split the class algebra into "):
+        "test_chartable.py::test_a_wrong_leaf_count_fails_the_split_count",
+    ("chartable._split_spaces", "a split vector is not an eigenvector of class matrix "):
+        "test_chartable.py::test_split_vectors_are_checked_against_the_matrices_read",
+    ("chartable._check_norms", "character "):
+        "test_chartable.py::test_doctored_rows_fail_the_row_norms",
+    ("chartable._check_norms", "class "):
+        "test_chartable.py::test_doctored_rows_fail_the_column_norms",
+    ("chartable.compute_table", "lifted degree out of range"):
+        "test_chartable.py::test_eigenvector_zero_on_the_identity_fails_the_degree_check",
+    ("chartable.compute_table", "eigenvalue multiplicities on the power walk of cyclic class "):
+        "test_chartable.py::test_a_wrong_power_walk_fails_the_multiplicity_sum",
+    ("chartable.compute_table", "duplicate character rows"):
+        "test_cli.py::test_table_defect_exits_70",
+    ("cli._witness", "the vector fails the witness check: "):
+        "test_cli.py::test_a_vector_that_fails_the_witness_check_exits_70",
+    ("cli._witness#2", "the vector fails the witness check: "):
+        "test_cli.py::test_a_vector_that_fails_the_witness_check_exits_70",
+    ("cli.cmd_lattice", "oracle disagrees with the closed form on "):
+        "test_cli.py::test_cross_check_disagreement_exits_70",
+    ("covers.cover_report", "genus formulas disagree: 2g = "):
+        "test_covers.py::test_doctored_marks_fail_the_genus_check",
+    ("covers.cover_report", "quotient genus is not admissible: 2g = "):
+        "test_covers.py::test_a_signature_riemann_hurwitz_refuses_fails_the_admissible_genus",
+    ("covers.cover_report", "cycle structure over branch value "):
+        "test_covers.py::test_an_extra_unramified_point_fails_the_sheet_count",
+    ("covers.marked_points", "marked-point count is not a positive integer: "):
+        "test_covers.py::test_a_conjugate_without_the_identity_fails_the_marked_point_count",
+    ("covers.marked_points", "stabilizer order does not divide branch order"):
+        "test_covers.py::test_a_mark_that_does_not_divide_the_branch_order_is_a_defect",
+    ("groups.FiniteGroup.exponent", "group exponent does not divide the order"):
+        "test_groups.py::test_exponent_that_does_not_divide_the_order_is_a_defect",
+    ("groups.FiniteGroup._cyclic_subgroups", "the cyclic subgroups file "):
+        "test_groups.py::test_unfiled_cyclic_subgroups_are_a_defect",
+    ("groups.Subgroup._trusted", "subgroup order does not divide group order"):
+        "test_groups.py::test_subgroup_order_that_does_not_divide_the_group_is_a_defect",
+    ("groups.Subgroup._conjugation",
+     "the left cosets of the normalizer of a subgroup of order "):
+        "test_groups.py::test_unequal_normalizer_cosets_are_a_defect",
+    ("groups.double_coset_count", "transversal double-coset formula is not integral"):
+        "test_groups.py::test_non_integral_transversal_formula_is_a_defect",
+    ("groups.double_coset_count", "class-sum double-coset formula is not integral"):
+        "test_groups.py::test_non_integral_class_formula_is_a_defect",
+    ("groups.double_coset_count", "double-coset methods disagree: "):
+        "test_cli.py::test_short_conjugate_cache_names_its_check",
+    ("jacobian.complex_multiplicities", "character "):
+        "test_jacobian.py::test_doctored_table_fails_the_closed_form_checks",
+    ("jacobian._solve_exact", "fixed-dimension matrix is singular"):
+        "test_jacobian.py::test_solve_exact_refuses_a_singular_matrix",
+    ("jacobian._solve_exact", "Bareiss division by the pivot "):
+        "test_jacobian.py::test_solve_exact_divisions_are_exact",
+    ("jacobian._solve_exact", "back-substitution of "):
+        "test_jacobian.py::test_solve_exact_back_substitution_is_exact",
+    ("jacobian.solve_omega_system", "linear system gives a non-admissible multiplicity "):
+        "test_jacobian.py::test_non_admissible_omega_solution_is_a_defect",
+    ("jacobian.factor_dimensions", "multiplicity "):
+        "test_jacobian.py::test_doctored_table_fails_the_closed_form_checks",
+    ("jacobian.factor_dimensions", "factor dimension "):
+        "test_jacobian.py::test_doctored_table_fails_the_closed_form_checks",
+    ("jacobian.factor_dimensions", "multiplicities weigh to "):
+        "test_jacobian.py::test_doctored_table_fails_the_closed_form_checks",
+    ("jacobian.factor_dimensions", "linear system solution "):
+        "test_jacobian.py::test_decomposition_rejects_wrong_quotient_genera",
+    ("jacobian.gamma1_analysis", "vanishing conditions disagree for character "):
+        "test_jacobian.py::test_gamma1_kernel_cover_of_genus_one_fails_the_vanishing_conditions",
+    ("monodromy._coset_images.image", "vector element "):
+        "test_cli.py::test_oracle_defect_exits_70",
+    ("monodromy.oracle_summary", "coset action gives an odd Euler characteristic "):
+        "test_monodromy.py::test_oracle_refuses_an_impossible_euler_characteristic",
+    ("monodromy.oracle_summary", "coset action gives negative genus "):
+        "test_monodromy.py::test_oracle_refuses_an_impossible_euler_characteristic",
+}
+
+# (where, leading literal of the message): why no input reaches the check
+UNREACHABLE = {
+    ("chartable._primitive_root", "no primitive root mod "):
+        "`_choose_prime` returns only primes p, with p^2 > 4|G| >= 4, so p is odd; "
+        "the units mod a prime form a cyclic group, and for an odd p each of its "
+        "generators lies in 2..p-1, which the loop tries in full",
+}
+
+
+def _leading_literal(message: ast.expr) -> str:
+    """The text of a message before its first formatted value."""
+    if isinstance(message, ast.Constant):
+        return message.value
+    first = message.values[0] if isinstance(message, ast.JoinedStr) else None
+    return first.value if isinstance(first, ast.Constant) else ""
+
+
+def check_sites(package: Path = PACKAGE) -> list[tuple[str, str]]:
+    """The (where, leading literal) key of each `raise InternalCheckError` in
+    the package's modules, in source order; the n-th site of a key that
+    repeats in one function is keyed with where#n."""
+    keys: list[tuple[str, str]] = []
+    seen: Counter = Counter()
+
+    def visit(node: ast.AST, scope: list[str], module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], module)
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "InternalCheckError"):
+                where = ".".join([module, *scope])
+                literal = _leading_literal(child.exc.args[0])
+                seen[where, literal] += 1
+                n = seen[where, literal]
+                keys.append((where if n == 1 else f"{where}#{n}", literal))
+            visit(child, scope, module)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), [], path.stem)
+    return keys
+
+
+def test_every_check_is_in_the_inventory():
+    sites = check_sites()
+    assert not FIRING_TESTS.keys() & UNREACHABLE.keys()
+    listed = FIRING_TESTS.keys() | UNREACHABLE.keys()
+    assert sorted(set(sites) - listed) == [], "checks with no entry"
+    assert sorted(listed - set(sites)) == [], "entries with no check"
+
+
+def _test_source(name: str) -> str:
+    """The source of a test function in tests/, with its decorators."""
+    path, function = name.split("::")
+    source = (TESTS / path).read_text(encoding="utf-8")
+    node = next((node for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef) and node.name == function), None)
+    assert node is not None, f"{name} is no test"
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return "\n".join(source.splitlines()[first - 1:node.end_lineno])
+
+
+@pytest.mark.parametrize("key", sorted(FIRING_TESTS),
+                         ids=lambda key: f"{key[0]}:{'-'.join(key[1].split())}")
+def test_each_firing_test_asserts_its_check(key):
+    # the test names the check's message from its start; regex escapes aside
+    _, literal = key
+    assert literal in _test_source(FIRING_TESTS[key]).replace("\\", "")
+
+
+def test_a_new_check_needs_an_entry(tmp_path):
+    # a module with one check more than the inventory lists fails it
+    (tmp_path / "chartable.py").write_text(
+        "def compute_table(G):\n"
+        "    raise InternalCheckError('duplicate character rows')\n"
+        "    raise InternalCheckError(f'a new check on {G}')\n")
+    sites = check_sites(tmp_path)
+    assert sites == [("chartable.compute_table", "duplicate character rows"),
+                     ("chartable.compute_table", "a new check on ")]
+    assert set(sites) - FIRING_TESTS.keys() == {("chartable.compute_table", "a new check on ")}
+
+
+# -- compared routes share no code --------------------------------------------
+
+
+def _function_names() -> dict[tuple[str, int], str]:
+    """'module.qualname' of each function of the package, by its code
+    object's file and first line (its first decorator's, if it has any)."""
+    names = {}
+    for path in PACKAGE.glob("*.py"):
+        filename = os.path.realpath(path)
+
+        def visit(node, scope):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if not isinstance(child, ast.ClassDef):
+                        first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                        names[filename, first] = ".".join([path.stem, *scope, child.name])
+                    visit(child, scope + [child.name])
+                else:
+                    visit(child, scope)
+        visit(ast.parse(path.read_text(encoding="utf-8")), [])
+    return names
+
+
+FUNCTION_NAMES = _function_names()
+
+
+def _calls(run) -> set[str]:
+    """The package functions that run() calls, lambdas and comprehensions aside."""
+    seen, real = set(), {}
+
+    def profile(frame, event, _arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename not in real:
+                real[code.co_filename] = os.path.realpath(code.co_filename)
+            name = FUNCTION_NAMES.get((real[code.co_filename], code.co_firstlineno))
+            if name:
+                seen.add(name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _world(case):
+    """A fresh group, signature, table and generating vector for one corpus
+    case, with every input the compared routes may share already built: the
+    group's classes and power map, the signature's branch stabilizers, the
+    table with its fixed dimensions, and the vector."""
+    G = catalog(case.group_name)
+    sig = geometric_signature(G, case.gamma, case.branch_words)
+    G.class_of, G.walk_places, G.cyclic_subgroup_masks  # built now, read by both sides
+    branch_stabilizers(G, sig)
+    table = compute_table(G)
+    table.fixed_dims
+    return G, sig, table, find_generating_vector(G, sig)
+
+
+def _subgroups(G):
+    return [cls.representative for cls in G.cyclic_subgroup_classes]
+
+
+# what every compared pair may share: the group's kept columns, the subgroups
+# and the signature, with the refusals of a subgroup or a class of another group
+SHARED_INPUTS = {
+    "groups.FiniteGroup.left", "groups.FiniteGroup.right", "groups._tree_walk",
+    "groups.Subgroup.generating_set", "groups.require_subgroups",
+    "signature.branch_stabilizers", "signature.check_branch_classes",
+    "signature.GeometricSignature.is_geometric",
+}
+
+# name: (one route, its entry point, the other route, its entry point, what
+# else the two may share)
+ROUTE_PAIRS = {
+    # the genus by the marks against the genus by double cosets; the marks
+    # and double-coset route 2 both read the conjugates of each G_j, which
+    # routes 1 and 3 never read, so a defect there fails their agreement
+    "marks-double-cosets": (
+        lambda G, sig, table, vec: [marked_points(G, sig, H) for H in _subgroups(G)],
+        "covers.marked_points",
+        lambda G, sig, table, vec: [double_coset_count(G, H, Gj) for H in _subgroups(G)
+                                    for Gj in branch_stabilizers(G, sig)],
+        "groups.double_coset_count",
+        {"groups.Subgroup.conjugate_masks", "groups.Subgroup._conjugation", "groups._mask"}),
+    "closed-form-omega": (
+        lambda G, sig, table, vec: complex_multiplicities(G, table, sig),
+        "jacobian.complex_multiplicities",
+        lambda G, sig, table, vec: solve_omega_system(
+            G, table, [quotient_genus(G, sig, H) for H in _subgroups(G)]),
+        "jacobian.solve_omega_system",
+        set()),
+    "covers-oracle": (
+        lambda G, sig, table, vec: [cover_report(G, sig, H) for H in _subgroups(G)],
+        "covers.cover_report",
+        lambda G, sig, table, vec: [oracle_summary(G, H, vec, sig.quotient_genus)
+                                    for H in _subgroups(G)],
+        "monodromy.oracle_summary",
+        set()),
+    "witness-search": (
+        lambda G, sig, table, vec: verify_generating_vector(G, sig, vec),
+        "signature.verify_generating_vector",
+        lambda G, sig, table, vec: find_generating_vector(G, sig),
+        "signature.find_generating_vector",
+        set()),
+}
+
+
+@pytest.mark.parametrize("pair", ROUTE_PAIRS)
+def test_compared_routes_share_no_code(pair):
+    # each side runs on a world of its own, so a cache one side fills is a
+    # call on the other side too
+    one, one_entry, other, other_entry, also_shared = ROUTE_PAIRS[pair]
+    ones, others = set(), set()
+    for case in CORPUS:
+        world = _world(case)
+        ones |= _calls(lambda: one(*world))
+        world = _world(case)
+        others |= _calls(lambda: other(*world))
+    assert one_entry in ones and other_entry in others
+    assert sorted((ones & others) - SHARED_INPUTS - also_shared) == []

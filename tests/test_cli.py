@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from geosig import covers, jacobian, monodromy
+from geosig import chartable, covers, jacobian, monodromy
 from geosig.cli import main
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import FiniteGroup, Perm, Subgroup, catalog
@@ -804,7 +804,7 @@ def test_cross_check_disagreement_exits_70(capsys, monkeypatch):
     assert out == ""
     assert catalog("wc3").digest in err
     assert WC3_FIRST in err
-    assert "oracle disagrees with the closed form" in err
+    assert "InternalCheckError: oracle disagrees with the closed form on Subgroup(" in err
 
 
 def test_oracle_defect_exits_70(capsys, monkeypatch):
@@ -824,7 +824,47 @@ def test_oracle_defect_exits_70(capsys, monkeypatch):
     assert out == ""
     assert catalog("wc3").digest in err
     assert WC3_FIRST in err
+    assert "internal defect: InternalCheckError: vector element " in err
     assert "does not permute the 48 right cosets of a subgroup of order 1" in err
+
+
+def test_table_defect_exits_70(capsys, monkeypatch):
+    # the table layer: a split that repeats its first eigenvector in place of
+    # the last lifts one row twice, a defect (70) that names the group hash
+    # and the check, with nothing printed
+    split = chartable._split_spaces
+
+    def repeat_first(G, p):
+        vectors = split(G, p)
+        return vectors[:1] + vectors[:-1]
+    monkeypatch.setattr(chartable, "_split_spaces", repeat_first)
+    code, out, err = run(capsys, "chartab", "--group", "quaternion8", "--format", "json")
+    assert (code, out) == (70, "")
+    assert catalog("quaternion8").digest in err
+    assert "internal defect: InternalCheckError: duplicate character rows\n" in err
+
+
+def test_jacobian_defect_exits_70(capsys, monkeypatch):
+    # the Jacobian layer: on symmetric(4) with (1; [2,b], [2,b]) a kernel
+    # cover that reports genus 1 makes the vanishing conditions of the sign
+    # character disagree, a defect (70) that names the group hash, the
+    # signature and the check
+    real = jacobian.cover_report
+
+    def genus_one(*args):
+        report = real(*args)
+        report.genus = 1
+        return report
+    monkeypatch.setattr(jacobian, "cover_report", genus_one)
+    signature = json.dumps({"genus": 1, "branches": [{"order": 2, "class_rep": "b"},
+                                                     {"order": 2, "class_rep": "b"}]})
+    code, out, err = run(capsys, "decompose", "--group", "symmetric(4)", "--signature",
+                         signature, "--format", "json")
+    assert (code, out) == (70, "")
+    assert catalog("symmetric(4)").digest in err
+    assert signature in err
+    assert ("internal defect: InternalCheckError: vanishing conditions disagree for "
+            "character 0: False, False, False, True\n") in err
 
 
 def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):
@@ -838,7 +878,7 @@ def test_short_conjugate_cache_names_its_check(capsys, monkeypatch):
                          "--cross-check", "--format", "json")
     assert code == 70
     assert out == ""
-    assert "internal defect: InternalCheckError: double-coset methods disagree" in err
+    assert "internal defect: InternalCheckError: double-coset methods disagree: " in err
     assert "TypeError" not in err and "ValueError" not in err
 
 

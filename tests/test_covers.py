@@ -261,7 +261,7 @@ def test_doctored_marks_fail_the_genus_check(monkeypatch):
     fake = (marks[0], tuple(MarkedPointSet(m.mark, doctored[m.mark]) for m in marks[1]),
             *marks[2:])
     monkeypatch.setattr(covers, "marked_points", lambda *_args: fake)
-    with pytest.raises(InternalCheckError, match="genus formulas disagree"):
+    with pytest.raises(InternalCheckError, match="^genus formulas disagree: 2g = 3 vs 2$"):
         cover_report(G, sig, H)
 
 
@@ -275,6 +275,49 @@ def test_a_mark_that_does_not_divide_the_branch_order_is_a_defect(monkeypatch):
     monkeypatch.setitem(masks, next(iter(masks)), sum(1 << i for i in H.indices[:3]))
     with pytest.raises(InternalCheckError,
                        match="^stabilizer order does not divide branch order$"):
+        marked_points(G, sig, H)
+
+
+@pytest.mark.parametrize("genus,branch,twice_genus", [
+    (1, ("x",), 3),
+    (0, (), -2),
+], ids=["odd", "negative"])
+def test_a_signature_riemann_hurwitz_refuses_fails_the_admissible_genus(genus, branch,
+                                                                       twice_genus):
+    # cover_report takes the signature as given: on cyclic(2), (1; [2,x])
+    # and (0;) have no integral nonnegative genus, and the two formulas agree
+    # on the trivial subgroup's 2g = 3 and 2g = -2
+    G = catalog("cyclic(2)")
+    with pytest.raises(InternalCheckError,
+                       match=f"^quotient genus is not admissible: 2g = {twice_genus}$"):
+        cover_report(G, geometric_signature(G, genus, branch), G.subgroup([]))
+
+
+def test_an_extra_unramified_point_fails_the_sheet_count(monkeypatch):
+    # a point marked with the full branch order is unramified, so it adds
+    # nothing to the ramification genus, which still agrees with the
+    # double-coset genus; only the sheets over branch value 0 are one too many
+    G = catalog("wc3")
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    H = G.subgroup([G.element("(2,5)(3,6)")])
+    marks = marked_points(G, sig, H)
+    extra = (marks[0] + (MarkedPointSet(sig.entries[0].order, 1),), *marks[1:])
+    monkeypatch.setattr(covers, "marked_points", lambda *_args: extra)
+    with pytest.raises(InternalCheckError,
+                       match="^cycle structure over branch value 0 does not cover all sheets$"):
+        cover_report(G, sig, H)
+
+
+def test_a_conjugate_without_the_identity_fails_the_marked_point_count(monkeypatch):
+    # every conjugate of G_j holds the identity, so it meets H in at least one
+    # element; an empty cached conjugate meets H in none, and gives 0 points
+    G = catalog("wc3")
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    H = G.subgroup([G.element("(2,5)(3,6)")])
+    masks = sig.entries[2].cls.representative.conjugate_masks
+    monkeypatch.setitem(masks, next(iter(masks)), 0)
+    with pytest.raises(InternalCheckError,
+                       match=r"^marked-point count is not a positive integer: 0 \+ 0/2$"):
         marked_points(G, sig, H)
 
 

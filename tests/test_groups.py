@@ -335,6 +335,23 @@ def test_unequal_normalizer_cosets_are_a_defect():
         K.conjugate_masks
 
 
+def test_cosets_whose_product_misses_the_order_fail_the_equal_sizes_check():
+    # swapping entries 1 and 3 of the first conjugation column makes the walk
+    # reach the 4 conjugates of <y> from 3, 3, 1 and 1 elements: 4 * 3 is not
+    # |G| = 8, which a product check would have refused, and the one check
+    # of equal sizes refuses it; the walk numbers each of the 8 elements
+    # once, so equal sizes would have multiplied out to 8
+    G = catalog("dihedral(4)")
+    K = G.subgroup_from_words(["y"])
+    columns = [list(c) for c in G._conjugators]
+    columns[0][1], columns[0][3] = columns[0][3], columns[0][1]
+    vars(G)["_conjugators"] = columns
+    with pytest.raises(InternalCheckError,
+                       match=r"^the left cosets of the normalizer of a subgroup of order 2 "
+                             r"have sizes \[1, 3\]$"):
+        K.conjugate_masks
+
+
 def test_catalog_quaternion8():
     G = catalog("quaternion8")
     assert G.order == 8
@@ -735,7 +752,9 @@ def test_unfiled_cyclic_subgroups_are_a_defect(monkeypatch):
     G = catalog("symmetric(4)")
     real = FiniteGroup._powers
     monkeypatch.setattr(FiniteGroup, "_powers", lambda self, g: real(self, g)[:-1] or [0])
-    with pytest.raises(InternalCheckError, match="unfiled"):
+    with pytest.raises(InternalCheckError,
+                       match="^the cyclic subgroups file 28 generators for 24 elements, "
+                             "6 unfiled$"):
         G._cyclic_subgroups
 
 

@@ -286,6 +286,28 @@ def test_gamma1_analysis_detects_unrealizable_signature():
         gamma1_analysis(G, T, sig)
 
 
+def test_gamma1_kernel_cover_of_genus_one_fails_the_vanishing_conditions(monkeypatch):
+    # on symmetric(4) with (1; [2,b], [2,b]) no factor vanishes, and all four
+    # conditions are false for every class; a kernel cover that reports
+    # genus 1 makes the fourth true for the sign character alone
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    sig = geometric_signature(G, 1, ("b", "b"))
+    assert not any(c.dim_is_zero or c.kernel_quotient_is_torus
+                   for c in gamma1_analysis(G, T, sig))
+    real = jacobian.cover_report
+
+    def genus_one(*args):
+        report = real(*args)
+        report.genus = 1
+        return report
+    monkeypatch.setattr(jacobian, "cover_report", genus_one)
+    with pytest.raises(InternalCheckError,
+                       match="^vanishing conditions disagree for character 0: "
+                             "False, False, False, True$"):
+        gamma1_analysis(G, T, sig)
+
+
 def test_gamma1_analysis_rejects_other_genus():
     G = catalog("dihedral(4)")
     T = compute_table(G)
@@ -311,7 +333,9 @@ def test_decomposition_rejects_wrong_quotient_genera(monkeypatch):
     assert factor_dimensions(G, T, sig).total_genus == 3
     monkeypatch.setattr(jacobian, "quotient_genus",
                         lambda *args: quotient_genus(*args) + 1)
-    with pytest.raises(InternalCheckError):
+    with pytest.raises(InternalCheckError,
+                       match=r"^linear system solution \(2, 0, 4\) does not match the closed "
+                             r"form \(2, 0, 2\)$"):
         factor_dimensions(G, T, sig)
 
 
@@ -407,9 +431,9 @@ def _random_systems(count):
 
 
 def test_solve_exact_refuses_a_singular_matrix():
-    with pytest.raises(InternalCheckError, match="singular"):
+    with pytest.raises(InternalCheckError, match="^fixed-dimension matrix is singular$"):
         jacobian._solve_exact([[1, 2], [2, 4]], [1, 2])
-    with pytest.raises(InternalCheckError, match="singular"):
+    with pytest.raises(InternalCheckError, match="^fixed-dimension matrix is singular$"):
         jacobian._solve_exact([[0]], [5])
 
 
@@ -458,7 +482,7 @@ def test_solve_exact_divisions_are_exact(monkeypatch):
             pass
     assert rests and set(rests) == {0}
     monkeypatch.setattr(jacobian, "divmod", lambda a, b: (a // b, 1), raising=False)
-    with pytest.raises(InternalCheckError, match="not exact"):
+    with pytest.raises(InternalCheckError, match="^Bareiss division by the pivot 1 is not exact$"):
         jacobian._solve_exact([[2, 1], [1, 3]], [1, 1])
 
 
