@@ -20,27 +20,31 @@ the output would hang on a seed.
 The lift runs the inverse DFT once per class of cyclic subgroups, over the
 classes along its power walk w_c^0, ..., w_c^(m-1); a class whose
 representative is conjugate to w_c^a reads those multiplicities in place,
-the one at k weighting zeta_m^(k*a).  At run time the table checks the
-eigenvectors against every class matrix the split read, the multiplicity
-sum of each DFT, and the row and the column norms of the integer rows; the
-identity's walk has the one multiplicity chi(1), so its column norm is
-sum chi(1)^2 = |G|.  The prime is the smallest qualifying one and the
-finished rows are sorted by (degree, value sequence), so the table is
-deterministic.  `compute_table` is the one way in for a `CharacterTable`.
+the one at k weighting zeta_m^(k*a).  The multiplicity a_0 of the
+eigenvalue 1 is the average of chi over <w_c>, the fixed-space dimension
+dim V_chi^<w_c>, and the table keeps it as it is.  At run time the table
+checks the eigenvectors against every class matrix the split read, the
+multiplicity sum of each DFT, which holds each a_k to an integer of at
+most chi(1) < p, and the row and the column norms of the integer rows
+that the same multiplicities produce; the identity's walk has the one
+multiplicity chi(1), so its column norm is sum chi(1)^2 = |G|.  The prime
+is the smallest qualifying one and the finished rows are sorted by
+(degree, value sequence), so the table is deterministic.  `compute_table` is the one way in for a `CharacterTable`.
 
 Character values are algebraic integers, and a character stores them in
 one form only, its integer row `Character.row`: for each class, the phi(e)
 coefficients of the value in the power basis of Z[zeta_e], e the group
-exponent.  The lift, the norms, the Galois images, the fixed-space
-dimensions and the Frobenius-Schur indicators are integer sums over these
-rows, and rationals appear only at the final exact division.  The JSON
+exponent.  The norms, the Galois images, `CharacterTable.fixed_dim` and
+the Frobenius-Schur indicators are integer sums over these rows, and
+rationals appear only at the final exact division.  The JSON
 and text output and the error messages print a value from its row entry
 (`cyclotomic.value_json`, `value_str`); the package builds no other form.
 Walks, inverses, squares and Galois actions come from the group's one power
 map, `FiniteGroup.power_walks` and `walk_places`.  `CharacterTable.fixed_dims`,
 the fixed-space dimension of every character on every cyclic-class
-representative, is computed once per table and read by the Schur bounds,
-the closed-form multiplicities and the omega system.
+representative, is the a_0 of each walk from the lift, and is read by the
+Schur bounds, the closed-form multiplicities and the omega system;
+`fixed_dim` averages a row over any subgroup.
 """
 from __future__ import annotations
 
@@ -94,11 +98,16 @@ class CharacterTable:
         raise TypeError("use compute_table")
 
     @classmethod
-    def _trusted(cls, group, characters, schur_overrides) -> "CharacterTable":
+    def _trusted(cls, group, characters, fixed_dims, schur_overrides) -> "CharacterTable":
         self = object.__new__(cls)
         self.group = group
         self.classes = group.conjugacy_classes
         self.characters = characters
+        # fixed_dim(chi, H) for each character chi (rows, by index) and each
+        # cyclic-class representative H (columns, in class order), as the lift
+        # found them: the one source of the Schur bounds, the closed-form
+        # multiplicities and the omega matrix
+        self.fixed_dims = fixed_dims
         self._row_index = {chi.row: chi.index for chi in characters}
         self.galois_classes = self._build_galois_classes(schur_overrides)
         if len(self.galois_classes) != len(group.cyclic_subgroup_classes):
@@ -144,15 +153,6 @@ class CharacterTable:
                 f"{Fraction(total, H.order)}"
             )
         return dim
-
-    @cached_property
-    def fixed_dims(self) -> tuple[tuple[int, ...], ...]:
-        """fixed_dim(chi, H) for each character chi (rows, by index) and each
-        cyclic-class representative H (columns, in class order): the one
-        source of the Schur bounds, the closed-form multiplicities and the
-        omega matrix."""
-        reps = [cls.representative for cls in self.group.cyclic_subgroup_classes]
-        return tuple(tuple(self.fixed_dim(chi, H) for H in reps) for chi in self.characters)
 
     @cached_property
     def _square_weights(self) -> tuple[tuple[int, int], ...]:
@@ -211,7 +211,7 @@ class CharacterTable:
             seen.update(members)
             bound = self._schur_upper_bound(chi)
             indicator = self.frobenius_schur_indicator(chi)
-            # bound >= 1: the gcd includes fixed_dim(chi, 1) = chi(1)
+            # bound >= 1: the gcd includes the fixed dimension chi(1) on 1
             if indicator == -1 and bound % 2:
                 raise InternalCheckError(f"computed Schur bound {bound} of character "
                                          f"{chi.index} is odd under indicator -1")
@@ -613,14 +613,16 @@ def compute_table(G: FiniteGroup,
             walk_mults.append(mults)
         # rep_j conjugate to w_c^a: chi(rep_j) = sum over k of a_k zeta_m^(k*a)
         row = tuple(_zeta_sum(walk_mults[c], zeta_rows, a) for c, a in G.walk_places)
-        characters.append((degree, row))
+        # a_0, the average of chi over <w_c>, is dim V_chi^<w_c>
+        characters.append((degree, row, tuple(mults[0] for mults in walk_mults)))
 
     characters.sort()
-    if len({row for _, row in characters}) != s:
+    if len({row for _, row, _ in characters}) != s:
         raise InternalCheckError("duplicate character rows")
-    _check_norms(G, [row for _, row in characters], inverse)
+    _check_norms(G, [row for _, row, _ in characters], inverse)
     chars = tuple(
         Character(index=i, row=row, degree=deg)
-        for i, (deg, row) in enumerate(characters)
+        for i, (deg, row, _) in enumerate(characters)
     )
-    return CharacterTable._trusted(G, chars, schur_overrides or {})
+    return CharacterTable._trusted(G, chars, tuple(dims for _, _, dims in characters),
+                                   schur_overrides or {})

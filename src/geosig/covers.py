@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import InternalCheckError
 from .groups import (FiniteGroup, FrozenRecord, Perm, Record, Subgroup, double_coset_count,
                      require_subgroups)
-from .signature import GeometricSignature, branch_stabilizers
+from .signature import GeometricSignature, branch_stabilizers, signature_genus
 
 
 class TransversalPartition(FrozenRecord):
@@ -81,8 +81,10 @@ def cover_report(G: FiniteGroup, sig: GeometricSignature, H: Subgroup) -> CoverR
     Ramification: Riemann–Hurwitz for S/H -> S/G over the marked points; a
     point marked k over a branch value of order m has index m/k, so
     2g = 2·[G:H]·(γ−1) + 2 + Σ count·(m/k − 1).  Double cosets: S/H has
-    |H\\G/G_j| points over branch value j.
+    |H\\G/G_j| points over branch value j.  A signature that
+    Riemann–Hurwitz gives no genus is refused first (InvalidSignatureError).
     """
+    signature_genus(G, sig)
     marks = marked_points(G, sig, H)
     # the points over each branch value as (ramification index, count) pairs
     indices = [[(e.order // m.mark, m.count) for m in over] for e, over in zip(sig.entries, marks)]

@@ -562,8 +562,10 @@ class FiniteGroup:
     def _cyclic_subgroups(self) -> tuple[list[int], dict[int, list[int]], list[list[int]]]:
         """The mask of the cyclic subgroup <g> by element index g; by mask a
         power walk of each cyclic subgroup, its one record; and the masks of
-        each class of cyclic subgroups, the walked one first, in class order
-        (order, class size, least sorted members).  Powers are walked from
+        each class of cyclic subgroups, the least (by sorted members) first,
+        in class order (order, class size, least sorted members).  Every walk
+        of a class is the first walk read through conjugation columns, so
+        all of them pass the same conjugacy classes.  Powers are walked from
         each element g not yet filed, in ascending order: no conjugate of g is
         filed either, so g is least in its conjugacy class.  The conjugation
         columns carry that walk to each t<g>t^-1 = <t g t^-1>, filed with its
@@ -590,13 +592,15 @@ class FiniteGroup:
                             cyclic_of[image[k]] = -1  # reached; filed when walked
                         conjugates.append(image)
             filed += len(units) * len(conjugates)
-            orbits.append(masks)
+            members = [sorted(walks[s]) for s in masks]
+            least = members.index(min(members))
+            masks[0], masks[least] = masks[least], masks[0]
+            orbits.append((m, len(masks), members[least], masks))
         if filed != self.order or not all(c > 0 for c in cyclic_of):
             raise InternalCheckError(f"the cyclic subgroups file {filed} generators for "
                                      f"{self.order} elements, {cyclic_of.count(0)} unfiled")
-        orbits.sort(key=lambda masks: (len(walks[masks[0]]), len(masks),
-                                       min(sorted(walks[s]) for s in masks)))
-        return cyclic_of, walks, orbits
+        orbits.sort()
+        return cyclic_of, walks, [masks for *_, masks in orbits]
 
     @cached_property
     def cyclic_subgroup_classes(self) -> tuple["ConjugacyClassOfSubgroups", ...]:
@@ -605,7 +609,7 @@ class FiniteGroup:
         cyclic_of, walks, orbits = self._cyclic_subgroups
         classes = []
         for orbit in orbits:
-            rep_set = min(orbit, key=lambda s: sorted(walks[s]))
+            rep_set = orbit[0]
             gen = min(x for x in walks[rep_set] if cyclic_of[x] == rep_set)
             rep = Subgroup._trusted(self, walks[rep_set], (gen,), str(self.elements[gen]))
             classes.append(ConjugacyClassOfSubgroups(rep, frozenset(orbit)))

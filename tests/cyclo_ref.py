@@ -36,6 +36,16 @@ def character_values(chi, exponent: int) -> tuple["Cyclo", ...]:
     return tuple(Cyclo(exponent, v) for v in chi.row)
 
 
+def cyclo_average(chi, G, elements, divisor) -> int:
+    """Sum chi over the elements of G one by one in Cyclo, then divide: the
+    reference for the table's fixed dimensions and indicators."""
+    values = character_values(chi, G.exponent)
+    total = Cyclo.zero(G.exponent)
+    for g in elements:
+        total = total + values[G.class_index[g]]
+    return (total / divisor).integer_value()
+
+
 class Cyclo:
     """An element of Q(zeta_e) in reduced power-basis form."""
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from cyclo_ref import Cyclo, character_values
+from corpus import geometric_signature
+from cyclo_ref import Cyclo, character_values, cyclo_average
 from geosig import chartable
 from geosig.chartable import (
     SCHUR_COMPUTED,
@@ -23,6 +24,7 @@ from geosig.chartable import (
 from geosig.cyclotomic import reduce_integral
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import catalog, group_from_payload
+from geosig.jacobian import factor_dimensions
 
 CATALOG_SMALL = [
     "cyclic(1)", "cyclic(3)", "cyclic(4)", "cyclic(6)",
@@ -543,7 +545,7 @@ def test_a_missing_galois_conjugate_is_a_defect():
     T = compute_table(G)
     with pytest.raises(InternalCheckError,
                        match="^power map left the character table; lifting is inconsistent$"):
-        CharacterTable._trusted(G, T.characters[1:], {})
+        CharacterTable._trusted(G, T.characters[1:], T.fixed_dims[1:], {})
 
 
 def test_an_odd_bound_under_indicator_minus_one_is_a_defect(monkeypatch):
@@ -569,7 +571,7 @@ def test_a_galois_class_count_off_the_cyclic_classes_is_a_defect(monkeypatch):
     monkeypatch.setitem(vars(G), "cyclic_subgroup_classes", G.cyclic_subgroup_classes[:-1])
     with pytest.raises(InternalCheckError,
                        match="^Galois class count does not match cyclic subgroup classes$"):
-        CharacterTable._trusted(G, T.characters, {})
+        CharacterTable._trusted(G, T.characters, T.fixed_dims, {})
 
 
 def test_cyclic4_table():
@@ -672,21 +674,6 @@ def test_fixed_dim_against_regular_character():
             assert total == G.order // H.order
 
 
-def test_galois_members_share_degree_and_fixed_dims():
-    for name in ("cyclic(6)", "alternating(4)", "quaternion8"):
-        G = catalog(name)
-        T = compute_table(G)
-        for gc in T.galois_classes:
-            degs = {T.characters[i].degree for i in gc.members}
-            assert len(degs) == 1
-            for cls in G.cyclic_subgroup_classes:
-                dims = {
-                    T.fixed_dim(T.characters[i], cls.representative)
-                    for i in gc.members
-                }
-                assert len(dims) == 1
-
-
 def test_galois_class_count_equals_cyclic_class_count():
     for name in CATALOG_SMALL:
         G = catalog(name)
@@ -742,6 +729,23 @@ SCHUR_DATA_GROUPS = tuple(dict.fromkeys(
     + tuple(f"dihedral({n})" for n in range(3, 13))))
 
 
+def test_galois_members_share_degree_and_fixed_dims():
+    # the fixed dimensions the lift keeps are those that fixed_dim and the
+    # Cyclo reference average on each cyclic-class representative, and they
+    # are the same for every member of a Galois class
+    for name in SCHUR_DATA_GROUPS:
+        G = catalog(name)
+        T = compute_table(G)
+        reps = [cls.representative for cls in G.cyclic_subgroup_classes]
+        assert len(T.fixed_dims) == len(T.characters)
+        for chi, dims in zip(T.characters, T.fixed_dims):
+            assert dims == tuple(T.fixed_dim(chi, H) for H in reps), (name, chi.index)
+            assert dims == tuple(cyclo_average(chi, G, H.members, H.order) for H in reps)
+        for gc in T.galois_classes:
+            assert len({T.characters[i].degree for i in gc.members}) == 1
+            assert len({T.fixed_dims[i] for i in gc.members}) == 1
+
+
 @pytest.mark.parametrize("name", SCHUR_DATA_GROUPS)
 def test_stored_schur_data_matches_a_recomputation(name):
     # the bound and the indicator are built once per Galois class; both are
@@ -757,14 +761,20 @@ def test_stored_schur_data_matches_a_recomputation(name):
 
 
 def test_schur_flag_reads_the_stored_data(monkeypatch):
+    # compute_table keeps the lift's fixed dimensions, and the Schur bounds,
+    # the flag and a decomposition read them: no engine path calls fixed_dim
     calls = []
     fixed_dim = CharacterTable.fixed_dim
     monkeypatch.setattr(CharacterTable, "fixed_dim",
                         lambda self, chi, H: calls.append(chi.index) or fixed_dim(self, chi, H))
-    tables = [compute_table(catalog(name)) for name in ("quaternion8", "symmetric(6)")]
-    calls.clear()
-    assert [schur_bound_is_verified(T) for T in tables] == [True, False]
+    tables = [compute_table(catalog(name)) for name in ("quaternion8", "symmetric(6)", "wc3")]
+    assert [schur_bound_is_verified(T) for T in tables] == [True, False, True]
+    G = tables[2].group
+    sig = geometric_signature(G, 0, ("xa^2", "xyab", "xyzb"))
+    assert factor_dimensions(G, tables[2], sig).summary() == "JS ~ E^3"
     assert calls == []
+    tables[0].fixed_dim(tables[0].characters[0], tables[0].group.subgroup([]))
+    assert calls == [0]  # the wrapper is live: a call would have been counted
 
 
 def test_galois_classes_are_frozen():

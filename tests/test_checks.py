@@ -275,7 +275,6 @@ def _world(case):
     G.class_of, G.walk_places, G.cyclic_subgroup_masks  # built now, read by both sides
     branch_stabilizers(G, sig)
     table = compute_table(G)
-    table.fixed_dims
     return G, sig, table, find_generating_vector(G, sig)
 
 

@@ -10,7 +10,7 @@ from geosig.covers import (
     quotient_genus,
     transversal_partition,
 )
-from geosig.errors import GroupInputError, InternalCheckError
+from geosig.errors import GroupInputError, InternalCheckError, InvalidSignatureError
 from geosig.groups import Perm, catalog
 from geosig.signature import (
     BranchEntry,
@@ -282,15 +282,34 @@ def test_a_mark_that_does_not_divide_the_branch_order_is_a_defect(monkeypatch):
     (1, ("x",), 3),
     (0, (), -2),
 ], ids=["odd", "negative"])
-def test_a_signature_riemann_hurwitz_refuses_fails_the_admissible_genus(genus, branch,
-                                                                       twice_genus):
-    # cover_report takes the signature as given: on cyclic(2), (1; [2,x])
-    # and (0;) have no integral nonnegative genus, and the two formulas agree
-    # on the trivial subgroup's 2g = 3 and 2g = -2
+def test_a_signature_riemann_hurwitz_refuses_fails_the_admissible_genus(monkeypatch, genus,
+                                                                       branch, twice_genus):
+    # with the Riemann–Hurwitz refusal skipped, cover_report takes the
+    # signature as given: on cyclic(2), (1; [2,x]) and (0;) have no integral
+    # nonnegative genus, and the two formulas agree on the trivial
+    # subgroup's 2g = 3 and 2g = -2
     G = catalog("cyclic(2)")
+    monkeypatch.setattr(covers, "signature_genus", lambda *_args: 0)
     with pytest.raises(InternalCheckError,
                        match=f"^quotient genus is not admissible: 2g = {twice_genus}$"):
         cover_report(G, geometric_signature(G, genus, branch), G.subgroup([]))
+
+
+@pytest.mark.parametrize("genus,branch,refusal", [
+    (1, ("x",), "non-integral genus 3/2"),
+    (0, (), "negative genus -1"),
+], ids=["odd", "negative"])
+def test_a_signature_riemann_hurwitz_refuses_is_bad_input(genus, branch, refusal):
+    # the same signatures reach the covers API as unrealizable input (exit 1),
+    # not as a defect (exit 70)
+    G = catalog("cyclic(2)")
+    sig = geometric_signature(G, genus, branch)
+    H = G.subgroup([])
+    for call in (lambda: cover_report(G, sig, H), lambda: quotient_genus(G, sig, H),
+                 lambda: cycle_structure(G, sig, H), lambda: lattice_report(G, sig)):
+        with pytest.raises(InvalidSignatureError,
+                           match=f"^branching data gives {refusal}$"):
+            call()
 
 
 def test_an_extra_unramified_point_fails_the_sheet_count(monkeypatch):

@@ -27,7 +27,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from corpus import CORPUS, conj, group as corpus_group, materialize  # noqa: E402
-from cyclo_ref import Cyclo, character_values  # noqa: E402
+from cyclo_ref import character_values, cyclo_average  # noqa: E402
 from geosig.chartable import (  # noqa: E402
     _choose_prime,
     _split_spaces,
@@ -186,22 +186,13 @@ def table_characters(draw):
     return T, draw(st.sampled_from(T.characters))
 
 
-def _cyclo_average(chi, G, elements, divisor):
-    """Reference: sum chi over the elements one by one in Cyclo, then divide."""
-    values = character_values(chi, G.exponent)
-    total = Cyclo.zero(G.exponent)
-    for g in elements:
-        total = total + values[G.class_index[g]]
-    return (total / divisor).integer_value()
-
-
 @settings(DERANDOMIZED, max_examples=40)
 @given(table_characters(), st.lists(st.integers(0, 719), min_size=1, max_size=2))
 def test_fixed_dim_matches_cyclo_average(case, picks):
     T, chi = case
     G = T.group
     H = G.subgroup([G.elements[j % G.order] for j in picks])
-    assert T.fixed_dim(chi, H) == _cyclo_average(chi, G, H.members, H.order)
+    assert T.fixed_dim(chi, H) == cyclo_average(chi, G, H.members, H.order)
 
 
 @settings(DERANDOMIZED, max_examples=30)
@@ -210,7 +201,7 @@ def test_frobenius_schur_matches_cyclo_average(case):
     T, chi = case
     G = T.group
     squares = (g * g for g in G.elements)
-    assert T.frobenius_schur_indicator(chi) == _cyclo_average(chi, G, squares, G.order)
+    assert T.frobenius_schur_indicator(chi) == cyclo_average(chi, G, squares, G.order)
 
 
 def _assert_common_eigenvectors(G):
