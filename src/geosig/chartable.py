@@ -20,16 +20,20 @@ the output would hang on a seed.
 The lift runs the inverse DFT once per class of cyclic subgroups, over the
 classes along its power walk w_c^0, ..., w_c^(m-1); a class whose
 representative is conjugate to w_c^a reads those multiplicities in place,
-the one at k weighting zeta_m^(k*a).  The multiplicity a_0 of the
-eigenvalue 1 is the average of chi over <w_c>, the fixed-space dimension
-dim V_chi^<w_c>, and the table keeps it as it is.  At run time the table
+the one at k weighting zeta_m^(k*a).  The table keeps the multiplicity
+a_0 of the eigenvalue 1 as the fixed-space dimension dim V_chi^<w_c>: by
+DFT inversion it is congruent mod p to the average of chi over <w_c>, and
+equal to it when the rows are the true characters.  At run time the table
 checks the eigenvectors against every class matrix the split read, the
 multiplicity sum of each DFT, which holds each a_k to an integer of at
 most chi(1) < p, and the row and the column norms of the integer rows
 that the same multiplicities produce; the identity's walk has the one
-multiplicity chi(1), so its column norm is sum chi(1)^2 = |G|.  The prime
-is the smallest qualifying one and the finished rows are sorted by
-(degree, value sequence), so the table is deterministic.  `compute_table` is the one way in for a `CharacterTable`.
+multiplicity chi(1), so its column norm is sum chi(1)^2 = |G|.  No
+run-time check ties a_0 to the row average beyond that congruence; the
+tests compare the two on a corpus of groups.  The prime is the smallest
+qualifying one and the finished rows are sorted by (degree, value
+sequence), so the table is deterministic.
+`compute_table` is the one way in for a `CharacterTable`.
 
 Character values are algebraic integers, and a character stores them in
 one form only, its integer row `Character.row`: for each class, the phi(e)
@@ -40,11 +44,11 @@ rationals appear only at the final exact division.  The JSON
 and text output and the error messages print a value from its row entry
 (`cyclotomic.value_json`, `value_str`); the package builds no other form.
 Walks, inverses, squares and Galois actions come from the group's one power
-map, `FiniteGroup.power_walks` and `walk_places`.  `CharacterTable.fixed_dims`,
-the fixed-space dimension of every character on every cyclic-class
-representative, is the a_0 of each walk from the lift, and is read by the
-Schur bounds, the closed-form multiplicities and the omega system;
-`fixed_dim` averages a row over any subgroup.
+map, `FiniteGroup.power_walks` and `walk_places`.
+`CharacterTable.fixed_dims`, the fixed-space dimension of every character
+on every cyclic-class representative, is the a_0 of each walk from the
+lift, and is read by the Schur bounds, the closed-form multiplicities and
+the omega system; `fixed_dim` averages a row over any subgroup.
 """
 from __future__ import annotations
 
@@ -613,7 +617,8 @@ def compute_table(G: FiniteGroup,
             walk_mults.append(mults)
         # rep_j conjugate to w_c^a: chi(rep_j) = sum over k of a_k zeta_m^(k*a)
         row = tuple(_zeta_sum(walk_mults[c], zeta_rows, a) for c, a in G.walk_places)
-        # a_0, the average of chi over <w_c>, is dim V_chi^<w_c>
+        # a_0 is dim V_chi^<w_c>: congruent mod p to the average of chi over
+        # <w_c>, and equal to it when the rows are the true characters
         characters.append((degree, row, tuple(mults[0] for mults in walk_mults)))
 
     characters.sort()

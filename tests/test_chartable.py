@@ -733,7 +733,7 @@ def test_galois_members_share_degree_and_fixed_dims():
     # the fixed dimensions the lift keeps are those that fixed_dim and the
     # Cyclo reference average on each cyclic-class representative, and they
     # are the same for every member of a Galois class
-    for name in SCHUR_DATA_GROUPS:
+    for name in dict.fromkeys(CATALOG_SMALL + list(SCHUR_DATA_GROUPS)):
         G = catalog(name)
         T = compute_table(G)
         reps = [cls.representative for cls in G.cyclic_subgroup_classes]
