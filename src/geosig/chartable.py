@@ -112,7 +112,6 @@ class CharacterTable:
         # found them: the one source of the Schur bounds, the closed-form
         # multiplicities and the omega matrix
         self.fixed_dims = fixed_dims
-        self._row_index = {chi.row: chi.index for chi in characters}
         self.galois_classes = self._build_galois_classes(schur_overrides)
         if len(self.galois_classes) != len(group.cyclic_subgroup_classes):
             raise InternalCheckError(
@@ -200,12 +199,13 @@ class CharacterTable:
         # permutation of the classes, the same for many units k
         actions = {tuple(G.class_power(j, k) for j in range(len(self.classes)))
                    for k in range(1, e + 1) if math.gcd(k, e) == 1}
+        row_index = {chi.row: chi.index for chi in self.characters}
         seen: set[int] = set()
         out = []
         for chi in self.characters:
             if chi.index in seen:
                 continue
-            images = {self._row_index.get(tuple(chi.row[c] for c in action))
+            images = {row_index.get(tuple(chi.row[c] for c in action))
                       for action in actions}
             if None in images:
                 raise InternalCheckError(

@@ -25,13 +25,17 @@ the build and `Perm` at the boundary compose image tuples.  One orbit
 partition, `_orbits`, gives the element classes, the left cosets and
 double-coset route 1; a single permutation's orbits are walked as its
 cycles, with no queue, so route 1 counts the cycles of a one-generator H
-on K's left cosets.  Powers are walked along a right column once per class
-of cyclic subgroups, from each element not yet filed, in ascending order
-(the least of its element class); the conjugation columns carry each walk
-to the conjugate subgroups, and a class's element order is its length.  The
-power map is the class numbers along one walk w_c per class c of cyclic
-subgroups and each element class's place (c, a), rep ~ w_c^a; the classes
-that share c form one rational class.  Member sets are int bitmasks, so a
+on K's left cosets.  `double_coset_count` refuses a subgroup of another
+group and compares three route functions that share no code: route 1,
+`_by_orbits`; route 2, `_by_transversal`, over K's conjugate masks; and
+route 3, `_by_class_sums`, over the class counts of H and K.  Powers are
+walked along a right column once per class of cyclic subgroups, from each
+element not yet filed, in ascending order (the least of its element
+class); the conjugation columns carry each walk to the conjugate
+subgroups, and a class's element order is its length.  The power map is
+the class numbers along one walk w_c per class c of cyclic subgroups and
+each element class's place (c, a), rep ~ w_c^a; the classes that share c
+form one rational class.  Member sets are int bitmasks, so a
 meet is `(a & b).bit_count()`.  `Perm` objects appear only at the boundary:
 input, witnesses and output.
 `Record` and `FrozenRecord` are the slotted bases of every module's result
@@ -875,38 +879,50 @@ def require_subgroups(G: FiniteGroup, *subgroups: Subgroup) -> None:
         raise GroupInputError("a subgroup belongs to another group")
 
 
-def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
-    """|H\\G/K| computed three independent ways; they must agree exactly."""
-    require_subgroups(G, H, K)
-
-    # (1) orbits of H on the coset numbers of gK under left multiplication by
-    # a generating set.  K's coset map is built once and cached on K; routes
-    # 2 and 3 do not use it.  For a single generator h, `_orbits` walks the
-    # cycles of its one column
+def _by_orbits(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
+    """Route 1: |H\\G/K| as the orbits of H on the coset numbers of gK under
+    left multiplication by a generating set.  K's coset map is built once and
+    cached on K; routes 2 and 3 do not use it.  For a single generator h,
+    `_orbits` walks the cycles of its one column."""
     coset_of, reps = K.left_cosets
     acts = [[coset_of[col[r]] for r in reps] for col in map(G.left, H.generating_set)]
-    direct = len(_orbits(len(reps), acts)[1])
+    return len(_orbits(len(reps), acts)[1])
 
-    # (2) transversal formula over the normalizer of K: sum over the
-    # conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|, with |N(K)| read off
-    # the number of conjugates
+
+def _by_transversal(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
+    """Route 2: |H\\G/K| by the transversal formula over the normalizer of K,
+    the sum over the conjugates l K l^-1 of |N(K):K| · |l K l^-1 ∩ H|, over
+    |H|, with |N(K)| read off the number of conjugates."""
     conjugates = K.conjugate_masks
     ratio = G.order // (len(conjugates) * K.order)
     total = ratio * sum((conj_k & H.mask).bit_count() for conj_k in conjugates.values())
-    by_transversal, rest = divmod(total, H.order)
+    count, rest = divmod(total, H.order)
     if rest:
         raise InternalCheckError("transversal double-coset formula is not integral")
+    return count
 
-    # (3) class formula: average over a in H of |C_G(a)|·|K ∩ class(a)| / |K|,
-    # with the centralizer order |C_G(a)| = |G| / |class(a)|, summed class by
-    # class over the cached class counts of H and K
+
+def _by_class_sums(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
+    """Route 3: |H\\G/K| by the class formula, the average over a in H of
+    |C_G(a)|·|K ∩ class(a)| / |K|, with the centralizer order |C_G(a)| =
+    |G| / |class(a)|, summed class by class over the cached class counts of
+    H and K."""
     classes = G.conjugacy_classes
     in_k = dict(K.class_counts)
     total = sum(n * (G.order // classes[i].size) * in_k.get(i, 0) for i, n in H.class_counts)
-    by_classes, rest = divmod(total, K.order * H.order)
+    count, rest = divmod(total, K.order * H.order)
     if rest:
         raise InternalCheckError("class-sum double-coset formula is not integral")
+    return count
 
+
+def double_coset_count(G: FiniteGroup, H: Subgroup, K: Subgroup) -> int:
+    """|H\\G/K| computed three independent ways, by `_by_orbits`,
+    `_by_transversal` and `_by_class_sums`; they must agree exactly."""
+    require_subgroups(G, H, K)
+    direct = _by_orbits(G, H, K)
+    by_transversal = _by_transversal(G, H, K)
+    by_classes = _by_class_sums(G, H, K)
     if not direct == by_transversal == by_classes:
         raise InternalCheckError(
             f"double-coset methods disagree: {direct}, {by_transversal}, {by_classes}"

@@ -3,9 +3,13 @@
 For each Galois class of irreducible characters this module computes the
 complex multiplicity in the homology representation, the rational
 multiplicity, the dimension of the corresponding isogeny factor, and its
-exponent.  The closed forms are the primary source; the linear system over
-the cyclic-subgroup quotient genera is solved independently every time and
-compared, so a defect in either route cannot pass silently.
+exponent.  The closed form, `_closed_form`, is the primary source, and
+runs only after `complex_multiplicities` has refused the input it cannot
+decide.  Routes that share no code with it are compared with it: in every
+decomposition, the linear system over the cyclic-subgroup quotient genera
+and Riemann–Hurwitz through the sum rule, and in the gamma = 1 analysis,
+the cover of each character's kernel.  So a defect in any route cannot
+pass silently.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Sequence
 
 from .chartable import SCHUR_COMPUTED, CharacterTable, text_table
 from .covers import cover_report, quotient_genus
-from .errors import GroupInputError, InternalCheckError
+from .errors import GroupInputError, InternalCheckError, InvalidSignatureError
 from .groups import FiniteGroup, FrozenRecord, require_subgroups
 from .signature import GeometricSignature, branch_stabilizers, signature_genus
 
@@ -99,11 +103,22 @@ class DecompositionReport(FrozenRecord):
 
 def complex_multiplicities(G: FiniteGroup, table: CharacterTable,
                            sig: GeometricSignature) -> tuple[int, ...]:
-    """Multiplicity of each irreducible character in the homology action."""
+    """Multiplicity of each irreducible character in the homology action, by
+    the closed form.  A plain signature or one of another group, then one
+    that Riemann–Hurwitz gives no genus (InvalidSignatureError), then a table
+    of another group are refused, in that order, before any arithmetic."""
     reps = branch_stabilizers(G, sig)
+    signature_genus(G, sig)
     require_subgroups(table.group, *reps)
     columns = [G.cyclic_subgroup_masks[stab.mask] for stab in reps]
-    gamma = sig.quotient_genus
+    return _closed_form(table, columns, sig.quotient_genus)
+
+
+def _closed_form(table: CharacterTable, columns: Sequence[int],
+                 gamma: int) -> tuple[int, ...]:
+    """n = 2d(gamma-1) + sum_j (d - d^{G_j}) for each character of degree d,
+    and 2*gamma for the trivial one, where `columns` holds the cyclic class
+    of each branch stabilizer G_j, a column of `table.fixed_dims`."""
     out = []
     for chi, dims in zip(table.characters, table.fixed_dims):
         if chi.index == table.trivial_character_index:
@@ -187,10 +202,9 @@ def factor_dimensions(G: FiniteGroup, table: CharacterTable,
     dimension k[d(gamma-1) + (1/2) sum_j (d - d^{G_j})], which is k*n/2 for
     the multiplicity n of its characters in the homology action.
     """
-    branch_stabilizers(G, sig)  # a plain or foreign signature is refused before any arithmetic
+    multiplicities = complex_multiplicities(G, table, sig)
     gamma = sig.quotient_genus
     g = signature_genus(G, sig)
-    multiplicities = complex_multiplicities(G, table, sig)
 
     records = []
     for gc in table.galois_classes:
@@ -265,13 +279,14 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
     """Evaluate the vanishing conditions for every nontrivial class when gamma = 1.
 
     dim B = k*n/2 with k >= 1, so the first condition is n = 0 for the
-    closed-form multiplicity n; no decomposition is computed.
+    closed-form multiplicity n; no decomposition is computed.  A vanishing
+    factor of degree above 1 proves that no action has this signature
+    (InvalidSignatureError).
     """
     if sig.quotient_genus != 1:
         raise GroupInputError("this analysis applies only to quotient genus 1")
-    reps = branch_stabilizers(G, sig)
-    signature_genus(G, sig)  # a non-integral genus is refused before any arithmetic
     multiplicities = complex_multiplicities(G, table, sig)
+    reps = branch_stabilizers(G, sig)
     out, by_kernel = [], {}  # one cover report per distinct kernel, by member mask
     for gc in table.galois_classes:
         chi = table.characters[gc.representative]
@@ -293,7 +308,7 @@ def gamma1_analysis(G: FiniteGroup, table: CharacterTable,
         if c1 and chi.degree != 1:
             # a vanishing factor of higher degree cannot occur for an actual
             # action, so this input admits no realization
-            raise GroupInputError(
+            raise InvalidSignatureError(
                 f"no action exists with this signature: the factor of character "
                 f"{chi.index} (degree {chi.degree}) would vanish"
             )

@@ -12,12 +12,14 @@ suite fails.  A check deleted because another check decides it leaves the
 inventory with its code.
 
 Most checks compare two routes to one quantity, and a comparison proves
-something only while the routes share no code.  `test_compared_routes_share_no_code`
-runs each compared pair on the corpus under `sys.setprofile` and requires
-that the package functions the two sides call be disjoint, apart from the
-inputs they are meant to share.  The three double-coset routes are inline in
-`double_coset_count`, one function, so this test cannot tell them apart;
-only their agreement check, pinned above, separates them.
+something only while the routes share no code.  Each route is a function of
+its own, and its public entry refuses bad input before it runs or compares
+the routes.  `test_compared_routes_share_no_code` runs each compared pair of
+`ROUTE_PAIRS` on the corpus under `sys.setprofile` and requires that the
+package functions the two sides call be disjoint, apart from the inputs they
+are meant to share.  `PINS` maps each comparison check of the inventory to
+the pairs that pin its two sides, so a comparison with no pin, and a pin
+with no comparison, fail the suite.
 """
 
 import ast
@@ -29,12 +31,14 @@ from pathlib import Path
 import pytest
 
 from corpus import CORPUS, geometric_signature
+from geosig import groups
 from geosig.chartable import compute_table
 from geosig.covers import cover_report, marked_points, quotient_genus
-from geosig.groups import catalog, double_coset_count
-from geosig.jacobian import complex_multiplicities, solve_omega_system
+from geosig.groups import catalog
+from geosig.jacobian import _closed_form, solve_omega_system
 from geosig.monodromy import oracle_summary
-from geosig.signature import branch_stabilizers, find_generating_vector, verify_generating_vector
+from geosig.signature import (branch_stabilizers, find_generating_vector, signature_genus,
+                              verify_generating_vector)
 
 TESTS = Path(__file__).parent
 PACKAGE = TESTS.parent / "src" / "geosig"
@@ -102,13 +106,13 @@ FIRING_TESTS = {
     ("groups.Subgroup._conjugation",
      "the left cosets of the normalizer of a subgroup of order "):
         "test_groups.py::test_unequal_normalizer_cosets_are_a_defect",
-    ("groups.double_coset_count", "transversal double-coset formula is not integral"):
+    ("groups._by_transversal", "transversal double-coset formula is not integral"):
         "test_groups.py::test_non_integral_transversal_formula_is_a_defect",
-    ("groups.double_coset_count", "class-sum double-coset formula is not integral"):
+    ("groups._by_class_sums", "class-sum double-coset formula is not integral"):
         "test_groups.py::test_non_integral_class_formula_is_a_defect",
     ("groups.double_coset_count", "double-coset methods disagree: "):
         "test_cli.py::test_short_conjugate_cache_names_its_check",
-    ("jacobian.complex_multiplicities", "character "):
+    ("jacobian._closed_form", "character "):
         "test_jacobian.py::test_doctored_table_fails_the_closed_form_checks",
     ("jacobian._solve_exact", "fixed-dimension matrix is singular"):
         "test_jacobian.py::test_solve_exact_refuses_a_singular_matrix",
@@ -266,20 +270,43 @@ def _calls(run) -> set[str]:
 
 
 def _world(case):
-    """A fresh group, signature, table and generating vector for one corpus
-    case, with every input the compared routes may share already built: the
-    group's classes and power map, the signature's branch stabilizers, the
-    table with its fixed dimensions, and the vector."""
+    """A fresh group, signature, table, generating vector and kernels for one
+    corpus case, with every input the compared routes may share already
+    built: the group's classes and power map, the signature's branch
+    stabilizers, the table with its fixed dimensions, the vector, and the
+    kernel of each nontrivial Galois class representative."""
     G = catalog(case.group_name)
     sig = geometric_signature(G, case.gamma, case.branch_words)
     G.class_of, G.walk_places, G.cyclic_subgroup_masks  # built now, read by both sides
     branch_stabilizers(G, sig)
     table = compute_table(G)
-    return G, sig, table, find_generating_vector(G, sig)
+    kernels = [table.kernel(table.characters[gc.representative]) for gc in table.galois_classes
+               if gc.representative != table.trivial_character_index]
+    return G, sig, table, find_generating_vector(G, sig), kernels
 
 
 def _subgroups(G):
     return [cls.representative for cls in G.cyclic_subgroup_classes]
+
+
+def _double_cosets(route):
+    """One double-coset route of `groups`, by name, from each cyclic-class
+    representative H to each branch stabilizer; the name is looked up when
+    the route runs, so a test can doctor the route."""
+    return lambda G, sig, table, vec, kernels: [
+        getattr(groups, route)(G, H, Gj) for H in _subgroups(G)
+        for Gj in branch_stabilizers(G, sig)]
+
+
+def _closed(G, sig, table, vec, kernels):
+    """The closed-form route of `complex_multiplicities`, on the columns of
+    the signature's branch stabilizers."""
+    columns = [G.cyclic_subgroup_masks[stab.mask] for stab in branch_stabilizers(G, sig)]
+    return _closed_form(table, columns, sig.quotient_genus)
+
+
+def _marks(G, sig, table, vec, kernels):
+    return [marked_points(G, sig, H) for H in _subgroups(G)]
 
 
 # what every compared pair may share: the group's kept columns, the subgroups
@@ -294,49 +321,120 @@ SHARED_INPUTS = {
 # name: (one route, its entry point, the other route, its entry point, what
 # else the two may share)
 ROUTE_PAIRS = {
-    # the genus by the marks against the genus by double cosets; the marks
-    # and double-coset route 2 both read the conjugates of each G_j, which
-    # routes 1 and 3 never read, so a defect there fails their agreement
-    "marks-double-cosets": (
-        lambda G, sig, table, vec: [marked_points(G, sig, H) for H in _subgroups(G)],
-        "covers.marked_points",
-        lambda G, sig, table, vec: [double_coset_count(G, H, Gj) for H in _subgroups(G)
-                                    for Gj in branch_stabilizers(G, sig)],
-        "groups.double_coset_count",
-        {"groups.Subgroup.conjugate_masks", "groups.Subgroup._conjugation", "groups._mask"}),
+    # the three double-coset counts of `double_coset_count`
+    "orbits-transversal": (_double_cosets("_by_orbits"), "groups._by_orbits",
+                           _double_cosets("_by_transversal"), "groups._by_transversal",
+                           set()),
+    "orbits-class-sums": (_double_cosets("_by_orbits"), "groups._by_orbits",
+                          _double_cosets("_by_class_sums"), "groups._by_class_sums",
+                          set()),
+    "transversal-class-sums": (_double_cosets("_by_transversal"), "groups._by_transversal",
+                               _double_cosets("_by_class_sums"), "groups._by_class_sums",
+                               set()),
+    # the genus by the marks against the genus by each double-coset count
+    "marks-orbits": (_marks, "covers.marked_points",
+                     _double_cosets("_by_orbits"), "groups._by_orbits", set()),
+    # the marks and double-coset route 2 both read the conjugates of each G_j,
+    # which routes 1 and 3 never read, so a defect there fails their agreement
+    "marks-transversal": (_marks, "covers.marked_points",
+                          _double_cosets("_by_transversal"), "groups._by_transversal",
+                          {"groups.Subgroup.conjugate_masks", "groups.Subgroup._conjugation",
+                           "groups._mask"}),
+    "marks-class-sums": (_marks, "covers.marked_points",
+                         _double_cosets("_by_class_sums"), "groups._by_class_sums", set()),
     "closed-form-omega": (
-        lambda G, sig, table, vec: complex_multiplicities(G, table, sig),
-        "jacobian.complex_multiplicities",
-        lambda G, sig, table, vec: solve_omega_system(
+        _closed, "jacobian._closed_form",
+        lambda G, sig, table, vec, kernels: solve_omega_system(
             G, table, [quotient_genus(G, sig, H) for H in _subgroups(G)]),
         "jacobian.solve_omega_system",
         set()),
-    "covers-oracle": (
-        lambda G, sig, table, vec: [cover_report(G, sig, H) for H in _subgroups(G)],
+    # the sum rule: the closed form weighed against Riemann–Hurwitz
+    "closed-form-genus": (
+        _closed, "jacobian._closed_form",
+        lambda G, sig, table, vec, kernels: signature_genus(G, sig),
+        "signature.signature_genus",
+        set()),
+    # the torus conditions: the closed form's n = 0 against each kernel's cover
+    "torus-conditions": (
+        _closed, "jacobian._closed_form",
+        lambda G, sig, table, vec, kernels: [cover_report(G, sig, ker) for ker in kernels],
         "covers.cover_report",
-        lambda G, sig, table, vec: [oracle_summary(G, H, vec, sig.quotient_genus)
-                                    for H in _subgroups(G)],
+        set()),
+    "covers-oracle": (
+        lambda G, sig, table, vec, kernels: [cover_report(G, sig, H) for H in _subgroups(G)],
+        "covers.cover_report",
+        lambda G, sig, table, vec, kernels: [oracle_summary(G, H, vec, sig.quotient_genus)
+                                             for H in _subgroups(G)],
         "monodromy.oracle_summary",
         set()),
     "witness-search": (
-        lambda G, sig, table, vec: verify_generating_vector(G, sig, vec),
+        lambda G, sig, table, vec, kernels: verify_generating_vector(G, sig, vec),
         "signature.verify_generating_vector",
-        lambda G, sig, table, vec: find_generating_vector(G, sig),
+        lambda G, sig, table, vec, kernels: find_generating_vector(G, sig),
         "signature.find_generating_vector",
         set()),
 }
 
+# the corpus cases a pair runs on, where not all of them: the torus
+# conditions hold only over a quotient of genus 1
+PAIR_CASES = {"torus-conditions": tuple(case for case in CORPUS if case.gamma == 1)}
 
-@pytest.mark.parametrize("pair", ROUTE_PAIRS)
-def test_compared_routes_share_no_code(pair):
-    # each side runs on a world of its own, so a cache one side fills is a
-    # call on the other side too
-    one, one_entry, other, other_entry, also_shared = ROUTE_PAIRS[pair]
+# (where, leading literal of the message) of each comparison check in the
+# inventory: the pairs that pin its two sides
+PINS = {
+    ("groups.double_coset_count", "double-coset methods disagree: "):
+        ("orbits-transversal", "orbits-class-sums", "transversal-class-sums"),
+    ("covers.cover_report", "genus formulas disagree: 2g = "):
+        ("marks-orbits", "marks-transversal", "marks-class-sums"),
+    ("jacobian.factor_dimensions", "multiplicities weigh to "): ("closed-form-genus",),
+    ("jacobian.factor_dimensions", "linear system solution "): ("closed-form-omega",),
+    ("jacobian.gamma1_analysis", "vanishing conditions disagree for character "):
+        ("torus-conditions",),
+    ("cli.cmd_lattice", "oracle disagrees with the closed form on "): ("covers-oracle",),
+    ("cli._witness", "the vector fails the witness check: "): ("witness-search",),
+    ("cli._witness#2", "the vector fails the witness check: "): ("witness-search",),
+}
+
+
+def _sides(pair):
+    """The package functions each side of a pair calls over its cases; each
+    side runs on a world of its own, so a cache one side fills is a call on
+    the other side too."""
+    one, _, other, _, _ = ROUTE_PAIRS[pair]
     ones, others = set(), set()
-    for case in CORPUS:
+    for case in PAIR_CASES.get(pair, CORPUS):
         world = _world(case)
         ones |= _calls(lambda: one(*world))
         world = _world(case)
         others |= _calls(lambda: other(*world))
+    return ones, others
+
+
+@pytest.mark.parametrize("pair", ROUTE_PAIRS)
+def test_compared_routes_share_no_code(pair):
+    _, one_entry, _, other_entry, also_shared = ROUTE_PAIRS[pair]
+    ones, others = _sides(pair)
     assert one_entry in ones and other_entry in others
     assert sorted((ones & others) - SHARED_INPUTS - also_shared) == []
+
+
+def test_a_route_that_calls_the_other_routes_helper_fails_its_pin(monkeypatch):
+    # double-coset route 2 doctored to call `_orbits`, route 1's orbit
+    # partition, as well: the two sides of orbits-transversal share it
+    real = groups._by_transversal
+
+    def doctored(G, H, K):
+        groups._orbits(H.order, [list(range(H.order))])
+        return real(G, H, K)
+    monkeypatch.setattr(groups, "_by_transversal", doctored)
+    ones, others = _sides("orbits-transversal")
+    assert "groups._by_transversal" in others
+    assert "groups._orbits" in (ones & others) - SHARED_INPUTS
+
+
+def test_every_comparison_names_its_pins():
+    # each key a check of the inventory, each pin a pair, each pair a pin
+    assert sorted(PINS.keys() - FIRING_TESTS.keys() - UNREACHABLE.keys()) == []
+    named = {pair for pairs in PINS.values() for pair in pairs}
+    assert sorted(named - ROUTE_PAIRS.keys()) == [], "pins with no pair"
+    assert sorted(ROUTE_PAIRS.keys() - named) == [], "pairs that pin no comparison"

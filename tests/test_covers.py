@@ -300,13 +300,17 @@ def test_a_signature_riemann_hurwitz_refuses_fails_the_admissible_genus(monkeypa
     (0, (), "negative genus -1"),
 ], ids=["odd", "negative"])
 def test_a_signature_riemann_hurwitz_refuses_is_bad_input(genus, branch, refusal):
-    # the same signatures reach the covers API as unrealizable input (exit 1),
-    # not as a defect (exit 70)
+    # the same signatures reach the covers API and the closed-form
+    # multiplicities as unrealizable input (exit 1), not as a defect (exit 70)
+    from geosig.chartable import compute_table
+    from geosig.jacobian import complex_multiplicities
+
     G = catalog("cyclic(2)")
     sig = geometric_signature(G, genus, branch)
     H = G.subgroup([])
     for call in (lambda: cover_report(G, sig, H), lambda: quotient_genus(G, sig, H),
-                 lambda: cycle_structure(G, sig, H), lambda: lattice_report(G, sig)):
+                 lambda: cycle_structure(G, sig, H), lambda: lattice_report(G, sig),
+                 lambda: complex_multiplicities(G, compute_table(G), sig)):
         with pytest.raises(InvalidSignatureError,
                            match=f"^branching data gives {refusal}$"):
             call()

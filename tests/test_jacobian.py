@@ -4,7 +4,7 @@ from cyclo_ref import character_values
 from geosig import jacobian
 from geosig.chartable import GaloisClass, compute_table
 from geosig.covers import lattice_report, quotient_genus
-from geosig.errors import GroupInputError, InternalCheckError
+from geosig.errors import GroupInputError, InternalCheckError, InvalidSignatureError
 from geosig.groups import catalog
 from geosig.jacobian import (
     complex_multiplicities,
@@ -277,13 +277,24 @@ def test_gamma1_analysis_unramified():
 
 def test_gamma1_analysis_detects_unrealizable_signature():
     # (1;) on a nonabelian group: a degree-2 factor would vanish, which proves
-    # no such action exists; the analysis reports that as an input error
+    # no such action exists; the analysis reports that proven nonexistence
+    # (exit 1), not malformed input
     G = catalog("symmetric(3)")
     T = compute_table(G)
     sig = GeometricSignature(1)
     assert find_generating_vector(G, sig) is None
-    with pytest.raises(GroupInputError, match="no action exists"):
+    with pytest.raises(InvalidSignatureError,
+                       match="^no action exists with this signature: the factor of "
+                             "character 2 [(]degree 2[)] would vanish$"):
         gamma1_analysis(G, T, sig)
+
+
+def test_complex_multiplicities_refuses_a_plain_signature_before_its_genus():
+    # (0; [2]) on cyclic(2) has genus -1/2, but a plain entry is refused first
+    G = catalog("cyclic(2)")
+    sig = GeometricSignature(0, (BranchEntry(2),))
+    with pytest.raises(GroupInputError, match="^this computation needs a fully geometric"):
+        complex_multiplicities(G, compute_table(G), sig)
 
 
 def test_gamma1_kernel_cover_of_genus_one_fails_the_vanishing_conditions(monkeypatch):
