@@ -30,9 +30,13 @@ most chi(1) < p, and the row and the column norms of the integer rows
 that the same multiplicities produce; the identity's walk has the one
 multiplicity chi(1), so its column norm is sum chi(1)^2 = |G|.  No
 run-time check ties a_0 to the row average beyond that congruence; the
-tests compare the two on a corpus of groups.  The prime is the smallest
-qualifying one and the finished rows are sorted by (degree, value
-sequence), so the table is deterministic.
+tests compare the two on a corpus of groups; each run-time check has a
+test that makes it fire (tests/test_checks.py).  The prime is the smallest
+qualifying one, zeta_e maps to the least root of Phi_e mod p, and the
+finished rows are sorted by (degree, value sequence), so the table is
+deterministic.  Any root of Phi_e gives the same table: another root
+Galois-conjugates each lifted row, the set of rows is closed under
+Gal(Q(zeta_e)/Q), and the sort puts every row back in its place.
 `compute_table` is the one way in for a `CharacterTable`.
 
 Character values are algebraic integers, and a character stores them in
@@ -347,23 +351,6 @@ def _choose_prime(order: int, exponent: int) -> int:
     return p
 
 
-def _primitive_root(p: int) -> int:
-    factors = set()
-    m = p - 1
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            factors.add(q)
-            m //= q
-        q += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise InternalCheckError(f"no primitive root mod {p}")
-
-
 def _poly_roots_modp(poly: list[int], p: int) -> list[int]:
     return [
         lam for lam in range(p)
@@ -579,7 +566,11 @@ def compute_table(G: FiniteGroup,
     inverse = [G.class_power(j, -1) for j in range(s)]
     omegas = _split_spaces(G, p)
     zeta_rows = _zeta_powers(e)
-    root = pow(_primitive_root(p), (p - 1) // e, p)  # fixed image of zeta_e in F_p
+    # the image of zeta_e in F_p: the least root of Phi_e, the one that
+    # _zeta_powers reduces by, with phi(e) distinct roots mod p since p is
+    # prime and p = 1 (mod e)
+    cyclo = cyclotomic_polynomial(e)
+    root = next(x for x in range(p) if not _eval_poly(cyclo, x, p))
     # per element order m: the rows k < m of images of zeta_m^(-k*u), u < m,
     # and the image of 1/m in F_p
     dft = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InternalCheckError
+from .errors import GroupInputError, InternalCheckError
 from .groups import (FiniteGroup, FrozenRecord, Perm, Record, Subgroup, double_coset_count,
                      require_subgroups)
 from .signature import GeometricSignature, branch_stabilizers, signature_genus
@@ -138,7 +138,12 @@ def transversal_partition(G: FiniteGroup, sig: GeometricSignature, H: Subgroup,
     """Split the transversal of N(G_j), the keys of G_j's cached conjugates,
     by the size |l G_j l^-1 ∩ H| of each conjugate's meet with H, the sets
     L_k in first-appearance order."""
-    Gj = branch_stabilizers(G, sig)[j]
+    stabilizers = branch_stabilizers(G, sig)
+    t = len(stabilizers)
+    if not 0 <= j < t:
+        raise GroupInputError(f"branch position {j} out of range 0..{t - 1} "
+                              f"of the signature's {t} branch values")
+    Gj = stabilizers[j]
     require_subgroups(G, H)
     blocks: dict[int, list[Perm]] = {}
     for ell, conj_gj in Gj.conjugate_masks.items():

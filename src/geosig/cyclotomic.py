@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import GroupInputError
+from .errors import GroupInputError, InternalCheckError
 
 
 @lru_cache(maxsize=None)
@@ -45,7 +45,7 @@ def _exact_div(num: Sequence[int], den: Sequence[int]) -> list[int]:
         for j, dj in enumerate(den):
             num[i + j] -= c * dj
     if any(num[: len(den) - 1]):
-        raise ArithmeticError("inexact cyclotomic division")
+        raise InternalCheckError("inexact cyclotomic division")
     return q
 
 

@@ -642,10 +642,10 @@ class FiniteGroup:
                                   len(walks[orbit[0]])) for orbit in orbits)
 
     def subgroup_class(self, sub: "Subgroup") -> "ConjugacyClassOfSubgroups":
-        """Conjugacy class of an arbitrary subgroup (its cached conjugates unless cyclic)."""
+        """Conjugacy class of an arbitrary subgroup, the orbit of its cached
+        conjugates, held by the least of them: sub itself, or an unlabelled
+        subgroup."""
         require_subgroups(self, sub)
-        if sub.is_cyclic:
-            return self.cyclic_subgroup_classes[self.cyclic_class_index(sub)]
         orbit = frozenset(sub.conjugate_masks.values())
         rep_set = min(orbit, key=_bits)
         rep = sub if sub.mask == rep_set else Subgroup._trusted(self, _bits(rep_set), None, None)

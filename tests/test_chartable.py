@@ -16,12 +16,11 @@ from geosig.chartable import (
     _choose_prime,
     _eval_poly,
     _poly_roots_modp,
-    _primitive_root,
     _split_spaces,
     compute_table,
     schur_bound_is_verified,
 )
-from geosig.cyclotomic import reduce_integral
+from geosig.cyclotomic import cyclotomic_polynomial, euler_phi, reduce_integral
 from geosig.errors import GroupInputError, InternalCheckError
 from geosig.groups import catalog, group_from_payload
 from geosig.jacobian import factor_dimensions
@@ -216,14 +215,21 @@ def perm_powers(G, g):
     return out
 
 
+def elements_of_order(p, e):
+    """The elements of multiplicative order e in F_p, ascending, by their powers."""
+    return [x for x in range(1, p)
+            if pow(x, e, p) == 1 and all(pow(x, k, p) != 1 for k in range(1, e))]
+
+
 def reference_rows(G):
     """(degree, integer row) of every character, sorted, from the reference
     split and an inverse DFT on every class over the classes of its
-    representative's Perm powers, summed by `reduce_integral`."""
+    representative's Perm powers, summed by `reduce_integral`; zeta_e maps to
+    the largest element of order e in F_p."""
     classes = G.conjugacy_classes
     s, e = len(classes), G.exponent
     p = _choose_prime(G.order, e)
-    zeta_e = pow(_primitive_root(p), (p - 1) // e, p)
+    zeta_e = elements_of_order(p, e)[-1]
     class_powers = [perm_powers(G, cls.representative) for cls in classes]
     inverse_class = [G.class_index[cls.representative.inverse()] for cls in classes]
     out = []
@@ -356,15 +362,46 @@ def test_split_vectors_are_checked_against_the_matrices_read(monkeypatch):
         _split_spaces(G, _choose_prime(G.order, G.exponent))
 
 
-@pytest.mark.parametrize("name", ["quaternion8", "symmetric(4)", "wc3", "alternating(5)",
-                                  "cyclic(15)", "dihedral(16)", "cyclic(24)",
-                                  "dihedral(15)", "cyclic(30)"])
+LIFT_GROUPS = ["quaternion8", "symmetric(4)", "wc3", "alternating(5)", "cyclic(15)",
+               "dihedral(16)", "cyclic(24)", "dihedral(15)", "cyclic(30)"]
+
+
+@pytest.mark.parametrize("name", LIFT_GROUPS)
 def test_lifted_rows_match_a_per_class_dft(name):
     # one inverse DFT per rational class, moved to the other classes, gives
-    # the rows of an inverse DFT on every class
+    # the rows of an inverse DFT on every class, under another image of zeta_e
     G = catalog(name)
     T = compute_table(G)
     assert [(chi.degree, chi.row) for chi in T.characters] == reference_rows(G)
+
+
+def package_zeta(G, monkeypatch):
+    """The image of zeta_e in F_p that `compute_table` takes: the last point
+    at which it evaluates Phi_e, where its search for a root stops."""
+    cyclo, points = cyclotomic_polynomial(G.exponent), []
+    evaluate = chartable._eval_poly
+
+    def spy(poly, x, p):
+        if poly is cyclo:
+            points.append(x)
+        return evaluate(poly, x, p)
+
+    monkeypatch.setattr(chartable, "_eval_poly", spy)
+    compute_table(G)
+    return points[-1]
+
+
+@pytest.mark.parametrize("name", LIFT_GROUPS)
+def test_the_reference_lift_takes_another_image_of_zeta(name, monkeypatch):
+    # the table maps zeta_e to the least root of Phi_e mod p, the least
+    # element of order e; the reference takes the largest, another one
+    # wherever phi(e) >= 2, so the lift test compares two Galois-conjugate
+    # images of zeta_e and the table does not depend on the choice
+    G = catalog(name)
+    p = _choose_prime(G.order, G.exponent)
+    of_order = elements_of_order(p, G.exponent)
+    assert euler_phi(G.exponent) == len(of_order) >= 2
+    assert package_zeta(G, monkeypatch) == of_order[0] != of_order[-1]
 
 
 @pytest.mark.parametrize("name", ["cyclic(15)", "cyclic(30)", "dihedral(30)", "symmetric(6)",

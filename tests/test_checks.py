@@ -2,14 +2,16 @@
 routes they compare.
 
 An `InternalCheckError` is raised only where a proven identity fails, so a
-check that nothing can make fire shows nothing.  `FIRING_TESTS` and
-`UNREACHABLE` together list every `raise InternalCheckError` in src/geosig,
-each keyed by where it is (module and enclosing function) and the leading
-literal of its message, never by a line number: a check maps to the test
-that makes it fire, which asserts its message from the start, or to the
-reason no input reaches it.  A new check lands with its entry, or this
-suite fails.  A check deleted because another check decides it leaves the
-inventory with its code.
+check that nothing can make fire shows nothing.  `FIRING_TESTS` lists every
+`raise InternalCheckError` in src/geosig, each keyed by where it is (module
+and enclosing function) and the leading literal of its message, never by a
+line number: each check maps to the test that makes it fire, which asserts
+its message from the start.  A new check lands with its entry, or this
+suite fails.  A check deleted because another check decides it, or because
+no input can reach it, leaves the inventory with its code.  Every other
+`raise` in the package raises one of the engine's four error types of
+errors.py, one per exit code, or is one of the protocol sites of
+`PROTOCOL_RAISES`.
 
 Most checks compare two routes to one quantity, and a comparison proves
 something only while the routes share no code.  Each route is a function of
@@ -81,6 +83,8 @@ FIRING_TESTS = {
         "test_chartable.py::test_a_wrong_power_walk_fails_the_multiplicity_sum",
     ("chartable.compute_table", "duplicate character rows"):
         "test_cli.py::test_table_defect_exits_70",
+    ("cyclotomic._exact_div", "inexact cyclotomic division"):
+        "test_cyclotomic.py::test_an_inexact_cyclotomic_division_is_a_defect",
     ("cli._witness", "the vector fails the witness check: "):
         "test_cli.py::test_a_vector_that_fails_the_witness_check_exits_70",
     ("cli._witness#2", "the vector fails the witness check: "):
@@ -140,12 +144,19 @@ FIRING_TESTS = {
         "test_monodromy.py::test_oracle_refuses_an_impossible_euler_characteristic",
 }
 
-# (where, leading literal of the message): why no input reaches the check
-UNREACHABLE = {
-    ("chartable._primitive_root", "no primitive root mod "):
-        "`_choose_prime` returns only primes p, with p^2 > 4|G| >= 4, so p is odd; "
-        "the units mod a prime form a cyclic group, and for an odd p each of its "
-        "generators lies in 2..p-1, which the loop tries in full",
+# (where, type) of each `raise` of a Python protocol rather than of an engine
+# exit: a missing module attribute, a record or Perm that refuses to change,
+# a class that is built only by its factory, a closed output stream, and
+# argparse's own refusal of an option value
+PROTOCOL_RAISES = {
+    ("__init__.__getattr__", "AttributeError"),
+    ("chartable.CharacterTable.__init__", "TypeError"),
+    ("groups.Subgroup.__init__", "TypeError"),
+    ("groups.FrozenRecord.__setattr__", "AttributeError"),
+    ("groups.FrozenRecord.__delattr__", "AttributeError"),
+    ("groups.Perm.__setattr__", "AttributeError"),
+    ("cli._emit", "_OutputError"),
+    ("cli._positive_int", "argparse.ArgumentTypeError"),
 }
 
 
@@ -157,38 +168,75 @@ def _leading_literal(message: ast.expr) -> str:
     return first.value if isinstance(first, ast.Constant) else ""
 
 
-def check_sites(package: Path = PACKAGE) -> list[tuple[str, str]]:
-    """The (where, leading literal) key of each `raise InternalCheckError` in
-    the package's modules, in source order; the n-th site of a key that
-    repeats in one function is keyed with where#n."""
-    keys: list[tuple[str, str]] = []
-    seen: Counter = Counter()
+def _raises(package: Path) -> list[tuple[str, ast.Raise]]:
+    """(where, node) of each `raise` in the package's modules, in source
+    order, where being the module and the enclosing function."""
+    found: list[tuple[str, ast.Raise]] = []
 
     def visit(node: ast.AST, scope: list[str], module: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name], module)
                 continue
-            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
-                    and getattr(child.exc.func, "id", None) == "InternalCheckError"):
-                where = ".".join([module, *scope])
-                literal = _leading_literal(child.exc.args[0])
-                seen[where, literal] += 1
-                n = seen[where, literal]
-                keys.append((where if n == 1 else f"{where}#{n}", literal))
+            if isinstance(child, ast.Raise):
+                found.append((".".join([module, *scope]), child))
             visit(child, scope, module)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), [], path.stem)
+    return found
+
+
+def _raised_type(node: ast.Raise) -> str:
+    """The name of the type a `raise` raises, as written; "" for a bare raise."""
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return "" if exc is None else ast.unparse(exc)
+
+
+def check_sites(package: Path = PACKAGE) -> list[tuple[str, str]]:
+    """The (where, leading literal) key of each `raise InternalCheckError` in
+    the package's modules, in source order; the n-th site of a key that
+    repeats in one function is keyed with where#n."""
+    keys: list[tuple[str, str]] = []
+    seen: Counter = Counter()
+    for where, node in _raises(package):
+        if isinstance(node.exc, ast.Call) and _raised_type(node) == "InternalCheckError":
+            literal = _leading_literal(node.exc.args[0])
+            seen[where, literal] += 1
+            n = seen[where, literal]
+            keys.append((where if n == 1 else f"{where}#{n}", literal))
     return keys
+
+
+def foreign_raises(package: Path = PACKAGE) -> list[tuple[str, str]]:
+    """(where, type) of each `raise` in the package's modules, in source
+    order, that raises none of the error types errors.py defines."""
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    engine = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    return [(where, _raised_type(node)) for where, node in _raises(package)
+            if _raised_type(node) not in engine]
 
 
 def test_every_check_is_in_the_inventory():
     sites = check_sites()
-    assert not FIRING_TESTS.keys() & UNREACHABLE.keys()
-    listed = FIRING_TESTS.keys() | UNREACHABLE.keys()
-    assert sorted(set(sites) - listed) == [], "checks with no entry"
-    assert sorted(listed - set(sites)) == [], "entries with no check"
+    assert sorted(set(sites) - FIRING_TESTS.keys()) == [], "checks with no entry"
+    assert sorted(FIRING_TESTS.keys() - set(sites)) == [], "entries with no check"
+
+
+def test_every_raise_is_an_engine_error_or_a_protocol_site():
+    # one error type per exit code: any other type is one of the protocol
+    # sites, each raised once
+    assert sorted(foreign_raises()) == sorted(PROTOCOL_RAISES)
+
+
+def test_a_new_exception_type_is_a_foreign_raise(tmp_path):
+    # a proven identity that fails with a type of its own escapes the
+    # inventory and the exit codes alike
+    (tmp_path / "cyclotomic.py").write_text(
+        "def _exact_div(num, den):\n"
+        "    raise InternalCheckError('inexact cyclotomic division')\n"
+        "    raise ArithmeticError('inexact cyclotomic division')\n")
+    assert foreign_raises(tmp_path) == [("cyclotomic._exact_div", "ArithmeticError")]
 
 
 def _test_source(name: str) -> str:
@@ -434,7 +482,7 @@ def test_a_route_that_calls_the_other_routes_helper_fails_its_pin(monkeypatch):
 
 def test_every_comparison_names_its_pins():
     # each key a check of the inventory, each pin a pair, each pair a pin
-    assert sorted(PINS.keys() - FIRING_TESTS.keys() - UNREACHABLE.keys()) == []
+    assert sorted(PINS.keys() - FIRING_TESTS.keys()) == []
     named = {pair for pairs in PINS.values() for pair in pairs}
     assert sorted(named - ROUTE_PAIRS.keys()) == [], "pins with no pair"
     assert sorted(ROUTE_PAIRS.keys() - named) == [], "pairs that pin no comparison"

@@ -112,6 +112,17 @@ def test_transversal_partition_examples():
         assert sum(len(s) for s in part.sets) == G.order // Gj.normalizer.order
 
 
+@pytest.mark.parametrize("j", [-1, 3])
+def test_transversal_partition_refuses_a_position_outside_the_signature(j):
+    # the README signature has t = 3 branch values, at positions 0..2: -1
+    # would read the last one and 3 would index past the end
+    G = catalog("dihedral(4)")
+    sig = geometric_signature(G, 0, ("x", "y", "xy"))
+    with pytest.raises(GroupInputError, match=f"^branch position {j} out of range 0..2 "
+                                              "of the signature's 3 branch values$"):
+        transversal_partition(G, sig, G.subgroup([]), j)
+
+
 def test_marks_follow_from_the_transversal_partition():
     # the L_k whose conjugates meet H in k elements give
     # |L_k|·|N(G_j):G_j|·k/|H| points marked k over branch value j, in the

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from cyclo_ref import Cyclo, NotRationalError
-from geosig.cyclotomic import cyclotomic_polynomial, euler_phi, value_json, value_str
-from geosig.errors import GroupInputError
+from geosig.cyclotomic import _exact_div, cyclotomic_polynomial, euler_phi, value_json, value_str
+from geosig.errors import GroupInputError, InternalCheckError
 
 
 def test_cyclotomic_polynomials():
@@ -21,6 +21,12 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
     # first index with a coefficient other than 0, +-1 is e = 105
     assert 2 in {abs(c) for c in cyclotomic_polynomial(105)}
+
+
+def test_an_inexact_cyclotomic_division_is_a_defect():
+    # x^2 + 1 over x + 1 leaves the remainder 2
+    with pytest.raises(InternalCheckError, match="^inexact cyclotomic division$"):
+        _exact_div([1, 0, 1], (1, 1))
 
 
 def test_phi():

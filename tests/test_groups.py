@@ -467,6 +467,23 @@ def test_are_conjugate_subgroups():
     assert C.mask not in G.subgroup_class(A).member_masks
 
 
+@pytest.mark.parametrize("name", ["quaternion8", "wc3", "symmetric(4)", "symmetric(5)",
+                                  "symmetric(6)", "alternating(5)", "alternating(6)",
+                                  "dihedral(16)", "dihedral(30)", "cyclic(15)", "cyclic(60)",
+                                  "w_d5"])
+def test_subgroup_class_of_a_cyclic_subgroup_is_its_cyclic_class(name):
+    # the orbit of its cached conjugates, held by the least of them, is the
+    # class that the conjugation walk of `cyclic_subgroup_classes` files it in
+    G = group_from_payload(W_D5) if name == "w_d5" else catalog(name)
+    cyclic = {}
+    for g in G.elements:
+        H = G.subgroup([g])
+        cyclic.setdefault(H.mask, H)
+    assert len(cyclic) == sum(len(c.member_masks) for c in G.cyclic_subgroup_classes)
+    for H in cyclic.values():
+        assert G.subgroup_class(H) == G.cyclic_subgroup_classes[G.cyclic_class_index(H)]
+
+
 def test_generating_set_of_a_subgroup_without_generators():
     # the kernel of the sign character of symmetric(6) is alternating(6),
     # given by its 360 members; a greedy generating set stays small
