@@ -42,17 +42,18 @@ Gal(Q(zeta_e)/Q), and the sort puts every row back in its place.
 Character values are algebraic integers, and a character stores them in
 one form only, its integer row `Character.row`: for each class, the phi(e)
 coefficients of the value in the power basis of Z[zeta_e], e the group
-exponent.  The norms, the Galois images, `CharacterTable.fixed_dim` and
-the Frobenius-Schur indicators are integer sums over these rows, and
+exponent.  The norms, the sums of the Galois classes, `CharacterTable.fixed_dim`
+and the Frobenius-Schur indicators are integer sums over these rows, and
 rationals appear only at the final exact division.  The JSON
 and text output and the error messages print a value from its row entry
 (`cyclotomic.value_json`, `value_str`); the package builds no other form.
-Walks, inverses, squares and Galois actions come from the group's one power
-map, `FiniteGroup.power_walks` and `walk_places`.
+Walks, inverses and squares come from the group's one power map,
+`FiniteGroup.power_walks` and `walk_places`.
 `CharacterTable.fixed_dims`, the fixed-space dimension of every character
 on every cyclic-class representative, is the a_0 of each walk from the
 lift, and is read by the Schur bounds, the closed-form multiplicities and
-the omega system; `fixed_dim` averages a row over any subgroup.
+the omega system; `fixed_dim` averages a row over any subgroup.  Its rows
+also number the Galois classes, one per fibre (`_build_galois_classes`).
 """
 from __future__ import annotations
 
@@ -84,9 +85,9 @@ class Character(FrozenRecord):
 class GaloisClass(FrozenRecord):
     """A Galois orbit of irreducible characters with its Schur data, built once.
 
-    `schur_bound` (`_schur_upper_bound`) and the Frobenius-Schur `indicator`
-    are Galois invariants, computed on the representative, the least member;
-    `schur_index` is the override when one is given, else the bound."""
+    `schur_bound`, the gcd of the fixed dimensions, and the Frobenius-Schur
+    `indicator` are Galois invariants, computed on the representative, the
+    least member; `schur_index` is the override when one is given, else the bound."""
 
     __slots__ = ("members", "representative", "field_degree", "schur_bound", "indicator",
                  "schur_index", "schur_index_source")
@@ -137,9 +138,15 @@ class CharacterTable:
                 return chi.index
         raise InternalCheckError("no trivial character found")
 
+    def _own_row(self, chi: Character) -> tuple[tuple[int, ...], ...]:
+        """chi's row; a character of another table is malformed input."""
+        if not (0 <= chi.index < len(self.characters) and self.characters[chi.index] == chi):
+            raise GroupInputError(f"character {chi.index} is not a character of this table")
+        return chi.row
+
     def _weighted_sum(self, chi: Character, weights: Sequence[tuple[int, int]]) -> int:
         """Sum of n * chi(class j) over the (j, n) in weights, which must be rational."""
-        row = chi.row
+        row = self._own_row(chi)
         total = [sum(column) for column in zip(*[
             row[j] if n == 1 else [n * c for c in row[j]] for j, n in weights])]
         if any(total[1:]):
@@ -184,42 +191,39 @@ class CharacterTable:
     def kernel(self, chi: Character) -> Subgroup:
         """Elements where the character reaches its degree; a normal subgroup."""
         top = self._rational(chi.degree)
-        at_degree = {j for j, v in enumerate(chi.row) if v == top}
+        at_degree = {j for j, v in enumerate(self._own_row(chi)) if v == top}
         members = [g for g, j in enumerate(self.group.class_of) if j in at_degree]
         return Subgroup._trusted(self.group, members, None, f"ker(chi{chi.index})")
 
     # -- construction ------------------------------------------------------
 
     def _build_galois_classes(self, overrides: Mapping[int, int]) -> tuple[GaloisClass, ...]:
-        """One pass in character order, which meets each class at its least member."""
+        """The fibres of the fixed dimensions, in character order: least member first."""
         for i in overrides:
             if not 0 <= i < len(self.characters):
                 raise GroupInputError(
                     f"Schur override for character {i}: the characters are "
                     f"0..{len(self.characters) - 1}"
                 )
-        G, e = self.group, self.group.exponent
-        # the Galois conjugate zeta -> zeta^k of chi is g -> chi(g^k): a
-        # permutation of the classes, the same for many units k
-        actions = {tuple(G.class_power(j, k) for j in range(len(self.classes)))
-                   for k in range(1, e + 1) if math.gcd(k, e) == 1}
-        row_index = {chi.row: chi.index for chi in self.characters}
-        seen: set[int] = set()
-        out = []
-        for chi in self.characters:
-            if chi.index in seen:
-                continue
-            images = {row_index.get(tuple(chi.row[c] for c in action))
-                      for action in actions}
-            if None in images:
-                raise InternalCheckError(
-                    "power map left the character table; lifting is inconsistent"
-                )
-            members = tuple(sorted(images))
-            seen.update(members)
-            bound = self._schur_upper_bound(chi)
+        # dim V_chi^C = <chi, 1_C^G>, and the 1_C^G for cyclic C span the
+        # rational class functions: equal fixed dimensions make one Galois class
+        fibres: dict[tuple[int, ...], list[int]] = {}
+        for i, dims in enumerate(self.fixed_dims):
+            fibres.setdefault(dims, []).append(i)
+        out, e = [], self.group.exponent
+        for dims, members in fibres.items():
+            # the fibre's rows sum to phi_O, the character of a rational irreducible
+            for j, column in enumerate(zip(*(self.characters[i].row for i in members))):
+                total = list(map(sum, zip(*column)))
+                if any(total[1:]):
+                    raise InternalCheckError(
+                        "characters with equal fixed dimensions do not sum to a rational "
+                        f"character: {members} give {value_str(e, total)} on class {j}")
+            chi = self.characters[members[0]]
+            # the true Schur index divides this gcd of chi's multiplicities in
+            # the 1-inductions from cyclic subgroups, >= 1 as it includes chi(1)
+            bound = math.gcd(*dims)
             indicator = self.frobenius_schur_indicator(chi)
-            # bound >= 1: the gcd includes the fixed dimension chi(1) on 1
             if indicator == -1 and bound % 2:
                 raise InternalCheckError(f"computed Schur bound {bound} of character "
                                          f"{chi.index} is odd under indicator -1")
@@ -227,7 +231,7 @@ class CharacterTable:
             if len(given) > 1:
                 raise GroupInputError(
                     f"Schur overrides {sorted(given)} disagree within the Galois "
-                    f"class {list(members)}"
+                    f"class {members}"
                 )
             index, source = bound, SCHUR_COMPUTED
             if given:
@@ -235,21 +239,13 @@ class CharacterTable:
                 if not _admissible_schur_index(index, bound, indicator):
                     parity = " and be even, as the Frobenius-Schur indicator is -1"
                     raise GroupInputError(
-                        f"Schur override of {index} on the Galois class {list(members)}: "
+                        f"Schur override of {index} on the Galois class {members}: "
                         f"the index must be a positive divisor of the computed bound "
                         f"{bound}{parity if indicator == -1 else ''}"
                     )
-            out.append(GaloisClass(members, chi.index, len(members), bound, indicator,
+            out.append(GaloisClass(tuple(members), chi.index, len(members), bound, indicator,
                                    index, source))
         return tuple(out)
-
-    def _schur_upper_bound(self, chi: Character) -> int:
-        """gcd of the nonzero multiplicities of chi in 1-inductions from cyclic subgroups.
-
-        The true Schur index divides this bound; `schur_bound_is_verified`
-        says whether every bound of the table is proven exact.
-        """
-        return math.gcd(*self.fixed_dims[chi.index])
 
     # -- rendering ---------------------------------------------------------
 

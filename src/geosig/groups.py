@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, total_ordering
+from functools import cached_property, reduce, total_ordering
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -647,7 +647,8 @@ class FiniteGroup:
         subgroup."""
         require_subgroups(self, sub)
         orbit = frozenset(sub.conjugate_masks.values())
-        rep_set = min(orbit, key=_bits)
+        # equal popcounts: the least by sorted members holds the lowest bit of each XOR
+        rep_set = reduce(lambda a, b: b if (a ^ b) & -(a ^ b) & b else a, orbit)
         rep = sub if sub.mask == rep_set else Subgroup._trusted(self, _bits(rep_set), None, None)
         return ConjugacyClassOfSubgroups(rep, orbit)
 
@@ -669,6 +670,8 @@ class FiniteGroup:
             return g
         if s in ("e", "id", "1") and s not in self.named_generators:
             return self.identity
+        if not s.strip("*"):
+            raise GroupInputError(f"cannot read {text!r}: no generator name in it")
         names = sorted(self.named_generators, key=len, reverse=True)
         acc = self.identity
         i = 0

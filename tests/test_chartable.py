@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from geosig.chartable import (
 )
 from geosig.cyclotomic import cyclotomic_polynomial, euler_phi, reduce_integral
 from geosig.errors import GroupInputError, InternalCheckError
-from geosig.groups import catalog, group_from_payload
+from geosig.groups import FiniteGroup, catalog, group_from_payload
 from geosig.jacobian import factor_dimensions
 
 CATALOG_SMALL = [
@@ -577,11 +578,11 @@ def test_an_indicator_out_of_range_is_a_defect(monkeypatch):
 
 def test_a_missing_galois_conjugate_is_a_defect():
     # cyclic(3)'s characters 0 and 1 are Galois conjugate; without 0, the
-    # image of 1 under zeta -> zeta^2 is no row of the table
+    # fibre of 1's fixed dimensions holds 1 alone, whose row is not rational
     G = catalog("cyclic(3)")
     T = compute_table(G)
-    with pytest.raises(InternalCheckError,
-                       match="^power map left the character table; lifting is inconsistent$"):
+    message = "characters with equal fixed dimensions do not sum to a rational character: "
+    with pytest.raises(InternalCheckError, match=rf"^{message}\[0\] give z3 on class 1$"):
         CharacterTable._trusted(G, T.characters[1:], T.fixed_dims[1:], {})
 
 
@@ -783,6 +784,49 @@ def test_galois_members_share_degree_and_fixed_dims():
             assert len({T.fixed_dims[i] for i in gc.members}) == 1
 
 
+C7_C9 = {"name": "C7:C9", "degree": 16, "generators": {
+    "a": "(1,2,3,4,5,6,7)", "b": "(2,3,5)(4,7,6)(8,9,10,11,12,13,14,15,16)"}}
+
+
+def reference_orbits(T):
+    """The Galois orbits of the characters, from the values: chi's images
+    under zeta -> zeta^k, for every unit k mod e, looked up among the rows."""
+    e = T.group.exponent
+    values = [character_values(chi, e) for chi in T.characters]
+    index = {tuple(v.coeffs for v in vals): i for i, vals in enumerate(values)}
+    orbits = {}
+    for vals in values:
+        orbit = tuple(sorted({index[tuple(v.galois(k).coeffs for v in vals)]
+                              for k in range(1, e + 1) if math.gcd(k, e) == 1}))
+        orbits.setdefault(orbit[0], orbit)
+    return [orbits[i] for i in sorted(orbits)]
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(CATALOG_SMALL + list(SCHUR_DATA_GROUPS)))
+                         + ["C7:C9"])
+def test_galois_classes_are_the_reference_orbits(name):
+    # the table groups characters by their fixed dimensions; the reference
+    # applies Gal(Q(zeta_e)/Q) to the values and reads no fixed dimension
+    G = group_from_payload(C7_C9) if name == "C7:C9" else catalog(name)
+    T = compute_table(G)
+    orbits = reference_orbits(T)
+    assert [gc.members for gc in T.galois_classes] == orbits
+    if name == "C7:C9":
+        assert orbits == [(0, 1, 2, 3, 4, 5), (6, 7), (8,), (9, 10, 11, 12), (13, 14)]
+
+
+def test_the_table_reads_the_power_map_for_inverses_and_squares_only(monkeypatch):
+    # the Galois classes come from the fixed dimensions, not from the
+    # conjugates g -> g^k of every unit k mod e
+    powers = set()
+    class_power = FiniteGroup.class_power
+    monkeypatch.setattr(FiniteGroup, "class_power",
+                        lambda self, j, k: powers.add(k) or class_power(self, j, k))
+    for G in (catalog("cyclic(12)"), catalog("symmetric(5)"), group_from_payload(C7_C9)):
+        compute_table(G)
+    assert powers == {-1, 2}
+
+
 @pytest.mark.parametrize("name", SCHUR_DATA_GROUPS)
 def test_stored_schur_data_matches_a_recomputation(name):
     # the bound and the indicator are built once per Galois class; both are
@@ -791,7 +835,9 @@ def test_stored_schur_data_matches_a_recomputation(name):
     T = compute_table(catalog(name))
     for gc in T.galois_classes:
         assert gc.representative == gc.members[0]
-        assert gc.schur_bound == T._schur_upper_bound(T.characters[gc.representative])
+        chi = T.characters[gc.representative]
+        assert gc.schur_bound == math.gcd(*(T.fixed_dim(chi, cls.representative)
+                                            for cls in T.group.cyclic_subgroup_classes))
         assert gc.schur_index == gc.schur_bound
         assert {T.frobenius_schur_indicator(T.characters[i]) for i in gc.members} == {
             gc.indicator}
@@ -842,6 +888,40 @@ def test_kernel_subgroup():
     )
     ker = T.kernel(chi)
     assert ker.members == frozenset([G.identity, x * x])
+
+
+# characters that symmetric(4)'s table must refuse: cyclic(5)'s chi0 and
+# dihedral(4)'s chi1 have indices it holds, with other rows, and cyclic(6)'s
+# chi5 is past its five characters
+FOREIGN = [("cyclic(5)", 0), ("dihedral(4)", 1), ("cyclic(6)", 5)]
+
+
+@pytest.mark.parametrize("other, index", FOREIGN)
+def test_kernel_refuses_a_character_of_another_table(other, index):
+    T = compute_table(catalog("symmetric(4)"))
+    chi = compute_table(catalog(other)).characters[index]
+    with pytest.raises(GroupInputError,
+                       match=f"^character {index} is not a character of this table$"):
+        T.kernel(chi)
+
+
+@pytest.mark.parametrize("other, index", FOREIGN)
+def test_fixed_dim_refuses_a_character_of_another_table(other, index):
+    G = catalog("symmetric(4)")
+    T = compute_table(G)
+    chi = compute_table(catalog(other)).characters[index]
+    with pytest.raises(GroupInputError,
+                       match=f"^character {index} is not a character of this table$"):
+        T.fixed_dim(chi, G.subgroup([G.element("(1,2)")]))
+
+
+@pytest.mark.parametrize("other, index", FOREIGN)
+def test_indicator_refuses_a_character_of_another_table(other, index):
+    T = compute_table(catalog("symmetric(4)"))
+    chi = compute_table(catalog(other)).characters[index]
+    with pytest.raises(GroupInputError,
+                       match=f"^character {index} is not a character of this table$"):
+        T.frobenius_schur_indicator(chi)
 
 
 def test_table_determinism():

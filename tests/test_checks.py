@@ -61,7 +61,7 @@ FIRING_TESTS = {
      "Frobenius-Schur indicator is not in -1..1: "):
         "test_chartable.py::test_an_indicator_out_of_range_is_a_defect",
     ("chartable.CharacterTable._build_galois_classes",
-     "power map left the character table; lifting is inconsistent"):
+     "characters with equal fixed dimensions do not sum to a rational character: "):
         "test_chartable.py::test_a_missing_galois_conjugate_is_a_defect",
     ("chartable.CharacterTable._build_galois_classes", "computed Schur bound "):
         "test_chartable.py::test_an_odd_bound_under_indicator_minus_one_is_a_defect",

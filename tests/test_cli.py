@@ -479,6 +479,14 @@ def test_word_exponent_too_long_to_read_exits_64(capsys):
         assert err.startswith("error: exponent too long to read"), err
 
 
+def test_a_subgroup_word_of_separators_alone_exits_64(capsys):
+    code, out, err = run(capsys, "lattice", "--group", "wc3", "--signature", WC3_FIRST,
+                         "--subgroups", "*")
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: cannot read '*': no generator name in it"), err
+
+
 def test_deeply_nested_json_exits_64(tmp_path):
     # json.loads recurses once per level; a fresh process has the default
     # recursion limit

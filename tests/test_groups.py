@@ -390,6 +390,17 @@ def test_element_words_wc3():
         G.element("")
 
 
+@pytest.mark.parametrize("word", ["*", "**", " * "])
+def test_a_word_of_separators_alone_is_refused(word):
+    # a word must read at least one generator; separators around one are kept
+    G = catalog("wc3")
+    with pytest.raises(GroupInputError, match=r"^cannot read .*: no generator name in it$"):
+        G.element(word)
+    x, a = G.named_generators["x"], G.named_generators["a"]
+    assert G.element("x*a") == x * a
+    assert G.element("*x") == G.element("x*") == x
+
+
 def test_element_cycle_notation_must_be_member():
     G = catalog("cyclic(4)")
     assert G.element("(1,2,3,4)") == G.named_generators["x"]
